@@ -4,7 +4,7 @@ GO ?= go
 # `make cover` — raise it when coverage rises, never lower it.
 COVER_FLOOR ?= 87.0
 
-.PHONY: all build test vet race equivalence serve-stress fuzz-short cover bench bench-json bench-serve bench-cluster bench-smoke ci
+.PHONY: all build test vet race equivalence serve-stress fuzz-short cover bench bench-json bench-serve bench-cluster bench-smoke bench-build ci
 
 all: build test
 
@@ -30,12 +30,14 @@ race:
 # cover the multi-RHS solver and the persistent-pool path, which must
 # stay bitwise identical to independent plain solves; TraceResume pins
 # the trace checkpoint/resume bitwise contract at every worker count
-# and precision tier. The rom conformance suite rides along: 200
-# randomized cross-fidelity problems whose certified bounds are a hard
-# contract against the full solver.
+# and precision tier; ArrivalOrder pins the service's default config
+# to answers that do not depend on which request came first. The rom
+# conformance suite rides along: 200 randomized cross-fidelity
+# problems whose certified bounds are a hard contract against the
+# full solver.
 equivalence:
 	$(GO) test -race -run 'Equivalence|Batch|Engine|TraceResume|Family' -count=2 ./internal/solver/ ./internal/parallel/
-	$(GO) test -race -run 'Equivalence|Window' -count=2 ./internal/serve/
+	$(GO) test -race -run 'Equivalence|Window|ArrivalOrder' -count=2 ./internal/serve/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/rom/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/cluster/
 
@@ -119,7 +121,16 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'ROMEval/n=16' -benchtime=1x ./internal/rom/
 	$(GO) test -run xxx -bench 'ClusterMixed/nodes=2' -benchtime=1x ./internal/cluster/
 
+# bench-build vets and compiles the repository benchmark (perfbench/,
+# its own Go module that replaces thermalscaffold with this checkout).
+# The root `go build ./...` never sees that module, so without this an
+# API change that breaks the benchmark would only surface when the
+# benchmark runs.
+bench-build:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) build -o /dev/null .
+
 # ci is the gate: vet + race-clean full suite + doubled equivalence
 # (which also pins determinism with telemetry attached) + the service
-# stress suite + fuzz bursts + the ratcheted coverage floor.
-ci: race equivalence serve-stress fuzz-short cover
+# stress suite + fuzz bursts + the ratcheted coverage floor + a build
+# of the repository benchmark.
+ci: race equivalence serve-stress fuzz-short cover bench-build

@@ -133,7 +133,7 @@ func buildJobs(targets []string, n int, reuse float64, mix mixWeights, seed int6
 		mode := mix.pick(rng)
 		var power float64
 		if mode == "coldfam" {
-			// A guaranteed cold miss within the shared warm-start family:
+			// A guaranteed cold miss within the shared family:
 			// the power is fresh and never enters the reuse pool, so every
 			// coldfam request forces a solve — the window-batching storm
 			// workload.

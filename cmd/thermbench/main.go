@@ -19,7 +19,7 @@
 //   - -mix weights the request modes: steady and rc hit /v1/eval,
 //     batch hits /v1/evalbatch with 3 scenarios per request, and
 //     coldfam hits /v1/eval with a fresh never-reused power in the
-//     shared warm-start family — a guaranteed cold-miss storm that
+//     shared family (same stack) — a guaranteed cold-miss storm that
 //     exercises the server's -batch-window micro-batching.
 //   - -rate > 0 switches from closed-loop (fixed concurrency, next
 //     request when a worker frees) to open-loop (requests dispatched

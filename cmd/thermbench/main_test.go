@@ -150,7 +150,7 @@ func TestReportGolden(t *testing.T) {
 }
 
 // TestColdFamMode: coldfam jobs are guaranteed cold misses within one
-// warm-start family — every body is unique (no reuse even at a high
+// family — every body is unique (no reuse even at a high
 // -reuse ratio), all hit /v1/eval at full fidelity, and they differ
 // from each other only in power.
 func TestColdFamMode(t *testing.T) {

@@ -1,8 +1,8 @@
 // Command thermserve runs the thermal evaluation service: an HTTP
 // endpoint that turns JSON stack evaluations into peak/per-tier
 // temperatures, with request coalescing, a content-addressed solve
-// cache, warm starts, bounded queueing, and graceful drain
-// (internal/serve).
+// cache, bounded queueing, and graceful drain (internal/serve). Every
+// response is a pure function of its request and -workers.
 //
 // Usage:
 //
@@ -73,10 +73,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 1, "solver goroutines per solve (the service parallelizes across requests)")
 	queue := fs.Int("queue", 64, "solve queue depth beyond running; past it requests get 503 + Retry-After")
 	cache := fs.Int("cache", 256, "content-addressed result cache entries (negative disables)")
-	batchWindow := fs.Duration("batch-window", 0, "micro-batching window for cold misses sharing a warm-start family; 0 disables")
+	batchWindow := fs.Duration("batch-window", 0, "micro-batching window for steady misses sharing a family (same stack, different power); 0 disables")
 	maxBatch := fs.Int("max-batch", 0, "max requests one batch window may gather before flushing early (0 = default 16)")
 	assemblyCache := fs.Int("assembly-cache", 0, "solver assembly cache: families whose stencils are reused across solves (0 = default, negative disables)")
-	noWarm := fs.Bool("no-warm-start", false, "disable warm-starting near-miss requests from cached neighbors")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request solve deadline")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown drain budget before in-flight solves are cancelled")
 	reportPath := fs.String("report", "", "on shutdown write a JSON run report (solve traces, counters) to this path; \"-\" = stdout")
@@ -115,16 +114,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	tel := telemetry.New()
 	cfg := serve.Config{
-		SolverWorkers:    *workers,
-		Parallel:         *parallel,
-		QueueDepth:       *queue,
-		CacheSize:        *cache,
-		BatchWindow:      *batchWindow,
-		MaxBatch:         *maxBatch,
-		AssemblyCache:    *assemblyCache,
-		DisableWarmStart: *noWarm,
-		DefaultTimeout:   *timeout,
-		Telemetry:        tel,
+		SolverWorkers:  *workers,
+		Parallel:       *parallel,
+		QueueDepth:     *queue,
+		CacheSize:      *cache,
+		BatchWindow:    *batchWindow,
+		MaxBatch:       *maxBatch,
+		AssemblyCache:  *assemblyCache,
+		DefaultTimeout: *timeout,
+		Telemetry:      tel,
 	}
 	var clu *cluster.Cluster
 	if *peers != "" {

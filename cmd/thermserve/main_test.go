@@ -40,12 +40,16 @@ func (b *syncBuffer) String() string {
 }
 
 func TestRunBadFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run(context.Background(), []string{"-definitely-not-a-flag"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d for unknown flag, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "Usage") && !strings.Contains(errb.String(), "flag") {
-		t.Fatalf("no usage text on stderr: %q", errb.String())
+	// Every solve is cold, so -no-warm-start is not a flag: it must
+	// fail like any unknown one.
+	for _, flag := range []string{"-definitely-not-a-flag", "-no-warm-start"} {
+		var out, errb bytes.Buffer
+		if code := run(context.Background(), []string{flag}, &out, &errb); code != 2 {
+			t.Fatalf("exit %d for unknown flag %s, want 2", code, flag)
+		}
+		if !strings.Contains(errb.String(), "Usage") && !strings.Contains(errb.String(), "flag") {
+			t.Fatalf("no usage text on stderr for %s: %q", flag, errb.String())
+		}
 	}
 }
 

@@ -41,9 +41,6 @@ type Config struct {
 	// a second identical request is fired; first answer wins
 	// (0 → 50ms).
 	HedgeDelay time.Duration
-	// FamilySize bounds the gossip-replicated warm-start family index
-	// (0 → 256).
-	FamilySize int
 	// ProbeInterval is the health-probe cadence (0 → 1s; < 0 disables
 	// the background prober — tests drive ProbeOnce directly).
 	ProbeInterval time.Duration
@@ -67,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = 50 * time.Millisecond
-	}
-	if c.FamilySize <= 0 {
-		c.FamilySize = 256
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
@@ -95,9 +89,7 @@ type Cluster struct {
 	alive map[string]bool
 	fails map[string]int
 
-	family *familyIndex
-
-	// fillCtx cancels in-flight background fills/gossip on Close;
+	// fillCtx cancels in-flight background fills on Close;
 	// fills tracks them so Sync and Close can wait.
 	fillCtx    context.Context
 	cancelFill context.CancelFunc
@@ -107,8 +99,7 @@ type Cluster struct {
 	stopProbe chan struct{}
 	probeDone chan struct{}
 
-	hits, misses, hedges, fallbacks atomic.Int64
-	fillCount, gossip               atomic.Int64
+	hits, misses, hedges, fallbacks, fillCount atomic.Int64
 }
 
 // New validates the membership and returns a running cluster client.
@@ -148,7 +139,6 @@ func New(cfg Config) (*Cluster, error) {
 		client:     &http.Client{Transport: cfg.Transport},
 		alive:      make(map[string]bool, len(urls)),
 		fails:      make(map[string]int, len(urls)),
-		family:     newFamilyIndex(cfg.FamilySize),
 		fillCtx:    fillCtx,
 		cancelFill: cancelFill,
 		fillSem:    make(chan struct{}, 4),
@@ -181,9 +171,9 @@ func (c *Cluster) Close() {
 	c.client.CloseIdleConnections()
 }
 
-// Sync waits for all in-flight background fills and gossip to land —
-// the conformance and benchmark harnesses call it between phases so
-// "fill then fetch elsewhere" is deterministic, not a race.
+// Sync waits for all in-flight background fills to land — the
+// conformance and benchmark harnesses call it between phases so "fill
+// then fetch elsewhere" is deterministic, not a race.
 func (c *Cluster) Sync() { c.fills.Wait() }
 
 // Ring returns the current ring snapshot (immutable).
@@ -215,7 +205,6 @@ func (c *Cluster) rebuildLocked() {
 // fetchResult is one GET attempt's outcome.
 type fetchResult struct {
 	e    *specio.PeerCacheEntry
-	t    []float64
 	miss bool // authoritative 404 from the owner
 	err  error
 }
@@ -224,10 +213,10 @@ type fetchResult struct {
 // one hedge if the primary stays silent past HedgeDelay, give up at
 // FetchTimeout. ok=false on self-ownership, a clean 404, or any
 // failure — the caller's local solve is always a correct answer.
-func (c *Cluster) Fetch(ctx context.Context, key string) (*specio.PeerCacheEntry, []float64, bool) {
+func (c *Cluster) Fetch(ctx context.Context, key string) (*specio.PeerCacheEntry, bool) {
 	owner := c.ring.Load().Owner(key)
 	if owner == "" || owner == c.self {
-		return nil, nil, false
+		return nil, false
 	}
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
 	defer cancel()
@@ -247,12 +236,12 @@ func (c *Cluster) Fetch(ctx context.Context, key string) (*specio.PeerCacheEntry
 			case r.err == nil && !r.miss:
 				c.hits.Add(1)
 				c.cfg.Telemetry.Add(telemetry.CounterPeerHits, 1)
-				return r.e, r.t, true
+				return r.e, true
 			case r.miss:
 				// The owner answered: the key is not cached anywhere.
 				c.misses.Add(1)
 				c.cfg.Telemetry.Add(telemetry.CounterPeerMisses, 1)
-				return nil, nil, false
+				return nil, false
 			}
 			// r.err != nil: wait for the other attempt, if any.
 		case <-hedge.C:
@@ -265,13 +254,13 @@ func (c *Cluster) Fetch(ctx context.Context, key string) (*specio.PeerCacheEntry
 		case <-ctx.Done():
 			c.fallbacks.Add(1)
 			c.cfg.Telemetry.Add(telemetry.CounterPeerFallbacks, 1)
-			return nil, nil, false
+			return nil, false
 		}
 	}
 	// Every launched attempt failed before the deadline.
 	c.fallbacks.Add(1)
 	c.cfg.Telemetry.Add(telemetry.CounterPeerFallbacks, 1)
-	return nil, nil, false
+	return nil, false
 }
 
 // getEntry performs one GET /v1/peer/cache/{key} against a node.
@@ -298,11 +287,11 @@ func (c *Cluster) getEntry(ctx context.Context, node, key string) fetchResult {
 	if len(body) > maxEntryBody {
 		return fetchResult{err: fmt.Errorf("cluster: peer entry exceeds %d bytes", maxEntryBody)}
 	}
-	e, t, err := specio.ParsePeerEntry(body, key)
+	e, err := specio.ParsePeerEntry(body, key)
 	if err != nil {
 		return fetchResult{err: err}
 	}
-	return fetchResult{e: e, t: t}
+	return fetchResult{e: e}
 }
 
 // maxEntryBody mirrors the service's request-body bound.
@@ -310,10 +299,14 @@ const maxEntryBody = 16 << 20
 
 // ----------------------------------------------------------------- fill
 
-// Fill offers a finished solve to its ring owner and gossips its
-// family key — asynchronously and best-effort: a dead owner costs the
-// cluster a cache fill, never a response.
+// Fill offers a finished solve to its ring owner — asynchronously
+// and best-effort: a dead owner costs the cluster a cache fill, never
+// a response. Entries this node owns stay local.
 func (c *Cluster) Fill(e *specio.PeerCacheEntry) {
+	owner := c.ring.Load().Owner(e.Key)
+	if owner == "" || owner == c.self {
+		return
+	}
 	c.fills.Add(1)
 	go func() {
 		defer c.fills.Done()
@@ -323,15 +316,9 @@ func (c *Cluster) Fill(e *specio.PeerCacheEntry) {
 		case <-c.fillCtx.Done():
 			return
 		}
-		owner := c.ring.Load().Owner(e.Key)
-		if owner != "" && owner != c.self {
-			c.fillCount.Add(1)
-			c.cfg.Telemetry.Add(telemetry.CounterPeerFills, 1)
-			c.putEntry(owner, e)
-		}
-		if e.FamilyKey != "" {
-			c.gossipFamily(e)
-		}
+		c.fillCount.Add(1)
+		c.cfg.Telemetry.Add(telemetry.CounterPeerFills, 1)
+		c.putEntry(owner, e)
 	}()
 }
 
@@ -356,100 +343,6 @@ func (c *Cluster) putEntry(node string, e *specio.PeerCacheEntry) {
 	}
 	io.Copy(io.Discard, res.Body)
 	res.Body.Close()
-}
-
-// gossipFamily announces "family famKey has a seed at key on this
-// node" to every alive peer. O(peers) per eligible fill — fine at the
-// single-digit ring sizes this targets; a larger ring would gossip to
-// a random subset.
-func (c *Cluster) gossipFamily(e *specio.PeerCacheEntry) {
-	a := specio.PeerFamilyAnnounce{FamilyKey: e.FamilyKey, Key: e.Key, Node: c.self}
-	raw, err := specio.MarshalPeerAnnounce(a)
-	if err != nil {
-		return
-	}
-	for _, id := range c.ring.Load().Members() {
-		if id == c.self {
-			continue
-		}
-		c.gossip.Add(1)
-		c.cfg.Telemetry.Add(telemetry.CounterPeerGossip, 1)
-		ctx, cancel := context.WithTimeout(c.fillCtx, c.cfg.FetchTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.urls[id]+"/v1/peer/family", bytes.NewReader(raw))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/json")
-			if res, err := c.client.Do(req); err == nil {
-				io.Copy(io.Discard, res.Body)
-				res.Body.Close()
-			}
-		}
-		cancel()
-	}
-}
-
-// --------------------------------------------------------------- family
-
-// Announce records a received gossip message in the bounded family
-// index (latest announcement for a family wins).
-func (c *Cluster) Announce(a specio.PeerFamilyAnnounce) {
-	if _, known := c.urls[a.Node]; !known {
-		return // never chase a pointer outside the configured membership
-	}
-	c.family.put(a)
-}
-
-// FamilySeed resolves a warm-start seed through the gossip index: the
-// last announced entry for famKey is fetched from the node that
-// solved it. ok=false when nothing was announced or the fetch cannot
-// beat FetchTimeout.
-func (c *Cluster) FamilySeed(ctx context.Context, famKey string) (*specio.PeerCacheEntry, []float64, bool) {
-	a, ok := c.family.get(famKey)
-	if !ok || a.Node == c.self {
-		return nil, nil, false
-	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	r := c.getEntry(ctx, a.Node, a.Key)
-	if r.err != nil || r.miss {
-		c.fallbacks.Add(1)
-		c.cfg.Telemetry.Add(telemetry.CounterPeerFallbacks, 1)
-		return nil, nil, false
-	}
-	c.hits.Add(1)
-	c.cfg.Telemetry.Add(telemetry.CounterPeerHits, 1)
-	return r.e, r.t, true
-}
-
-// familyIndex is a bounded FIFO map of family gossip pointers.
-type familyIndex struct {
-	mu    sync.Mutex
-	max   int
-	m     map[string]specio.PeerFamilyAnnounce
-	order []string
-}
-
-func newFamilyIndex(max int) *familyIndex {
-	return &familyIndex{max: max, m: make(map[string]specio.PeerFamilyAnnounce, max)}
-}
-
-func (f *familyIndex) put(a specio.PeerFamilyAnnounce) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.m[a.FamilyKey]; !ok {
-		f.order = append(f.order, a.FamilyKey)
-		for len(f.order) > f.max {
-			delete(f.m, f.order[0])
-			f.order = f.order[1:]
-		}
-	}
-	f.m[a.FamilyKey] = a
-}
-
-func (f *familyIndex) get(famKey string) (specio.PeerFamilyAnnounce, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	a, ok := f.m[famKey]
-	return a, ok
 }
 
 // --------------------------------------------------------------- health
@@ -539,6 +432,5 @@ func (c *Cluster) Stats() map[string]int64 {
 		telemetry.CounterPeerHedges:    c.hedges.Load(),
 		telemetry.CounterPeerFallbacks: c.fallbacks.Load(),
 		telemetry.CounterPeerFills:     c.fillCount.Load(),
-		telemetry.CounterPeerGossip:    c.gossip.Load(),
 	}
 }

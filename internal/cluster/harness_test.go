@@ -120,7 +120,6 @@ type testRing struct {
 // ringOpts tunes the harness.
 type ringOpts struct {
 	cacheSize    int           // per-node CacheSize (0 → serve default)
-	warmStart    bool          // enable warm starts (conformance runs without)
 	hedgeDelay   time.Duration // 0 → a generous 150ms (hedges off in practice)
 	fetchTimeout time.Duration // 0 → 5s (CI under -race is slow)
 	batchWindow  time.Duration // per-node micro-batching window (0 = off)
@@ -162,14 +161,13 @@ func startRing(tb testing.TB, n int, opts ringOpts) *testRing {
 		}
 		node.clu = clu
 		node.srv = serve.New(serve.Config{
-			SolverWorkers:    1,
-			Parallel:         2,
-			QueueDepth:       32,
-			CacheSize:        opts.cacheSize,
-			DisableWarmStart: !opts.warmStart,
-			BatchWindow:      opts.batchWindow,
-			MaxBatch:         opts.maxBatch,
-			Peers:            clu,
+			SolverWorkers: 1,
+			Parallel:      2,
+			QueueDepth:    32,
+			CacheSize:     opts.cacheSize,
+			BatchWindow:   opts.batchWindow,
+			MaxBatch:      opts.maxBatch,
+			Peers:         clu,
 		})
 		swaps[i].set(node.srv)
 	}
@@ -189,8 +187,8 @@ func (r *testRing) stop() {
 	}
 }
 
-// sync waits until every node's background fills and gossip have
-// landed, making "solve here, hit there" deterministic for the tests.
+// sync waits until every node's background fills have landed, making
+// "solve here, hit there" deterministic for the tests.
 func (r *testRing) sync() {
 	for _, n := range r.nodes {
 		n.clu.Sync()
@@ -212,11 +210,10 @@ type singleNode struct {
 func startSingle(tb testing.TB, opts ringOpts) *singleNode {
 	tb.Helper()
 	srv := serve.New(serve.Config{
-		SolverWorkers:    1,
-		Parallel:         2,
-		QueueDepth:       32,
-		CacheSize:        opts.cacheSize,
-		DisableWarmStart: !opts.warmStart,
+		SolverWorkers: 1,
+		Parallel:      2,
+		QueueDepth:    32,
+		CacheSize:     opts.cacheSize,
 	})
 	hs := httptest.NewServer(srv)
 	tb.Cleanup(func() {

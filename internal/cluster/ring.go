@@ -1,9 +1,8 @@
 // Package cluster implements the shard-aware scale-out of thermserve
 // (DESIGN.md §14): a consistent-hash ring over the service's
 // SHA-256 content addresses, a hedged peer-to-peer cache client for
-// the /v1/peer endpoints served by internal/serve, health-checked
-// ring membership with rebalancing, and a best-effort gossip-
-// replicated warm-start family index.
+// the /v1/peer endpoints served by internal/serve, and health-checked
+// ring membership with rebalancing.
 //
 // The cluster layer is pure routing: it decides which node a content
 // address lives on and moves immutable, bit-exact cache entries

@@ -2,16 +2,15 @@ package serve
 
 // POST /v1/evalbatch: K power scenarios against one stack, answered
 // with the same pipeline as /v1/eval — shared normalize/key path,
-// per-item cache hits, intra-batch deduplication — and one coalesced
-// SolveSteadyBatch for whatever remains. The batch occupies a single
-// admission slot: it is one bounded unit of work, not K queue
-// entries.
+// per-item cache hits, intra-batch deduplication — and one group
+// solve (solveGroup, shared with the batching window) for whatever
+// remains. The batch occupies a single admission slot: it is one
+// bounded unit of work, not K queue entries.
 //
-// Determinism: batch misses solve cold (no warm start), so every
-// item's numbers are bitwise identical to a cold /v1/eval solve of
-// the same derived request, independent of arrival order and of which
-// siblings happen to be cached. Cached items reuse the stored entry
-// verbatim, exactly as /v1/eval does.
+// Determinism: every item's numbers are bitwise identical to a
+// /v1/eval solve of the same derived request, independent of arrival
+// order and of which siblings happen to be cached. Cached items reuse
+// the stored entry verbatim, exactly as /v1/eval does.
 
 import (
 	"context"
@@ -25,11 +24,10 @@ import (
 	"thermalscaffold/internal/telemetry"
 )
 
-// batchItem tracks one item through the pipeline.
+// batchItem tracks one item through the pipeline. Its ev stays nil
+// while only the key memo has seen it.
 type batchItem struct {
-	ev     *specio.Eval // nil while only the key memo has seen it
-	key    string
-	famKey string
+	miss
 	sv     *solved
 	cached bool
 	dupOf  int // index of the first item with the same key, else -1
@@ -81,7 +79,7 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, status, specio.EvalBatchResponse{Error: itemErr(i, rerr)})
 			return
 		}
-		items[i] = batchItem{ev: ev, key: key, famKey: famKey, dupOf: -1}
+		items[i] = batchItem{miss: miss{ev: ev, key: key, famKey: famKey}, dupOf: -1}
 		if j, ok := seen[key]; ok {
 			items[i].dupOf = j
 		} else {
@@ -90,42 +88,35 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-item cache hits (local first, then the key's ring owner in
-	// cluster mode), then one coalesced batch solve for the remaining
-	// unique misses.
+	// cluster mode), then one group solve for the remaining unique
+	// misses.
 	var missIdx []int
+	var ms []miss
 	for i := range items {
-		if items[i].dupOf >= 0 {
+		it := &items[i]
+		if it.dupOf >= 0 {
 			continue
 		}
-		if hit, ok := s.caches.Lookup(items[i].key); ok {
-			items[i].sv, items[i].cached = hit, true
+		if hit, ok := s.lookup(it.key); ok {
+			it.sv, it.cached = hit, true
 			s.ctr.hits.Add(1)
 			s.cfg.Telemetry.Add(telemetry.CounterCacheHits, 1)
 			continue
 		}
-		if s.peers != nil {
-			if e, tf, ok := s.peers.Fetch(s.baseCtx, items[i].key); ok {
-				psv := solvedFromPeer(e, tf)
-				s.caches.Store(psv)
-				items[i].sv, items[i].cached = psv, true
-				s.ctr.hits.Add(1)
-				s.cfg.Telemetry.Add(telemetry.CounterCacheHits, 1)
-				continue
-			}
-		}
-		if items[i].ev == nil {
+		if it.ev == nil {
 			// Memoized key but evicted result: assemble for the solve.
 			ev, berr := specio.BuildEval(norms[i])
 			if berr != nil {
 				writeJSON(w, http.StatusBadRequest, specio.EvalBatchResponse{Error: itemErr(i, berr)})
 				return
 			}
-			items[i].ev = ev
+			it.ev = ev
 		}
 		missIdx = append(missIdx, i)
+		ms = append(ms, it.miss)
 	}
-	if len(missIdx) > 0 {
-		solvedList, serr := s.admitAndSolveBatch(items, missIdx)
+	if len(ms) > 0 {
+		solvedList, serr := s.solveGroup(ms)
 		switch {
 		case serr == nil:
 		case errors.Is(serr, errBusy):
@@ -169,26 +160,6 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.lat.Observe(time.Since(start))
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// admitAndSolveBatch takes one admission slot for the whole batch and
-// runs the coalesced solve through the solve layer; only called with
-// at least one miss.
-func (s *Server) admitAndSolveBatch(items []batchItem, missIdx []int) ([]*solved, error) {
-	release, err := s.gate.Admit(s.baseCtx.Done())
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	evs := make([]*specio.Eval, len(missIdx))
-	keys := make([]string, len(missIdx))
-	famKeys := make([]string, len(missIdx))
-	for bi, i := range missIdx {
-		evs[bi] = items[i].ev
-		keys[bi] = items[i].key
-		famKeys[bi] = items[i].famKey
-	}
-	return s.backend.SolveBatch(evs, keys, famKeys)
 }
 
 // itemErr prefixes an error with the failing item's index.

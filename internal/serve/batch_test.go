@@ -56,7 +56,7 @@ func testBatch() (specio.EvalBatchRequest, []specio.EvalRequest) {
 func TestServeBatchEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			s := New(Config{SolverWorkers: workers, DisableWarmStart: true})
+			s := New(Config{SolverWorkers: workers})
 			defer s.Shutdown(context.Background())
 			breq, derived := testBatch()
 			code, resp := postBatch(t, s, breq)
@@ -85,7 +85,7 @@ func TestServeBatchEquivalence(t *testing.T) {
 // flagged coalesced, and the batch populates the cache for later
 // /v1/eval hits.
 func TestServeBatchCacheAndDedup(t *testing.T) {
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1})
 	defer s.Shutdown(context.Background())
 
 	// Prime the cache with the 45 W/cm² scenario via /v1/eval.
@@ -134,14 +134,14 @@ func TestServeBatchCacheAndDedup(t *testing.T) {
 	}
 }
 
-// TestServeBatchColdIndependence: batch misses solve cold even when
-// the server warm-starts single requests, so batch answers do not
-// depend on what happened to be solved (and family-cached) earlier.
+// TestServeBatchColdIndependence: batch answers do not depend on what
+// happened to be solved (and family-cached) earlier — a batch item
+// solved after a family neighbor equals a direct cold solve.
 func TestServeBatchColdIndependence(t *testing.T) {
-	s := New(Config{SolverWorkers: 1}) // warm start enabled
+	s := New(Config{SolverWorkers: 1})
 	defer s.Shutdown(context.Background())
 
-	// Seed the warm-start family with a neighboring power map.
+	// Solve a neighboring power map of the same family first.
 	if code, r := postEval(t, s, testRequest(30)); code != http.StatusOK {
 		t.Fatalf("seed: HTTP %d (%s)", code, r.Error)
 	}
@@ -156,10 +156,7 @@ func TestServeBatchColdIndependence(t *testing.T) {
 	}
 	want := directSolve(t, testRequest(45), 1) // cold direct solve
 	if err := sameNumbers(resp.Items[0], want); err != nil {
-		t.Errorf("batch item (family seeded) differs from cold solve: %v", err)
-	}
-	if resp.Items[0].WarmStart {
-		t.Error("batch item reported a warm start; the batch path is cold by contract")
+		t.Errorf("batch item (family neighbor solved first) differs from cold solve: %v", err)
 	}
 }
 

@@ -3,9 +3,9 @@ package serve
 // Throughput benchmark behind the ≥5× acceptance criterion: 100
 // requests, 10 distinct problems × 10 repeats in a fixed shuffled
 // order, driven by 8 concurrent clients — once against the full
-// service (cache + coalescing + warm starts) and once with caching
-// disabled so every request is a cold solve. `make bench-serve`
-// records the pair in BENCH_serve.json.
+// service (cache + coalescing) and once with caching disabled so
+// every request is a solve. `make bench-serve` records the pair in
+// BENCH_serve.json.
 
 import (
 	"bytes"
@@ -95,14 +95,14 @@ func BenchmarkServe100Mixed(b *testing.B) {
 	benchServe(b, Config{SolverWorkers: 1, Parallel: 4, QueueDepth: 256})
 }
 
-// BenchmarkServe100MixedNoCache is the baseline: caching, warm starts,
-// and the family index disabled, so all 100 requests solve cold.
+// BenchmarkServe100MixedNoCache is the baseline: caching disabled, so
+// all 100 requests solve.
 // Coalescing still exists but the strided mix keeps identical requests
 // from overlapping, so it almost never fires.
 func BenchmarkServe100MixedNoCache(b *testing.B) {
 	benchServe(b, Config{
 		SolverWorkers: 1, Parallel: 4, QueueDepth: 256,
-		CacheSize: -1, FamilySize: -1, DisableWarmStart: true,
+		CacheSize: -1,
 	})
 }
 
@@ -132,7 +132,7 @@ func BenchmarkServeBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{SolverWorkers: 1, Parallel: 4, QueueDepth: 256, CacheSize: -1, FamilySize: -1, DisableWarmStart: true}
+	cfg := Config{SolverWorkers: 1, Parallel: 4, QueueDepth: 256, CacheSize: -1}
 
 	b.Run("singles", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
@@ -229,7 +229,7 @@ func BenchmarkServeColdFamily(b *testing.B) {
 	}
 	base := Config{
 		SolverWorkers: 1, Parallel: 4, QueueDepth: 256,
-		CacheSize: -1, FamilySize: -1, DisableWarmStart: true,
+		CacheSize: -1,
 	}
 	b.Run("window=0", func(b *testing.B) {
 		cfg := base

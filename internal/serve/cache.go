@@ -6,11 +6,11 @@ import (
 )
 
 // lru is a small mutex-guarded LRU map. The server keeps three: the
-// result cache and warm-start family index (both holding *solved) and
-// the key memo (normalized request → content address). Entries are
-// immutable once inserted — result readers all share the same
-// *solved, which is what makes cached and coalesced responses bitwise
-// identical to the solve that produced them.
+// result cache (holding *solved), the key memo (normalized request →
+// content address), and the rc model cache. Entries are immutable
+// once inserted — result readers all share the same *solved, which is
+// what makes cached and coalesced responses bitwise identical to the
+// solve that produced them.
 type lru struct {
 	mu  sync.Mutex
 	max int
@@ -46,7 +46,7 @@ func (c *lru) Get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// getSolved is Get for the result/family caches.
+// getSolved is Get for the result cache.
 func (c *lru) getSolved(key string) (*solved, bool) {
 	v, ok := c.Get(key)
 	if !ok {

@@ -130,7 +130,7 @@ func normalizeResponse(t *testing.T, raw []byte) []byte {
 
 func goldenServe(t *testing.T, req specio.EvalRequest) (int, []byte) {
 	t.Helper()
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1})
 	defer s.Shutdown(context.Background())
 	raw, err := json.Marshal(req)
 	if err != nil {

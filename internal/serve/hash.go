@@ -26,9 +26,9 @@ import (
 //
 // FamilyKey hashes the same stream with the source field left out.
 // Two evaluations sharing a family differ at most in their power map,
-// which is exactly the near-miss case where a previous solution is a
-// profitable warm start (optimization loops mutate power, not
-// geometry).
+// so they share one operator (optimization loops mutate power, not
+// geometry): the family address keys the solver's assembly cache, the
+// family-prefix memo, the rc model cache, and the batching window.
 //
 // SHA-256 makes accidental collisions a non-issue (the cache would
 // serve a wrong answer on collision, so a short rolling hash is not
@@ -39,8 +39,8 @@ func Key(ev *specio.Eval) (string, error) {
 	return hashEval(ev, true)
 }
 
-// FamilyKey returns the warm-start family address: Key with the
-// power/source field excluded.
+// FamilyKey returns the family address: Key with the power/source
+// field excluded.
 func FamilyKey(ev *specio.Eval) (string, error) {
 	return hashEval(ev, false)
 }

@@ -3,8 +3,7 @@ package serve
 // Property tests for the content address: requests describing the
 // same physical problem hash equal (permutation invariance, explicit
 // vs. defaulted fields), any solution-relevant change hashes
-// different, and the warm-start family key ignores exactly the power
-// map. FuzzEvalKey holds these invariants on arbitrary request JSON
+// different, and the family key ignores exactly the power map. FuzzEvalKey holds these invariants on arbitrary request JSON
 // (corpus under testdata/fuzz, run in `make fuzz-short`).
 
 import (
@@ -149,7 +148,7 @@ func TestKeySensitivity(t *testing.T) {
 }
 
 // TestFamilyKey: the family address ignores exactly the power map —
-// power changes keep the family (warm-start eligible), anything else
+// power changes keep the family (one shared operator), anything else
 // moves to a new family.
 func TestFamilyKey(t *testing.T) {
 	key, fam := keyOf(t, hashBase())
@@ -161,7 +160,7 @@ func TestFamilyKey(t *testing.T) {
 		t.Fatal("power change did not change the key")
 	}
 	if hfam != fam {
-		t.Fatal("power change moved the request out of its warm-start family")
+		t.Fatal("power change moved the request out of its family")
 	}
 
 	uniform := hashBase()

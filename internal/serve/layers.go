@@ -1,25 +1,23 @@
 package serve
 
-// The serving pipeline is three explicit layers behind small
-// interfaces (plus the optional cluster seam), composed by Server:
+// The serving pipeline is three explicit layers (plus the optional
+// cluster seam), composed by Server:
 //
 //	cache     — cacheLayer: every LRU index the service keeps, sized
 //	            in exactly one place from Config.
-//	admission — admission/gate: the Parallel+QueueDepth backpressure
-//	            bound; one slot per unit of work (solve, batch, or
-//	            stream).
-//	solve     — solveBackend/solverLayer: evaluations in, immutable
-//	            *solved entries out; owns the solver engine, the
-//	            per-request deadline, warm-start seeding, and the
-//	            store-and-fill of finished results.
+//	admission — gate: the Parallel+QueueDepth backpressure bound; one
+//	            slot per unit of work (solve, group solve, or stream).
+//	solve     — solverLayer: cache misses in, immutable *solved
+//	            entries out; owns the solver engine, the per-request
+//	            deadline, and the store-and-fill of finished results.
 //	cluster   — PeerCache (implemented by internal/cluster): a remote
 //	            content-addressed cache consulted on local miss and
 //	            filled after local solves. Nil outside cluster mode.
 //
 // The layers keep the determinism contract trivially auditable: only
-// the solve layer produces numbers, the cache layer stores them
-// verbatim, and admission/cluster decide *where and when* a solve
-// runs, never what it returns.
+// the solve layer produces numbers, every solve starts cold, the
+// cache layer stores results verbatim, and admission/cluster decide
+// *where and when* a solve runs, never what it returns.
 
 import (
 	"context"
@@ -43,7 +41,6 @@ import (
 // dead weight).
 type cacheLayer struct {
 	results *lru // content address → *solved
-	family  *lru // family address → *solved (steady full-fidelity only)
 	keys    *lru // normalized request JSON → keyPair
 	roms    *lru // family address → *rom.Model
 }
@@ -52,7 +49,6 @@ func newCacheLayer(cfg Config) *cacheLayer {
 	return &cacheLayer{
 		results: newLRU(cfg.CacheSize),
 		keys:    newLRU(cfg.CacheSize),
-		family:  newLRU(cfg.FamilySize),
 		roms:    newLRU(cfg.ROMCacheSize),
 	}
 }
@@ -62,34 +58,17 @@ func (c *cacheLayer) Lookup(key string) (*solved, bool) {
 	return c.results.getSolved(key)
 }
 
-// Store indexes a finished solve locally: always under its content
-// address, and under its family address when the entry is
-// family-eligible (sv.famKey non-empty — steady, full fidelity).
+// Store indexes a finished solve under its content address.
 func (c *cacheLayer) Store(sv *solved) {
 	c.results.Add(sv.key, sv)
-	if sv.famKey != "" {
-		c.family.Add(sv.famKey, sv)
-	}
 }
 
 // ------------------------------------------------------------ admission
 
-// admission bounds concurrent work: at most Parallel units running
-// plus QueueDepth waiting; everything past that is shed immediately
-// with errBusy. One unit is one solve, one whole batch, or one whole
-// trace stream.
-type admission interface {
-	// Admit reserves a slot, blocking in the bounded queue until one
-	// frees or cancel is closed (then errDraining). The returned
-	// release function must be called exactly once.
-	Admit(cancel <-chan struct{}) (release func(), err error)
-	// Pending counts admitted units (queued + running); Running counts
-	// units holding a run slot.
-	Pending() int64
-	Running() int64
-}
-
-// gate is the channel-semaphore admission implementation.
+// gate bounds concurrent work with a channel semaphore: at most
+// Parallel units running plus QueueDepth waiting; everything past
+// that is shed immediately with errBusy. One unit is one solve, one
+// group solve, or one whole trace stream.
 type gate struct {
 	parallel, queue  int
 	sem              chan struct{}
@@ -100,6 +79,9 @@ func newGate(parallel, queue int) *gate {
 	return &gate{parallel: parallel, queue: queue, sem: make(chan struct{}, parallel)}
 }
 
+// Admit reserves a slot, blocking in the bounded queue until one
+// frees or cancel is closed (then errDraining). The returned release
+// function must be called exactly once.
 func (g *gate) Admit(cancel <-chan struct{}) (func(), error) {
 	if g.pending.Add(1) > int64(g.parallel+g.queue) {
 		g.pending.Add(-1)
@@ -119,6 +101,8 @@ func (g *gate) Admit(cancel <-chan struct{}) (func(), error) {
 	}, nil
 }
 
+// Pending counts admitted units (queued + running); Running counts
+// units holding a run slot.
 func (g *gate) Pending() int64 { return g.pending.Load() }
 func (g *gate) Running() int64 { return g.running.Load() }
 
@@ -131,20 +115,11 @@ func (g *gate) Running() int64 { return g.running.Load() }
 type PeerCache interface {
 	// Fetch retrieves key's entry from the owning peer, hedged and
 	// bounded by a short timeout. ok=false when this node owns the key,
-	// the owner misses, or the peer is slow/unreachable. The returned
-	// field is the entry's decoded (validated, finite) temperatures.
-	Fetch(ctx context.Context, key string) (e *specio.PeerCacheEntry, t []float64, ok bool)
-	// Fill offers a locally solved entry to its ring owner and gossips
-	// its family key to the peers. Best-effort and asynchronous: errors
-	// are counted, never surfaced.
+	// the owner misses, or the peer is slow/unreachable.
+	Fetch(ctx context.Context, key string) (e *specio.PeerCacheEntry, ok bool)
+	// Fill offers a locally solved entry to its ring owner.
+	// Best-effort and asynchronous: errors are counted, never surfaced.
 	Fill(e *specio.PeerCacheEntry)
-	// FamilySeed resolves a warm-start seed for a family address
-	// through the gossip index: ok=false when no peer has announced the
-	// family or the pointed-at entry cannot be fetched in time.
-	FamilySeed(ctx context.Context, famKey string) (e *specio.PeerCacheEntry, t []float64, ok bool)
-	// Announce records a family-key gossip message received from a
-	// peer.
-	Announce(a specio.PeerFamilyAnnounce)
 	// Stats snapshots the peer hit/miss/hedge/fill counters merged
 	// into /metrics.
 	Stats() map[string]int64
@@ -152,30 +127,17 @@ type PeerCache interface {
 
 // ----------------------------------------------------------------- solve
 
-// solveBackend is the compute layer: evaluations in, immutable solved
-// entries out. Implementations own result storage (local store + peer
-// fill) so every caller observes identical caching behavior.
-type solveBackend interface {
-	// Solve runs one evaluation under its deadline, stores the result,
-	// and returns it.
-	Solve(ev *specio.Eval, key, famKey string) (*solved, error)
-	// SolveBatch runs K sibling evaluations (same operator, K power
-	// maps) as one coalesced multi-RHS solve; each result is bitwise
-	// identical to an independent cold Solve of that item.
-	SolveBatch(evs []*specio.Eval, keys, famKeys []string) ([]*solved, error)
-	// SolveTrace integrates a trace request under ctx, emitting
-	// checkpoints through topts. Traces are uncached by design.
-	SolveTrace(ctx context.Context, te *specio.TraceEval, topts solver.TraceOptions) (*solver.TraceResult, error)
-	// AssemblyStats reports the engine's family assembly-cache
-	// structural counters (operators built, lookup hits/misses) for
-	// /metrics.
-	AssemblyStats() (built, hits, misses int64)
-	// Close releases the solver engine after the last solve has
-	// finished.
-	Close()
+// miss is one cache miss bound for the solver: the built evaluation
+// and its content and family addresses.
+type miss struct {
+	ev     *specio.Eval
+	key    string
+	famKey string
 }
 
-// solverLayer is the production solveBackend.
+// solverLayer is the compute layer: misses in, immutable solved
+// entries out. It owns result storage (local store + peer fill), so
+// every caller observes identical caching behavior.
 type solverLayer struct {
 	cfg     Config
 	engine  *solver.Engine
@@ -203,9 +165,11 @@ func newSolverLayer(cfg Config, caches *cacheLayer, peers PeerCache, baseCtx con
 	}
 }
 
+// Close releases the solver engine after the last solve has finished.
 func (l *solverLayer) Close() { l.engine.Close() }
 
-// AssemblyStats surfaces the engine's family-cache counters.
+// AssemblyStats reports the engine's family assembly-cache structural
+// counters (operators built, lookup hits/misses) for /metrics.
 func (l *solverLayer) AssemblyStats() (built, hits, misses int64) {
 	return l.engine.AssemblyStats()
 }
@@ -232,8 +196,25 @@ func (l *solverLayer) options(ev *specio.Eval, ctx context.Context) solver.Optio
 	}
 }
 
-// store indexes a finished solve locally and offers it to the cluster
-// (fill + family gossip, best-effort, asynchronous).
+// newSolved builds the immutable cache entry for a solved field of m.
+func newSolved(m miss, field []float64, iters int, resid float64) *solved {
+	peak, mean := m.ev.FieldStats(field)
+	return &solved{
+		key: m.key,
+		resp: specio.EvalResponse{
+			Key:        m.key,
+			Mode:       m.ev.Mode(),
+			PeakT:      telemetry.Float(peak),
+			MeanT:      telemetry.Float(mean),
+			Tiers:      m.ev.TierProfile(field),
+			Iterations: iters,
+			Residual:   telemetry.Float(resid),
+		},
+	}
+}
+
+// store indexes a finished solve locally and offers it to its ring
+// owner (best-effort, asynchronous).
 func (l *solverLayer) store(sv *solved) {
 	l.caches.Store(sv)
 	if l.peers != nil {
@@ -241,36 +222,11 @@ func (l *solverLayer) store(sv *solved) {
 	}
 }
 
-// warmSeed returns the family's warm-start seed: the local family
-// index first, then the cluster's gossip index. A peer-fetched seed
-// is cached locally (results + family) so the next near-miss skips
-// the network.
-func (l *solverLayer) warmSeed(ev *specio.Eval, famKey string) []float64 {
-	if l.cfg.DisableWarmStart || !ev.Steady() {
-		return nil
-	}
-	n := ev.Problem.Grid.NumCells()
-	if prev, ok := l.caches.family.getSolved(famKey); ok && len(prev.T) == n {
-		return prev.T
-	}
-	if l.peers == nil {
-		return nil
-	}
-	ctx, cancel := context.WithCancel(l.baseCtx)
-	defer cancel()
-	e, t, ok := l.peers.FamilySeed(ctx, famKey)
-	if !ok || len(t) != n {
-		return nil
-	}
-	sv := solvedFromPeer(e, t)
-	l.caches.Store(sv)
-	return sv.T
-}
-
-// Solve runs the evaluation under its deadline and stores the result.
-func (l *solverLayer) Solve(ev *specio.Eval, key, famKey string) (*solved, error) {
+// Solve runs one evaluation under its deadline and stores the result.
+func (l *solverLayer) Solve(m miss) (*solved, error) {
+	ev := m.ev
 	if ev.RC() {
-		return l.solveRC(ev, key, famKey)
+		return l.solveRC(m)
 	}
 	ctx, cancel := l.deadline(ev.Timeout)
 	defer cancel()
@@ -280,119 +236,62 @@ func (l *solverLayer) Solve(ev *specio.Eval, key, famKey string) (*solved, error
 	// one), so it satisfies solver.Options.FamilyKey's contract: same
 	// key ⇒ bitwise-equal assembly. Solves in a family the engine has
 	// seen skip operator assembly and preconditioner setup.
-	opts.FamilyKey = famKey
-	warm := false
-	if seed := l.warmSeed(ev, famKey); seed != nil {
-		// A family neighbor differs only in its power map — its field
-		// is a few iterations from this problem's solution.
-		opts.InitialGuess = seed
-		warm = true
-	}
-	solveStart := time.Now()
-	var (
-		field []float64
-		iters int
-		resid = math.NaN()
-	)
+	opts.FamilyKey = m.famKey
+	var sv *solved
 	if ev.Steady() {
 		res, err := solver.SolveSteady(ev.Problem, opts)
 		if err != nil {
 			return nil, err
 		}
-		field, iters, resid = res.T, res.Iterations, res.Residual
+		sv = newSolved(m, res.T, res.Iterations, res.Residual)
 	} else {
 		tr, err := solver.NewTransient(ev.Problem, ev.InitialField(), opts)
 		if err != nil {
 			return nil, err
 		}
 		defer tr.Close()
-		field, err = tr.Run(ev.Req.Transient.Steps, ev.Req.Transient.DtS)
+		field, err := tr.Run(ev.Req.Transient.Steps, ev.Req.Transient.DtS)
 		if err != nil {
 			return nil, err
 		}
-		iters = ev.Req.Transient.Steps
-	}
-	peak, mean := ev.FieldStats(field)
-	sv := &solved{
-		key: key,
-		T:   field,
-		resp: specio.EvalResponse{
-			Key:        key,
-			Mode:       ev.Mode(),
-			PeakT:      telemetry.Float(peak),
-			MeanT:      telemetry.Float(mean),
-			Tiers:      ev.TierProfile(field),
-			Iterations: iters,
-			Residual:   telemetry.Float(resid),
-			WarmStart:  warm,
-			WallNS:     time.Since(solveStart).Nanoseconds(),
-		},
-	}
-	if ev.Steady() {
-		sv.famKey = famKey
+		sv = newSolved(m, field, ev.Req.Transient.Steps, math.NaN())
 	}
 	l.store(sv)
 	return sv, nil
 }
 
-// SolveBatch runs the K-miss coalesced solve: one operator assembly,
-// one preconditioner hierarchy, K right-hand sides (the items differ
-// only in their power maps by construction of the batch schema). Each
-// result is bitwise identical to an independent cold solve of that
-// item, so entries stored here are indistinguishable from ones stored
-// by Solve.
-func (l *solverLayer) SolveBatch(evs []*specio.Eval, keys, famKeys []string) ([]*solved, error) {
-	ev0 := evs[0]
+// SolveBatch runs K same-family steady misses as one coalesced
+// multi-RHS solve: one operator assembly, one preconditioner
+// hierarchy, K right-hand sides. Each result is bitwise identical to
+// an independent cold Solve of that member, so entries stored here are
+// indistinguishable from ones stored by Solve.
+func (l *solverLayer) SolveBatch(ms []miss) ([]*solved, error) {
+	ev0 := ms[0].ev
 	ctx, cancel := l.deadline(ev0.Timeout)
 	defer cancel()
 	opts := l.options(ev0, ctx)
-	// Batch items share one operator by construction; when their
-	// family addresses agree (they always do for windowed flushes,
-	// which group by family), route the whole batch through the
-	// engine's cached assembly.
-	opts.FamilyKey = famKeys[0]
-	for _, fk := range famKeys[1:] {
-		if fk != famKeys[0] {
-			opts.FamilyKey = ""
-			break
-		}
+	// Members share one family by construction — the window groups by
+	// family address, and batch items differ from their base only in
+	// power — so the whole group runs on the engine's cached assembly.
+	opts.FamilyKey = ms[0].famKey
+	qs := make([][]float64, len(ms))
+	for i, m := range ms {
+		qs[i] = m.ev.Problem.Q
 	}
-	qs := make([][]float64, len(evs))
-	for i, ev := range evs {
-		qs[i] = ev.Problem.Q
-	}
-	solveStart := time.Now()
 	results, err := solver.SolveSteadyBatch(ev0.Problem, qs, opts)
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(solveStart).Nanoseconds()
-	out := make([]*solved, len(evs))
-	for i, ev := range evs {
-		res := results[i]
-		peak, mean := ev.FieldStats(res.T)
-		sv := &solved{
-			key:    keys[i],
-			famKey: famKeys[i],
-			T:      res.T,
-			resp: specio.EvalResponse{
-				Key:        keys[i],
-				Mode:       "steady",
-				PeakT:      telemetry.Float(peak),
-				MeanT:      telemetry.Float(mean),
-				Tiers:      ev.TierProfile(res.T),
-				Iterations: res.Iterations,
-				Residual:   telemetry.Float(res.Residual),
-				WallNS:     wall,
-			},
-		}
-		l.store(sv)
-		out[i] = sv
+	out := make([]*solved, len(ms))
+	for i, m := range ms {
+		out[i] = newSolved(m, results[i].T, results[i].Iterations, results[i].Residual)
+		l.store(out[i])
 	}
 	return out, nil
 }
 
-// SolveTrace integrates a trace request; streams are uncached, so
+// SolveTrace integrates a trace request under ctx, emitting
+// checkpoints through topts. Traces are uncached by design, so
 // nothing is stored.
 func (l *solverLayer) SolveTrace(ctx context.Context, te *specio.TraceEval, topts solver.TraceOptions) (*solver.TraceResult, error) {
 	opts := l.options(te.Base, ctx)
@@ -412,38 +311,20 @@ func (l *solverLayer) SolveTrace(ctx context.Context, te *specio.TraceEval, topt
 // fidelity-tagged key. The response carries the certified peak bound
 // in BoundK; Iterations is 0 (the reduced solve is direct) and
 // Residual reports the relative defect of the reconstructed field.
-func (l *solverLayer) solveRC(ev *specio.Eval, key, famKey string) (*solved, error) {
-	solveStart := time.Now()
-	m, err := l.romModel(ev, famKey)
+func (l *solverLayer) solveRC(m miss) (*solved, error) {
+	rm, err := l.romModel(m.ev, m.famKey)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Eval(ev.Problem.Q)
+	res, err := rm.Eval(m.ev.Problem.Q)
 	if err != nil {
 		return nil, err
 	}
 	l.ctr.rcEvals.Add(1)
 	l.cfg.Telemetry.Add(telemetry.CounterRCEvals, 1)
-	field := res.T()
-	peak, mean := ev.FieldStats(field)
-	sv := &solved{
-		key: key,
-		T:   field,
-		resp: specio.EvalResponse{
-			Key:      key,
-			Mode:     ev.Mode(),
-			PeakT:    telemetry.Float(peak),
-			MeanT:    telemetry.Float(mean),
-			Tiers:    ev.TierProfile(field),
-			Residual: telemetry.Float(res.RelResidual),
-			Fidelity: specio.FidelityRC,
-			BoundK:   telemetry.Float(res.Bound),
-			WallNS:   time.Since(solveStart).Nanoseconds(),
-		},
-	}
-	// famKey stays empty: mixing piecewise-constant rc fields into the
-	// full tier's warm-start seed pool would let the rc tier perturb
-	// full-fidelity iteration paths.
+	sv := newSolved(m, res.T(), 0, res.RelResidual)
+	sv.resp.Fidelity = specio.FidelityRC
+	sv.resp.BoundK = telemetry.Float(res.Bound)
 	l.store(sv)
 	return sv, nil
 }
@@ -468,9 +349,3 @@ func (l *solverLayer) romModel(ev *specio.Eval, famKey string) (*rom.Model, erro
 	l.caches.roms.Add(famKey, m)
 	return m, nil
 }
-
-// Compile-time layer contracts.
-var (
-	_ admission    = (*gate)(nil)
-	_ solveBackend = (*solverLayer)(nil)
-)

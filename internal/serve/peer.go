@@ -6,14 +6,13 @@ package serve
 //
 //	GET /v1/peer/cache/{key}  — serve a locally cached entry (404 on miss)
 //	PUT /v1/peer/cache/{key}  — accept a fill from the node that solved it
-//	PUT /v1/peer/family       — accept a family-key gossip announcement
 //
 // The GET handler consults only the local cache — this node is being
 // asked *as the owner*, so recursing into PeerCache.Fetch would
 // bounce a missing key around the ring. Fills are validated
-// (well-formed address, matching keys, finite decodable field) before
-// they touch the cache: the content address is the integrity contract,
-// and a corrupt entry must never alias a real one.
+// (well-formed address, matching keys) before they touch the cache:
+// the content address is the integrity contract, and a corrupt entry
+// must never alias a real one.
 
 import (
 	"io"
@@ -22,30 +21,24 @@ import (
 	"thermalscaffold/internal/specio"
 )
 
-// peerEntry converts a finished solve to its wire form. The field
-// travels as exact IEEE-754 bits, and the response template travels
-// with routing fields zeroed — the serving node stamps its own.
+// peerEntry converts a finished solve to its wire form: the response
+// template travels with routing fields zeroed — the serving node
+// stamps its own.
 func peerEntry(sv *solved) *specio.PeerCacheEntry {
 	resp := sv.resp
 	resp.Cached = false
 	resp.Coalesced = false
-	return &specio.PeerCacheEntry{
-		Key:       sv.key,
-		FamilyKey: sv.famKey,
-		Resp:      resp,
-		State:     specio.EncodeTraceState(sv.T),
-	}
+	return &specio.PeerCacheEntry{Key: sv.key, Resp: resp}
 }
 
-// solvedFromPeer converts a validated wire entry (with its decoded
-// field) back to a cache entry. The round-trip is exact: T carries
-// the original solve's bits, and the response floats survived JSON
+// solvedFromPeer converts a validated wire entry back to a cache
+// entry. The round-trip is exact: the response floats survived JSON
 // unchanged (encoding/json round-trips float64).
-func solvedFromPeer(e *specio.PeerCacheEntry, t []float64) *solved {
+func solvedFromPeer(e *specio.PeerCacheEntry) *solved {
 	resp := e.Resp
 	resp.Cached = false
 	resp.Coalesced = false
-	return &solved{key: e.Key, famKey: e.FamilyKey, T: t, resp: resp}
+	return &solved{key: e.Key, resp: resp}
 }
 
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
@@ -89,31 +82,11 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "entry exceeds 16 MiB", http.StatusRequestEntityTooLarge)
 		return
 	}
-	e, t, err := specio.ParsePeerEntry(body, key)
+	e, err := specio.ParsePeerEntry(body, key)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.caches.Store(solvedFromPeer(e, t))
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handlePeerFamily(w http.ResponseWriter, r *http.Request) {
-	if !s.enter() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	defer s.inflight.Done()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	a, err := specio.ParsePeerAnnounce(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.peers.Announce(a)
+	s.caches.Store(solvedFromPeer(e))
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -17,34 +17,21 @@ import (
 	"thermalscaffold/internal/specio"
 )
 
-// stubPeers is a controllable PeerCache: canned fetch results,
-// recorded fills and announces.
+// stubPeers is a controllable PeerCache: canned fetch results and
+// recorded fills.
 type stubPeers struct {
 	fetchEntry *specio.PeerCacheEntry
-	fetchT     []float64
 	fills      []*specio.PeerCacheEntry
-	announces  []specio.PeerFamilyAnnounce
-	seedEntry  *specio.PeerCacheEntry
-	seedT      []float64
 }
 
-func (p *stubPeers) Fetch(ctx context.Context, key string) (*specio.PeerCacheEntry, []float64, bool) {
+func (p *stubPeers) Fetch(ctx context.Context, key string) (*specio.PeerCacheEntry, bool) {
 	if p.fetchEntry != nil && p.fetchEntry.Key == key {
-		return p.fetchEntry, p.fetchT, true
+		return p.fetchEntry, true
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 func (p *stubPeers) Fill(e *specio.PeerCacheEntry) { p.fills = append(p.fills, e) }
-
-func (p *stubPeers) FamilySeed(ctx context.Context, famKey string) (*specio.PeerCacheEntry, []float64, bool) {
-	if p.seedEntry != nil && p.seedEntry.FamilyKey == famKey {
-		return p.seedEntry, p.seedT, true
-	}
-	return nil, nil, false
-}
-
-func (p *stubPeers) Announce(a specio.PeerFamilyAnnounce) { p.announces = append(p.announces, a) }
 
 func (p *stubPeers) Stats() map[string]int64 {
 	return map[string]int64{"peer_hits": 42}
@@ -53,7 +40,7 @@ func (p *stubPeers) Stats() map[string]int64 {
 func peerTestServer(t *testing.T) (*Server, *stubPeers) {
 	t.Helper()
 	peers := &stubPeers{}
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true, Peers: peers})
+	s := New(Config{SolverWorkers: 1, Peers: peers})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	return s, peers
 }
@@ -66,7 +53,7 @@ func do(s *Server, method, path string, body []byte) *httptest.ResponseRecorder 
 
 // TestPeerGet: bad key → 400, miss → 404, and after a local solve the
 // owner serves the entry with routing flags zeroed and the exact
-// field bits.
+// response numbers.
 func TestPeerGet(t *testing.T) {
 	s, _ := peerTestServer(t)
 	if rec := do(s, "GET", "/v1/peer/cache/not-a-key", nil); rec.Code != 400 {
@@ -86,18 +73,15 @@ func TestPeerGet(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("owner GET: HTTP %d: %s", rec.Code, rec.Body.String())
 	}
-	e, tvec, err := specio.ParsePeerEntry(rec.Body.Bytes(), resp.Key)
+	e, err := specio.ParsePeerEntry(rec.Body.Bytes(), resp.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Resp.Cached || e.Resp.Coalesced {
 		t.Fatalf("wire entry carries routing flags: %+v", e.Resp)
 	}
-	if e.Resp.PeakT != resp.PeakT {
-		t.Fatalf("wire peak %v vs solved %v (must be bitwise)", e.Resp.PeakT, resp.PeakT)
-	}
-	if len(tvec) == 0 {
-		t.Fatal("wire entry has no field")
+	if err := sameNumbers(e.Resp, resp); err != nil {
+		t.Fatalf("wire entry differs from the solve (must be bitwise): %v", err)
 	}
 }
 
@@ -138,28 +122,6 @@ func TestPeerPut(t *testing.T) {
 	}
 }
 
-// TestPeerFamilyEndpoint: a valid announce reaches PeerCache.Announce;
-// garbage is rejected.
-func TestPeerFamilyEndpoint(t *testing.T) {
-	s, peers := peerTestServer(t)
-	a := specio.PeerFamilyAnnounce{
-		FamilyKey: strings.Repeat("a", 64), Key: strings.Repeat("b", 64), Node: "node1",
-	}
-	raw, err := specio.MarshalPeerAnnounce(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := do(s, "PUT", "/v1/peer/family", raw); rec.Code != 204 {
-		t.Fatalf("announce: HTTP %d: %s", rec.Code, rec.Body.String())
-	}
-	if len(peers.announces) != 1 || peers.announces[0] != a {
-		t.Fatalf("announce not delivered: %+v", peers.announces)
-	}
-	if rec := do(s, "PUT", "/v1/peer/family", []byte("{bad")); rec.Code != 400 {
-		t.Fatalf("garbage announce: HTTP %d", rec.Code)
-	}
-}
-
 // TestPeerFetchOnEvalMiss: a local miss consults the peer cache and
 // serves the peer's entry as a cache hit; the solve is skipped
 // entirely.
@@ -170,13 +132,13 @@ func TestPeerFetchOnEvalMiss(t *testing.T) {
 		t.Fatalf("donor solve: HTTP %d", code)
 	}
 	rec := do(donor, "GET", "/v1/peer/cache/"+resp.Key, nil)
-	e, tvec, err := specio.ParsePeerEntry(rec.Body.Bytes(), resp.Key)
+	e, err := specio.ParsePeerEntry(rec.Body.Bytes(), resp.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s, peers := peerTestServer(t)
-	peers.fetchEntry, peers.fetchT = e, tvec
+	peers.fetchEntry = e
 	hitCode, hit := postEval(t, s, testRequest(29))
 	if hitCode != 200 || !hit.Cached {
 		t.Fatalf("peer fetch not served as a hit: HTTP %d cached=%v", hitCode, hit.Cached)

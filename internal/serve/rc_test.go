@@ -53,7 +53,7 @@ func TestRCFidelityNoAlias(t *testing.T) {
 
 	// Service level: interleave the tiers and check every reply came
 	// from its own tier's entry.
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1})
 	defer s.Shutdown(context.Background())
 
 	code, fullResp := postEval(t, s, full)
@@ -110,7 +110,7 @@ func TestRCFidelityNoAlias(t *testing.T) {
 // must lie within its certified bound of the full tier's peak (with
 // 1e-6 relative slack for the full solve's own iteration tolerance).
 func TestRCBoundConformanceServe(t *testing.T) {
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1})
 	defer s.Shutdown(context.Background())
 	for _, power := range []float64{5, 20, 60} {
 		_, fullResp := postEval(t, s, testRequest(power))
@@ -131,7 +131,7 @@ func TestRCBoundConformanceServe(t *testing.T) {
 func TestRCServeEquivalence(t *testing.T) {
 	var baseline specio.EvalResponse
 	for i, workers := range []int{1, 8} {
-		s := New(Config{SolverWorkers: workers, DisableWarmStart: true})
+		s := New(Config{SolverWorkers: workers})
 		code, resp := postEval(t, s, rcRequest(33))
 		s.Shutdown(context.Background())
 		if code != 200 {
@@ -203,7 +203,7 @@ func TestRCBatchRejected(t *testing.T) {
 	}
 }
 
-// TestRCModelCacheReuse: two rc requests in one warm-start family
+// TestRCModelCacheReuse: two rc requests in one family
 // (same geometry, different power) must reuse one reduced model —
 // and still answer with different numbers.
 func TestRCModelCacheReuse(t *testing.T) {

@@ -9,7 +9,9 @@
 //
 //  1. Decode + normalize the request (internal/specio) and assemble
 //     the solver problem; compute its canonical content address (Key)
-//     and warm-start family address (FamilyKey).
+//     and family address (FamilyKey: the same bytes minus the power
+//     map, which keys the solver's assembly reuse and the batching
+//     window).
 //  2. Cache layer: an exact repeat is answered from the local LRU
 //     without touching the solver — bitwise identical to the solve
 //     that populated it, because the stored result is immutable and
@@ -23,11 +25,10 @@
 //     solves plus QueueDepth waiters; beyond that the request is shed
 //     with 503 + Retry-After, never queued unboundedly.
 //  5. Solve layer: per-request deadline propagated into
-//     solver.Options.Ctx; near-miss requests (same family, different
-//     power map) seed the steady solve with a cached neighbor's field
-//     as warm start — from the local family index or, in cluster
-//     mode, from the gossip-replicated one. Finished solves are
-//     stored locally and offered to their ring owner.
+//     solver.Options.Ctx; every solve starts cold. With BatchWindow
+//     set, same-family steady misses solve together as one group
+//     (window.go), the same group solve /v1/evalbatch uses. Finished
+//     solves are stored locally and offered to their ring owner.
 //
 // Observability: cache hits/misses, coalesced and rejected counts,
 // peer hit/miss/hedge counters (cluster mode), queue depth, and
@@ -36,16 +37,15 @@
 // in-flight requests, rejecting new ones.
 //
 // Determinism: everything above the solver is routing. For a fixed
-// SolverWorkers the solver is bit-reproducible, the cache stores the
-// solved field verbatim (and ships it between nodes as exact IEEE-754
-// bits), and coalesced followers share the leader's result object, so
-// cached, coalesced, and peer-fetched responses are bitwise identical
-// to the solve that produced them (pinned by the equivalence tests at
-// Workers 1 and 8 and by the cluster conformance suite). Warm
-// starting changes the iteration path — converging to the same
-// tolerance from a closer start — so the solution a key gets can
-// depend on arrival order; deployments that need arrival-order
-// independence set DisableWarmStart (see DESIGN.md §9, §14).
+// SolverWorkers the solver is bit-reproducible and every solve starts
+// cold, so each response is a pure function of the request and
+// SolverWorkers — never of arrival order. The cache stores the
+// response template verbatim (and ships it between nodes with its
+// floats intact), and coalesced followers share the leader's result
+// object, so cached, coalesced, and peer-fetched responses are
+// bitwise identical to the solve that produced them (pinned by the
+// equivalence tests at Workers 1 and 8, the arrival-order test, and
+// the cluster conformance suite; see DESIGN.md §9, §14).
 package serve
 
 import (
@@ -85,28 +85,24 @@ type Config struct {
 	// entries, so one knob sizes both (0 → 256, negative disables
 	// caching).
 	CacheSize int
-	// FamilySize bounds the warm-start family index
-	// (0 → 64, negative disables it).
+	// Deprecated: ignored; there is no warm-start family index.
 	FamilySize int
 	// ROMCacheSize bounds the reduced-model cache of the rc fidelity
-	// tier, keyed by warm-start family — one model serves every power
-	// map of a geometry (0 → 32, negative disables: each rc request
-	// reduces from scratch).
+	// tier, keyed by family — one model serves every power map of a
+	// geometry (0 → 32, negative disables: each rc request reduces
+	// from scratch).
 	ROMCacheSize int
-	// DisableWarmStart turns off near-miss warm starting, making every
-	// solve start from zero regardless of arrival order.
+	// Deprecated: ignored; every solve starts cold.
 	DisableWarmStart bool
 	// BatchWindow, when positive, turns on cross-request solve
-	// batching: cold misses that share a warm-start family key wait up
-	// to this long (or until MaxBatch siblings gather) and execute as
-	// one multi-RHS solve against the family's cached assembly. A
-	// window that closes with a single request degrades to the plain
-	// solo path — warm starting and all. Windowed responses are
-	// bitwise identical to a solo cold solve of the same request (the
-	// /v1/evalbatch determinism contract, applied across requests).
-	// 0 disables batching. Production values are 2–5ms: long enough to
-	// catch a storm's siblings, short enough to vanish under solve
-	// latency.
+	// batching: steady misses that share a family key wait up to this
+	// long (or until MaxBatch siblings gather) and execute as one
+	// multi-RHS group solve against the family's cached assembly — the
+	// same group solve /v1/evalbatch runs. A window that closes with a
+	// single request is a group of one. Windowed responses are bitwise
+	// identical to a solo solve of the same request. 0 disables
+	// batching. Production values are 2–5ms: long enough to catch a
+	// storm's siblings, short enough to vanish under solve latency.
 	BatchWindow time.Duration
 	// MaxBatch caps how many requests one window may gather before it
 	// flushes early (0 → 16).
@@ -155,9 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
-	if c.FamilySize == 0 {
-		c.FamilySize = 64
-	}
 	if c.ROMCacheSize == 0 {
 		c.ROMCacheSize = 32
 	}
@@ -185,17 +178,13 @@ var (
 	errDraining = errors.New("serve: draining — not accepting work")
 )
 
-// solved is one immutable cache entry: the solved field (retained for
-// warm starts and peer transfer), the warm-start family address (empty
-// for entries excluded from the family pool), and the response
-// template. Replies copy the template and stamp only the routing
-// fields (Cached/Coalesced/WallNS), so every reply derived from one
-// solve carries bitwise-identical numbers.
+// solved is one immutable cache entry: the content address and the
+// response template. Replies copy the template and stamp only the
+// routing fields (Cached/Coalesced/WallNS), so every reply derived
+// from one solve carries bitwise-identical numbers.
 type solved struct {
-	key    string
-	famKey string
-	T      []float64
-	resp   specio.EvalResponse
+	key  string
+	resp specio.EvalResponse
 }
 
 // keyPair is one key-memo entry: the content and family addresses of
@@ -218,8 +207,8 @@ type counters struct {
 type Server struct {
 	cfg     Config
 	caches  *cacheLayer
-	gate    admission
-	backend solveBackend
+	gate    *gate
+	backend *solverLayer
 	peers   PeerCache
 	flights flightGroup
 	win     *winBatcher // nil unless Config.BatchWindow > 0
@@ -266,7 +255,6 @@ func New(cfg Config) *Server {
 	if cfg.Peers != nil {
 		s.mux.HandleFunc("GET /v1/peer/cache/{key}", s.handlePeerGet)
 		s.mux.HandleFunc("PUT /v1/peer/cache/{key}", s.handlePeerPut)
-		s.mux.HandleFunc("PUT /v1/peer/family", s.handlePeerFamily)
 	}
 	return s
 }
@@ -484,21 +472,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	sv, err, shared := s.flights.Do(key, func() (*solved, error) {
 		// Double-check: a concurrent flight may have finished (and
 		// populated the cache) between our Lookup miss and becoming
-		// leader.
-		if hit, ok := s.caches.Lookup(key); ok {
+		// leader. In cluster mode this also asks the key's ring owner.
+		if hit, ok := s.lookup(key); ok {
 			leaderHit = true
 			return hit, nil
-		}
-		// Cluster mode: ask the key's ring owner before solving. A hit
-		// is the owner's stored entry, bit-for-bit; a slow or dead peer
-		// is a miss, and the local solve proceeds.
-		if s.peers != nil {
-			if e, tf, ok := s.peers.Fetch(s.baseCtx, key); ok {
-				psv := solvedFromPeer(e, tf)
-				s.caches.Store(psv)
-				leaderHit = true
-				return psv, nil
-			}
 		}
 		if ev == nil {
 			// Memoized key but evicted (or never cached) result: build
@@ -509,14 +486,15 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 				return nil, buildErr
 			}
 		}
-		// Cross-request batching: a cold steady full-fidelity miss
-		// parks in its family's window so concurrent siblings flush as
-		// one multi-RHS solve. Everything else (transient, rc, window
-		// off) solves solo as before.
-		if s.win != nil && ev.Steady() && !ev.RC() && famKey != "" {
-			return s.win.do(ev, key, famKey)
+		// Cross-request batching: a steady full-fidelity miss parks in
+		// its family's window so concurrent siblings flush as one
+		// multi-RHS solve. Everything else (transient, rc, window off)
+		// solves solo.
+		m := miss{ev: ev, key: key, famKey: famKey}
+		if s.win != nil && ev.Steady() && !ev.RC() {
+			return s.win.do(m)
 		}
-		return s.admitAndSolve(ev, key, famKey)
+		return s.admitAndSolve(m)
 	})
 	switch {
 	case err == nil:
@@ -583,6 +561,26 @@ func (s *Server) resolveKeys(norm specio.EvalRequest) (ev *specio.Eval, key, fam
 	return ev, key, famKey, 0, nil
 }
 
+// lookup answers a content address without solving: from the local
+// cache, else (cluster mode) from the key's ring owner. A peer hit is
+// the owner's stored entry, bit for bit, and is kept locally so the
+// next repeat skips the network; a slow or dead peer is a miss.
+func (s *Server) lookup(key string) (*solved, bool) {
+	if sv, ok := s.caches.Lookup(key); ok {
+		return sv, true
+	}
+	if s.peers == nil {
+		return nil, false
+	}
+	e, ok := s.peers.Fetch(s.baseCtx, key)
+	if !ok {
+		return nil, false
+	}
+	sv := solvedFromPeer(e)
+	s.caches.Store(sv)
+	return sv, true
+}
+
 // respond writes one reply from an immutable solved entry. Only the
 // routing fields are stamped per reply; every numeric field is the
 // template's, untouched.
@@ -598,11 +596,25 @@ func (s *Server) respond(w http.ResponseWriter, sv *solved, start time.Time, cac
 // admitAndSolve applies backpressure and the running-solve bound,
 // then solves. Only flight leaders get here, so coalesced duplicates
 // never consume queue slots.
-func (s *Server) admitAndSolve(ev *specio.Eval, key, famKey string) (*solved, error) {
+func (s *Server) admitAndSolve(m miss) (*solved, error) {
 	release, err := s.gate.Admit(s.baseCtx.Done())
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return s.backend.Solve(ev, key, famKey)
+	return s.backend.Solve(m)
+}
+
+// solveGroup runs same-family steady misses as one unit of work: one
+// admission slot and one multi-RHS solve. The batching window's
+// flushes and /v1/evalbatch both solve through it, and a group of one
+// is no special case. Each member's numbers are bitwise identical to a
+// solo solve of that member.
+func (s *Server) solveGroup(ms []miss) ([]*solved, error) {
+	release, err := s.gate.Admit(s.baseCtx.Done())
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return s.backend.SolveBatch(ms)
 }

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -116,7 +117,7 @@ func sameNumbers(a, b specio.EvalResponse) error {
 func TestServeEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			s := New(Config{SolverWorkers: workers, DisableWarmStart: true})
+			s := New(Config{SolverWorkers: workers})
 			defer s.Shutdown(context.Background())
 			req := testRequest(30)
 			want := directSolve(t, req, workers)
@@ -148,7 +149,7 @@ func TestServeEquivalence(t *testing.T) {
 // numbers.
 func TestServeCoalescing(t *testing.T) {
 	tel := telemetry.New()
-	s := New(Config{SolverWorkers: 1, Parallel: 1, DisableWarmStart: true, Telemetry: tel})
+	s := New(Config{SolverWorkers: 1, Parallel: 1, Telemetry: tel})
 	defer s.Shutdown(context.Background())
 	// Slow enough that most duplicates arrive in flight.
 	req := testRequest(30)
@@ -189,36 +190,43 @@ func TestServeCoalescing(t *testing.T) {
 	}
 }
 
-// TestServeWarmStart: a near-miss request (same family, different
-// power map) seeds its solve from the cached neighbor and says so.
-func TestServeWarmStart(t *testing.T) {
-	tel := telemetry.New()
-	s := New(Config{SolverWorkers: 1, Telemetry: tel})
-	defer s.Shutdown(context.Background())
-	a := testRequest(30)
+// wallNSRE matches the only nondeterministic bytes of a response: its
+// wall-clock field.
+var wallNSRE = regexp.MustCompile(`"wall_ns":\s*-?\d+`)
+
+// TestServeArrivalOrderIndependence pins the default-config contract:
+// every response is a pure function of its request. Two fresh servers
+// see two same-family requests (same stack, different power map) in
+// opposite orders; each request's response body, wall_ns zeroed, must
+// match byte for byte whichever sibling was solved first.
+func TestServeArrivalOrderIndependence(t *testing.T) {
 	b := testRequest(30)
 	b.PowerBlocks = []specio.PowerBlock{{X0: 2, Y0: 2, X1: 6, Y1: 6, DensityWPerCm2: 15}}
-
-	code, ra := postEval(t, s, a)
-	if code != http.StatusOK || ra.WarmStart {
-		t.Fatalf("first request: HTTP %d warm=%v", code, ra.WarmStart)
+	reqs := make([][]byte, 2)
+	for i, req := range []specio.EvalRequest{testRequest(30), b} {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = raw
 	}
-	code, rb := postEval(t, s, b)
-	if code != http.StatusOK {
-		t.Fatalf("near-miss request: HTTP %d (%s)", code, rb.Error)
+	var bodies [2][2][]byte // [arrival order][request]
+	for order, seq := range [][]int{{0, 1}, {1, 0}} {
+		s := New(Config{SolverWorkers: 1})
+		for _, i := range seq {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/eval", bytes.NewReader(reqs[i])))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("order %v, request %d: HTTP %d: %s", seq, i, rec.Code, rec.Body.String())
+			}
+			bodies[order][i] = wallNSRE.ReplaceAll(rec.Body.Bytes(), []byte(`"wall_ns": 0`))
+		}
+		s.Shutdown(context.Background())
 	}
-	if !rb.WarmStart {
-		t.Fatal("near-miss request did not warm-start from its family neighbor")
-	}
-	if rb.Key == ra.Key {
-		t.Fatal("different power maps produced the same key")
-	}
-	if got := tel.Counter(telemetry.CounterWarmStarts); got != 1 {
-		t.Fatalf("warm-start counter = %d, want 1", got)
-	}
-	// The warm-started result still meets the same tolerance.
-	if math.Abs(float64(rb.PeakT)-float64(ra.PeakT)) < 1e-9 {
-		t.Fatal("hot-spot request returned the neighbor's temperatures")
+	for i := range reqs {
+		if !bytes.Equal(bodies[0][i], bodies[1][i]) {
+			t.Errorf("request %d answered differently by arrival order:\n%s\nvs\n%s", i, bodies[0][i], bodies[1][i])
+		}
 	}
 }
 
@@ -254,9 +262,9 @@ func TestServeTransient(t *testing.T) {
 // occupies the only slot. The test holds the solve slot itself so the
 // saturation window is deterministic, not a race against a fast solve.
 func TestServeBackpressure(t *testing.T) {
-	s := New(Config{SolverWorkers: 1, Parallel: 1, QueueDepth: -1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1, Parallel: 1, QueueDepth: -1})
 	defer s.Shutdown(context.Background())
-	g := s.gate.(*gate)
+	g := s.gate
 	g.sem <- struct{}{} // occupy the only solve slot
 
 	waiting, err := json.Marshal(testRequest(30))
@@ -404,7 +412,7 @@ func checkNoGoroutineLeak(t *testing.T, baseline int) {
 //   - the cache never returns a result for a different hash: every
 //     response's key equals the locally computed key of its request,
 //     and every response for a given key is bitwise identical to the
-//     first one seen (warm starts are off, so re-solves after
+//     first one seen (every solve is cold, so re-solves after
 //     eviction must reproduce the same bits);
 //   - after drain, no goroutines leak.
 func TestServeStressRaceAndLeaks(t *testing.T) {
@@ -412,7 +420,7 @@ func TestServeStressRaceAndLeaks(t *testing.T) {
 	tel := telemetry.New()
 	s := New(Config{
 		SolverWorkers: 1, Parallel: 2, QueueDepth: 256,
-		CacheSize: 3, FamilySize: -1, DisableWarmStart: true,
+		CacheSize: 3,
 		Telemetry: tel,
 	})
 	ts := httptest.NewServer(s)

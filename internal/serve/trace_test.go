@@ -126,7 +126,7 @@ func roundFloats(t *testing.T, v map[string]any) {
 // checkpoint frame per segment (with resumable state), one done frame,
 // nothing else, in order.
 func TestGoldenTraceStream(t *testing.T) {
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1})
 	defer s.Shutdown(context.Background())
 	rec := postTrace(t, s, traceTestRequest())
 	if rec.Code != 200 {
@@ -158,7 +158,7 @@ func TestGoldenTraceStream(t *testing.T) {
 // are byte-identical to the uninterrupted stream's — the bitwise
 // resume contract, end to end over the wire.
 func TestTraceResumeOverHTTP(t *testing.T) {
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1})
 	defer s.Shutdown(context.Background())
 	req := traceTestRequest()
 	full := parseSSE(t, postTrace(t, s, req).Body.Bytes())
@@ -199,7 +199,7 @@ func TestTraceResumeOverHTTP(t *testing.T) {
 // cancels the solve, drains cleanly, and leaks no goroutines.
 func TestTraceClientDisconnectMidStream(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1})
 	ts := httptest.NewServer(s)
 
 	req := specio.TraceRequest{
@@ -258,7 +258,7 @@ func TestTraceClientDisconnectMidStream(t *testing.T) {
 // the deadline.
 func TestTraceDeadlineExpiryMidStream(t *testing.T) {
 	s := New(Config{
-		SolverWorkers: 1, DisableWarmStart: true,
+		SolverWorkers:  1,
 		DefaultTimeout: 50 * time.Millisecond, MaxTimeout: 50 * time.Millisecond,
 	})
 	defer s.Shutdown(context.Background())

@@ -1,50 +1,46 @@
 package serve
 
-// Cross-request solve batching (Config.BatchWindow). A cold steady
-// miss that reaches the solve layer parks in a per-family window
-// instead of solving immediately; concurrent misses of the same
-// warm-start family (same geometry/materials/boundaries/options,
-// different power maps) join it. The window flushes when BatchWindow
-// elapses or MaxBatch siblings gather, whichever is first, and the
-// whole group executes as ONE admission unit and one
+// Cross-request solve batching (Config.BatchWindow). A steady miss
+// that reaches the solve layer parks in a per-family window instead
+// of solving immediately; concurrent misses of the same family (same
+// geometry/materials/boundaries/options, different power maps) join
+// it. The window flushes when BatchWindow elapses or MaxBatch
+// siblings gather, whichever is first, and the whole group executes
+// through solveGroup — ONE admission unit and one
 // solver.SolveSteadyBatch against the engine's cached family
-// assembly — K power maps are K right-hand sides of one operator.
+// assembly, exactly like a /v1/evalbatch request: K power maps are K
+// right-hand sides of one operator.
 //
-// Determinism: a multi-request flush solves cold (no warm start), so
-// every member's numbers are bitwise identical to a cold solo solve
-// of the same request — the /v1/evalbatch contract, applied across
-// requests. A window that closes with one member degrades to the
-// plain solo path, warm-start seeding and all, so enabling the
-// window never changes single-stream behavior beyond the wait.
+// Determinism: the group solve is bitwise identical, member by
+// member, to a solo solve of the same request — the /v1/evalbatch
+// contract, applied across requests. A window that closes with one
+// member is a group of one, so enabling the window never changes an
+// answer, only when it arrives.
 //
 // Interactions: the window sits strictly after the cache and
 // singleflight layers — only flight leaders park, so duplicates
 // coalesce before batching and never occupy window slots. Client
 // disconnects don't abort a window (solve contexts derive from the
 // server's base context, exactly as for solo solves); shutdown fate-
-// shares the admission error across the group. A multi-member flush
-// runs under the first member's deadline — timeouts are scheduling-
-// only knobs, outside the family key, so this changes when an answer
-// arrives, never what it is. Each member is stored under its own
-// content and family address, indistinguishable from a solo solve's
-// entry.
+// shares the admission error across the group. A flush runs under
+// its first member's deadline — timeouts are scheduling-only knobs,
+// outside the family key, so this changes when an answer arrives,
+// never what it is. Each member is stored under its own
+// content address, indistinguishable from a solo solve's entry.
 
 import (
 	"sync"
 	"time"
 
-	"thermalscaffold/internal/specio"
 	"thermalscaffold/internal/telemetry"
 )
 
 // winItem is one request waiting in a window.
 type winItem struct {
-	ev     *specio.Eval
-	key    string
-	famKey string
-	done   chan struct{}
-	sv     *solved
-	err    error
+	miss
+	done chan struct{}
+	sv   *solved
+	err  error
 }
 
 // winGroup is one open window: the members gathered so far and the
@@ -54,7 +50,7 @@ type winGroup struct {
 	timer *time.Timer
 }
 
-// winBatcher groups cold misses by family key. One instance per
+// winBatcher groups steady misses by family key. One instance per
 // server; nil when batching is off.
 type winBatcher struct {
 	window   time.Duration
@@ -77,8 +73,9 @@ func newWinBatcher(window time.Duration, maxBatch int, srv *Server) *winBatcher 
 // do parks the request in its family's window and blocks until the
 // flush delivers its result. Called only by flight leaders holding no
 // admission slot, so parked requests consume nothing bounded.
-func (b *winBatcher) do(ev *specio.Eval, key, famKey string) (*solved, error) {
-	it := &winItem{ev: ev, key: key, famKey: famKey, done: make(chan struct{})}
+func (b *winBatcher) do(m miss) (*solved, error) {
+	famKey := m.famKey
+	it := &winItem{miss: m, done: make(chan struct{})}
 	b.mu.Lock()
 	g := b.groups[famKey]
 	if g == nil {
@@ -115,11 +112,9 @@ func (b *winBatcher) flushTimed(famKey string, g *winGroup) {
 	b.flush(g)
 }
 
-// flush executes a sealed group: one admission slot for the whole
-// window, then a solo solve (K=1 — today's path, warm start intact)
-// or one coalesced batch solve (K>1 — every member cold). Errors,
-// including admission shed and drain, are fate-shared: the group
-// solved as one unit, so it fails as one.
+// flush executes a sealed group as one group solve. Errors, including
+// admission shed and drain, are fate-shared: the group solved as one
+// unit, so it fails as one.
 func (b *winBatcher) flush(g *winGroup) {
 	s := b.srv
 	s.ctr.batchFlushes.Add(1)
@@ -127,31 +122,11 @@ func (b *winBatcher) flush(g *winGroup) {
 	s.cfg.Telemetry.Add(telemetry.CounterBatchWindowFlushes, 1)
 	s.cfg.Telemetry.Add(telemetry.CounterBatchWindowOccupancy, int64(len(g.items)))
 
-	release, err := s.gate.Admit(s.baseCtx.Done())
-	if err != nil {
-		for _, it := range g.items {
-			it.err = err
-			close(it.done)
-		}
-		return
-	}
-	defer release()
-
-	if len(g.items) == 1 {
-		it := g.items[0]
-		it.sv, it.err = s.backend.Solve(it.ev, it.key, it.famKey)
-		close(it.done)
-		return
-	}
-	evs := make([]*specio.Eval, len(g.items))
-	keys := make([]string, len(g.items))
-	famKeys := make([]string, len(g.items))
+	ms := make([]miss, len(g.items))
 	for i, it := range g.items {
-		evs[i] = it.ev
-		keys[i] = it.key
-		famKeys[i] = it.famKey
+		ms[i] = it.miss
 	}
-	svs, err := s.backend.SolveBatch(evs, keys, famKeys)
+	svs, err := s.solveGroup(ms)
 	for i, it := range g.items {
 		if err != nil {
 			it.err = err

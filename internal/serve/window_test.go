@@ -2,8 +2,8 @@ package serve
 
 // Batching-window suite: windowed responses must be bitwise identical
 // to solo cold solves (at Workers 1 and 8, both precision tiers), a
-// lone windowed request must keep the solo path's warm-start
-// behavior, same-family cold misses must reuse one assembly, and the
+// lone windowed request must flush as a group of one with the same
+// answer, same-family cold misses must reuse one assembly, and the
 // cold-miss storm (run by `make serve-stress`) exercises the window
 // under concurrency, client cancellations, and drain.
 
@@ -63,8 +63,8 @@ func TestServeWindowEquivalence(t *testing.T) {
 			name := fmt.Sprintf("workers%d/%s", workers, map[string]string{"": "f64", "f32": "f32"}[precision])
 			t.Run(name, func(t *testing.T) {
 				s := New(Config{
-					SolverWorkers: workers, DisableWarmStart: true,
-					BatchWindow: 25 * time.Millisecond,
+					SolverWorkers: workers,
+					BatchWindow:   25 * time.Millisecond,
 				})
 				defer s.Shutdown(context.Background())
 
@@ -120,25 +120,22 @@ func TestServeWindowEquivalence(t *testing.T) {
 }
 
 // TestServeWindowSoloDegradation: with the window on, a lone request
-// follows today's solo path — including warm-start seeding from its
-// family neighbor.
+// flushes as a group of one, and its answer equals a direct cold
+// solve — also when a family neighbor was solved just before it.
 func TestServeWindowSoloDegradation(t *testing.T) {
 	s := New(Config{SolverWorkers: 1, BatchWindow: 2 * time.Millisecond})
 	defer s.Shutdown(context.Background())
-	a := testRequest(30)
 	b := testRequest(30)
 	b.PowerBlocks = []specio.PowerBlock{{X0: 2, Y0: 2, X1: 6, Y1: 6, DensityWPerCm2: 15}}
 
-	code, ra := postEval(t, s, a)
-	if code != http.StatusOK || ra.WarmStart {
-		t.Fatalf("first request: HTTP %d warm=%v", code, ra.WarmStart)
-	}
-	code, rb := postEval(t, s, b)
-	if code != http.StatusOK {
-		t.Fatalf("near-miss request: HTTP %d (%s)", code, rb.Error)
-	}
-	if !rb.WarmStart {
-		t.Fatal("lone windowed request lost the solo path's warm start")
+	for i, req := range []specio.EvalRequest{testRequest(30), b} {
+		code, resp := postEval(t, s, req)
+		if code != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d (%s)", i, code, resp.Error)
+		}
+		if err := sameNumbers(resp, directColdSolve(t, req, 1)); err != nil {
+			t.Fatalf("lone windowed request %d differs from its direct cold solve: %v", i, err)
+		}
 	}
 	c := s.snapshot().Counters
 	if c[telemetry.CounterBatchWindowFlushes] != 2 || c[telemetry.CounterBatchWindowOccupancy] != 2 {
@@ -152,7 +149,7 @@ func TestServeWindowSoloDegradation(t *testing.T) {
 // family performs zero operator assemblies — it reuses the first
 // solve's — and /metrics says so.
 func TestServeFamilyAssemblyStructural(t *testing.T) {
-	s := New(Config{SolverWorkers: 1, DisableWarmStart: true})
+	s := New(Config{SolverWorkers: 1})
 	defer s.Shutdown(context.Background())
 
 	if code, resp := postEval(t, s, testRequest(30)); code != http.StatusOK {
@@ -198,8 +195,7 @@ func TestServeColdFamilyStorm(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := New(Config{
 		SolverWorkers: 1, Parallel: 2, QueueDepth: 256,
-		DisableWarmStart: true,
-		BatchWindow:      5 * time.Millisecond, MaxBatch: 4,
+		BatchWindow: 5 * time.Millisecond, MaxBatch: 4,
 	})
 	ts := httptest.NewServer(s)
 

@@ -100,13 +100,11 @@ type EvalResponse struct {
 	Tiers      []TierTemps     `json:"tiers,omitempty"`
 	Iterations int             `json:"iterations"`
 	Residual   telemetry.Float `json:"residual"`
-	// Cached/Coalesced/WarmStart report how the answer was produced:
-	// from the content-addressed cache, by piggybacking on an identical
-	// in-flight solve, or by a fresh solve seeded from a neighboring
-	// solution. They never affect the numbers.
+	// Cached/Coalesced report how the answer was produced: from the
+	// content-addressed cache, or by piggybacking on an identical
+	// in-flight solve. They never affect the numbers.
 	Cached    bool   `json:"cached"`
 	Coalesced bool   `json:"coalesced"`
-	WarmStart bool   `json:"warm_start"`
 	WallNS    int64  `json:"wall_ns"`
 	Error     string `json:"error,omitempty"`
 	// Fidelity marks reduced-order answers ("rc"); full-fidelity

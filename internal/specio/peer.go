@@ -2,27 +2,23 @@ package specio
 
 // Peer cache wire schema: the JSON spoken between thermserve nodes in
 // cluster mode (internal/cluster, DESIGN.md §14). One entry carries a
-// content-addressed solve result — the response template plus the
-// exact solved field — between the node that ran the solve and the
-// node the consistent-hash ring makes its owner:
+// content-addressed solve result — its key plus the response template
+// — between the node that ran the solve and the node the
+// consistent-hash ring makes its owner:
 //
 //	GET /v1/peer/cache/{key}  → 200 PeerCacheEntry | 404
 //	PUT /v1/peer/cache/{key}  ← PeerCacheEntry (fill), 204
-//	PUT /v1/peer/family       ← PeerFamilyAnnounce (gossip), 204
 //
-// The field travels as base64 of its little-endian IEEE-754 bits
-// (the trace checkpoint convention), so a fetched entry is bitwise
-// identical to the solve that produced it — the foundation of the
-// determinism-across-nodes contract: a response served through any
-// node of the ring carries exactly the bits a single-node solve of
-// the same request would have produced.
+// The response floats round-trip JSON exactly (encoding/json prints
+// the shortest representation that parses back to the same float64),
+// so a fetched entry is bitwise identical to the solve that produced
+// it — the foundation of the determinism-across-nodes contract: a
+// response served through any node of the ring carries exactly the
+// bits a single-node solve of the same request would have produced.
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"regexp"
 )
 
@@ -41,129 +37,42 @@ type PeerCacheEntry struct {
 	// Key is the entry's content address; it must equal the {key}
 	// path segment it is stored or fetched under.
 	Key string `json:"key"`
-	// FamilyKey is the warm-start family address for entries eligible
-	// for the family pool (steady, full fidelity); empty otherwise.
-	FamilyKey string `json:"family_key,omitempty"`
 	// Resp is the response template. Routing fields
 	// (Cached/Coalesced/WallNS) are stamped per reply by the serving
-	// node; every numeric field is forwarded verbatim (float64
-	// round-trips JSON exactly).
+	// node; every numeric field is forwarded verbatim.
 	Resp EvalResponse `json:"response"`
-	// State is the solved temperature field: base64 of the
-	// little-endian IEEE-754 bits in cell order (EncodeTraceState).
-	State string `json:"state"`
 }
 
 // Validate checks an entry against the address it travels under:
-// well-formed keys, matching path/body/response addresses, and a
-// decodable, finite state field. It returns the decoded field so
-// callers do not decode twice.
-func (e *PeerCacheEntry) Validate(key string) ([]float64, error) {
+// a well-formed key, and matching path/body/response addresses.
+func (e *PeerCacheEntry) Validate(key string) error {
 	if !ValidPeerKey(key) {
-		return nil, fmt.Errorf("specio: bad peer cache key %q", key)
+		return fmt.Errorf("specio: bad peer cache key %q", key)
 	}
 	if e.Key != key {
-		return nil, fmt.Errorf("specio: peer entry key %q does not match address %q", e.Key, key)
+		return fmt.Errorf("specio: peer entry key %q does not match address %q", e.Key, key)
 	}
 	if e.Resp.Key != key {
-		return nil, fmt.Errorf("specio: peer entry response key %q does not match address %q", e.Resp.Key, key)
+		return fmt.Errorf("specio: peer entry response key %q does not match address %q", e.Resp.Key, key)
 	}
-	if e.FamilyKey != "" && !ValidPeerKey(e.FamilyKey) {
-		return nil, fmt.Errorf("specio: bad peer family key %q", e.FamilyKey)
-	}
-	t, err := DecodeField(e.State)
-	if err != nil {
-		return nil, fmt.Errorf("specio: peer entry state: %w", err)
-	}
-	return t, nil
+	return nil
 }
 
 // ParsePeerEntry decodes and validates a wire entry fetched or filled
-// under key, returning the entry and its decoded field.
-func ParsePeerEntry(raw []byte, key string) (*PeerCacheEntry, []float64, error) {
+// under key.
+func ParsePeerEntry(raw []byte, key string) (*PeerCacheEntry, error) {
 	var e PeerCacheEntry
 	if err := unmarshalStrictish(raw, &e); err != nil {
-		return nil, nil, fmt.Errorf("specio: %w", err)
+		return nil, fmt.Errorf("specio: %w", err)
 	}
-	t, err := e.Validate(key)
-	if err != nil {
-		return nil, nil, err
+	if err := e.Validate(key); err != nil {
+		return nil, err
 	}
-	return &e, t, nil
+	return &e, nil
 }
 
 // MarshalPeerEntry renders an entry for the wire (compact: peer
 // traffic is node-to-node, not human-facing).
 func MarshalPeerEntry(e *PeerCacheEntry) ([]byte, error) {
 	return json.Marshal(e)
-}
-
-// PeerFamilyAnnounce is the gossip message sent best-effort to every
-// peer after a fill: "a warm-start seed for this family lives at this
-// key on this node". Receivers store the pointer in a bounded index
-// and resolve it through the regular peer-cache GET when a near-miss
-// solve wants the seed.
-type PeerFamilyAnnounce struct {
-	FamilyKey string `json:"family_key"`
-	Key       string `json:"key"`
-	// Node is the announcing node's ring ID — where the entry can be
-	// fetched from.
-	Node string `json:"node"`
-}
-
-// Validate checks the announce's addresses.
-func (a PeerFamilyAnnounce) Validate() error {
-	if !ValidPeerKey(a.FamilyKey) {
-		return fmt.Errorf("specio: bad family key %q", a.FamilyKey)
-	}
-	if !ValidPeerKey(a.Key) {
-		return fmt.Errorf("specio: bad announce key %q", a.Key)
-	}
-	if a.Node == "" {
-		return fmt.Errorf("specio: announce without a node")
-	}
-	return nil
-}
-
-// MarshalPeerAnnounce renders a gossip message for the wire.
-func MarshalPeerAnnounce(a PeerFamilyAnnounce) ([]byte, error) {
-	return json.Marshal(a)
-}
-
-// ParsePeerAnnounce decodes and validates a gossip message.
-func ParsePeerAnnounce(raw []byte) (PeerFamilyAnnounce, error) {
-	var a PeerFamilyAnnounce
-	if err := unmarshalStrictish(raw, &a); err != nil {
-		return PeerFamilyAnnounce{}, fmt.Errorf("specio: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return PeerFamilyAnnounce{}, err
-	}
-	return a, nil
-}
-
-// DecodeField deserializes a base64 field without a prescribed cell
-// count (the trace variant, DecodeTraceState, checks against a known
-// grid; peer entries are validated against the grid only when a node
-// uses the field, because the content address already fixes the
-// problem — and therefore the cell count — on both sides). Non-finite
-// temperatures are rejected: a NaN smuggled through the peer protocol
-// must never seed a warm start.
-func DecodeField(s string) ([]float64, error) {
-	buf, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("bad state encoding: %w", err)
-	}
-	if len(buf) == 0 || len(buf)%8 != 0 {
-		return nil, fmt.Errorf("state has %d bytes, not a positive multiple of 8", len(buf))
-	}
-	out := make([]float64, len(buf)/8)
-	for i := range out {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("state has non-finite temperature at cell %d", i)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

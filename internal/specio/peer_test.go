@@ -1,27 +1,18 @@
 package specio
 
 // Peer wire schema unit tests: every validation branch that guards
-// the cluster protocol — key shape, address agreement between path,
-// body, and response, and state decoding (including the NaN/Inf
-// rejection that keeps a hostile peer from poisoning warm starts).
+// the cluster protocol — key shape, and address agreement between
+// path, body, and response — plus the bitwise float round trip.
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
+
+	"thermalscaffold/internal/telemetry"
 )
 
 func validKey(c byte) string { return strings.Repeat(string(c), 64) }
-
-func encodeState(vals []float64) string {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
 
 func TestValidPeerKey(t *testing.T) {
 	cases := []struct {
@@ -45,30 +36,34 @@ func TestValidPeerKey(t *testing.T) {
 
 func TestPeerEntryRoundTrip(t *testing.T) {
 	key := validKey('a')
-	state := []float64{300.5, 301.25, 299.75}
+	// Floats whose shortest decimal form is long: the wire must carry
+	// them bit for bit.
 	e := &PeerCacheEntry{
-		Key:       key,
-		FamilyKey: validKey('b'),
-		Resp:      EvalResponse{Key: key, Mode: "steady"},
-		State:     encodeState(state),
+		Key: key,
+		Resp: EvalResponse{
+			Key: key, Mode: "steady",
+			PeakT: telemetry.Float(0.1 + 0.2), MeanT: telemetry.Float(math.Nextafter(373.15, 400)),
+			Tiers:      []TierTemps{{Tier: 0, MaxT: telemetry.Float(1.0 / 3), MeanT: 300.5}},
+			Iterations: 7, Residual: telemetry.Float(math.SmallestNonzeroFloat64),
+		},
 	}
 	raw, err := MarshalPeerEntry(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, tvec, err := ParsePeerEntry(raw, key)
+	got, err := ParsePeerEntry(raw, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Key != key || got.FamilyKey != e.FamilyKey {
-		t.Fatalf("round trip mangled keys: %+v", got)
+	if got.Key != key || got.Resp.Key != key || got.Resp.Mode != "steady" || got.Resp.Iterations != 7 {
+		t.Fatalf("round trip mangled the entry: %+v", got)
 	}
-	if len(tvec) != len(state) {
-		t.Fatalf("decoded %d cells, want %d", len(tvec), len(state))
-	}
-	for i := range state {
-		if tvec[i] != state[i] {
-			t.Fatalf("cell %d: %v != %v (must be bitwise)", i, tvec[i], state[i])
+	for _, pair := range [][2]telemetry.Float{
+		{got.Resp.PeakT, e.Resp.PeakT}, {got.Resp.MeanT, e.Resp.MeanT},
+		{got.Resp.Residual, e.Resp.Residual}, {got.Resp.Tiers[0].MaxT, e.Resp.Tiers[0].MaxT},
+	} {
+		if math.Float64bits(float64(pair[0])) != math.Float64bits(float64(pair[1])) {
+			t.Fatalf("float %v came back as %v (must be bitwise)", pair[1], pair[0])
 		}
 	}
 }
@@ -76,7 +71,7 @@ func TestPeerEntryRoundTrip(t *testing.T) {
 func TestPeerEntryValidateRejects(t *testing.T) {
 	key := validKey('a')
 	good := func() PeerCacheEntry {
-		return PeerCacheEntry{Key: key, Resp: EvalResponse{Key: key}, State: encodeState([]float64{300})}
+		return PeerCacheEntry{Key: key, Resp: EvalResponse{Key: key}}
 	}
 	cases := []struct {
 		name   string
@@ -87,18 +82,12 @@ func TestPeerEntryValidateRejects(t *testing.T) {
 		{"bad address", "nope", func(e *PeerCacheEntry) {}, "bad peer cache key"},
 		{"key/address mismatch", key, func(e *PeerCacheEntry) { e.Key = validKey('c') }, "does not match address"},
 		{"response key mismatch", key, func(e *PeerCacheEntry) { e.Resp.Key = validKey('c') }, "response key"},
-		{"bad family key", key, func(e *PeerCacheEntry) { e.FamilyKey = "xyz" }, "bad peer family key"},
-		{"undecodable state", key, func(e *PeerCacheEntry) { e.State = "!!!" }, "bad state encoding"},
-		{"empty state", key, func(e *PeerCacheEntry) { e.State = "" }, "not a positive multiple"},
-		{"ragged state", key, func(e *PeerCacheEntry) { e.State = base64.StdEncoding.EncodeToString([]byte{1, 2, 3}) }, "not a positive multiple"},
-		{"NaN state", key, func(e *PeerCacheEntry) { e.State = encodeState([]float64{math.NaN()}) }, "non-finite"},
-		{"Inf state", key, func(e *PeerCacheEntry) { e.State = encodeState([]float64{math.Inf(1)}) }, "non-finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := good()
 			tc.mutate(&e)
-			if _, err := e.Validate(tc.addr); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err := e.Validate(tc.addr); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}
 		})
@@ -106,39 +95,10 @@ func TestPeerEntryValidateRejects(t *testing.T) {
 }
 
 func TestParsePeerEntryRejectsBadJSON(t *testing.T) {
-	if _, _, err := ParsePeerEntry([]byte("{nope"), validKey('a')); err == nil {
+	if _, err := ParsePeerEntry([]byte("{nope"), validKey('a')); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
-	if _, _, err := ParsePeerEntry([]byte(`{"key": "x", "unknown_field": 1}`), validKey('a')); err == nil {
+	if _, err := ParsePeerEntry([]byte(`{"key": "x", "unknown_field": 1}`), validKey('a')); err == nil {
 		t.Fatal("unknown field accepted")
-	}
-}
-
-func TestPeerFamilyAnnounce(t *testing.T) {
-	good := PeerFamilyAnnounce{FamilyKey: validKey('a'), Key: validKey('b'), Node: "node0"}
-	raw, err := MarshalPeerAnnounce(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParsePeerAnnounce(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != good {
-		t.Fatalf("round trip changed the announce: %+v", got)
-	}
-
-	bad := []PeerFamilyAnnounce{
-		{FamilyKey: "x", Key: validKey('b'), Node: "n"},
-		{FamilyKey: validKey('a'), Key: "x", Node: "n"},
-		{FamilyKey: validKey('a'), Key: validKey('b'), Node: ""},
-	}
-	for i, a := range bad {
-		if err := a.Validate(); err == nil {
-			t.Errorf("bad announce %d accepted", i)
-		}
-	}
-	if _, err := ParsePeerAnnounce([]byte("{nope")); err == nil {
-		t.Fatal("malformed announce JSON accepted")
 	}
 }

@@ -71,9 +71,6 @@ const (
 	// CounterPeerFills counts cache entries pushed to their owning peer
 	// after a local solve.
 	CounterPeerFills = "peer_fills"
-	// CounterPeerGossip counts family-key gossip messages sent (one per
-	// peer per eligible fill, best-effort).
-	CounterPeerGossip = "peer_gossip"
 	// CounterFamilyAssemblyHits counts solves that found their
 	// operator family already assembled in the engine's family cache
 	// and skipped assembly + preconditioner-hierarchy setup.
