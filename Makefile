@@ -110,12 +110,13 @@ bench-cluster:
 	$(GO) test -run xxx -bench 'ClusterMixed' -benchtime=1x -count=5 ./internal/cluster/ | $(GO) run ./cmd/benchjson > BENCH_cluster.json
 
 # bench-smoke is the CI guard against benchmark rot: one fast pass
-# over a representative slice of every suite (fused solver kernels,
-# small-n parallel overhead, batch vs independent, placement loop,
+# over a representative slice of every suite (the default zline and
+# the multigrid preconditioners, fused solver kernels, small-n
+# parallel overhead, batch vs independent, placement loop,
 # service throughput). It checks the benchmarks still build and run —
 # timing numbers on shared CI runners are not compared.
 bench-smoke:
-	$(GO) test -run xxx -bench 'SteadyPrecond/precond=multigrid/n=16|SteadyBatch|SmallNReduce|SteadyMG96Workers/precision=f32/workers=1|MGCyclePrecision|TransientTrace/workers=1/segments=4' -benchtime=1x ./internal/solver/ ./internal/parallel/
+	$(GO) test -run xxx -bench 'SteadyPrecond/precond=zline/n=16|SteadyPrecond/precond=multigrid/n=16|SteadyBatch|SmallNReduce|SteadyMG96Workers/precision=f32/workers=1|MGCyclePrecision|TransientTrace/workers=1/segments=4' -benchtime=1x ./internal/solver/ ./internal/parallel/
 	$(GO) test -run xxx -bench 'PlacementLoop' -benchtime=1x ./internal/pillar/
 	$(GO) test -run xxx -bench 'Serve100Mixed|ServeColdFamily/window=on|SteadyFamily/cached=on' -benchtime=1x ./internal/serve/ ./internal/solver/
 	$(GO) test -run xxx -bench 'ROMEval/n=16' -benchtime=1x ./internal/rom/

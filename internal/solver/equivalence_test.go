@@ -417,6 +417,88 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 	}
 }
 
+// thomasColumn is the oracle of the ZLine preconditioner: the
+// historical per-column Thomas solve of one vertical cell column,
+// eliminating and back-substituting at stride sz with cp/dp scratch
+// of length nz. The production preconditioner factors once and sweeps
+// plane by plane; TestEquivalenceZLinePlanes pins it to this bitwise.
+func (op *operator) thomasColumn(r, z []float64, col int, cp, dp []float64) {
+	nz, sz := op.nz, op.sz
+	c0 := col
+	b0 := op.diag[c0]
+	cp[0] = -op.gzp[c0] / b0
+	dp[0] = r[c0] / b0
+	for k := 1; k < nz; k++ {
+		c := col + k*sz
+		a := -op.gzp[c-sz]
+		m := op.diag[c] - a*cp[k-1]
+		if k < nz-1 {
+			cp[k] = -op.gzp[c] / m
+		}
+		dp[k] = (r[c] - a*dp[k-1]) / m
+	}
+	z[col+(nz-1)*sz] = dp[nz-1]
+	for k := nz - 2; k >= 0; k-- {
+		z[col+k*sz] = dp[k] - cp[k]*z[col+(k+1)*sz]
+	}
+}
+
+// TestEquivalenceZLinePlanes pins the factored plane-sweep ZLine
+// preconditioner bitwise against the per-column Thomas oracle, on
+// degenerate shapes (a single layer, a single row or column of
+// columns, a single column), odd sizes, grids spanning several
+// parallel column chunks, and a transient-augmented diagonal, at the
+// serial path and three pool sizes. Each apply starts from a dirty z,
+// as it does when a kern's work vectors are reused.
+func TestEquivalenceZLinePlanes(t *testing.T) {
+	rng := &eqRNG{s: 0x21E5}
+	shapes := [][3]int{
+		{40, 30, 1}, // nz=1: the forward division alone, 2 column chunks
+		{1, 37, 9},  // nx=1
+		{45, 1, 5},  // ny=1
+		{1, 1, 13},  // one column
+		{5, 7, 3},   // odd, single chunk
+		{33, 31, 7}, // odd, 8 column chunks
+	}
+	for _, sh := range shapes {
+		p := randomProblem(t, rng, sh[0], sh[1], sh[2])
+		op := assemble(p)
+		n := len(op.diag)
+		// The augmented diagonal C/Δt + A of a backward-Euler step.
+		aug := *op
+		aug.diag = make([]float64, n)
+		for c := range aug.diag {
+			aug.diag[c] = op.diag[c] + p.Cv[c]*1e-12/2e-4
+		}
+		for _, sys := range []struct {
+			name string
+			op   *operator
+		}{{"steady", op}, {"augmented", &aug}} {
+			r := mgRandVec(rng, n)
+			want := make([]float64, n)
+			cp, dp := make([]float64, sys.op.nz), make([]float64, sys.op.nz)
+			for col := 0; col < sys.op.sz; col++ {
+				sys.op.thomasColumn(r, want, col, cp, dp)
+			}
+			for _, w := range []int{1, 2, 3, 8} {
+				kr := newKern(Options{Workers: w}, n)
+				pc, err := makePreconditioner(sys.op, ZLine, F64, kr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := mgRandVec(rng, n)
+				for rep := 0; rep < 2; rep++ {
+					pc.apply(r, got)
+					if !bitIdentical(got, want) {
+						t.Errorf("%v %s workers=%d apply %d: plane sweep differs from per-column Thomas", sh, sys.name, w, rep)
+					}
+				}
+				kr.close()
+			}
+		}
+	}
+}
+
 // TestStencilMatchesSliceApply pins the structure-of-arrays stencil
 // SpMV against the legacy slice-walking path bitwise — same operator,
 // same input, both execution strategies.

@@ -46,12 +46,13 @@ import (
 // Concurrency: the cached operator is frozen at insert time (stencil
 // built, diagonal checked) and only read afterwards, so any number of
 // solves may run against it at once. Mutable per-solve state — the
-// RHS vector, reduction scratch, and preconditioner instances (whose
-// apply closures carry internal scratch) — lives in leased solve
-// contexts: a solve takes a spare context or builds a fresh one, and
-// returns it when done. A context is never shared while leased, and
-// reusing one is bitwise-neutral because preconditioners are pure
-// functions of the operator.
+// RHS vector, the kern's reduction scratch and PCG work vectors, and
+// preconditioner instances (whose apply closures carry internal
+// scratch) — lives in leased solve contexts: a solve takes a spare
+// context or builds a fresh one, and returns it when done. A context
+// is never shared while leased, and reusing one is bitwise-neutral
+// because preconditioners are pure functions of the operator and pcg
+// overwrites its work vectors before reading them.
 
 // defaultFamilyCap is the default number of cached families per
 // engine. An entry holds the full operator arrays (~10 float64 words
@@ -65,9 +66,9 @@ const defaultFamilyCap = 8
 // contexts are dropped for the collector.
 const maxSpareCtxs = 4
 
-// famCtx is one leased steady-solve context: a kern (engine pool +
-// reduction scratch), a preconditioner cache, and an RHS vector.
-// Exclusively owned by one solve while leased.
+// famCtx is one leased steady-solve context: a kern (engine pool,
+// reduction scratch, PCG work vectors), a preconditioner cache, and
+// an RHS vector. Exclusively owned by one solve while leased.
 type famCtx struct {
 	kr  *kern
 	pcs precondCache

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -475,4 +476,111 @@ func benchProblemFamily(rng *eqRNG, nx, ny, nz int) *Problem {
 	}
 	p.Bounds[ZMin] = ConvectiveBC(2e4, 300)
 	return p
+}
+
+// allocBudget measures fn after one warm-up call: heap objects per
+// call (testing.AllocsPerRun) and heap bytes per call.
+func allocBudget(fn func()) (objects, bytes float64) {
+	fn()
+	const runs = 20
+	objects = testing.AllocsPerRun(runs, fn)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return objects, float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestEngineFamilySolveAllocs pins the PCG scratch contract. Budget:
+// once warm, a same-family steady solve at Workers 1 and a fixed-Δt
+// Transient.Step allocate one n-length vector — the field they return
+// — plus at most famSolveObjects small objects (the result records
+// and the residual history's growth); the work vectors, the
+// best-iterate snapshot and the ZLine factors all come from the
+// leased kern and preconditioner cache. Aliasing: a failed solve's
+// ConvergenceError.Best is the caller's own copy, so a later solve on
+// the same lease leaves it untouched.
+func TestEngineFamilySolveAllocs(t *testing.T) {
+	p := benchStack(t, 16)
+	n := p.Grid.NumCells()
+	vec := float64(8 * n)
+	eng := NewEngine(1)
+	defer eng.Close()
+	opts := Options{Tol: 1e-7, Precond: ZLine, Engine: eng, FamilyKey: "allocs"}
+
+	t.Run("budget", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("race instrumentation allocates")
+		}
+		const famSolveObjects = 12
+		check := func(what string, fn func()) {
+			objs, bytes := allocBudget(fn)
+			t.Logf("%s: %.0f objects, %.0f bytes (n-vector %.0f bytes)", what, objs, bytes, vec)
+			if objs > famSolveObjects || bytes >= 1.5*vec {
+				t.Errorf("%s allocates %.0f objects / %.0f bytes, budget %d objects and one %.0f-byte field",
+					what, objs, bytes, famSolveObjects, vec)
+			}
+		}
+		check("family steady solve", func() {
+			if _, err := SolveSteady(p, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+
+		t0 := make([]float64, n)
+		for c := range t0 {
+			t0[c] = 373.15
+		}
+		tr, err := NewTransient(p, t0, Options{Tol: 1e-7, Precond: ZLine, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		check("transient step", func() {
+			if err := tr.Step(1e-4); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+
+	t.Run("best iterate", func(t *testing.T) {
+		// Find a budget at which the solve fails on its snapshot rather
+		// than on its last iterate (BestResidual below Residual). The
+		// Jacobi residual is far from monotone on this stack, so one
+		// turns up within a few dozen iterations.
+		var first *ConvergenceError
+		for it := 1; it <= 100 && first == nil; it++ {
+			o := opts
+			o.Precond, o.Tol, o.MaxIter = Jacobi, 1e-14, it
+			_, err := SolveSteady(p, o)
+			ce, ok := AsConvergenceError(err)
+			if !ok {
+				t.Fatalf("MaxIter=%d: err %v, want a ConvergenceError", it, err)
+			}
+			if ce.BestResidual < ce.Residual {
+				first = ce
+			}
+		}
+		if first == nil {
+			t.Fatal("no budget in 1..100 returned the best-iterate snapshot")
+		}
+		kept := append([]float64(nil), first.Best...)
+		fe := eng.family(opts.FamilyKey, p, nil)
+		fe.mu.Lock()
+		for _, c := range fe.ctxs {
+			if &c.kr.best[0] == &first.Best[0] {
+				t.Error("ConvergenceError.Best aliases the lease's snapshot scratch")
+			}
+		}
+		fe.mu.Unlock()
+		hotter := withQ(p, batchSources(p, 1)[0])
+		if _, err := SolveSteady(hotter, opts); err != nil {
+			t.Fatal(err)
+		}
+		if !bitIdentical(first.Best, kept) {
+			t.Error("a later solve on the same lease changed an earlier error's Best")
+		}
+	})
 }

@@ -6,13 +6,14 @@ import (
 	"thermalscaffold/internal/parallel"
 )
 
-// kern bundles the worker pool and reduction scratch behind one
-// solve's parallel kernels. Every kernel keeps the determinism
-// contract of internal/parallel: fixed chunk boundaries, partial sums
-// combined in chunk order — so a solve is bit-reproducible at a fixed
-// worker count and identical across any worker count ≥ 2. With one
-// worker every kernel falls through to the exact single-threaded
-// legacy loop (no goroutines, no closures on the hot path).
+// kern bundles the worker pool, reduction scratch and PCG work
+// vectors behind one solve's parallel kernels. Every kernel keeps the
+// determinism contract of internal/parallel: fixed chunk boundaries,
+// partial sums combined in chunk order — so a solve is
+// bit-reproducible at a fixed worker count and identical across any
+// worker count ≥ 2. With one worker every kernel falls through to the
+// exact single-threaded legacy loop (no goroutines, and no closure
+// built per call).
 //
 // The hot-path kernels are fused: each one makes a single sweep over
 // the vectors where the pre-fusion solver made two or three (SpMV
@@ -22,10 +23,22 @@ import (
 // partials as the separate passes did, so fused results are bitwise
 // identical to the unfused legacy path (pinned by the equivalence
 // suite).
+//
+// A kern is never used by two solves at once. It carries mutable
+// scratch — the reduction partials and the PCG work vectors — that
+// every solve on it overwrites, so whoever holds a kern runs its
+// solves one after another: a solveOperator call, a batch, a
+// Transient, or a leased family context. Sharing a kern across
+// sequential solves is bitwise-neutral because pcg writes every entry
+// of its work vectors before reading it.
 type kern struct {
 	pool     *parallel.Pool
 	owned    bool      // close() releases the pool only if we created it
 	partials []float64 // chunk partial sums for deterministic reductions
+	// PCG work vectors — residual, preconditioned residual, direction,
+	// next direction, operator times direction — and the best-iterate
+	// snapshot, sized by the first solve (see pcgVectors).
+	r, z, p, pn, ap, best []float64
 }
 
 // newKern builds the kernel set for an n-cell solve. When
@@ -62,7 +75,17 @@ func (k *kern) close() {
 	}
 }
 
-func (k *kern) workers() int { return k.pool.Workers() }
+// pcgVectors returns the kern's PCG work vectors for an n-cell solve,
+// allocating them on first use (or when n changes). They hold the
+// previous solve's values; pcg overwrites each entry before it reads
+// it, and copies the snapshot out before handing it to a caller.
+func (k *kern) pcgVectors(n int) (r, z, p, pn, ap, best []float64) {
+	if len(k.r) != n {
+		k.r, k.z, k.p = make([]float64, n), make([]float64, n), make([]float64, n)
+		k.pn, k.ap, k.best = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	return k.r, k.z, k.p, k.pn, k.ap, k.best
+}
 
 // apply computes y = A·x, chunked across the pool. Each chunk writes
 // a disjoint range of y and only reads x, so the result is bitwise
@@ -82,18 +105,21 @@ func (k *kern) apply(op *operator, x, y []float64) {
 // the legacy accumulation order.
 func (k *kern) applyDot(op *operator, p, ap []float64) float64 {
 	n := len(p)
-	body := func(s, e int) float64 {
-		op.applyRange(p, ap, s, e)
-		sum := 0.0
-		for c := s; c < e; c++ {
-			sum += p[c] * ap[c]
-		}
-		return sum
-	}
 	if k.pool.Serial() {
-		return body(0, n)
+		return applyDotRange(op, p, ap, 0, n)
 	}
-	return k.pool.ReduceSum(n, k.partials, body)
+	return k.pool.ReduceSum(n, k.partials, func(s, e int) float64 {
+		return applyDotRange(op, p, ap, s, e)
+	})
+}
+
+func applyDotRange(op *operator, p, ap []float64, s, e int) float64 {
+	op.applyRange(p, ap, s, e)
+	sum := 0.0
+	for c := s; c < e; c++ {
+		sum += p[c] * ap[c]
+	}
+	return sum
 }
 
 // applyDirDot folds the direction update into the next SpMV: one
@@ -106,62 +132,68 @@ func (k *kern) applyDot(op *operator, p, ap []float64) float64 {
 // it).
 func (k *kern) applyDirDot(op *operator, z, p, pn, ap []float64, beta float64) float64 {
 	n := len(p)
+	if k.pool.Serial() {
+		return applyDirDotRange(op, z, p, pn, ap, beta, 0, n)
+	}
+	return k.pool.ReduceSum(n, k.partials, func(s, e int) float64 {
+		return applyDirDotRange(op, z, p, pn, ap, beta, s, e)
+	})
+}
+
+func applyDirDotRange(op *operator, z, p, pn, ap []float64, beta float64, s, e int) float64 {
 	st := op.st
 	sy, sz := op.sy, op.sz
-	body := func(s, e int) float64 {
-		sum := 0.0
-		for c := s; c < e; c++ {
-			o := stencilStride * c
-			pc := z[c] + beta*p[c]
-			v := st[o] * pc
-			if g := st[o+1]; g != 0 {
-				v -= g * (z[c+1] + beta*p[c+1])
-			}
-			if g := st[o+2]; g != 0 {
-				v -= g * (z[c-1] + beta*p[c-1])
-			}
-			if g := st[o+3]; g != 0 {
-				v -= g * (z[c+sy] + beta*p[c+sy])
-			}
-			if g := st[o+4]; g != 0 {
-				v -= g * (z[c-sy] + beta*p[c-sy])
-			}
-			if g := st[o+5]; g != 0 {
-				v -= g * (z[c+sz] + beta*p[c+sz])
-			}
-			if g := st[o+6]; g != 0 {
-				v -= g * (z[c-sz] + beta*p[c-sz])
-			}
-			pn[c] = pc
-			ap[c] = v
-			sum += pc * v
+	sum := 0.0
+	for c := s; c < e; c++ {
+		o := stencilStride * c
+		pc := z[c] + beta*p[c]
+		v := st[o] * pc
+		if g := st[o+1]; g != 0 {
+			v -= g * (z[c+1] + beta*p[c+1])
 		}
-		return sum
+		if g := st[o+2]; g != 0 {
+			v -= g * (z[c-1] + beta*p[c-1])
+		}
+		if g := st[o+3]; g != 0 {
+			v -= g * (z[c+sy] + beta*p[c+sy])
+		}
+		if g := st[o+4]; g != 0 {
+			v -= g * (z[c-sy] + beta*p[c-sy])
+		}
+		if g := st[o+5]; g != 0 {
+			v -= g * (z[c+sz] + beta*p[c+sz])
+		}
+		if g := st[o+6]; g != 0 {
+			v -= g * (z[c-sz] + beta*p[c-sz])
+		}
+		pn[c] = pc
+		ap[c] = v
+		sum += pc * v
 	}
-	if k.pool.Serial() {
-		return body(0, n)
-	}
-	return k.pool.ReduceSum(n, k.partials, body)
+	return sum
 }
 
 // residual computes r = b − A·x and returns ‖r‖₂ in one fused sweep
 // per chunk (SpMV, subtraction, and the norm partial together).
 func (k *kern) residual(op *operator, x, b, r []float64) float64 {
 	n := len(x)
-	body := func(s, e int) float64 {
-		op.applyRange(x, r, s, e)
-		sum := 0.0
-		for c := s; c < e; c++ {
-			rc := b[c] - r[c]
-			r[c] = rc
-			sum += rc * rc
-		}
-		return sum
-	}
 	if k.pool.Serial() {
-		return math.Sqrt(body(0, n))
+		return math.Sqrt(residualRange(op, x, b, r, 0, n))
 	}
-	return math.Sqrt(k.pool.ReduceSum(n, k.partials, body))
+	return math.Sqrt(k.pool.ReduceSum(n, k.partials, func(s, e int) float64 {
+		return residualRange(op, x, b, r, s, e)
+	}))
+}
+
+func residualRange(op *operator, x, b, r []float64, s, e int) float64 {
+	op.applyRange(x, r, s, e)
+	sum := 0.0
+	for c := s; c < e; c++ {
+		rc := b[c] - r[c]
+		r[c] = rc
+		sum += rc * rc
+	}
+	return sum
 }
 
 // dot returns aᵀb with the deterministic chunked reduction.
@@ -186,18 +218,21 @@ func (k *kern) norm2(a []float64) float64 { return math.Sqrt(k.dot(a, a)) }
 // a separate norm pass would read them back).
 func (k *kern) updateNorm(x, r, p, ap []float64, alpha float64) float64 {
 	n := len(x)
-	body := func(s, e int) float64 {
-		sum := 0.0
-		for c := s; c < e; c++ {
-			x[c] += alpha * p[c]
-			rc := r[c] - alpha*ap[c]
-			r[c] = rc
-			sum += rc * rc
-		}
-		return sum
-	}
 	if k.pool.Serial() {
-		return math.Sqrt(body(0, n))
+		return math.Sqrt(updateNormRange(x, r, p, ap, alpha, 0, n))
 	}
-	return math.Sqrt(k.pool.ReduceSum(n, k.partials, body))
+	return math.Sqrt(k.pool.ReduceSum(n, k.partials, func(s, e int) float64 {
+		return updateNormRange(x, r, p, ap, alpha, s, e)
+	}))
+}
+
+func updateNormRange(x, r, p, ap []float64, alpha float64, s, e int) float64 {
+	sum := 0.0
+	for c := s; c < e; c++ {
+		x[c] += alpha * p[c]
+		rc := r[c] - alpha*ap[c]
+		r[c] = rc
+		sum += rc * rc
+	}
+	return sum
 }

@@ -238,6 +238,9 @@ func newMGLevel[F mgFloat](cur *operator) *mgLevel[F] {
 		gzp: toTier[F](cur.gzp), diag: toTier[F](cur.diag),
 	}
 	cpf, minv := columnFactors(cur)
+	for c, m := range minv { // pivots → reciprocals, in place
+		minv[c] = 1 / m
+	}
 	lvl.cpf, lvl.minv = toTier[F](cpf), toTier[F](minv)
 	lvl.dp = make([]F, len(cur.diag))
 	cg := parallel.Grain / cur.nz
@@ -253,26 +256,28 @@ func newMGLevel[F mgFloat](cur *operator) *mgLevel[F] {
 
 // columnFactors runs the Thomas forward elimination of every column
 // tridiagonal once, returning the per-cell eliminated super-diagonal
-// (cpf) and inverse pivot (minv).
-func columnFactors(op *operator) (cpf, minv []float64) {
+// (cpf) and pivot (piv). The ZLine preconditioner divides by the
+// pivots; multigrid levels store their reciprocals.
+func columnFactors(op *operator) (cpf, piv []float64) {
 	n := len(op.diag)
 	cpf = make([]float64, n)
-	minv = make([]float64, n)
+	piv = make([]float64, n)
 	sz := op.sz
 	// Layer-by-layer (linear memory) order; every column eliminates
 	// independently. gzp is zero on the top layer, so cpf there is
 	// harmlessly zero and never read by the back-substitution.
 	for c := 0; c < sz && c < n; c++ {
 		m := op.diag[c]
-		minv[c] = 1 / m
+		piv[c] = m
 		cpf[c] = -op.gzp[c] / m
 	}
 	for c := sz; c < n; c++ {
-		m := op.diag[c] + op.gzp[c-sz]*cpf[c-sz]
-		minv[c] = 1 / m
+		a := -op.gzp[c-sz]
+		m := op.diag[c] - a*cpf[c-sz]
+		piv[c] = m
 		cpf[c] = -op.gzp[c] / m
 	}
-	return cpf, minv
+	return cpf, piv
 }
 
 // aggregateMap inverts the offsets: fine index → aggregate index.

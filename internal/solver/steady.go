@@ -127,8 +127,8 @@ type Options struct {
 	// F64, the historical bit-for-bit arithmetic). See Precision.
 	Precision Precision
 	// Workers is the number of goroutines running the parallel solver
-	// kernels: chunked SpMV, deterministic PCG reductions, per-column
-	// ZLine preconditioner fan-out, and red-black SOR sweeps. 0 (the
+	// kernels: chunked SpMV, deterministic PCG reductions, ZLine
+	// column-range fan-out, and red-black SOR sweeps. 0 (the
 	// default) uses runtime.GOMAXPROCS(0); values < 1 after
 	// defaulting, and Workers=1 explicitly, run the exact
 	// single-threaded legacy path.
@@ -301,11 +301,12 @@ func solveOperator(op *operator, b []float64, opts Options, method string) (*ite
 
 // solveOperatorWith is solveOperator against a caller-provided kern
 // and preconditioner cache — the batch entry point shares both across
-// K solves of the same operator (one pool, one multigrid hierarchy).
-// Sharing is bitwise-safe: the kern only fixes the worker count
-// (chunking depends on the problem size alone) and the cached
-// preconditioners are pure functions of the operator matrix, which
-// does not change between items.
+// K solves of the same operator (one pool, one set of PCG work
+// vectors, one multigrid hierarchy). Sharing is bitwise-safe: the
+// kern fixes the worker count (chunking depends on the problem size
+// alone) and its scratch is overwritten before it is read, and the
+// cached preconditioners are pure functions of the operator matrix,
+// which does not change between items.
 func solveOperatorWith(op *operator, b []float64, opts Options, method string, kr *kern, pcs precondCache) (*iterOutcome, []Preconditioner, error) {
 	tel := opts.Telemetry
 	var start time.Time
@@ -592,11 +593,9 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 		}
 		copy(x, opts.InitialGuess)
 	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	pn := make([]float64, n) // next direction, pointer-swapped with p
-	ap := make([]float64, n)
+	// The work vectors belong to the kern; pn is the next direction,
+	// pointer-swapped with p.
+	r, z, p, pn, ap, bestX := kr.pcgVectors(n)
 
 	resNum := kr.residual(op, x, b, r)
 	bn := kr.norm2(b)
@@ -622,12 +621,14 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 	// so the snapshot refreshes lazily: only when the residual halves
 	// relative to the last snapshot (O(log) copies per solve).
 	bestRes, bestIter := math.Inf(1), 0
-	var bestX []float64
+	snapped := false
 	bestSnapRes := math.Inf(1)
 	fail := func(reason FailureReason, it int, cause error) (*iterOutcome, error) {
 		best, bres := x, res
-		if bestX != nil && !(res <= bestSnapRes) {
-			best, bres = bestX, bestSnapRes
+		if snapped && !(res <= bestSnapRes) {
+			// The snapshot is kern scratch that the next solve on this
+			// kern overwrites, so the error gets its own copy.
+			best, bres = append([]float64(nil), bestX...), bestSnapRes
 		}
 		return nil, &ConvergenceError{
 			Method: "pcg", Precond: opts.Precond, Reason: reason,
@@ -692,11 +693,9 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 		if res < bestRes {
 			bestRes, bestIter = res, it
 			if res < 0.5*bestSnapRes {
-				if bestX == nil {
-					bestX = make([]float64, n)
-				}
 				copy(bestX, x)
 				bestSnapRes = res
+				snapped = true
 			}
 		} else if window > 0 && it-bestIter >= window {
 			return fail(ReasonStagnation, it,
@@ -876,42 +875,18 @@ func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *k
 			},
 		}, nil
 	case ZLine:
-		nz := op.nz
-		sz := op.sz
+		zl := newZLine(op)
 		if kr.pool.Serial() {
-			// Thomas scratch reused across calls.
-			cp := make([]float64, nz)
-			dp := make([]float64, nz)
-			return precondOp{apply: func(r, z []float64) {
-				for col := 0; col < sz; col++ {
-					op.thomasColumn(r, z, col, cp, dp)
-				}
-			}}, nil
+			return precondOp{apply: func(r, z []float64) { zl.solve(r, z, 0, zl.sz) }}, nil
 		}
-		// Per-column fan-out: columns are independent tridiagonal
+		// Column-range fan-out: columns are independent tridiagonal
 		// solves writing disjoint z entries, so the output is bitwise
-		// identical to the serial loop at any worker count. Each
-		// worker gets its own Thomas scratch; chunks are sized to
-		// ~Grain cells so scheduling overhead stays amortized on
-		// shallow stacks.
-		w := kr.workers()
-		cps := make([][]float64, w)
-		dps := make([][]float64, w)
-		for i := range cps {
-			cps[i] = make([]float64, nz)
-			dps[i] = make([]float64, nz)
-		}
-		colGrain := parallel.Grain / nz
-		if colGrain < 1 {
-			colGrain = 1
-		}
+		// identical to the serial sweep at any worker count. Chunks are
+		// sized to ~Grain cells so scheduling overhead stays amortized
+		// on shallow stacks.
+		colGrain := max(parallel.Grain/op.nz, 1)
 		return precondOp{apply: func(r, z []float64) {
-			kr.pool.ForGrain(sz, colGrain, func(worker, s, e int) {
-				cp, dp := cps[worker], dps[worker]
-				for col := s; col < e; col++ {
-					op.thomasColumn(r, z, col, cp, dp)
-				}
-			})
+			kr.pool.ForGrain(zl.sz, colGrain, func(_, s, e int) { zl.solve(r, z, s, e) })
 		}}, nil
 	case Multigrid:
 		return precondOp{apply: newMultigrid(op, kr).apply}, nil
@@ -920,29 +895,61 @@ func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *k
 	}
 }
 
-// thomasColumn solves the tridiagonal z-coupling of one vertical cell
-// column: sub/super diagonals are −gzp, main diagonal is the full
-// operator diagonal (keeping lateral and boundary conductance makes M
-// SPD and closer to A). cp/dp are caller-provided scratch of length
-// nz.
-func (op *operator) thomasColumn(r, z []float64, col int, cp, dp []float64) {
-	nz, sz := op.nz, op.sz
-	c0 := col
-	b0 := op.diag[c0]
-	cp[0] = -op.gzp[c0] / b0
-	dp[0] = r[c0] / b0
-	for k := 1; k < nz; k++ {
-		c := col + k*sz
-		a := -op.gzp[c-sz]
-		m := op.diag[c] - a*cp[k-1]
-		if k < nz-1 {
-			cp[k] = -op.gzp[c] / m
-		}
-		dp[k] = (r[c] - a*dp[k-1]) / m
+// zline is the ZLine preconditioner of one operator: the Thomas
+// forward elimination of every column tridiagonal (sub/super diagonals
+// −gzp, main diagonal the full operator diagonal — keeping lateral and
+// boundary conductance makes M SPD and closer to A) done once, so an
+// application is only the right-hand-side sweeps. It lives in the
+// precondCache, so every solve that reuses the cache reuses the
+// factors.
+type zline struct {
+	sz  int
+	gzp []float64 // the operator's vertical couplings (shared)
+	piv []float64 // Thomas pivot per cell
+	cpf []float64 // eliminated super-diagonal per cell
+}
+
+func newZLine(op *operator) *zline {
+	cpf, piv := columnFactors(op)
+	return &zline{sz: op.sz, gzp: op.gzp, piv: piv, cpf: cpf}
+}
+
+// solve computes z ← M⁻¹·r for the columns in flat column range
+// [lo, hi): a forward sweep bottom-up, written straight into z, then
+// back substitution top-down, each plane in linear memory order
+// rather than one column at a time at stride sz. Every cell evaluates
+// the per-column Thomas recurrence's own expressions — the forward
+// value (r − a·z_below)/pivot with a = −gzp, the back value
+// z − cpf·z_above — and columns never couple, so the result is
+// bitwise identical to solving the columns one by one
+// (TestEquivalenceZLinePlanes).
+func (zl *zline) solve(r, z []float64, lo, hi int) {
+	sz, n := zl.sz, len(zl.piv)
+	// Each plane works on equal-length subslices, so the compiler
+	// drops the per-cell bounds checks.
+	zc, rc, pc := z[lo:hi], r[lo:hi], zl.piv[lo:hi]
+	rc, pc = rc[:len(zc)], pc[:len(zc)]
+	for i := range zc {
+		zc[i] = rc[i] / pc[i]
 	}
-	z[col+(nz-1)*sz] = dp[nz-1]
-	for k := nz - 2; k >= 0; k-- {
-		z[col+k*sz] = dp[k] - cp[k]*z[col+(k+1)*sz]
+	for base := sz; base < n; base += sz {
+		zc := z[base+lo : base+hi]
+		zb := z[base-sz+lo : base-sz+hi][:len(zc)]
+		gb := zl.gzp[base-sz+lo : base-sz+hi][:len(zc)]
+		rc := r[base+lo : base+hi][:len(zc)]
+		pc := zl.piv[base+lo : base+hi][:len(zc)]
+		for i := range zc {
+			a := -gb[i]
+			zc[i] = (rc[i] - a*zb[i]) / pc[i]
+		}
+	}
+	for base := n - 2*sz; base >= 0; base -= sz {
+		zc := z[base+lo : base+hi]
+		za := z[base+sz+lo : base+sz+hi][:len(zc)]
+		cc := zl.cpf[base+lo : base+hi][:len(zc)]
+		for i := range zc {
+			zc[i] = zc[i] - cc[i]*za[i]
+		}
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // Hot-path reuse: the integrator pins one worker pool, one augmented
 // operator (matrix buffers, SoA stencil), and one preconditioner for
 // its whole lifetime instead of rebuilding them per step — stepping
-// allocates no pools and, at a fixed Δt, no preconditioners. This is
-// what fixed the historical 1→4 worker per-step regression: the old
-// path paid W−1 goroutine launches plus a full preconditioner
-// construction on every Step, which dwarfed the parallel speedup of
-// the solve itself. The augmented matrix depends only on (A, C, Δt),
+// allocates no pools, no PCG work vectors (the kern owns them) and,
+// at a fixed Δt, no preconditioners. This is what fixed the
+// historical 1→4 worker per-step regression: the old path paid W−1
+// goroutine launches plus a full preconditioner construction on
+// every Step, which dwarfed the parallel speedup of the solve itself. The augmented matrix depends only on (A, C, Δt),
 // so its stencil and preconditioner stay valid until Δt changes;
 // SetSources touches only the right-hand side. All reuse is bitwise
 // neutral — every recomputed value is produced by the identical

@@ -321,7 +321,7 @@ func BuildEval(r EvalRequest) (*Eval, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := Build(norm.Stack)
+	spec, err := parseSpec(norm.Stack)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +365,7 @@ func (e *Eval) CloneForPower(r EvalRequest) (*Eval, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := Build(norm.Stack)
+	spec, err := parseSpec(norm.Stack)
 	if err != nil {
 		return nil, err
 	}

@@ -56,8 +56,22 @@ func Marshal(sj StackJSON) ([]byte, error) {
 	return json.MarshalIndent(sj, "", "  ")
 }
 
-// Build converts the schema into a solvable stack spec.
+// Build converts the schema into a solvable stack spec, checking that
+// it assembles.
 func Build(sj StackJSON) (*stack.Spec, error) {
+	spec, err := parseSpec(sj)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := spec.Build(); err != nil {
+		return nil, fmt.Errorf("specio: %w", err)
+	}
+	return spec, nil
+}
+
+// parseSpec converts the schema into a stack spec without assembling
+// it: the field checks of Build, minus the trial assembly.
+func parseSpec(sj StackJSON) (*stack.Spec, error) {
 	if sj.NX <= 0 || sj.NY <= 0 {
 		return nil, fmt.Errorf("specio: bad grid %dx%d", sj.NX, sj.NY)
 	}
@@ -123,9 +137,6 @@ func Build(sj StackJSON) (*stack.Spec, error) {
 			pf.Coverage[i] = sj.PillarCover
 		}
 		spec.Pillars = pf
-	}
-	if _, _, err := spec.Build(); err != nil {
-		return nil, fmt.Errorf("specio: %w", err)
 	}
 	return spec, nil
 }
