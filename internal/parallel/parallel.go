@@ -1,7 +1,7 @@
 // Package parallel provides the reusable worker pool and the
 // deterministic data-parallel primitives behind the solver hot paths
-// (chunked SpMV, PCG reductions, red-black SOR sweeps, per-column
-// preconditioner fan-out). Stdlib only.
+// (chunked SpMV, PCG reductions, per-column preconditioner fan-out,
+// multigrid sweeps). Stdlib only.
 //
 // Determinism contract: chunk boundaries depend only on the problem
 // size — never on the worker count or on scheduling — and reductions

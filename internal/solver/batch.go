@@ -11,9 +11,9 @@ import (
 // The outer loops of this codebase — pillar placement bisection,
 // RefineFill, the evaluation service — issue thousands of solves
 // against same-sized grids; without an engine each solve builds and
-// tears down its own pool (W−1 goroutines plus channel setup).
-// Attach an engine via Options.Engine to amortize that across the
-// whole loop.
+// tears down a throwaway engine of its own (W−1 goroutines plus
+// channel setup). Attach an engine via Options.Engine to amortize
+// that across the whole loop.
 //
 // Determinism: an engine changes where kernels run, never what they
 // compute — chunk boundaries depend only on the problem size, so a
@@ -38,9 +38,14 @@ type Engine struct {
 // NewEngine creates an engine with the given worker count; workers
 // ≤ 0 defaults to one worker per CPU core (runtime.GOMAXPROCS).
 func NewEngine(workers int) *Engine {
-	// Affine ownership: see newKern — same locality argument, and an
-	// engine's whole point is reuse across thousands of same-shaped
-	// solves, exactly where stable chunk→worker pinning pays most.
+	// Affine (statically owned) chunks: solver kernels sweep the same
+	// vectors every iteration with near-uniform per-chunk cost, so
+	// pinning each chunk to one worker keeps its pages and cache lines
+	// on that worker across the whole solve (first-touch locality) at
+	// no load-balance cost — and an engine's whole point is reuse
+	// across thousands of same-shaped solves, exactly where stable
+	// chunk→worker pinning pays most. Placement only: results are
+	// bitwise identical to a dynamic pool.
 	p := parallel.NewAffinePool(workers)
 	e := &Engine{pool: p, workers: p.Workers()}
 	e.fam.cap = defaultFamilyCap
@@ -99,30 +104,40 @@ func SolveSteadyBatch(p *Problem, qs [][]float64, opts Options) ([]*Result, erro
 			}
 		}
 	}
-	opts = opts.withDefaults()
-	if opts.Engine != nil && opts.FamilyKey != "" {
-		if results, handled, err := opts.Engine.familySolveBatch(p, qs, opts); handled {
-			return results, err
-		}
+	results, i, err := solveBatch(p, qs, opts)
+	if err != nil {
+		return nil, fmt.Errorf("solver: batch item %d: %w", i, err)
 	}
-	op := assemble(p)
-	kr := newKern(opts, n)
-	defer kr.close()
-	pcs := precondCache{}
+	return results, nil
+}
+
+// solveBatch is the one steady solve loop behind SolveSteady (a
+// one-item batch) and SolveSteadyBatch: it leases one context of the
+// solve's family entry (see Engine.entry) and runs the items through
+// it, a nil source reusing p.Q. On failure it returns the failing
+// item's index with the unwrapped error. p and qs must be validated.
+func solveBatch(p *Problem, qs [][]float64, opts Options) ([]*Result, int, error) {
+	opts = opts.withDefaults()
+	if eng := opts.ownEngine(); eng != nil {
+		defer eng.Close()
+	}
+	fe := opts.Engine.entry(p, opts)
+	ctx := fe.lease()
+	defer fe.release(ctx)
 	results := make([]*Result, len(qs))
 	for i, q := range qs {
 		if q == nil {
 			q = p.Q
 		}
-		op.setSources(q)
-		out, fallbacks, err := solveOperatorWith(op, op.b, opts, "pcg", kr, pcs)
+		fe.op.sourcesInto(q, ctx.b)
+		out, fallbacks, err := solveLadder(fe.op, ctx.b, opts, "pcg", ctx.kr, ctx.pcs)
 		if err != nil {
-			return nil, fmt.Errorf("solver: batch item %d: %w", i, err)
+			return nil, i, err
 		}
 		results[i] = &Result{
 			T: out.x, Iterations: out.iterations, Residual: out.residual,
 			Residuals: out.history, Fallbacks: fallbacks, grid: p.Grid,
 		}
 	}
-	return results, nil
+	return results, 0, nil
 }

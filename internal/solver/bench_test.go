@@ -212,8 +212,7 @@ func BenchmarkMGCyclePrecision(b *testing.B) {
 	p := benchStack(b, 96)
 	op := assemble(p)
 	n := len(op.b)
-	kr := newKern(Options{Workers: 1}, n)
-	defer kr.close()
+	kr := testKern(b, 1, n)
 	r := make([]float64, n)
 	z := make([]float64, n)
 	for i := range r {
@@ -235,22 +234,6 @@ func BenchmarkMGCyclePrecision(b *testing.B) {
 	})
 }
 
-// BenchmarkSteadySOR64Workers times the red-black parallel SOR path
-// (workers ≥ 2) against the lexicographic serial sweep (workers=1) on
-// the same acceptance grid.
-func BenchmarkSteadySOR64Workers(b *testing.B) {
-	p := benchStack(b, 64)
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := SolveSteadySOR(p, 1.5, Options{Tol: 1e-5, MaxIter: 200000, Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkOperatorApplyWorkers isolates the chunked SpMV kernel —
 // the single hottest loop of the PCG iteration.
 func BenchmarkOperatorApplyWorkers(b *testing.B) {
@@ -263,8 +246,7 @@ func BenchmarkOperatorApplyWorkers(b *testing.B) {
 	}
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			kr := newKern(Options{Workers: w}, len(op.b))
-			defer kr.close()
+			kr := testKern(b, w, len(op.b))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				kr.apply(op, x, y)

@@ -11,7 +11,7 @@ package solver
 //     1e-12 relative — the two differ only by floating-point
 //     summation order in the PCG dot products (problems smaller than
 //     one reduction chunk are bitwise identical even serial-vs-
-//     parallel), and by sweep ordering for red-black SOR.
+//     parallel).
 //
 // Run with `go test -run Equivalence -count=2 -race` (the Makefile
 // `equivalence` target) to catch scheduling-dependent nondeterminism.
@@ -124,6 +124,15 @@ func bitIdentical(a, b []float64) bool {
 	return true
 }
 
+// testKern returns a kern for an n-cell solve on a fresh engine of
+// the given worker count, closed when the test ends.
+func testKern(tb testing.TB, workers, n int) *kern {
+	tb.Helper()
+	eng := NewEngine(workers)
+	tb.Cleanup(eng.Close)
+	return newKern(eng.pool, n)
+}
+
 // equivalenceSizes mixes problems below the reduction chunk size
 // (where serial and parallel are bitwise identical) with larger ones
 // that genuinely exercise the chunked deterministic reductions.
@@ -180,50 +189,6 @@ func TestEquivalenceDeterminism(t *testing.T) {
 			ref = r.T
 		} else if !bitIdentical(ref, r.T) {
 			t.Errorf("workers=%d: field differs bitwise from workers=2 reference (rel %g)", w, relDiff(ref, r.T))
-		}
-	}
-}
-
-// TestEquivalenceSOR: the red-black parallel sweep converges to the
-// same fixed point as the serial lexicographic sweep. The two
-// iteration paths differ, so the fields agree at the level set by
-// the residual tolerance (not bitwise); determinism across worker
-// counts is still exact.
-func TestEquivalenceSOR(t *testing.T) {
-	rng := &eqRNG{s: 0x50A}
-	for _, size := range [][3]int{{6, 5, 4}, {12, 10, 8}} {
-		p := randomProblem(t, rng, size[0], size[1], size[2])
-		opts := Options{Tol: 1e-12, MaxIter: 400000}
-		optsSer := opts
-		optsSer.Workers = 1
-		ser, err := SolveSteadySOR(p, 1.6, optsSer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optsPar := opts
-		optsPar.Workers = 4
-		par, err := SolveSteadySOR(p, 1.6, optsPar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := relDiff(ser.T, par.T); d > 1e-8 {
-			t.Errorf("size %v: lexicographic vs red-black rel diff %g > 1e-8", size, d)
-		}
-		par2, err := SolveSteadySOR(p, 1.6, optsPar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitIdentical(par.T, par2.T) {
-			t.Error("red-black SOR not deterministic at fixed worker count")
-		}
-		opts8 := opts
-		opts8.Workers = 8
-		par8, err := SolveSteadySOR(p, 1.6, opts8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitIdentical(par.T, par8.T) {
-			t.Error("red-black SOR differs across worker counts")
 		}
 	}
 }
@@ -339,7 +304,7 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 	const beta, alpha = 0.37, 1.13
 
 	for _, w := range []int{1, 4, 8} {
-		kr := newKern(Options{Workers: w}, n)
+		kr := testKern(t, w, n)
 
 		// applyDot vs apply + dot.
 		ap := make([]float64, n)
@@ -412,8 +377,6 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 		if math.Float64bits(gotD) != math.Float64bits(wantD) {
 			t.Errorf("workers=%d: applyDirDot sum differs from unfused reference", w)
 		}
-
-		kr.close()
 	}
 }
 
@@ -481,7 +444,7 @@ func TestEquivalenceZLinePlanes(t *testing.T) {
 				sys.op.thomasColumn(r, want, col, cp, dp)
 			}
 			for _, w := range []int{1, 2, 3, 8} {
-				kr := newKern(Options{Workers: w}, n)
+				kr := testKern(t, w, n)
 				pc, err := makePreconditioner(sys.op, ZLine, F64, kr)
 				if err != nil {
 					t.Fatal(err)
@@ -493,7 +456,6 @@ func TestEquivalenceZLinePlanes(t *testing.T) {
 						t.Errorf("%v %s workers=%d apply %d: plane sweep differs from per-column Thomas", sh, sys.name, w, rep)
 					}
 				}
-				kr.close()
 			}
 		}
 	}
@@ -517,43 +479,6 @@ func TestStencilMatchesSliceApply(t *testing.T) {
 		if !bitIdentical(yLegacy, ySt) {
 			t.Errorf("size %v: stencil SpMV differs bitwise from slice SpMV", size)
 		}
-	}
-}
-
-// TestSORShortMaxIterConverges: regression for the residual-check
-// cadence — with MaxIter below the 20-sweep cadence the final
-// iteration must still check convergence, so an easy problem solved
-// with MaxIter=5 succeeds instead of erroring out unchecked.
-func TestSORShortMaxIterConverges(t *testing.T) {
-	g, err := mesh.Uniform(1e-4, 1e-4, 1e-4, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProblem(g)
-	p.Bounds[ZMin] = DirichletBC(300)
-	for _, workers := range []int{1, 4} {
-		r, err := SolveSteadySOR(p, 1.0, Options{MaxIter: 5, Tol: 1e-10, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: MaxIter=5 solve failed despite converging in one sweep: %v", workers, err)
-		}
-		// Iterations reports the sweep count at the check that
-		// observed convergence — here the final-iteration check, an
-		// upper bound within the documented cadence.
-		if r.Iterations != 5 {
-			t.Errorf("workers=%d: Iterations = %d, want 5 (final-iteration check)", workers, r.Iterations)
-		}
-		if math.Abs(r.T[0]-300) > 1e-9 {
-			t.Errorf("workers=%d: T = %g, want 300", workers, r.T[0])
-		}
-	}
-	// A genuinely unconverged short run must still error.
-	hard := uniformProblem(t, 6, 6, 6, 1)
-	hard.Bounds[ZMin] = DirichletBC(300)
-	for c := range hard.Q {
-		hard.Q[c] = 1e9
-	}
-	if _, err := SolveSteadySOR(hard, 1.0, Options{MaxIter: 3, Tol: 1e-12}); err == nil {
-		t.Error("3-sweep SOR on a 216-cell problem claimed convergence")
 	}
 }
 

@@ -44,14 +44,14 @@ func (r FailureReason) String() string {
 }
 
 // ConvergenceError is the typed failure of an iterative solve. Every
-// public solve entry point (SolveSteady, SolveSteadySOR,
+// public solve entry point (SolveSteady, SolveSteadyBatch, SolveTrace,
 // SolveSteadyNonlinear, Transient.Step/Run, and everything layered on
 // them) surfaces non-convergence, divergence, breakdown, and
 // cancellation as a *ConvergenceError so callers can distinguish "ran
 // out of budget with a usable partial field" from "the numbers are
 // garbage" instead of parsing error strings.
 type ConvergenceError struct {
-	// Method is the iteration that failed: "pcg", "sor", "picard", …
+	// Method is the iteration that failed: "pcg", "transient", "picard", …
 	Method string
 	// Precond is the preconditioner in use when the failure occurred.
 	Precond Preconditioner
@@ -60,9 +60,8 @@ type ConvergenceError struct {
 	Iterations int
 	// Residual is the last relative residual ‖b−A·x‖/‖b‖ observed.
 	Residual float64
-	// History is the per-iteration relative residual trace (SOR
-	// records at its residual-check cadence; picard records the
-	// per-round max |ΔT| in kelvin instead).
+	// History is the per-iteration relative residual trace (picard
+	// records the per-round max |ΔT| in kelvin instead).
 	History []float64
 	// Best is the best iterate available at the stop (nil when the
 	// failure happened before any iterate existed, e.g. an immediate

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"thermalscaffold/internal/mesh"
+	"thermalscaffold/internal/parallel"
 )
 
 // famOpts is the baseline solve configuration the family tests vary.
@@ -195,9 +196,10 @@ func TestTraceResumeFamilyEngine(t *testing.T) {
 }
 
 // TestFamilyEngineConcurrent: many goroutines solving one family at
-// once share the frozen assembly without racing, and every result is
-// bitwise identical to its plain solve. (-race makes this a real
-// detector, not just a smoke test.)
+// once — steady solves, and traces whose Δt outnumber the spare
+// transient contexts — share the frozen assembly and the spare pools
+// without racing, and every result is bitwise identical to its plain
+// solve. (-race makes this a real detector, not just a smoke test.)
 func TestFamilyEngineConcurrent(t *testing.T) {
 	rng := &eqRNG{s: 0xFACC}
 	p := randomProblem(t, rng, 12, 10, 8)
@@ -205,18 +207,36 @@ func TestFamilyEngineConcurrent(t *testing.T) {
 	qs := batchSources(p, clients)
 	eng := NewEngine(4)
 	defer eng.Close()
+	plainOpts := Options{Tol: 1e-10, MaxIter: 100000, Precond: Multigrid, Workers: 4}
+	t0 := make([]float64, p.Grid.NumCells())
+	for c := range t0 {
+		t0[c] = 300
+	}
+	dts := []float64{1e-5, 2e-5, 3e-5, 5e-5, 8e-5, 1.3e-4} // more Δt than spare contexts
+	segs := func(i int) []TraceSegment {
+		return []TraceSegment{{Dt: dts[i%len(dts)], Steps: 1, Q: qs[i]}, {Dt: dts[(i+1)%len(dts)], Steps: 1}}
+	}
+	// A trace writes its segments' sources into its problem's Q, so
+	// every trace gets a problem of its own.
+	ownQ := func() *Problem { return withQ(p, append([]float64(nil), p.Q...)) }
 	want := make([][]float64, clients)
+	wantTrace := make([][]float64, clients)
 	for i, q := range qs {
-		res, err := SolveSteady(withQ(p, q), Options{Tol: 1e-10, MaxIter: 100000, Precond: Multigrid, Workers: 4})
+		res, err := SolveSteady(withQ(p, q), plainOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = res.T
+		tr, err := SolveTrace(ownQ(), t0, segs(i), plainOpts, TraceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTrace[i] = tr.T
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, clients)
+	errs := make([]error, 2*clients)
 	for i := 0; i < clients; i++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
 			res, err := SolveSteady(withQ(p, qs[i]), famOpts(eng, "famC", F64))
@@ -228,6 +248,17 @@ func TestFamilyEngineConcurrent(t *testing.T) {
 				errs[i] = fmt.Errorf("client %d: concurrent family solve differs bitwise from plain solve", i)
 			}
 		}(i)
+		go func(i int) {
+			defer wg.Done()
+			res, err := SolveTrace(ownQ(), t0, segs(i), famOpts(eng, "famC", F64), TraceOptions{})
+			if err != nil {
+				errs[clients+i] = err
+				return
+			}
+			if !bitIdentical(res.T, wantTrace[i]) {
+				errs[clients+i] = fmt.Errorf("client %d: concurrent family trace differs bitwise from plain trace", i)
+			}
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -237,10 +268,13 @@ func TestFamilyEngineConcurrent(t *testing.T) {
 	}
 }
 
-// TestFamilyEngineDisabledAndEviction: a disabled cache falls back to
-// the plain path (identical results, zero cached assemblies), and an
+// TestFamilyEngineDisabledAndEviction: a disabled cache runs keyed
+// solves on private entries (identical results, zero cached
+// assemblies), unkeyed solves never touch the cache, and an
 // over-capacity cache evicts least-recently-used families but stays
-// correct — an evicted family simply re-assembles.
+// correct — an evicted family simply re-assembles. An unkeyed solve
+// with and without an engine, a keyed solve on a disabled cache, and
+// a warm keyed solve are all bitwise equal.
 func TestFamilyEngineDisabledAndEviction(t *testing.T) {
 	rng := &eqRNG{s: 0xFAD1}
 	pA := randomProblem(t, rng, 8, 8, 6)
@@ -269,6 +303,24 @@ func TestFamilyEngineDisabledAndEviction(t *testing.T) {
 		t.Errorf("disabled cache recorded activity: built=%d hits=%d misses=%d", built, hits, misses)
 	}
 
+	// Unkeyed solves on an engine whose cache is on run on private
+	// entries: same bits as the engine-less solve, nothing counted.
+	unkeyedEng := NewEngine(2)
+	defer unkeyedEng.Close()
+	res, err = SolveSteady(pA, opts(unkeyedEng, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitIdentical(plain.T, res.T) {
+		t.Error("unkeyed engine solve differs bitwise from engine-less solve")
+	}
+	if _, err := SolveSteadyBatch(pA, [][]float64{nil}, opts(unkeyedEng, "")); err != nil {
+		t.Fatal(err)
+	}
+	if built, hits, misses := unkeyedEng.AssemblyStats(); built != 0 || hits != 0 || misses != 0 {
+		t.Errorf("unkeyed solves recorded cache activity: built=%d hits=%d misses=%d", built, hits, misses)
+	}
+
 	eng.SetAssemblyCache(1)
 	for round := 0; round < 2; round++ {
 		for _, pk := range []struct {
@@ -291,6 +343,79 @@ func TestFamilyEngineDisabledAndEviction(t *testing.T) {
 	}
 	if !bitIdentical(plain.T, res.T) {
 		t.Error("post-eviction family solve differs bitwise from plain solve")
+	}
+	_, hits, _ := eng.AssemblyStats()
+	res, err = SolveSteady(pA, opts(eng, "famA"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, h, _ := eng.AssemblyStats(); h != hits+1 {
+		t.Errorf("repeat famA solve: %d cache hits, want 1", h-hits)
+	}
+	if !bitIdentical(plain.T, res.T) {
+		t.Error("warm family solve differs bitwise from plain solve")
+	}
+}
+
+// TestFamilyAugSpareBound: an entry keeps at most maxSpareCtxs spare
+// transient contexts across every Δt — a trace of many distinct Δt
+// leaves that many behind, not one per Δt — and a repeated single-Δt
+// trace still reuses its context: no new pool, the same augmented
+// stencil.
+func TestFamilyAugSpareBound(t *testing.T) {
+	rng := &eqRNG{s: 0xA065}
+	p := randomProblem(t, rng, 8, 7, 6)
+	t0 := make([]float64, p.Grid.NumCells())
+	for c := range t0 {
+		t0[c] = 300
+	}
+	eng := NewEngine(2)
+	defer eng.Close()
+	opts := famOpts(eng, "famS", F64)
+	opts.Precond = ZLine
+
+	many := make([]TraceSegment, 4*maxSpareCtxs)
+	for i := range many {
+		many[i] = TraceSegment{Dt: 1e-5 * float64(i+1), Steps: 1}
+	}
+	if _, err := SolveTrace(p, t0, many, opts, TraceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fe := eng.family(opts.FamilyKey, p, nil)
+	fe.mu.Lock()
+	spares := len(fe.augs)
+	fe.mu.Unlock()
+	if spares > maxSpareCtxs {
+		t.Errorf("a %d-Δt trace left %d spare transient contexts, want at most %d", len(many), spares, maxSpareCtxs)
+	}
+
+	const dt = 3e-4
+	one := []TraceSegment{{Dt: dt, Steps: 2}, {Dt: dt, Steps: 2}}
+	// lastStencil returns the augmented stencil of the most recently
+	// released spare, which must be the single-Δt trace's context.
+	lastStencil := func() *float64 {
+		t.Helper()
+		fe.mu.Lock()
+		defer fe.mu.Unlock()
+		c := fe.augs[len(fe.augs)-1]
+		if c.dt != dt {
+			t.Fatalf("most recent spare is for Δt %g, want %g", c.dt, dt)
+		}
+		return &c.aug.st[0]
+	}
+	if _, err := SolveTrace(p, t0, one, opts, TraceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	st0 := lastStencil()
+	pools := parallel.PoolsCreated()
+	if _, err := SolveTrace(p, t0, one, opts, TraceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if d := parallel.PoolsCreated() - pools; d != 0 {
+		t.Errorf("repeated single-Δt trace built %d worker pools, want 0", d)
+	}
+	if lastStencil() != st0 {
+		t.Error("repeated single-Δt trace rebuilt its augmented stencil instead of reusing the spare context")
 	}
 }
 

@@ -27,13 +27,12 @@ import (
 // A kern is never used by two solves at once. It carries mutable
 // scratch — the reduction partials and the PCG work vectors — that
 // every solve on it overwrites, so whoever holds a kern runs its
-// solves one after another: a solveOperator call, a batch, a
-// Transient, or a leased family context. Sharing a kern across
-// sequential solves is bitwise-neutral because pcg writes every entry
-// of its work vectors before reading it.
+// solves one after another: a leased steady or transient context of a
+// family entry (see family.go). Sharing a kern across sequential
+// solves is bitwise-neutral because pcg writes every entry of its
+// work vectors before reading it.
 type kern struct {
 	pool     *parallel.Pool
-	owned    bool      // close() releases the pool only if we created it
 	partials []float64 // chunk partial sums for deterministic reductions
 	// PCG work vectors — residual, preconditioned residual, direction,
 	// next direction, operator times direction — and the best-iterate
@@ -41,38 +40,15 @@ type kern struct {
 	r, z, p, pn, ap, best []float64
 }
 
-// newKern builds the kernel set for an n-cell solve. When
-// opts.Engine is set its persistent pool is shared (and left open on
-// close); otherwise a pool with opts.Workers workers is created for
-// this kern and released by close(). opts must already have defaults
-// resolved (withDefaults), so opts.Workers reflects the pool size
-// either way.
-func newKern(opts Options, n int) *kern {
-	k := &kern{}
-	if opts.Engine != nil {
-		k.pool = opts.Engine.pool
-	} else {
-		// Affine (statically owned) chunks: solver kernels sweep the
-		// same vectors every iteration with near-uniform per-chunk
-		// cost, so pinning each chunk to one worker keeps its pages
-		// and cache lines on that worker across the whole solve
-		// (first-touch locality) at no load-balance cost. Placement
-		// only — results are bitwise identical to a dynamic pool.
-		k.pool = parallel.NewAffinePool(opts.Workers)
-		k.owned = true
-	}
-	if !k.pool.Serial() {
+// newKern builds the kernel set for an n-cell solve on pool — always
+// an engine's, which outlives the kern (a solve without
+// Options.Engine runs on a throwaway engine; see Options.ownEngine).
+func newKern(pool *parallel.Pool, n int) *kern {
+	k := &kern{pool: pool}
+	if !pool.Serial() {
 		k.partials = make([]float64, parallel.NumChunks(n))
 	}
 	return k
-}
-
-// close releases the pool's helper goroutines (no-op for a shared
-// Engine pool, which outlives individual solves).
-func (k *kern) close() {
-	if k.owned {
-		k.pool.Close()
-	}
 }
 
 // pcgVectors returns the kern's PCG work vectors for an n-cell solve,

@@ -70,9 +70,9 @@ package solver
 // black gather reads x[nb] + xc[aggregate(nb)] on the fly, the same
 // single addition the materialized pass performed.
 //
-// The unfused reference cycle is kept behind the untiled flag and the
-// equivalence suite pins tiled == untiled bitwise at every worker
-// count and in both precision tiers.
+// The unfused textbook cycle lives in multigrid_tiling_test.go as
+// the oracle: the suite pins the production cycle to it bitwise at
+// every worker count and in both precision tiers.
 //
 // # Precision tiers
 //
@@ -168,9 +168,6 @@ type multigrid[F mgFloat] struct {
 	// rbuf/zbuf convert the caller's float64 r/z at the fine-level
 	// boundary; nil when F is float64 (apply runs in place).
 	rbuf, zbuf []F
-	// untiled selects the unfused reference cycle — the test seam the
-	// equivalence suite uses to pin the tiled sweeps bitwise.
-	untiled bool
 }
 
 // newMultigrid builds the float64-tier hierarchy for op — the tier
@@ -435,8 +432,7 @@ func (mg *multigrid[F]) apply(r, z []float64) {
 
 // cycle runs one V(1,1) cycle solving lvl·x ≈ b with x entered as
 // scratch (fully overwritten by the pre-smooth, so no zeroing pass is
-// needed). The production path is the temporally tiled cycle (see the
-// package comment); mg.untiled selects the unfused reference.
+// needed): the temporally tiled cycle of the package comment.
 func (mg *multigrid[F]) cycle(l int, b, x []F) {
 	lvl := mg.levels[l]
 	if l == len(mg.levels)-1 {
@@ -447,16 +443,6 @@ func (mg *multigrid[F]) cycle(l int, b, x []F) {
 		return
 	}
 	next := mg.levels[l+1]
-	if mg.untiled {
-		// Reference (unfused) sequence: every kernel is a separate
-		// full-grid pass.
-		mg.rbLineSmooth(lvl, b, x, false, true)
-		mg.restrictResidual(lvl, next, x, b, next.b)
-		mg.cycle(l+1, next.b, next.x)
-		mg.prolong(lvl, next, next.x, x)
-		mg.rbLineSmooth(lvl, b, x, true, false)
-		return
-	}
 	// Tiled down-leg: red half-sweep from zero, then the fused black
 	// half-sweep + residual restriction over y-bands.
 	mg.solveColumns(lvl, b, x, 0, false)
@@ -470,26 +456,6 @@ func (mg *multigrid[F]) cycle(l int, b, x []F) {
 	// symmetric.
 	mg.smoothCorrect(lvl, next, b, x, next.x)
 	mg.solveColumns(lvl, b, x, 0, true)
-}
-
-// rbLineSmooth runs one red-black line Gauss-Seidel sweep on
-// lvl·x ≈ b (the unfused reference smoother). Each half-sweep relaxes
-// every column of one color exactly while reading lateral values only
-// from the opposite color (fixed during the half-sweep), so column
-// ranges chunk across the pool race-free and the result is bitwise
-// identical at any worker count. reverse flips the color order (the
-// post-smooth adjoint); fromZero treats x as logically zero, letting
-// the first color skip the lateral gather and the caller skip zeroing
-// stale scratch.
-func (mg *multigrid[F]) rbLineSmooth(lvl *mgLevel[F], b, x []F, reverse, fromZero bool) {
-	order := [2]int{0, 1}
-	if reverse {
-		order = [2]int{1, 0}
-	}
-	for pass, color := range order {
-		gather := !(fromZero && pass == 0)
-		mg.solveColumns(lvl, b, x, color, gather)
-	}
 }
 
 // solveColumns relaxes the columns of one color (or every column when
@@ -723,8 +689,9 @@ func (mg *multigrid[F]) bandRestrict(fine, coarse *mgLevel[F], b, x, rc []F, J0,
 // only red cells contribute — the kernel evaluates the 7-point
 // residual on half the cells and never materializes the residual
 // vector. Per coarse cell the fine aggregate is visited in the same
-// nested j,i order as the unfused restrictResidual, so each rc value
-// is bit-identical regardless of which rows/bands produced it.
+// nested j,i order as the reference restrictResidual (the test
+// oracle in multigrid_tiling_test.go), so each rc value is
+// bit-identical regardless of which rows/bands produced it.
 func emitRestrict[F mgFloat](fine, coarse *mgLevel[F], b, x, rc []F, J int) {
 	nx, ny, sy, sz := fine.nx, fine.ny, fine.sy, fine.sz
 	nxc, nyc := coarse.nx, coarse.ny
@@ -835,108 +802,4 @@ func (lvl *mgLevel[F]) correctRange(b, x, xc []F, nxc, nyc int, lo, hi int) {
 		}
 	}
 	lvl.backSubstitute(x, 1, lo, hi)
-}
-
-// restrictResidual forms the coarse right-hand side rc = R·(b − A·x)
-// in one separate pass — the unfused reference for smoothRestrict.
-// The pre-smooth's last half-sweep solved every color-1 column
-// exactly with color-0 values fixed, so the residual vanishes on
-// color-1 cells and only color-0 cells contribute. Each coarse cell
-// owns a disjoint fine aggregate visited in fixed nested order, so
-// chunking over coarse cells is race-free and worker-count
-// independent.
-func (mg *multigrid[F]) restrictResidual(fine, coarse *mgLevel[F], x, b, rc []F) {
-	nx, ny, sy, sz := fine.nx, fine.ny, fine.sy, fine.sz
-	gxp, gyp, gzp, diag := fine.gxp, fine.gyp, fine.gzp, fine.diag
-	xoff, yoff := fine.xoff, fine.yoff
-	cnx, csz := coarse.nx, coarse.sz
-	body := func(s, e int) {
-		I := s % cnx
-		J := (s % csz) / cnx
-		k := s / csz
-		for C := s; C < e; C++ {
-			var sum F
-			for j := yoff[J]; j < yoff[J+1]; j++ {
-				for i := xoff[I]; i < xoff[I+1]; i++ {
-					if (i+j)&1 != 0 {
-						continue // exactly-relaxed color: zero residual
-					}
-					c := (k*ny+j)*nx + i
-					r := b[c] - diag[c]*x[c]
-					if g := gxp[c]; g != 0 {
-						r += g * x[c+1]
-					}
-					if c >= 1 {
-						if g := gxp[c-1]; g != 0 {
-							r += g * x[c-1]
-						}
-					}
-					if g := gyp[c]; g != 0 {
-						r += g * x[c+sy]
-					}
-					if c >= sy {
-						if g := gyp[c-sy]; g != 0 {
-							r += g * x[c-sy]
-						}
-					}
-					if g := gzp[c]; g != 0 {
-						r += g * x[c+sz]
-					}
-					if c >= sz {
-						if g := gzp[c-sz]; g != 0 {
-							r += g * x[c-sz]
-						}
-					}
-					sum += r
-				}
-			}
-			rc[C] = sum
-			I++
-			if I == cnx {
-				I = 0
-				J++
-				if J == coarse.ny {
-					J = 0
-					k++
-				}
-			}
-		}
-	}
-	if mg.kr.pool.Serial() {
-		body(0, len(rc))
-		return
-	}
-	mg.kr.pool.For(len(rc), body)
-}
-
-// prolong adds the piecewise-constant interpolation of the coarse
-// correction: x[c] += xc[aggregate(c)] — the unfused reference for
-// smoothCorrect. Chunked over fine cells; elementwise, so bitwise
-// identical at any worker count.
-func (mg *multigrid[F]) prolong(fine, coarse *mgLevel[F], xc, x []F) {
-	fnx, fny, fsz := fine.nx, fine.ny, fine.sz
-	cnx, cny := coarse.nx, coarse.ny
-	xmap, ymap := fine.xmap, fine.ymap
-	body := func(s, e int) {
-		i := s % fnx
-		j := (s % fsz) / fnx
-		k := s / fsz
-		for c := s; c < e; c++ {
-			x[c] += xc[(k*cny+ymap[j])*cnx+xmap[i]]
-			i++
-			if i == fnx {
-				i = 0
-				j++
-				if j == fny {
-					j = 0
-					k++
-				}
-			}
-		}
-	}
-	if mg.kr.pool.Serial() {
-		body(0, len(x))
-		return
-	}
-	mg.kr.pool.For(len(x), body)
 }

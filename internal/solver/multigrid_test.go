@@ -23,8 +23,7 @@ func TestMultigridSymmetricPD(t *testing.T) {
 	p := anisotropicStackProblem(t)
 	op := assemble(p)
 	n := len(op.b)
-	kr := newKern(Options{Workers: 1}, n)
-	defer kr.close()
+	kr := testKern(t, 1, n)
 	mg := newMultigrid(op, kr)
 
 	rng := &eqRNG{s: 0x5ca1ab1e}
@@ -89,11 +88,10 @@ func TestMultigridCycleBitwiseDeterministic(t *testing.T) {
 
 	var ref []float64
 	for _, w := range []int{1, 2, 3, 4, 8} {
-		kr := newKern(Options{Workers: w}, n)
+		kr := testKern(t, w, n)
 		mg := newMultigrid(op, kr)
 		z := make([]float64, n)
 		mg.apply(r, z)
-		kr.close()
 		if ref == nil {
 			ref = z
 			continue

@@ -102,8 +102,7 @@ func TestPrecisionF32SymmetricPD(t *testing.T) {
 	p := anisotropicStackProblem(t)
 	op := assemble(p)
 	n := len(op.b)
-	kr := newKern(Options{Workers: 1}, n)
-	defer kr.close()
+	kr := testKern(t, 1, n)
 	mg := newMultigridTier[float32](op, kr)
 
 	rng := &eqRNG{s: 0x5ca1ab1e}
@@ -158,8 +157,7 @@ func TestMMSSteadySecondOrderF32(t *testing.T) {
 func TestPrecisionF32CacheDistinct(t *testing.T) {
 	p := anisotropicStackProblem(t)
 	op := assemble(p)
-	kr := newKern(Options{Workers: 1}, len(op.b))
-	defer kr.close()
+	kr := testKern(t, 1, len(op.b))
 	pcs := precondCache{}
 	for _, prec := range []Precision{F64, F32} {
 		if _, err := pcs.get(op, ZLine, prec, kr); err != nil {

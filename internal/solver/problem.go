@@ -13,8 +13,9 @@
 //
 // The steady solver is a matrix-free preconditioned conjugate
 // gradient (the operator is symmetric positive definite by
-// construction); a Gauss-Seidel/SOR fallback is provided for
-// cross-checking.
+// construction) with Jacobi, z-line, or multigrid preconditioning.
+// Every solve — steady, batch, trace, transient — runs on a family
+// entry of an Engine (see family.go).
 package solver
 
 import (
@@ -270,7 +271,7 @@ type operator struct {
 	// gxp(c), gxp(c−1), gyp(c), gyp(c−sy), gzp(c), gzp(c−sz)] — with
 	// zeros baked in at domain edges so the apply kernels need no
 	// index guards. The slice views (gxp…diag) stay authoritative for
-	// assembly-time consumers (coarsening, SOR, Thomas factors).
+	// assembly-time consumers (coarsening, Thomas factors).
 	st []float64
 	// diagChecked records that every diagonal entry was verified
 	// positive (makePreconditioner's singularity guard) so batched
@@ -423,11 +424,11 @@ func (op *operator) setSources(q []float64) {
 	op.sourcesInto(q, op.b)
 }
 
-// sourcesInto is setSources targeting a caller-provided RHS vector,
-// leaving op.b untouched — the family-cached solve path derives each
-// solve's RHS from the shared frozen assembly without mutating it.
-// Identical arithmetic, so dst is bitwise equal to the b a fresh
-// assembly with Q = q would carry.
+// sourcesInto is setSources targeting a caller-provided RHS vector —
+// a leased solve context's b (see family.go), so solves on a cached
+// entry derive their RHS from the shared frozen assembly without
+// mutating it. Identical arithmetic, so dst is bitwise equal to the b
+// a fresh assembly with Q = q would carry.
 func (op *operator) sourcesInto(q, dst []float64) {
 	g := op.g
 	nx, ny, nz := op.nx, op.ny, op.nz

@@ -223,8 +223,11 @@ func TestSymmetry(t *testing.T) {
 	}
 }
 
-// TestCGMatchesSOR on a heterogeneous anisotropic problem.
-func TestCGMatchesSOR(t *testing.T) {
+// TestCGMatchesDirect checks PCG against an independent direct
+// solve on a heterogeneous, anisotropic, convective problem: the
+// 120-unknown operator is materialized column by column (A·eⱼ) and
+// solved by dense Gaussian elimination with partial pivoting.
+func TestCGMatchesDirect(t *testing.T) {
 	g, _ := mesh.Uniform(1e-4, 1e-4, 2e-5, 5, 4, 6)
 	p := NewProblem(g)
 	for c := range p.KX {
@@ -236,25 +239,59 @@ func TestCGMatchesSOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sor, err := SolveSteadySOR(p, 1.7, Options{Tol: 1e-12, MaxIter: 200000})
-	if err != nil {
-		t.Fatal(err)
+	op := assemble(p)
+	n := len(op.b)
+	a := make([][]float64, n) // row-major dense A
+	for i := range a {
+		a[i] = make([]float64, n)
 	}
+	e, col := make([]float64, n), make([]float64, n)
+	for j := 0; j < n; j++ {
+		e[j] = 1
+		op.apply(e, col)
+		e[j] = 0
+		for i := range col {
+			a[i][j] = col[i]
+		}
+	}
+	direct := gaussSolve(a, append([]float64(nil), op.b...))
 	for c := range cg.T {
-		if math.Abs(cg.T[c]-sor.T[c]) > 1e-5 {
-			t.Fatalf("cell %d: CG %g vs SOR %g", c, cg.T[c], sor.T[c])
+		if d := math.Abs(cg.T[c] - direct[c]); d > 1e-8 {
+			t.Fatalf("cell %d: CG %g vs direct %g (|Δ| = %g K)", c, cg.T[c], direct[c], d)
 		}
 	}
 }
 
-func TestSORRejectsBadOmega(t *testing.T) {
-	p := uniformProblem(t, 2, 2, 2, 1)
-	p.Bounds[ZMin] = DirichletBC(300)
-	for _, w := range []float64{0, -1, 2, 2.5} {
-		if _, err := SolveSteadySOR(p, w, Options{}); err == nil {
-			t.Errorf("omega=%g accepted", w)
+// gaussSolve solves a·x = b in place by Gaussian elimination with
+// partial pivoting and returns x (a and b are overwritten).
+func gaussSolve(a [][]float64, b []float64) []float64 {
+	n := len(b)
+	for k := 0; k < n; k++ {
+		piv := k
+		for i := k + 1; i < n; i++ {
+			if math.Abs(a[i][k]) > math.Abs(a[piv][k]) {
+				piv = i
+			}
+		}
+		a[k], a[piv] = a[piv], a[k]
+		b[k], b[piv] = b[piv], b[k]
+		for i := k + 1; i < n; i++ {
+			f := a[i][k] / a[k][k]
+			for j := k; j < n; j++ {
+				a[i][j] -= f * a[k][j]
+			}
+			b[i] -= f * b[k]
 		}
 	}
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		for j := i + 1; j < n; j++ {
+			s -= a[i][j] * x[j]
+		}
+		x[i] = s / a[i][i]
+	}
+	return x
 }
 
 func TestValidateRejections(t *testing.T) {

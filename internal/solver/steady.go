@@ -128,10 +128,9 @@ type Options struct {
 	Precision Precision
 	// Workers is the number of goroutines running the parallel solver
 	// kernels: chunked SpMV, deterministic PCG reductions, ZLine
-	// column-range fan-out, and red-black SOR sweeps. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); values < 1 after
-	// defaulting, and Workers=1 explicitly, run the exact
-	// single-threaded legacy path.
+	// column-range fan-out, and multigrid sweeps. 0 (the default)
+	// uses runtime.GOMAXPROCS(0); values < 1 after defaulting, and
+	// Workers=1 explicitly, run the exact single-threaded legacy path.
 	//
 	// Determinism: for any fixed Workers value, results are
 	// bit-identical run to run; for Workers ≥ 2 they are additionally
@@ -139,23 +138,22 @@ type Options struct {
 	// boundaries depend only on the problem size and partial sums
 	// combine in chunk order (see internal/parallel). The parallel
 	// path differs from Workers=1 only in the floating-point
-	// summation order of dot products (and, for SolveSteadySOR, the
-	// red-black sweep ordering); the equivalence test suite bounds
-	// the resulting temperature difference at ≤ 1e-12 relative.
+	// summation order of dot products; the equivalence test suite
+	// bounds the resulting temperature difference at ≤ 1e-12
+	// relative.
 	Workers int
 	// Ctx, when non-nil, cancels the solve: the iteration checks
-	// ctx.Done() once per outer iteration (and per SOR sweep) and
-	// returns a *ConvergenceError with ReasonCancelled wrapping
-	// ctx.Err(). The error carries the best iterate reached so far
+	// ctx.Done() once per outer iteration and returns a
+	// *ConvergenceError with ReasonCancelled wrapping ctx.Err(). The error carries the best iterate reached so far
 	// (ConvergenceError.Best) so deadline-bounded callers can use the
 	// partial field, explicitly flagged as unconverged.
 	Ctx context.Context
 	// Progress, when non-nil, is called after every PCG iteration
-	// (and at every SOR residual check) with the 1-based iteration
-	// count and the current relative residual. It runs on the solve's
-	// calling goroutine and must not mutate solver state; to stop a
-	// solve early, cancel Ctx. Observational only: attaching a
-	// callback does not change any computed value.
+	// with the 1-based iteration count and the current relative
+	// residual. It runs on the solve's calling goroutine and must not
+	// mutate solver state; to stop a solve early, cancel Ctx.
+	// Observational only: attaching a callback does not change any
+	// computed value.
 	Progress func(iteration int, relResidual float64)
 	// StagnationWindow is the divergence guard: if no new best
 	// residual is observed for this many consecutive iterations the
@@ -172,23 +170,24 @@ type Options struct {
 	// verifies this).
 	Telemetry *telemetry.Collector
 	// Engine, when non-nil, supplies a persistent worker pool shared
-	// across solves (see NewEngine) instead of building and tearing
-	// one down per solve — the outer loops of pillar placement and the
-	// evaluation service issue thousands of solves, and pool reuse
+	// across solves (see NewEngine) instead of a throwaway engine built
+	// and closed per solve — the outer loops of pillar placement and
+	// the evaluation service issue thousands of solves, and pool reuse
 	// removes the per-solve goroutine churn. Workers is ignored in
 	// favor of the engine's worker count. Results are bitwise
 	// identical with and without an engine: the pool only executes
 	// kernels, and chunking depends solely on the problem size.
 	Engine *Engine
-	// FamilyKey, when non-empty and Engine is set, routes the solve
-	// through the engine's family-keyed assembly cache: the assembled
-	// operator, SoA stencil, and preconditioner hierarchies are cached
-	// under the key and every later solve in the family skips setup.
+	// FamilyKey, when non-empty and Engine is set, runs the solve on
+	// the engine's cached family entry: the assembled operator, SoA
+	// stencil, and preconditioner hierarchies are cached under the key
+	// and every later solve in the family skips setup.
 	// The caller guarantees the key contract (see family.go): two
 	// problems share a key only if all operator-determining fields are
 	// bitwise equal — exactly the sources-free canonical encoding of
 	// WriteCanonical. Results are bitwise identical with and without a
-	// key. Ignored without an Engine.
+	// key. Ignored without an Engine (the throwaway engine's cache
+	// would die with the solve).
 	FamilyKey string
 }
 
@@ -211,13 +210,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// ownEngine gives a solve without Options.Engine a throwaway engine
+// of its resolved worker count and returns it for the caller to
+// close; it returns nil when o already carries an engine. The
+// throwaway drops FamilyKey, since its cache dies with the solve.
+func (o *Options) ownEngine() *Engine {
+	if o.Engine != nil {
+		return nil
+	}
+	o.Engine = NewEngine(o.Workers)
+	o.FamilyKey = ""
+	return o.Engine
+}
+
 // Result is the outcome of a steady solve.
 type Result struct {
 	T          []float64 // temperature per cell, K
 	Iterations int
 	Residual   float64 // final relative residual
 	// Residuals is the per-iteration relative residual trace of the
-	// solve that produced T (SOR records at its check cadence).
+	// solve that produced T.
 	Residuals []float64
 	// Fallbacks lists preconditioners abandoned on breakdown before
 	// the one that produced T (empty on the normal path). Fallbacks
@@ -249,21 +261,11 @@ func SolveSteady(p *Problem, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	if opts.Engine != nil && opts.FamilyKey != "" {
-		if res, handled, err := opts.Engine.familySolveSteady(p, opts); handled {
-			return res, err
-		}
-	}
-	op := assemble(p)
-	out, fallbacks, err := solveOperator(op, op.b, opts, "pcg")
+	results, _, err := solveBatch(p, [][]float64{nil}, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		T: out.x, Iterations: out.iterations, Residual: out.residual,
-		Residuals: out.history, Fallbacks: fallbacks, grid: p.Grid,
-	}, nil
+	return results[0], nil
 }
 
 // fallbackLadder returns the preconditioner sequence attempted when a
@@ -288,26 +290,19 @@ func fallbackLadder(pc Preconditioner) []Preconditioner {
 // naturally. Always nil outside tests.
 var testBreakdownHook func(pc Preconditioner, iteration int) bool
 
-// solveOperator runs PCG on an assembled operator with the
-// preconditioner fallback ladder and telemetry. On breakdown it
-// restarts the solve with the next-simpler preconditioner (from the
-// same initial guess), counts and logs the event — never silently —
-// and records one telemetry trace for the attempt sequence.
-func solveOperator(op *operator, b []float64, opts Options, method string) (*iterOutcome, []Preconditioner, error) {
-	kr := newKern(opts, len(b))
-	defer kr.close()
-	return solveOperatorWith(op, b, opts, method, kr, precondCache{})
-}
-
-// solveOperatorWith is solveOperator against a caller-provided kern
-// and preconditioner cache — the batch entry point shares both across
-// K solves of the same operator (one pool, one set of PCG work
-// vectors, one multigrid hierarchy). Sharing is bitwise-safe: the
-// kern fixes the worker count (chunking depends on the problem size
-// alone) and its scratch is overwritten before it is read, and the
-// cached preconditioners are pure functions of the operator matrix,
-// which does not change between items.
-func solveOperatorWith(op *operator, b []float64, opts Options, method string, kr *kern, pcs precondCache) (*iterOutcome, []Preconditioner, error) {
+// solveLadder runs PCG on an assembled operator with the
+// preconditioner fallback ladder and telemetry, against the kern and
+// preconditioner cache of a leased context. On breakdown it restarts
+// the solve with the next-simpler preconditioner (from the same
+// initial guess), counts and logs the event — never silently — and
+// records one telemetry trace for the attempt sequence. A lease runs
+// many solves of one operator (a batch's items, a transient's steps
+// at one Δt) and sharing is bitwise-safe: the kern fixes the worker
+// count (chunking depends on the problem size alone) and its scratch
+// is overwritten before it is read, and the cached preconditioners
+// are pure functions of the operator matrix, which does not change
+// between solves.
+func solveLadder(op *operator, b []float64, opts Options, method string, kr *kern, pcs precondCache) (*iterOutcome, []Preconditioner, error) {
 	tel := opts.Telemetry
 	var start time.Time
 	if tel != nil {
@@ -341,116 +336,6 @@ func solveOperatorWith(op *operator, b []float64, opts Options, method string, k
 		recordTrace(tel, method, o, len(b), out, err, start, fallbacks)
 	}
 	return out, fallbacks, err
-}
-
-// sorCheckEvery is the residual-check cadence of SolveSteadySOR: the
-// residual ‖b−A·T‖/‖b‖ costs one extra operator application, so it is
-// evaluated every sorCheckEvery sweeps AND on the final sweep
-// (whichever comes first — so MaxIter < sorCheckEvery still gets a
-// convergence check, and a converged solve never runs more than
-// sorCheckEvery−1 sweeps past the first satisfying iterate).
-// Result.Iterations is therefore the sweep count at the check that
-// observed convergence, an upper bound on the minimal sweep count
-// that is tight to within sorCheckEvery−1 sweeps.
-const sorCheckEvery = 20
-
-// SolveSteadySOR solves the same system with successive
-// over-relaxation — slower than PCG, used for cross-validation in
-// tests. With Options.Workers ≥ 2 the sweep runs in red-black
-// (two-color) order: cells with even i+j+k parity update first, then
-// odd, so every update within a color reads only opposite-color
-// values fixed at the half-sweep start. The half-sweeps chunk across
-// the worker pool race-free, and the result is independent of
-// chunking entirely (bit-identical at any Workers ≥ 2). The
-// red-black iteration path differs from the serial lexicographic
-// sweep, but both converge to the same fixed point; the equivalence
-// suite pins the two solutions together at the residual tolerance.
-func SolveSteadySOR(p *Problem, omega float64, opts Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if omega <= 0 || omega >= 2 {
-		return nil, fmt.Errorf("solver: SOR relaxation factor %g outside (0,2)", omega)
-	}
-	opts = opts.withDefaults()
-	op := assemble(p)
-	op.ensureStencil()
-	n := len(op.b)
-	kr := newKern(opts, n)
-	defer kr.close()
-	t := make([]float64, n)
-	if opts.InitialGuess != nil {
-		copy(t, opts.InitialGuess)
-	}
-	bn := norm2(op.b)
-	if bn == 0 {
-		bn = 1
-	}
-	r := make([]float64, n)
-	serial := kr.pool.Serial()
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-	window := opts.StagnationWindow
-	if window == 0 {
-		window = defaultStagnationWindow
-	}
-	tel := opts.Telemetry
-	var start time.Time
-	if tel != nil {
-		start = time.Now()
-	}
-	var history []float64
-	// Seed res with the initial true residual so a failure before the
-	// first residual check still reports a meaningful value.
-	res := kr.residual(op, t, op.b, r) / bn
-	bestRes, bestIter := math.Inf(1), 0
-	fail := func(reason FailureReason, it int, cause error) (*Result, error) {
-		err := &ConvergenceError{
-			Method: "sor", Precond: opts.Precond, Reason: reason,
-			Iterations: it, Residual: res, History: history,
-			Best: t, BestResidual: res, Err: cause,
-		}
-		recordTrace(tel, "sor", opts, n, nil, err, start, nil)
-		return nil, err
-	}
-	for it := 1; it <= opts.MaxIter; it++ {
-		if done != nil {
-			select {
-			case <-done:
-				return fail(ReasonCancelled, it-1, opts.Ctx.Err())
-			default:
-			}
-		}
-		if serial {
-			op.sorSweepRange(t, omega, 0, n, -1)
-		} else {
-			op.redBlackSweep(t, omega, kr)
-		}
-		if it%sorCheckEvery == 0 || it == opts.MaxIter {
-			res = kr.residual(op, t, op.b, r) / bn
-			history = append(history, res)
-			if opts.Progress != nil {
-				opts.Progress(it, res)
-			}
-			if math.IsNaN(res) || math.IsInf(res, 0) {
-				return fail(ReasonBreakdown, it, errors.New("non-finite residual"))
-			}
-			if res <= opts.Tol {
-				result := &Result{T: t, Iterations: it, Residual: res, Residuals: history, grid: p.Grid}
-				recordTrace(tel, "sor", opts, n, &iterOutcome{x: t, iterations: it, residual: res, history: history}, nil, start, nil)
-				return result, nil
-			}
-			if res < bestRes {
-				bestRes, bestIter = res, it
-			} else if window > 0 && it-bestIter >= window {
-				return fail(ReasonStagnation, it,
-					fmt.Errorf("no residual improvement in %d sweeps (best %g at sweep %d)", it-bestIter, bestRes, bestIter))
-			}
-		}
-	}
-	return fail(ReasonMaxIter, opts.MaxIter, nil)
 }
 
 // recordTrace writes one telemetry solve trace plus counters for a
@@ -487,71 +372,6 @@ func recordTrace(tel *telemetry.Collector, method string, opts Options, cells in
 		tel.Add(telemetry.CounterWarmStarts, 1)
 	}
 	tel.RecordSolve(trace)
-}
-
-// sorSweepRange applies one SOR update pass to cells [start, end).
-// color selects the parity of i+j+k to update (0 or 1); −1 updates
-// every cell in lexicographic order (the serial legacy sweep).
-func (op *operator) sorSweepRange(t []float64, omega float64, start, end, color int) {
-	sy, sz := op.sy, op.sz
-	// Decompose the starting index once, then carry (i, j, k) along
-	// the contiguous range instead of dividing per cell.
-	i := start % sy
-	j := (start % sz) / sy
-	k := start / sz
-	for c := start; c < end; c++ {
-		if color < 0 || (i+j+k)&1 == color {
-			sum := op.b[c]
-			if g := op.gxp[c]; g != 0 {
-				sum += g * t[c+1]
-			}
-			if c >= 1 {
-				if g := op.gxp[c-1]; g != 0 {
-					sum += g * t[c-1]
-				}
-			}
-			if g := op.gyp[c]; g != 0 {
-				sum += g * t[c+sy]
-			}
-			if c >= sy {
-				if g := op.gyp[c-sy]; g != 0 {
-					sum += g * t[c-sy]
-				}
-			}
-			if g := op.gzp[c]; g != 0 {
-				sum += g * t[c+sz]
-			}
-			if c >= sz {
-				if g := op.gzp[c-sz]; g != 0 {
-					sum += g * t[c-sz]
-				}
-			}
-			tNew := sum / op.diag[c]
-			t[c] += omega * (tNew - t[c])
-		}
-		i++
-		if i == sy {
-			i = 0
-			j++
-			if j == op.ny {
-				j = 0
-				k++
-			}
-		}
-	}
-}
-
-// redBlackSweep performs one SOR sweep as two parallel half-sweeps.
-// All six neighbors of a cell sit at ±1 along one axis, so they all
-// have the opposite i+j+k parity: within one color, updates touch no
-// shared state and chunk freely across the pool.
-func (op *operator) redBlackSweep(t []float64, omega float64, kr *kern) {
-	n := len(t)
-	for color := 0; color <= 1; color++ {
-		kr.pool.For(n, func(s, e int) {
-			op.sorSweepRange(t, omega, s, e, color)
-		})
-	}
 }
 
 // defaultStagnationWindow is the stagnation guard used when
@@ -734,11 +554,12 @@ type precondKey struct {
 }
 
 // precondCache memoizes built preconditioners by (scheme, precision).
-// One cache lives per solveOperator call (covering the fallback
-// ladder) or per batch/transient integrator (covering many solves
-// against the same operator): preconditioner construction is a pure
-// function of the operator matrix, so reuse is bitwise-neutral, and
-// for Multigrid it saves rebuilding the whole hierarchy per item.
+// One cache lives per leased solve context (see family.go), covering
+// the fallback ladder and every later solve on the lease — batch
+// items, transient steps at one Δt, later solves in a cached family:
+// preconditioner construction is a pure function of the operator
+// matrix, so reuse is bitwise-neutral, and for Multigrid it saves
+// rebuilding the whole hierarchy per solve.
 type precondCache map[precondKey]precondOp
 
 func (pcs precondCache) get(op *operator, kind Preconditioner, prec Precision, kr *kern) (precondOp, error) {
@@ -959,10 +780,6 @@ func dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-func norm2(a []float64) float64 {
-	return math.Sqrt(dot(a, a))
 }
 
 // Max returns the maximum temperature in the field.

@@ -14,46 +14,38 @@ import (
 // the same determinism contract as SolveSteady (Workers is resolved
 // once, at NewTransient time).
 //
-// Hot-path reuse: the integrator pins one worker pool, one augmented
-// operator (matrix buffers, SoA stencil), and one preconditioner for
-// its whole lifetime instead of rebuilding them per step — stepping
+// Hot-path reuse: the integrator runs on a family entry (the
+// engine's cached one under Options.FamilyKey, else a private one;
+// see family.go) and leases one augmented system — matrix buffers,
+// SoA stencil, kern and preconditioner — per Δt from it, so stepping
 // allocates no pools, no PCG work vectors (the kern owns them) and,
-// at a fixed Δt, no preconditioners. This is what fixed the
-// historical 1→4 worker per-step regression: the old path paid W−1
-// goroutine launches plus a full preconditioner construction on
-// every Step, which dwarfed the parallel speedup of the solve itself. The augmented matrix depends only on (A, C, Δt),
-// so its stencil and preconditioner stay valid until Δt changes;
-// SetSources touches only the right-hand side. All reuse is bitwise
-// neutral — every recomputed value is produced by the identical
-// arithmetic — pinned by TestEquivalenceTransient.
+// at a fixed Δt, no preconditioners: W−1 goroutine launches plus a
+// preconditioner construction per step would dwarf the parallel
+// speedup of the solve itself. The augmented matrix depends only on
+// (A, C, Δt), so a Δt seen before — by this integrator or, on a
+// cached entry, by any earlier trace in the family — reuses its
+// context; SetSources touches only the right-hand side. All reuse is
+// bitwise neutral — every recomputed value is produced by the
+// identical arithmetic — pinned by TestEquivalenceTransient and
+// TestFamilyEngineTraceEquivalence.
 //
-// Call Close when done to release the pinned pool's goroutines
-// (a finalizer covers leaked integrators, but deterministic release
-// is cheaper than waiting for the collector). Close is idempotent;
-// integrators holding a caller-owned Options.Engine release nothing.
+// Call Close when done to return the leased context and, without a
+// caller-owned Options.Engine, release the throwaway engine's
+// goroutines (a finalizer covers leaked integrators, but
+// deterministic release is cheaper than waiting for the collector).
+// Close is idempotent.
 type Transient struct {
 	p    *Problem
-	op   *operator
+	op   *operator // steady operator with an owned b (SetSources rewrites it)
 	cap  []float64 // heat capacitance per cell, J/K
 	T    []float64 // current temperature field, K
 	time float64
 	opts Options
 
-	kr     *kern     // pinned worker pool + reduction scratch
-	aug    *operator // reused (C/Δt + A) system; valid for dt = lastDt
-	pcs    precondCache
-	lastDt float64 // dt the aug diagonal/stencil/preconditioner were built for
-
-	// Family-cached mode (Options.FamilyKey + Options.Engine): the
-	// steady assembly comes from the engine's family cache and the
-	// per-Δt augmented systems — matrix, stencil, preconditioner —
-	// are leased from it, so a trace in a known family skips both
-	// assembly and hierarchy setup, and concurrent traces of one
-	// family share the per-Δt preconditioner economics across
-	// requests. lease is the context for lastDt; nil fam selects the
-	// self-contained path above.
-	fam   *familyEntry
-	lease *augCtx
+	fam    *familyEntry
+	lease  *augCtx // the (C/Δt + A) system for lastDt; nil before the first step
+	lastDt float64
+	eng    *Engine // throwaway engine closed by Close; nil with a caller-owned one
 }
 
 // NewTransient prepares a transient integrator starting from the
@@ -84,63 +76,43 @@ func NewTransient(p *Problem, t0 []float64, opts Options) (*Transient, error) {
 		}
 	}
 	opts = opts.withDefaults()
-	var fam *familyEntry
-	var op *operator
-	if opts.Engine != nil && opts.FamilyKey != "" {
-		if fe := opts.Engine.family(opts.FamilyKey, p, opts.Telemetry); fe != nil {
-			// The family clone shares the frozen couplings, diagonal,
-			// and stencil; only the RHS is owned (SetSources rewrites
-			// it per segment). setSources on the clone reproduces
-			// assemble's RHS bit for bit.
-			fam = fe
-			op = fe.cloneForSources()
-			op.setSources(p.Q)
-		}
-	}
-	if op == nil {
-		op = assemble(p)
-	}
+	eng := opts.ownEngine()
+	fam := opts.Engine.entry(p, opts)
+	// The clone shares the entry's couplings, diagonal, and stencil;
+	// only the RHS is owned (SetSources rewrites it per segment).
+	// setSources on the clone reproduces assemble's RHS bit for bit.
+	op := fam.cloneForSources()
+	op.setSources(p.Q)
 	tr := &Transient{
 		p:    p,
 		op:   op,
 		cap:  heatCap,
 		T:    append([]float64(nil), t0...),
 		opts: opts,
-		pcs:  precondCache{},
 		fam:  fam,
+		eng:  eng,
 	}
-	tr.kr = newKern(tr.opts, n)
-	if fam == nil {
-		// The augmented operator shares the steady couplings (they never
-		// change) and owns only the Δt-dependent diagonal and the rhs.
-		// In family mode the augmented systems are leased per Δt from
-		// the family entry instead (see Step).
-		tr.aug = &operator{
-			g: op.g, nx: op.nx, ny: op.ny, nz: op.nz,
-			sy: op.sy, sz: op.sz,
-			gxp: op.gxp, gyp: op.gyp, gzp: op.gzp,
-			diag: make([]float64, n),
-			b:    make([]float64, n),
-		}
-	}
-	if tr.kr.owned {
+	if eng != nil {
 		// Backstop for integrators dropped without Close: release the
-		// pinned pool's helper goroutines when the collector finds the
-		// integrator unreachable.
-		runtime.SetFinalizer(tr, func(t *Transient) { t.kr.close() })
+		// throwaway engine's helper goroutines when the collector finds
+		// the integrator unreachable.
+		runtime.SetFinalizer(tr, func(t *Transient) { t.eng.Close() })
 	}
 	return tr, nil
 }
 
-// Close releases the integrator's pinned worker pool. Idempotent; the
-// integrator must not be used afterwards. When Options.Engine supplied
-// the pool, Close releases nothing (the engine's owner closes it).
+// Close returns the leased context to the family entry and releases
+// the throwaway engine, if any. Idempotent; the integrator must not
+// be used afterwards. When Options.Engine supplied the pool, Close
+// leaves it open (the engine's owner closes it).
 func (tr *Transient) Close() {
-	if tr.fam != nil && tr.lease != nil {
-		tr.fam.releaseAug(tr.lastDt, tr.lease)
+	if tr.lease != nil {
+		tr.fam.releaseAug(tr.lease)
 		tr.lease = nil
 	}
-	tr.kr.close()
+	if tr.eng != nil {
+		tr.eng.Close()
+	}
 	runtime.SetFinalizer(tr, nil)
 }
 
@@ -171,33 +143,18 @@ func (tr *Transient) Step(dt float64) error {
 		return errors.New("solver: non-positive time step")
 	}
 	n := len(tr.T)
-	aug, kr, pcs := tr.aug, tr.kr, tr.pcs
-	if tr.fam != nil {
-		// Family mode: per-Δt augmented systems are leased from the
-		// engine's family cache — a Δt seen before (by this trace or
-		// any earlier one in the family) reuses its matrix, stencil,
-		// and preconditioner instead of rebuilding. Bitwise-neutral:
-		// every leased value is a pure function of (family, Δt).
-		if dt != tr.lastDt {
-			if tr.lease != nil {
-				tr.fam.releaseAug(tr.lastDt, tr.lease)
-			}
-			tr.lease = tr.fam.leaseAug(dt, tr.cap, tr.opts)
-			tr.lastDt = dt
+	if dt != tr.lastDt {
+		// A new Δt is a new matrix: lease its context from the family
+		// entry — a Δt seen before reuses its matrix, stencil, and
+		// preconditioner instead of rebuilding. Bitwise-neutral: every
+		// leased value is a pure function of (operator, Δt).
+		if tr.lease != nil {
+			tr.fam.releaseAug(tr.lease)
 		}
-		aug, kr, pcs = tr.lease.aug, tr.lease.kr, tr.lease.pcs
-	} else if dt != tr.lastDt {
-		// New Δt → new matrix: refresh the diagonal and drop the baked
-		// stencil, the positivity check, and every cached
-		// preconditioner (all three are functions of the matrix).
-		for c := 0; c < n; c++ {
-			aug.diag[c] = tr.op.diag[c] + tr.cap[c]/dt
-		}
-		aug.st = nil
-		aug.diagChecked = false
-		clear(tr.pcs)
+		tr.lease = tr.fam.leaseAug(dt, tr.cap)
 		tr.lastDt = dt
 	}
+	aug := tr.lease.aug
 	// The rhs changes every step (it carries the previous field).
 	// cap[c]/dt here is the identical expression that built the
 	// diagonal, so splitting the loops keeps each value bit-equal to
@@ -207,7 +164,7 @@ func (tr *Transient) Step(dt float64) error {
 	}
 	opts := tr.opts
 	opts.InitialGuess = tr.T
-	out, _, err := solveOperatorWith(aug, aug.b, opts, "transient", kr, pcs)
+	out, _, err := solveLadder(aug, aug.b, opts, "transient", tr.lease.kr, tr.lease.pcs)
 	if err != nil {
 		return err
 	}

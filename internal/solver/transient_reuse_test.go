@@ -14,7 +14,7 @@ import (
 // comparison — wall-clock ratios are unmeasurable on single-core CI
 // runners, while pool-construction counts are exact everywhere:
 // after NewTransient, stepping at a fixed Δt must create zero pools
-// and must not rebuild the augmented stencil.
+// and must not rebuild the leased augmented stencil.
 func TestTransientWorkerNoRegression(t *testing.T) {
 	p := uniformProblem(t, 12, 10, 8, 4.0)
 	p.Bounds[ZMin] = ConvectiveBC(1e5, 350)
@@ -39,27 +39,29 @@ func TestTransientWorkerNoRegression(t *testing.T) {
 		if d := parallel.PoolsCreated() - pools; d != 0 {
 			t.Errorf("workers=%d: stepping created %d worker pools, want 0 (pinned pool must be reused)", workers, d)
 		}
-		// Fixed Δt ⇒ fixed augmented matrix ⇒ the baked stencil and the
-		// cached preconditioner survive across steps.
-		if tr.aug.st == nil {
+		// Fixed Δt ⇒ fixed augmented matrix ⇒ the leased context's
+		// baked stencil and cached preconditioner survive across steps.
+		lease := tr.lease
+		if lease.aug.st == nil {
 			t.Fatalf("workers=%d: augmented stencil not built", workers)
 		}
-		st0 := &tr.aug.st[0]
-		if len(tr.pcs) == 0 {
+		st0 := &lease.aug.st[0]
+		if len(lease.pcs) == 0 {
 			t.Errorf("workers=%d: preconditioner cache empty after stepping", workers)
 		}
 		if err := tr.Step(1e-4); err != nil {
 			t.Fatal(err)
 		}
-		if &tr.aug.st[0] != st0 {
+		// The same lease carries the same preconditioner cache.
+		if tr.lease != lease || &tr.lease.aug.st[0] != st0 {
 			t.Errorf("workers=%d: same-Δt step rebuilt the augmented stencil", workers)
 		}
-		// A Δt change is a new matrix: stencil and preconditioners must
-		// be invalidated, exactly once.
+		// A Δt change is a new matrix: the step must run on a context
+		// with its own stencil.
 		if err := tr.Step(2e-4); err != nil {
 			t.Fatal(err)
 		}
-		if &tr.aug.st[0] == st0 {
+		if &tr.lease.aug.st[0] == st0 {
 			t.Errorf("workers=%d: Δt change did not rebuild the augmented stencil", workers)
 		}
 		tr.Close()
@@ -113,11 +115,11 @@ func TestTransientSetSourcesKeepsMatrix(t *testing.T) {
 	if err := tr.Step(dt); err != nil {
 		t.Fatal(err)
 	}
-	st0 := &tr.aug.st[0]
+	st0 := &tr.lease.aug.st[0]
 	if err := tr.SetSources(q2); err != nil {
 		t.Fatal(err)
 	}
-	if &tr.aug.st[0] != st0 {
+	if &tr.lease.aug.st[0] != st0 {
 		t.Error("SetSources invalidated the augmented stencil (matrix does not depend on sources)")
 	}
 	copy(tr.T, init)

@@ -28,8 +28,8 @@ import (
 // Counter names used by the solve pipeline. Callers may add their own
 // names; these are the ones internal/solver maintains.
 const (
-	// CounterSolves counts solve attempts (steady PCG, SOR, and
-	// per-step transient solves), including failed ones.
+	// CounterSolves counts solve attempts (steady PCG and per-step
+	// transient solves), including failed ones.
 	CounterSolves = "solves"
 	// CounterIterations accumulates inner iterations across all solves.
 	CounterIterations = "iterations"
@@ -139,7 +139,7 @@ func Floats(v []float64) []Float {
 
 // SolveTrace records one solve, successful or not.
 type SolveTrace struct {
-	// Method is the inner iteration: "pcg", "sor", "transient", …
+	// Method is the inner iteration: "pcg", "transient", …
 	Method string `json:"method"`
 	// Precond is the preconditioner that actually ran (after any
 	// fallback), in its flag spelling.
