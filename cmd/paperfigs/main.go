@@ -47,7 +47,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fig := fs.String("fig", "all", "figure/table to regenerate (2b, 2c, 3, 4, 5, 7a, 7b, 9, 10, 11, 12, table1, ablations, extras, all)")
 	outdir := fs.String("outdir", "", "when set, also write each series/table to files in this directory")
 	workers := fs.Int("workers", 0, "solver worker goroutines (0 = one per CPU core, 1 = serial)")
-	precond := fs.String("precond", "zline", "PCG preconditioner for the figure sweeps: zline or multigrid (jacobi parses but stack solves upgrade it to zline)")
+	precond := fs.String("precond", "zline", "PCG preconditioner for the figure sweeps: zline, multigrid or jacobi")
 	reportPath := fs.String("report", "", "write a JSON run report (per-figure timings, solver counters, traces) to this path; \"-\" = stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -15,7 +15,7 @@
 // run-to-run and across worker counts ≥ 2. See DESIGN.md §6.
 //
 // PCG offers three preconditioners (solver.Options.Precond): Jacobi,
-// z-line (per-column Thomas, the default for chip stacks), and
+// z-line (per-column Thomas, the zero-value default), and
 // geometric multigrid (x/y semi-coarsening with red-black z-line
 // Gauss-Seidel smoothing), whose iteration count stays nearly flat
 // under grid refinement — the default for the repeated solves of the

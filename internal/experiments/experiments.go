@@ -96,10 +96,10 @@ func nearlyEqual(a, b, relTol float64) bool {
 var Workers int
 
 // Precond is the preconditioner handed to every solver invocation in
-// this package (zero value = the solver's unset convention, which
-// stack.Spec.Solve upgrades to z-line). cmd/paperfigs exposes it as
-// -precond; the figure sweeps re-solve hundreds of stacks, so
-// multigrid typically cuts their wall-clock severalfold.
+// this package (zero value = z-line, the solver's default).
+// cmd/paperfigs exposes it as -precond; the figure sweeps re-solve
+// hundreds of stacks, so multigrid typically cuts their wall-clock
+// severalfold.
 var Precond solver.Preconditioner
 
 // Ctx, when non-nil, cancels every solver invocation in this package:

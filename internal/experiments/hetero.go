@@ -221,13 +221,7 @@ func GatedTransient(tiers, n int) (*GatedTransientResult, error) {
 	for i := range init {
 		init[i] = amb
 	}
-	// NewTransient does not apply the stack-level "unset means z-line"
-	// upgrade, so do it here before handing over the shared options.
-	topts := solverOpts()
-	if topts.Precond == solver.Jacobi {
-		topts.Precond = solver.ZLine
-	}
-	tr, err := solver.NewTransient(p, init, topts)
+	tr, err := solver.NewTransient(p, init, solverOpts())
 	if err != nil {
 		return nil, err
 	}

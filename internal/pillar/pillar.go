@@ -16,7 +16,6 @@ import (
 	"thermalscaffold/internal/floorplan"
 	"thermalscaffold/internal/heatsink"
 	"thermalscaffold/internal/materials"
-	"thermalscaffold/internal/rom"
 	"thermalscaffold/internal/solver"
 	"thermalscaffold/internal/stack"
 	"thermalscaffold/internal/telemetry"
@@ -100,24 +99,6 @@ type Request struct {
 	// those loops create a private engine for their own duration.
 	// Results are bitwise identical either way (see solver.Engine).
 	Engine *solver.Engine
-	// RCScreen enables the certified reduced-order tier inside the
-	// bisection: every candidate λ is first scored by a per-tier RC
-	// model (internal/rom). When the RC estimate minus its certified
-	// error bound already exceeds TTargetC the candidate is provably
-	// infeasible and the full FVM solve is skipped; every other
-	// candidate is decided by the full solve as usual, which doubles
-	// as a conformance check of the bound. The λ trajectory — and so
-	// the returned placement — is decision-identical to a full-only
-	// run, because the screen only discards candidates the full solve
-	// would also have rejected. Telemetry counters rc_evals,
-	// full_verifies, and bound_violations record the split.
-	RCScreen bool
-	// screenFn, when non-nil, replaces the real reduced-order screen —
-	// a test seam for exercising the skip and bound-violation branches
-	// with bounds of chosen tightness (the physical screen's certified
-	// bounds on deep stacks are far wider than typical feasibility
-	// margins, so those branches would otherwise go untraveled).
-	screenFn func(lambda float64) (estC, boundC float64, err error)
 }
 
 func (r *Request) withDefaults() (*Request, error) {
@@ -187,12 +168,6 @@ type Placement struct {
 	Lambda float64
 	// Feasible reports whether the target was met within MaxCoverage.
 	Feasible bool
-	// RCEvals, FullVerifies, and BoundViolations mirror the telemetry
-	// counters of the same names when RCScreen is on: reduced-order
-	// screens run, full FVM solves that verified a screened candidate,
-	// and full solves that landed outside the screen's certified bound
-	// (always 0 unless the bound derivation is broken).
-	RCEvals, FullVerifies, BoundViolations int
 }
 
 // SpreadingLength returns the lateral healing length λ (m) of the
@@ -317,8 +292,10 @@ func Place(req Request) (*Placement, error) {
 		return eff, metal
 	}
 
-	specFor := func(eff *stack.PillarField) *stack.Spec {
-		return &stack.Spec{
+	var lastField []float64
+	solveAt := func(lambda float64) (float64, *stack.PillarField, *stack.PillarField, error) {
+		eff, metal := fieldFor(lambda)
+		spec := &stack.Spec{
 			DieW: tier.Die.W, DieH: tier.Die.H,
 			Tiers: r.Tiers, NX: r.NX, NY: r.NY,
 			PowerMaps:     [][]float64{pm},
@@ -328,15 +305,10 @@ func Place(req Request) (*Placement, error) {
 			Sink:          r.Sink,
 			MemoryPerTier: !r.NoMemoryPerTier,
 		}
-	}
-
-	var lastField []float64
-	solveAt := func(lambda float64) (float64, *stack.PillarField, *stack.PillarField, error) {
-		eff, metal := fieldFor(lambda)
 		// The bisection re-solves the same stack ~20 times with nearby
 		// coverage fields: multigrid keeps each warm-started solve at a
 		// handful of iterations regardless of grid resolution.
-		res, err := specFor(eff).Solve(solver.Options{
+		res, err := spec.Solve(solver.Options{
 			Tol: r.Tol, MaxIter: 80000, Precond: solver.Multigrid,
 			InitialGuess: lastField, Ctx: r.Ctx, Telemetry: r.Telemetry,
 			Engine: eng,
@@ -346,27 +318,6 @@ func Place(req Request) (*Placement, error) {
 		}
 		lastField = res.Field.T
 		return units.KelvinToCelsius(res.MaxT()), eff, metal, nil
-	}
-
-	// screenAt scores a candidate λ on the certified RC tier. The
-	// coverage field changes the stack's conductances, so each screen
-	// reduces afresh — still far cheaper than a full multigrid solve.
-	// Returned temperatures are °C; the bound is a kelvin difference,
-	// identical in both scales.
-	screenAt := func(lambda float64) (estC, boundC float64, err error) {
-		eff, _ := fieldFor(lambda)
-		scorer, err := rom.NewStackScorer(specFor(eff), rom.Options{})
-		if err != nil {
-			return 0, 0, fmt.Errorf("pillar: rc screen reduce: %w", err)
-		}
-		res, err := scorer.Score([][]float64{pm})
-		if err != nil {
-			return 0, 0, fmt.Errorf("pillar: rc screen eval: %w", err)
-		}
-		return units.KelvinToCelsius(res.PeakT), res.Bound, nil
-	}
-	if r.screenFn != nil {
-		screenAt = r.screenFn
 	}
 
 	// No pillars at all?
@@ -392,7 +343,6 @@ func Place(req Request) (*Placement, error) {
 	}
 	lo, hi := 0.0, lambdaHi
 	tBest, effBest, metalBest, lamBest := tHi, effHi, metalHi, lambdaHi
-	var rcEvals, fullVerifies, boundViolations int
 	for iter := 0; iter < 18 && (hi-lo) > 1e-3*lambdaHi; iter++ {
 		if r.Ctx != nil {
 			if cerr := r.Ctx.Err(); cerr != nil {
@@ -400,37 +350,9 @@ func Place(req Request) (*Placement, error) {
 			}
 		}
 		mid := (lo + hi) / 2
-		var estC, boundC float64
-		if r.RCScreen {
-			var err error
-			estC, boundC, err = screenAt(mid)
-			if err != nil {
-				return nil, err
-			}
-			rcEvals++
-			r.Telemetry.Add(telemetry.CounterRCEvals, 1)
-			if estC-boundC > r.TTargetC {
-				// Certified infeasible: the exact answer lies within
-				// boundC of the estimate, so it is above the target too.
-				// Advance the bracket without paying for a full solve.
-				lo = mid
-				continue
-			}
-		}
 		tm, em, mm, err := solveAt(mid)
 		if err != nil {
 			return nil, err
-		}
-		if r.RCScreen {
-			fullVerifies++
-			r.Telemetry.Add(telemetry.CounterFullVerifies, 1)
-			// The full solve carries its own iteration-tolerance error;
-			// grant it 1e-6 relative slack so the counter only fires on
-			// genuine bound breaches.
-			if math.Abs(tm-estC) > boundC+1e-6*math.Abs(tm) {
-				boundViolations++
-				r.Telemetry.Add(telemetry.CounterBoundViolations, 1)
-			}
 		}
 		if tm <= r.TTargetC {
 			hi = mid
@@ -439,9 +361,7 @@ func Place(req Request) (*Placement, error) {
 			lo = mid
 		}
 	}
-	p := finishPlacement(r, effBest, metalBest, tBest, lamBest, true)
-	p.RCEvals, p.FullVerifies, p.BoundViolations = rcEvals, fullVerifies, boundViolations
-	return p, nil
+	return finishPlacement(r, effBest, metalBest, tBest, lamBest, true), nil
 }
 
 func finishPlacement(r *Request, eff, metal *stack.PillarField, tMaxC, lambda float64, feasible bool) *Placement {

@@ -38,8 +38,21 @@ func scorerSpec(nx, ny, tiers int) *stack.Spec {
 	}
 }
 
+// TestStackScorerCertifiedAgainstFullSolve runs on a plain stack and
+// on one with an uneven pillar field, the kind of stack a placement
+// loop scores.
 func TestStackScorerCertifiedAgainstFullSolve(t *testing.T) {
-	spec := scorerSpec(8, 8, 2)
+	pillared := scorerSpec(8, 8, 2)
+	pillared.Pillars = stack.NewPillarField(8, 8)
+	for i := range pillared.Pillars.Coverage {
+		pillared.Pillars.Coverage[i] = 0.05 * float64(i%5)
+	}
+	for name, spec := range map[string]*stack.Spec{"plain": scorerSpec(8, 8, 2), "pillars": pillared} {
+		t.Run(name, func(t *testing.T) { checkScorerCertified(t, spec) })
+	}
+}
+
+func checkScorerCertified(t *testing.T, spec *stack.Spec) {
 	scorer, err := rom.NewStackScorer(spec, rom.Options{})
 	if err != nil {
 		t.Fatal(err)

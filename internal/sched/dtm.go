@@ -136,9 +136,6 @@ func SimulateDTM(spec *stack.Spec, demand []DemandPhase, dt float64, cfg DTMConf
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-6
 	}
-	if opts.Precond == solver.Jacobi {
-		opts.Precond = solver.ZLine
-	}
 	tr, err := solver.NewTransient(p, init, opts)
 	if err != nil {
 		return nil, err

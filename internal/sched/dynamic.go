@@ -80,10 +80,6 @@ func SimulateRotation(spec *stack.Spec, tasks []Task, period, dt float64, cycles
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-6
 	}
-	if opts.Precond == solver.Jacobi {
-		// Zero value means unset, as on stack.Spec.Solve.
-		opts.Precond = solver.ZLine
-	}
 	tr, err := solver.NewTransient(p, init, opts)
 	if err != nil {
 		return nil, err

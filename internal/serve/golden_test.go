@@ -57,12 +57,11 @@ func goldenRequest() specio.EvalRequest {
 		{X0: 5, Y0: 1, X1: 8, Y1: 3, DensityWPerCm2: 25},
 		{X0: 0, Y0: 0, X1: 4, Y1: 4, DensityWPerCm2: 10},
 	}
-	req.Solver.Precond = "jacobi" // canonical form upgrades this to zline
 	return req
 }
 
 // TestGoldenRequestNormalization pins the canonical form: defaults
-// explicit, blocks rasterized, jacobi upgraded.
+// explicit, blocks rasterized.
 func TestGoldenRequestNormalization(t *testing.T) {
 	norm, err := goldenRequest().Normalize()
 	if err != nil {
@@ -73,6 +72,25 @@ func TestGoldenRequestNormalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "request_normalized.golden.json", append(raw, '\n'))
+}
+
+// TestEquivalencePinnedKey pins the golden request's content and
+// family addresses. The goldens mask the key, so only this test sees
+// a change to the canonical encoding or to the integer values it
+// hashes (such as solver.Preconditioner's); a recorded address may
+// change only together with a deliberate change of the encoding.
+func TestEquivalencePinnedKey(t *testing.T) {
+	const (
+		wantKey    = "544a2f0693df3428d75aee7d00e5ac445516763a5e669bbc8059caaecd39909f"
+		wantFamily = "58f782d980f61e49f4d36fa0ea8d0b75bfa601dbc6fcdb8c75f67f1abb414078"
+	)
+	key, family := keyOf(t, goldenRequest())
+	if key != wantKey {
+		t.Errorf("content address %s, want %s", key, wantKey)
+	}
+	if family != wantFamily {
+		t.Errorf("family address %s, want %s", family, wantFamily)
+	}
 }
 
 var hexKeyRE = regexp.MustCompile(`^[0-9a-f]{64}$`)

@@ -147,6 +147,10 @@ type famPrefixEntry struct {
 // sees a handful of live families at once.
 const famPrefixMemoCap = 8
 
+// romCacheCap bounds the reduced-model cache of the rc fidelity tier,
+// keyed by family: one model serves every power map of a geometry.
+const romCacheCap = 32
+
 // newFamPrefixMemo returns a memo holding up to capacity families, or
 // nil (every resolve builds and hashes from scratch) when capacity is
 // negative or zero — a nil memo is the pre-reuse cold path.
@@ -264,8 +268,8 @@ func optsBlock(ev *specio.Eval) [8 * 6]byte {
 	// Flags word. Bit 0: the rc fidelity tier answers the same physical
 	// problem with different numbers, so its entries must live under
 	// distinct addresses — full and rc keys can never alias. Byte 1:
-	// the preconditioner precision tier (F64 = 0, so pre-existing
-	// requests keep their historical addresses).
+	// the preconditioner precision tier (an omitted precision and
+	// "f64" both encode F64 = 0: they name the same solve).
 	var flags uint64
 	if ev.RC() {
 		flags |= 1

@@ -71,21 +71,13 @@ func TestKeyPermutationInvariance(t *testing.T) {
 	}
 
 	// The f64 precision tier is the default; naming it (either way)
-	// must keep the pre-precision-field addresses.
+	// names the same solve, so it must keep the default's address.
 	for _, name := range []string{"f64", "float64"} {
 		prec := hashBase()
 		prec.Solver.Precision = name
 		if k, _ := keyOf(t, prec); k != base {
 			t.Fatalf("explicit precision %q changed the key", name)
 		}
-	}
-
-	// jacobi upgrades to zline during normalization (matching
-	// stack.Solve), so the two name the same solve.
-	jacobi := hashBase()
-	jacobi.Solver.Precond = "jacobi"
-	if k, _ := keyOf(t, jacobi); k != base {
-		t.Fatal("jacobi (auto-upgraded to zline) hashed differently from zline")
 	}
 
 	// Timeout and scheduling knobs are not part of the solution.
@@ -105,6 +97,7 @@ func TestKeySensitivity(t *testing.T) {
 		"tol":            func(r *specio.EvalRequest) { r.Solver.Tol = 1e-9 },
 		"max_iter":       func(r *specio.EvalRequest) { r.Solver.MaxIter = 77 },
 		"precond":        func(r *specio.EvalRequest) { r.Solver.Precond = "multigrid" },
+		"precond_jacobi": func(r *specio.EvalRequest) { r.Solver.Precond = "jacobi" },
 		"precision":      func(r *specio.EvalRequest) { r.Solver.Precision = "f32" },
 		"die_w":          func(r *specio.EvalRequest) { r.Stack.DieWUm = 250 },
 		"die_h":          func(r *specio.EvalRequest) { r.Stack.DieHUm = 250 },
@@ -174,6 +167,11 @@ func TestFamilyKey(t *testing.T) {
 	finer.Solver.Tol = 1e-9
 	if _, ffam := keyOf(t, finer); ffam == fam {
 		t.Fatal("tolerance change kept the family key (fields would be incompatible targets)")
+	}
+	jacobi := hashBase()
+	jacobi.Solver.Precond = "jacobi"
+	if _, jfam := keyOf(t, jacobi); jfam == fam {
+		t.Fatal("jacobi kept the default zline's family key")
 	}
 	bigger := hashBase()
 	bigger.Stack.Tiers = 3

@@ -49,7 +49,7 @@ func newCacheLayer(cfg Config) *cacheLayer {
 	return &cacheLayer{
 		results: newLRU(cfg.CacheSize),
 		keys:    newLRU(cfg.CacheSize),
-		roms:    newLRU(cfg.ROMCacheSize),
+		roms:    newLRU(romCacheCap),
 	}
 }
 

@@ -87,11 +87,6 @@ type Config struct {
 	CacheSize int
 	// Deprecated: ignored; there is no warm-start family index.
 	FamilySize int
-	// ROMCacheSize bounds the reduced-model cache of the rc fidelity
-	// tier, keyed by family — one model serves every power map of a
-	// geometry (0 → 32, negative disables: each rc request reduces
-	// from scratch).
-	ROMCacheSize int
 	// Deprecated: ignored; every solve starts cold.
 	DisableWarmStart bool
 	// BatchWindow, when positive, turns on cross-request solve
@@ -150,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
-	}
-	if c.ROMCacheSize == 0 {
-		c.ROMCacheSize = 32
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16

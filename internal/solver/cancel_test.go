@@ -37,9 +37,9 @@ func checkNoGoroutineLeak(t *testing.T, baseline int) {
 var cancelWorkerCounts = []int{1, 8}
 
 // TestSolveSteadyCancellation: cancelling mid-solve (from the
-// Progress callback, so the cancellation lands at a known iteration)
-// stops PCG within one iteration, at both the serial and parallel
-// worker counts, without leaking pool goroutines.
+// per-iteration test hook, so the cancellation lands at a known
+// iteration) stops PCG within one iteration, at both the serial and
+// parallel worker counts, without leaking pool goroutines.
 func TestSolveSteadyCancellation(t *testing.T) {
 	rng := &eqRNG{s: 99}
 	p := randomProblem(t, rng, 16, 14, 10)
@@ -49,13 +49,15 @@ func TestSolveSteadyCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			const cancelAt = 3
+			testBreakdownHook = func(pc Preconditioner, it int) bool {
+				if it == cancelAt {
+					cancel()
+				}
+				return false
+			}
+			defer func() { testBreakdownHook = nil }()
 			_, err := SolveSteady(p, Options{
 				Tol: 1e-14, MaxIter: 20000, Workers: workers, Precond: Jacobi, Ctx: ctx,
-				Progress: func(it int, res float64) {
-					if it == cancelAt {
-						cancel()
-					}
-				},
 			})
 			ce, ok := AsConvergenceError(err)
 			if !ok {
@@ -136,11 +138,11 @@ func TestPicardCancellation(t *testing.T) {
 	}
 }
 
-// TestEquivalenceTelemetry: attaching a telemetry collector, a
-// progress callback, and a background context must not change a
-// single bit of the solution at either worker count — observability
-// is observational. Named *Equivalence* so the Makefile equivalence
-// target (race detector, -count=2) picks it up.
+// TestEquivalenceTelemetry: attaching a telemetry collector and a
+// background context must not change a single bit of the solution at
+// either worker count — observability is observational. Named
+// *Equivalence* so the Makefile equivalence target (race detector,
+// -count=2) picks it up.
 func TestEquivalenceTelemetry(t *testing.T) {
 	rng := &eqRNG{s: 0x7e1}
 	for _, size := range [][3]int{{8, 8, 9}, {14, 12, 10}} {
@@ -155,7 +157,6 @@ func TestEquivalenceTelemetry(t *testing.T) {
 				instrumented := base
 				instrumented.Telemetry = telemetry.New()
 				instrumented.Ctx = context.Background()
-				instrumented.Progress = func(it int, res float64) {}
 				traced, err := SolveSteady(p, instrumented)
 				if err != nil {
 					t.Fatal(err)

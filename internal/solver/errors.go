@@ -13,10 +13,10 @@ const (
 	// ReasonMaxIter: the iteration budget ran out while the residual
 	// was still (slowly) improving.
 	ReasonMaxIter FailureReason = iota
-	// ReasonStagnation: no new best residual within
-	// Options.StagnationWindow iterations — the solve is wedged (or
-	// has hit the floating-point floor above the requested tolerance)
-	// and more iterations will not help.
+	// ReasonStagnation: no new best residual within 1000 consecutive
+	// iterations — the solve is wedged (or has hit the floating-point
+	// floor above the requested tolerance) and more iterations will
+	// not help.
 	ReasonStagnation
 	// ReasonBreakdown: the iteration produced NaN/Inf, lost positive
 	// definiteness (pᵀAp ≤ 0), or the preconditioner failed — the

@@ -51,7 +51,7 @@ func anisotropicStackProblem(t *testing.T) *Problem {
 }
 
 // TestZLineMatchesJacobi: both preconditioners converge to the same
-// field on a stiff stack problem.
+// field on a stiff stack problem, and the zero-value Precond is ZLine.
 func TestZLineMatchesJacobi(t *testing.T) {
 	p := anisotropicStackProblem(t)
 	rj, err := SolveSteady(p, Options{Tol: 1e-10, Precond: Jacobi})
@@ -72,6 +72,13 @@ func TestZLineMatchesJacobi(t *testing.T) {
 			rz.Iterations, rj.Iterations)
 	}
 	t.Logf("iterations: jacobi=%d zline=%d", rj.Iterations, rz.Iterations)
+	rd, err := SolveSteady(p, Options{Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitIdentical(rd.T, rz.T) {
+		t.Error("zero-value Options solve differs from an explicit ZLine solve")
+	}
 }
 
 // TestZLineExactFor1DColumn: for a single-column problem the z-line

@@ -86,8 +86,10 @@ func TestNonConvergenceTyped(t *testing.T) {
 // deterministic (fixed seed, Workers=1), so the plateau is stable.
 func TestStagnationDetection(t *testing.T) {
 	p := illConditionedProblem(t)
+	defer func(w int) { stagnationWindow = w }(stagnationWindow)
+	stagnationWindow = 5
 	_, err := SolveSteady(p, Options{
-		Tol: 1e-16, MaxIter: 20000, Workers: 1, Precond: Jacobi, StagnationWindow: 5,
+		Tol: 1e-16, MaxIter: 20000, Workers: 1, Precond: Jacobi,
 	})
 	ce, ok := AsConvergenceError(err)
 	if !ok {

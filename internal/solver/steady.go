@@ -16,16 +16,13 @@ import (
 type Preconditioner int
 
 const (
-	// Jacobi (diagonal) preconditioning — cheap, adequate for
-	// near-isotropic grids.
-	Jacobi Preconditioner = iota
 	// ZLine preconditioning solves the tridiagonal z-coupling of each
 	// vertical cell column exactly (Thomas algorithm). Chip stacks
 	// have lateral cells hundreds of times wider than their layers
 	// are thick, making vertical coupling stiff; line relaxation in z
 	// removes that stiffness and cuts iteration counts by an order of
-	// magnitude.
-	ZLine
+	// magnitude. It is the zero value, so the default.
+	ZLine Preconditioner = iota
 	// Multigrid preconditioning runs one geometric V-cycle per PCG
 	// iteration: x/y semi-coarsening (z stays at full resolution at
 	// every level), damped z-line smoothing, rediscretized coarse
@@ -35,6 +32,9 @@ const (
 	// large grids and for the repeated solves of the pillar placement
 	// loop. See internal/solver/multigrid.go and DESIGN.md §7.
 	Multigrid
+	// Jacobi (diagonal) preconditioning — cheap, adequate for
+	// near-isotropic grids, and the last rung of the fallback ladder.
+	Jacobi
 )
 
 // String returns the flag-friendly name of the preconditioner.
@@ -51,12 +51,13 @@ func (p Preconditioner) String() string {
 }
 
 // ParsePreconditioner maps a CLI flag value ("jacobi", "zline",
-// "multigrid"/"mg") to the Preconditioner constant.
+// "multigrid"/"mg") to the Preconditioner constant. The empty string
+// selects ZLine, matching the zero-value default.
 func ParsePreconditioner(s string) (Preconditioner, error) {
 	switch s {
 	case "jacobi":
 		return Jacobi, nil
-	case "zline":
+	case "", "zline":
 		return ZLine, nil
 	case "multigrid", "mg":
 		return Multigrid, nil
@@ -121,7 +122,7 @@ type Options struct {
 	// InitialGuess, when non-nil, seeds the iteration (and is not
 	// modified). Useful for continuation across parameter sweeps.
 	InitialGuess []float64
-	// Precond selects the preconditioner (default Jacobi).
+	// Precond selects the preconditioner (default ZLine).
 	Precond Preconditioner
 	// Precision selects the preconditioner's arithmetic tier (default
 	// F64, the historical bit-for-bit arithmetic). See Precision.
@@ -148,21 +149,6 @@ type Options struct {
 	// (ConvergenceError.Best) so deadline-bounded callers can use the
 	// partial field, explicitly flagged as unconverged.
 	Ctx context.Context
-	// Progress, when non-nil, is called after every PCG iteration
-	// with the 1-based iteration count and the current relative
-	// residual. It runs on the solve's calling goroutine and must not
-	// mutate solver state; to stop a solve early, cancel Ctx.
-	// Observational only: attaching a callback does not change any
-	// computed value.
-	Progress func(iteration int, relResidual float64)
-	// StagnationWindow is the divergence guard: if no new best
-	// residual is observed for this many consecutive iterations the
-	// solve stops with ReasonStagnation instead of burning the rest
-	// of MaxIter. 0 selects the default (1000); negative disables the
-	// guard. Detection depends only on the residual sequence, which
-	// is deterministic under the Workers contract, so the guard never
-	// breaks run-to-run reproducibility.
-	StagnationWindow int
 	// Telemetry, when non-nil, receives per-solve traces, counters
 	// (solves, iterations, fallbacks, warm-start hits), and fallback
 	// log lines. Purely observational — results are bitwise identical
@@ -374,10 +360,13 @@ func recordTrace(tel *telemetry.Collector, method string, opts Options, cells in
 	tel.RecordSolve(trace)
 }
 
-// defaultStagnationWindow is the stagnation guard used when
-// Options.StagnationWindow is 0: abort after this many consecutive
-// iterations without a new best residual.
-const defaultStagnationWindow = 1000
+// stagnationWindow is the divergence guard: a solve that observes no
+// new best residual for this many consecutive iterations stops with
+// ReasonStagnation instead of burning the rest of MaxIter. Detection
+// depends only on the residual sequence, which is deterministic under
+// the Workers contract, so the guard never breaks run-to-run
+// reproducibility. A variable only so a test can shorten it.
+var stagnationWindow = 1000
 
 // iterOutcome is the raw product of one successful inner iteration:
 // the solution vector plus its convergence record.
@@ -400,7 +389,7 @@ type iterOutcome struct {
 // Failures return a *ConvergenceError: ReasonCancelled when
 // opts.Ctx fires (checked once per iteration), ReasonBreakdown on
 // NaN/Inf or loss of positive definiteness, ReasonStagnation when the
-// residual stops improving for opts.StagnationWindow iterations, and
+// residual stops improving for stagnationWindow iterations, and
 // ReasonMaxIter when the budget runs out. The error always carries
 // the residual history and the best iterate observed.
 func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*iterOutcome, error) {
@@ -426,10 +415,6 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 	var done <-chan struct{}
 	if opts.Ctx != nil {
 		done = opts.Ctx.Done()
-	}
-	window := opts.StagnationWindow
-	if window == 0 {
-		window = defaultStagnationWindow
 	}
 	var history []float64
 	// r already holds the initial residual; seeding res with its norm
@@ -501,9 +486,6 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 		if testBreakdownHook != nil && testBreakdownHook(opts.Precond, it) {
 			return fail(ReasonBreakdown, it, errors.New("injected breakdown (test hook)"))
 		}
-		if opts.Progress != nil {
-			opts.Progress(it, res)
-		}
 		if math.IsNaN(res) || math.IsInf(res, 0) {
 			return fail(ReasonBreakdown, it, errors.New("non-finite residual"))
 		}
@@ -517,7 +499,7 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 				bestSnapRes = res
 				snapped = true
 			}
-		} else if window > 0 && it-bestIter >= window {
+		} else if it-bestIter >= stagnationWindow {
 			return fail(ReasonStagnation, it,
 				fmt.Errorf("no residual improvement in %d iterations (best %g at iteration %d)", it-bestIter, bestRes, bestIter))
 		}

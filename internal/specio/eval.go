@@ -9,9 +9,9 @@ package specio
 // Normalization contract (the cache-key foundation, see DESIGN.md §9):
 // Normalize applies every default explicitly and rasterizes power
 // blocks into the power map, so requests that describe the same
-// physical problem — reordered blocks, omitted-vs-explicit defaults,
-// jacobi-vs-zline preconditioner — normalize to the same value and
-// therefore hash to the same content address.
+// physical problem and solve — reordered blocks, omitted-vs-explicit
+// defaults — normalize to the same value and therefore hash to the
+// same content address.
 
 import (
 	"bytes"
@@ -48,8 +48,8 @@ type SolverJSON struct {
 	MaxIter int     `json:"max_iter,omitempty"`
 	// Precision selects the preconditioner arithmetic tier: "f32", or
 	// "f64" (the default — also accepted as "float64"/"float32"). The
-	// canonical form of the default is the empty string, so requests
-	// predating the field keep their content addresses.
+	// canonical form of the default is the empty string, so an omitted
+	// precision and "f64" share one content address.
 	Precision string `json:"precision,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
@@ -155,35 +155,24 @@ const (
 )
 
 // Normalize validates the request and returns its canonical form:
-// solver defaults made explicit, the jacobi→zline upgrade applied
-// (matching stack.Solve), and power blocks rasterized into an
-// explicit per-map power map with UniformPower folded in. Two
-// requests describing the same problem normalize to equal values;
-// Normalize is idempotent.
+// solver defaults made explicit (an omitted precond is zline), and
+// power blocks rasterized into an explicit per-map power map with
+// UniformPower folded in. Two requests describing the same problem
+// and solve normalize to equal values; Normalize is idempotent.
 func (r EvalRequest) Normalize() (EvalRequest, error) {
 	out := r
 	s := &out.Solver
-	switch s.Precond {
-	case "":
-		s.Precond = solver.ZLine.String()
-	default:
-		pc, err := solver.ParsePreconditioner(s.Precond)
-		if err != nil {
-			return EvalRequest{}, fmt.Errorf("specio: %w", err)
-		}
-		// Plain Jacobi is never right for a chip stack; stack.Solve
-		// upgrades it, so the canonical form does too.
-		if pc == solver.Jacobi {
-			pc = solver.ZLine
-		}
-		s.Precond = pc.String()
+	pc, err := solver.ParsePreconditioner(s.Precond)
+	if err != nil {
+		return EvalRequest{}, fmt.Errorf("specio: %w", err)
 	}
+	s.Precond = pc.String()
 	prec, err := solver.ParsePrecision(s.Precision)
 	if err != nil {
 		return EvalRequest{}, fmt.Errorf("specio: %w", err)
 	}
-	// Canonical F64 is the empty string: requests written before the
-	// precision field existed must keep hashing to the same address.
+	// Canonical F64 is the empty string: an omitted precision and
+	// "f64" name the same solve, so they share one address.
 	if prec == solver.F64 {
 		s.Precision = ""
 	} else {

@@ -43,12 +43,12 @@ func TestNormalizeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm.Solver.Precond != "zline" {
-		t.Fatalf("jacobi not upgraded to zline: %q", norm.Solver.Precond)
+	if norm.Solver.Precond != "jacobi" {
+		t.Fatalf("explicit jacobi normalized to %q", norm.Solver.Precond)
 	}
 
 	// Precision canonicalizes: the default tier collapses to the empty
-	// string (pre-precision requests keep their content address), the
+	// string (an omitted precision and "f64" name the same solve), the
 	// f32 tier to its short name.
 	for in, want := range map[string]string{
 		"": "", "f64": "", "float64": "", "f32": "f32", "float32": "f32",

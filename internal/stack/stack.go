@@ -432,19 +432,12 @@ type Result struct {
 	Field  *solver.Result
 }
 
-// Solve builds and solves the stack. The zero Options.Precond
-// (Jacobi) is treated as "unset" and upgraded to the z-line
-// preconditioner — plain Jacobi is never the right choice for a chip
-// stack's anisotropy; callers wanting multigrid (or, for comparison
-// runs, genuinely wanting Jacobi-grade behavior) pass Precond
-// explicitly.
+// Solve builds and solves the stack with opts, defaulting Tol to
+// 1e-7.
 func (s *Spec) Solve(opts solver.Options) (*Result, error) {
 	p, lay, err := s.Build()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Precond == solver.Jacobi {
-		opts.Precond = solver.ZLine
 	}
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-7
@@ -466,10 +459,6 @@ func (s *Spec) SolveNonlinear(opts solver.Options) (*Result, error) {
 	p, lay, err := s.Build()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Precond == solver.Jacobi {
-		// Zero value means unset, as on Solve.
-		opts.Precond = solver.ZLine
 	}
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-7

@@ -8,6 +8,7 @@ import (
 	"thermalscaffold/internal/design"
 	"thermalscaffold/internal/heatsink"
 	"thermalscaffold/internal/solver"
+	"thermalscaffold/internal/telemetry"
 	"thermalscaffold/internal/units"
 )
 
@@ -389,5 +390,37 @@ func TestSolveNonlinearSilicon(t *testing.T) {
 	}
 	if riseNl > 1.5*riseLin {
 		t.Errorf("nonlinear correction implausibly large: %g vs %g", riseNl, riseLin)
+	}
+}
+
+// TestSolveRunsRequestedPrecond: Solve runs the preconditioner it is
+// given, as its telemetry trace records — the zero value is zline,
+// and an explicit Jacobi runs Jacobi, which needs more iterations on
+// a chip stack's anisotropy.
+func TestSolveRunsRequestedPrecond(t *testing.T) {
+	spec := gemminiSpec(4, ScaffoldedBEOL(), 0.10)
+	trace := func(pc solver.Preconditioner) telemetry.SolveTrace {
+		t.Helper()
+		tel := telemetry.New()
+		opts := solver.Options{Tol: 1e-7, MaxIter: 60000, Workers: 1, Precond: pc, Telemetry: tel}
+		if _, err := spec.Solve(opts); err != nil {
+			t.Fatal(err)
+		}
+		solves := tel.Report("", nil).Solves
+		if len(solves) != 1 {
+			t.Fatalf("%d solve traces, want 1", len(solves))
+		}
+		return solves[0]
+	}
+	var zero solver.Preconditioner
+	def, jac := trace(zero), trace(solver.Jacobi)
+	if def.Precond != "zline" {
+		t.Errorf("zero-value precond ran %q, want zline", def.Precond)
+	}
+	if jac.Precond != "jacobi" {
+		t.Errorf("explicit jacobi ran %q", jac.Precond)
+	}
+	if jac.Iterations <= def.Iterations {
+		t.Errorf("jacobi took %d iterations, zline %d: want more", jac.Iterations, def.Iterations)
 	}
 }

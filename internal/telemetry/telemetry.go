@@ -40,15 +40,8 @@ const (
 	// the cache-warm-start hits of the placement and sweep loops.
 	CounterWarmStarts = "warm_start_hits"
 	// CounterRCEvals counts reduced-order (RC tier) evaluations —
-	// the cheap screening solves of the fidelity ladder.
+	// the rc fidelity answers of the service and thermsim.
 	CounterRCEvals = "rc_evals"
-	// CounterFullVerifies counts full-fidelity solves run to verify an
-	// RC-screened candidate before committing it.
-	CounterFullVerifies = "full_verifies"
-	// CounterBoundViolations counts RC answers whose certified error
-	// bound failed to contain the verified full answer — always zero
-	// unless the certification contract is broken.
-	CounterBoundViolations = "bound_violations"
 	// CounterTraceStreams counts /v1/evaltrace streams started.
 	CounterTraceStreams = "trace_streams"
 	// CounterTraceCheckpoints counts checkpoint events emitted across
