@@ -4,7 +4,7 @@ GO ?= go
 # `make cover` — raise it when coverage rises, never lower it.
 COVER_FLOOR ?= 87.0
 
-.PHONY: all build test vet race equivalence serve-stress fuzz-short cover bench bench-json bench-serve bench-cluster bench-smoke bench-build ci
+.PHONY: all build test vet race equivalence serve-stress fuzz-short cover bench bench-json bench-serve bench-cluster bench-smoke bench-build bench-run ci
 
 all: build test
 
@@ -130,6 +130,23 @@ bench-smoke:
 # benchmark runs.
 bench-build:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) build -o /dev/null .
+
+# bench-run runs every BENCHMARK.json workload for one second through
+# perfbench/run.sh and fails unless each one's result line reports
+# "correct":true and "failed":0. bench-build only compiles the
+# benchmark, so a workload broken at run time would otherwise pass.
+# About 20 s after the build; timings are not compared.
+bench-run:
+	@workloads=$$(sed -n 's/.*"name": *"\([^"]*\)", *"why".*/\1/p' BENCHMARK.json); \
+	test -n "$$workloads" || { echo "bench-run: no workloads found in BENCHMARK.json"; exit 1; }; \
+	for w in $$workloads; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in \
+		*'"correct":true,'*'"failed":0,'*) ;; \
+		*) echo "bench-run: workload $$w did not answer correctly"; exit 1 ;; \
+		esac; \
+	done
 
 # ci is the gate: vet + race-clean full suite + doubled equivalence
 # (which also pins determinism with telemetry attached) + the service

@@ -381,7 +381,7 @@ func evaluatePillarsAtBudget(cfg Config, s Strategy, tiers int, areaBudget float
 	}
 	macroFrac := tier.MacroAreaFraction(cfg.NX, cfg.NY)
 	beol := beolFor(s)
-	halfW := meanMacroHalfWidth(cfg)
+	halfW := pillar.MacroHalfWidth(tier)
 
 	// Find λ so the metal coverage mean matches the budget (monotone
 	// — plain bisection without thermal solves).
@@ -394,11 +394,12 @@ func evaluatePillarsAtBudget(cfg Config, s Strategy, tiers int, areaBudget float
 			col := fCh * (1 - m)
 			total += col
 			lam := pillar.SpreadingLength(beol, tiers, col, geo.EffectiveK(), true)
-			eta := finEta(halfW, lam)
+			eta := pillar.FinEfficiency(halfW, lam)
 			eff.Coverage[i] = col * ((1 - m) + m*eta)
 		}
 		return total / float64(len(pm)), eff
 	}
+	var metal float64
 	var field *stack.PillarField
 	if targetMetal <= 0 {
 		field = stack.NewPillarField(cfg.NX, cfg.NY)
@@ -419,7 +420,7 @@ func evaluatePillarsAtBudget(cfg Config, s Strategy, tiers int, areaBudget float
 				hi = mid
 			}
 		}
-		_, field = metalMean(hi)
+		metal, field = metalMean(hi)
 	}
 	spec := &stack.Spec{
 		DieW: tier.Die.W, DieH: tier.Die.H,
@@ -436,7 +437,7 @@ func evaluatePillarsAtBudget(cfg Config, s Strategy, tiers int, areaBudget float
 		return nil, err
 	}
 	tMax := units.KelvinToCelsius(res.MaxT())
-	mean := math.Min(targetMetal, meanOf(pmNonZeroMetal(field, macroFrac, cfg)))
+	mean := math.Min(targetMetal, metal)
 	return &Evaluation{
 		Strategy: s, Tiers: tiers,
 		TMaxC: tMax, Feasible: tMax <= cfg.TTargetC,
@@ -444,62 +445,6 @@ func evaluatePillarsAtBudget(cfg Config, s Strategy, tiers int, areaBudget float
 		DelayPenalty:     delayPenaltyFor(cfg, s, mean*geo.KeepoutFactor, 0),
 		MeanCoverage:     mean,
 	}, nil
-}
-
-// pmNonZeroMetal recovers the metal coverage distribution from an
-// effective field (inverse of the access discount) for accounting.
-func pmNonZeroMetal(eff *stack.PillarField, macroFrac []float64, cfg Config) []float64 {
-	out := make([]float64, len(eff.Coverage))
-	for i, v := range eff.Coverage {
-		m := macroFrac[i]
-		// The discount factor is ≤ 1; dividing recovers ≥ the metal.
-		// For accounting we only need the budget-matched mean, so a
-		// first-order recovery is sufficient.
-		den := 1 - m
-		if den < 1e-9 {
-			out[i] = 0
-			continue
-		}
-		out[i] = math.Min(v/den, cfg.MaxCoverage) * (1 - m)
-	}
-	return out
-}
-
-func meanOf(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-func meanMacroHalfWidth(cfg Config) float64 {
-	macros := cfg.Design.Tier.Macros()
-	if len(macros) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, m := range macros {
-		sum += math.Min(m.Rect.W, m.Rect.H) / 2
-	}
-	return sum / float64(len(macros))
-}
-
-func finEta(d, lambda float64) float64 {
-	if d <= 0 {
-		return 1
-	}
-	if lambda <= 0 {
-		return 0
-	}
-	x := d / lambda
-	if x < 1e-6 {
-		return 1
-	}
-	return math.Tanh(x) / x
 }
 
 // MaxTiersAtBudget returns the largest tier count the strategy keeps

@@ -171,6 +171,27 @@ func TestBudgetMonotonicity(t *testing.T) {
 	}
 }
 
+// TestBudgetFootprintSpendsBudget: budget mode reports the footprint
+// of the pillar metal it places, which the bisection matches to the
+// budget, for every design and both pillar strategies — not the
+// smaller effective coverage the solver sees inside macros.
+func TestBudgetFootprintSpendsBudget(t *testing.T) {
+	for _, d := range design.All() {
+		cfg := Config{Design: d, Sink: heatsink.TwoPhase(), NX: 12, NY: 12, TaskSpread: -1}
+		for _, s := range []Strategy{Scaffolding, VerticalOnly} {
+			for _, budget := range []float64{0.10, 0.20} {
+				e, err := EvaluateAtBudget(cfg, s, 4, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(e.FootprintPenalty-budget) > 1e-3*budget {
+					t.Errorf("%s %s budget %g: footprint %g", d.Name, s, budget, e.FootprintPenalty)
+				}
+			}
+		}
+	}
+}
+
 // TestConventionalUsesResources: at a budget, the conventional flow
 // reports its fill and footprint.
 func TestConventionalUsesResources(t *testing.T) {

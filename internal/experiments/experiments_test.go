@@ -356,30 +356,3 @@ func TestSolverCrossCheck(t *testing.T) {
 		t.Errorf("unscaffolded 12-tier stack at %g°C — should be runaway", r.FVMPeakC)
 	}
 }
-
-// TestDTMExperiment: the closed-loop controller holds the burst
-// workload under the 125 °C limit that the open loop violates.
-func TestDTMExperiment(t *testing.T) {
-	r, err := DTM(4, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Open.PeakC <= r.LimitC {
-		t.Errorf("open loop peaked at %.1f °C — burst not hot enough to violate %g", r.Open.PeakC, r.LimitC)
-	}
-	if r.Closed.PeakC > r.LimitC {
-		t.Errorf("closed loop peaked at %.1f °C, above the %g °C limit", r.Closed.PeakC, r.LimitC)
-	}
-	if r.Closed.ViolationSteps != 0 {
-		t.Errorf("closed loop spent %d steps in violation", r.Closed.ViolationSteps)
-	}
-	if r.Closed.ThrottleEvents == 0 {
-		t.Error("controller never engaged")
-	}
-	if len(r.Table.Rows) != 2 {
-		t.Errorf("table has %d rows, want 2", len(r.Table.Rows))
-	}
-	if len(r.Trace.Points) != len(r.Closed.Peaks) {
-		t.Errorf("trace has %d points, want %d", len(r.Trace.Points), len(r.Closed.Peaks))
-	}
-}

@@ -278,7 +278,7 @@ func hotRegions(tier *floorplan.Floorplan, x, y float64) (string, []floorplan.Re
 			continue
 		}
 		if u.IsMacro {
-			return u.Name, ringAround(u.Rect, macroHalfWidth(tier), tier.Die)
+			return u.Name, ringAround(u.Rect, MacroHalfWidth(tier), tier.Die)
 		}
 		return u.Name, []floorplan.Rect{u.Rect}
 	}

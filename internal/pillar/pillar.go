@@ -204,10 +204,10 @@ func SpreadingLength(beol stack.BEOLProps, tiers int, columnDensity, kPillar flo
 	return math.Sqrt(gs / g)
 }
 
-// finEfficiency returns tanh(x)/x — the classic fin efficiency of a
+// FinEfficiency returns tanh(x)/x — the classic fin efficiency of a
 // heat source strip of half-width d feeding sinks at its edges
 // through a sheet with healing length lambda.
-func finEfficiency(d, lambda float64) float64 {
+func FinEfficiency(d, lambda float64) float64 {
 	if d <= 0 {
 		return 1
 	}
@@ -221,10 +221,10 @@ func finEfficiency(d, lambda float64) float64 {
 	return math.Tanh(x) / x
 }
 
-// macroHalfWidth returns the mean half-width (m) of the design's
+// MacroHalfWidth returns the mean half-width (m) of the design's
 // hard macros — the distance macro-interior heat must travel
 // laterally to reach channel pillars.
-func macroHalfWidth(f *floorplan.Floorplan) float64 {
+func MacroHalfWidth(f *floorplan.Floorplan) float64 {
 	macros := f.Macros()
 	if len(macros) == 0 {
 		return 0
@@ -266,7 +266,7 @@ func Place(req Request) (*Placement, error) {
 	// the fin efficiency set by the tier sheet's healing length — the
 	// thermal dielectric's main contribution (Fig. 3).
 	macroFrac := tier.MacroAreaFraction(r.NX, r.NY)
-	halfW := macroHalfWidth(tier)
+	halfW := MacroHalfWidth(tier)
 
 	// One pool serves the whole bisection (~20 solves on one grid).
 	eng := r.Engine
@@ -286,7 +286,7 @@ func Place(req Request) (*Placement, error) {
 			colDensity := fCh * (1 - m)
 			metal.Coverage[i] = colDensity
 			lam := SpreadingLength(r.BEOL, r.Tiers, colDensity, r.Geometry.EffectiveK(), !r.NoMemoryPerTier)
-			eta := finEfficiency(halfW, lam)
+			eta := FinEfficiency(halfW, lam)
 			eff.Coverage[i] = colDensity * ((1 - m) + m*eta)
 		}
 		return eff, metal

@@ -83,19 +83,19 @@ func TestSpreadingLengthEdgeCases(t *testing.T) {
 }
 
 func TestFinEfficiency(t *testing.T) {
-	if finEfficiency(0, 1e-6) != 1 {
+	if FinEfficiency(0, 1e-6) != 1 {
 		t.Error("zero half-width should be perfectly coupled")
 	}
-	if finEfficiency(1e-6, 0) != 0 {
+	if FinEfficiency(1e-6, 0) != 0 {
 		t.Error("zero healing length should decouple")
 	}
-	if e := finEfficiency(1e-9, 1e-3); e < 0.999 {
+	if e := FinEfficiency(1e-9, 1e-3); e < 0.999 {
 		t.Errorf("tiny x should approach 1, got %g", e)
 	}
 	// Monotone decreasing in distance.
 	prev := 1.0
 	for d := 1e-6; d < 100e-6; d *= 2 {
-		e := finEfficiency(d, 5e-6)
+		e := FinEfficiency(d, 5e-6)
 		if e > prev {
 			t.Fatalf("efficiency not decreasing at d=%g", d)
 		}

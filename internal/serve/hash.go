@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"math"
@@ -45,38 +46,6 @@ func FamilyKey(ev *specio.Eval) (string, error) {
 	return hashEval(ev, false)
 }
 
-// Keys returns the content and family addresses together at roughly
-// half the cost of calling Key and FamilyKey: the family encoding is
-// a strict prefix of the full one (canonical layout v2), so the
-// shared bytes are serialized and hashed once, the digest state is
-// forked, and only the source tail and the opts block diverge.
-// Identical to the two-pass addresses — pinned by
-// TestKeysMatchSinglePass and FuzzEvalKey.
-func Keys(ev *specio.Eval) (key, famKey string, err error) {
-	h := sha256.New()
-	if err := ev.Problem.WriteCanonical(h, false); err != nil {
-		return "", "", fmt.Errorf("serve: hashing problem: %w", err)
-	}
-	hFam := cloneDigest(h)
-	if hFam == nil {
-		// The stdlib digest has supported state snapshots since Go 1.x;
-		// this fallback only exists for exotic replacement crypto.
-		key, err = Key(ev)
-		if err != nil {
-			return "", "", err
-		}
-		famKey, err = FamilyKey(ev)
-		return key, famKey, err
-	}
-	if err := ev.Problem.WriteCanonicalSources(h); err != nil {
-		return "", "", fmt.Errorf("serve: hashing sources: %w", err)
-	}
-	opts := optsBlock(ev)
-	h.Write(opts[:])
-	hFam.Write(opts[:])
-	return hex.EncodeToString(h.Sum(nil)), hex.EncodeToString(hFam.Sum(nil)), nil
-}
-
 // digestState snapshots a running hash's internal state, or nil if
 // the implementation cannot round-trip it.
 func digestState(h hash.Hash) []byte {
@@ -101,16 +70,6 @@ func restoreDigest(state []byte) hash.Hash {
 	return c
 }
 
-// cloneDigest forks a running hash so two streams sharing a long
-// prefix pay for it once.
-func cloneDigest(h hash.Hash) hash.Hash {
-	state := digestState(h)
-	if state == nil {
-		return nil
-	}
-	return restoreDigest(state)
-}
-
 // famPrefixMemo caches, per family, the SHA-256 state of the family
 // prefix and the first built evaluation. Both reuses rest on the same
 // fact: everything except the canonical source tail is a deterministic
@@ -126,9 +85,10 @@ func cloneDigest(h hash.Hash) hash.Hash {
 //
 // A memo hit yields bitwise the addresses and problem bytes of the
 // uncached path (pinned by TestFamPrefixMemoMatches, TestCloneForPower
-// and FuzzEvalKey); a miss or any snapshot/clone failure falls back to
-// BuildEval + Keys. Over-keying is safe by construction — a non-power
-// field in the memo key only costs a miss, never a wrong hit.
+// and FuzzEvalKey); a miss or a clone failure builds with BuildEval
+// and hashes the prefix afresh. Over-keying is safe by construction —
+// a non-power field in the memo key only costs a miss, never a wrong
+// hit.
 type famPrefixMemo struct {
 	mu      sync.Mutex
 	cap     int
@@ -178,61 +138,57 @@ func famPrefixKeyOf(norm specio.EvalRequest) ([sha256.Size]byte, bool) {
 }
 
 // resolve builds (or clones) the evaluation for norm and returns it
-// with its content and family addresses. On error, status is the HTTP
-// status to answer with.
+// with its content and family addresses in one pass: the family
+// encoding is a strict prefix of the full one (canonical layout v2),
+// so the prefix is hashed once (or its digest state restored from the
+// memo), the state is forked, and only the source tail and the opts
+// block diverge. A nil memo never hits and never stores. On error,
+// status is the HTTP status to answer with.
 func (m *famPrefixMemo) resolve(norm specio.EvalRequest) (ev *specio.Eval, key, famKey string, status int, err error) {
-	mk, ok := famPrefixKeyOf(norm)
-	if m == nil || !ok {
-		if ev, err = specio.BuildEval(norm); err != nil {
-			return nil, "", "", http.StatusBadRequest, err
-		}
-		if key, famKey, err = Keys(ev); err != nil {
-			return nil, "", "", http.StatusInternalServerError, err
-		}
-		return ev, key, famKey, 0, nil
+	var mk [sha256.Size]byte
+	memo := false
+	if m != nil {
+		mk, memo = famPrefixKeyOf(norm)
 	}
-	m.mu.Lock()
-	ent := m.entries[mk]
-	m.mu.Unlock()
-	var h hash.Hash
-	if ent != nil {
+	var state []byte
+	if memo {
+		m.mu.Lock()
+		ent := m.entries[mk]
+		m.mu.Unlock()
 		// Clone errors (a bad power map) fall through to the full build
 		// so the request gets BuildEval's own validation error; equal
 		// memo keys guarantee the non-power fields already built once.
-		if clone, cerr := ent.ev.CloneForPower(norm); cerr == nil {
-			ev = clone
-			h = restoreDigest(ent.state)
+		if ent != nil {
+			if clone, cerr := ent.ev.CloneForPower(norm); cerr == nil {
+				ev, state = clone, ent.state
+			}
 		}
 	}
 	if ev == nil {
 		if ev, err = specio.BuildEval(norm); err != nil {
 			return nil, "", "", http.StatusBadRequest, err
 		}
-	}
-	if h == nil {
-		h = sha256.New()
+		h := sha256.New()
 		if err = ev.Problem.WriteCanonical(h, false); err != nil {
 			return nil, "", "", http.StatusInternalServerError, fmt.Errorf("serve: hashing problem: %w", err)
 		}
-		if snap := digestState(h); snap != nil {
+		state = digestState(h)
+		if memo && state != nil {
 			m.mu.Lock()
 			if _, dup := m.entries[mk]; !dup {
 				if len(m.order) >= m.cap {
 					delete(m.entries, m.order[0])
 					m.order = m.order[1:]
 				}
-				m.entries[mk] = &famPrefixEntry{state: snap, ev: ev}
+				m.entries[mk] = &famPrefixEntry{state: state, ev: ev}
 				m.order = append(m.order, mk)
 			}
 			m.mu.Unlock()
 		}
 	}
-	hFam := cloneDigest(h)
-	if hFam == nil {
-		if key, famKey, err = Keys(ev); err != nil {
-			return nil, "", "", http.StatusInternalServerError, err
-		}
-		return ev, key, famKey, 0, nil
+	h, hFam := restoreDigest(state), restoreDigest(state)
+	if h == nil || hFam == nil {
+		return nil, "", "", http.StatusInternalServerError, errors.New("serve: forking the family digest failed")
 	}
 	if err = ev.Problem.WriteCanonicalSources(h); err != nil {
 		return nil, "", "", http.StatusInternalServerError, fmt.Errorf("serve: hashing sources: %w", err)

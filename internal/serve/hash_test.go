@@ -180,30 +180,6 @@ func TestFamilyKey(t *testing.T) {
 	}
 }
 
-// TestKeysMatchSinglePass: the one-pass dual hash produces exactly
-// the addresses of the separate Key and FamilyKey passes — the
-// optimization must be invisible in the key space.
-func TestKeysMatchSinglePass(t *testing.T) {
-	reqs := []specio.EvalRequest{hashBase(), specio.ExampleEval()}
-	tr := hashBase()
-	tr.Transient = &specio.TransientJSON{DtS: 1e-4, Steps: 5}
-	reqs = append(reqs, tr)
-	for i, req := range reqs {
-		ev, err := specio.BuildEval(req)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		wantKey, wantFam := keyOf(t, req)
-		key, fam, err := Keys(ev)
-		if err != nil {
-			t.Fatalf("request %d: Keys: %v", i, err)
-		}
-		if key != wantKey || fam != wantFam {
-			t.Fatalf("request %d: Keys() = %s/%s, two-pass = %s/%s", i, key, fam, wantKey, wantFam)
-		}
-	}
-}
-
 // TestFamPrefixMemoMatches: the family-prefix memo is invisible in
 // the key space and in the problem — hits and misses both produce
 // exactly the two-pass addresses, and a cloned evaluation encodes
@@ -328,16 +304,17 @@ func FuzzEvalKey(f *testing.F) {
 		if k1 != k2 {
 			t.Fatalf("Key not deterministic: %s vs %s", k1, k2)
 		}
-		dk, df, err := Keys(ev)
+		var noMemo *famPrefixMemo
+		_, dk, df, _, err := noMemo.resolve(ev.Req)
 		if err != nil || dk != k1 || df != f1 {
-			t.Fatalf("single-pass Keys = %s/%s (%v), want %s/%s", dk, df, err, k1, f1)
+			t.Fatalf("memo-less single pass = %s/%s (%v), want %s/%s", dk, df, err, k1, f1)
 		}
 		// The family-prefix memo accumulates state across fuzz inputs in
 		// this process; a stale or colliding entry (wrong digest state or
 		// wrong cloned geometry) would surface here.
 		mev, mk, mf, _, err := fuzzMemo.resolve(ev.Req)
 		if err != nil || mk != k1 || mf != f1 {
-			t.Fatalf("memoized Keys = %s/%s (%v), want %s/%s", mk, mf, err, k1, f1)
+			t.Fatalf("memoized single pass = %s/%s (%v), want %s/%s", mk, mf, err, k1, f1)
 		}
 		var cloned, fresh bytes.Buffer
 		if err := mev.Problem.WriteCanonical(&cloned, true); err != nil {

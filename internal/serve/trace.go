@@ -30,13 +30,6 @@ import (
 	"thermalscaffold/internal/telemetry"
 )
 
-// admitStream applies the admission bound to a long-lived stream: one
-// queue slot for the whole trace, backpressure identical to
-// admitAndSolve. Returns the release function on success.
-func (s *Server) admitStream() (func(), error) {
-	return s.gate.Admit(s.baseCtx.Done())
-}
-
 // writeSSE emits one complete SSE frame (event name + single-line
 // JSON data) and flushes it to the client immediately.
 func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) error {
@@ -81,7 +74,9 @@ func (s *Server) handleEvalTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, err := s.admitStream()
+	// One queue slot for the whole trace, backpressure identical to
+	// admitAndSolve.
+	release, err := s.gate.Admit(s.baseCtx.Done())
 	switch {
 	case err == nil:
 	case errors.Is(err, errBusy):
@@ -99,14 +94,7 @@ func (s *Server) handleEvalTrace(w http.ResponseWriter, r *http.Request) {
 	// Deadline: the whole stream runs under one solve deadline; the
 	// client going away cancels the same context so a disconnected
 	// stream stops integrating within one inner iteration.
-	timeout := te.Base.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := s.backend.deadline(te.Base.Timeout)
 	defer cancel()
 	stop := context.AfterFunc(r.Context(), cancel)
 	defer stop()

@@ -100,20 +100,7 @@ func (a *Assembled) RHS(q, dst []float64) ([]float64, error) {
 	} else if len(dst) != n {
 		return nil, fmt.Errorf("solver: RHS dst has %d entries, want %d", len(dst), n)
 	}
-	g := a.op.g
-	nx, ny, nz := a.op.nx, a.op.ny, a.op.nz
-	bBound := a.op.bBound
-	for k := 0; k < nz; k++ {
-		dz := g.DZ(k)
-		for j := 0; j < ny; j++ {
-			dy := g.DY(j)
-			base := (k*ny + j) * nx
-			for i := 0; i < nx; i++ {
-				c := base + i
-				dst[c] = bBound[c] + q[c]*g.DX(i)*dy*dz
-			}
-		}
-	}
+	a.op.sourcesInto(q, dst)
 	return dst, nil
 }
 

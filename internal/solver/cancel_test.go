@@ -120,24 +120,6 @@ func TestTransientCancellation(t *testing.T) {
 	}
 }
 
-// TestPicardCancellation: the nonlinear driver stops between rounds.
-func TestPicardCancellation(t *testing.T) {
-	rng := &eqRNG{s: 61}
-	p := randomProblem(t, rng, 8, 8, 5)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := SolveSteadyNonlinear(p, func(cell int, tempK float64) (float64, float64, float64) {
-		return 5, 5, 5
-	}, NonlinearOptions{Inner: Options{Tol: 1e-8, MaxIter: 20000, Workers: 1, Ctx: ctx}})
-	ce, ok := AsConvergenceError(err)
-	if !ok || ce.Reason != ReasonCancelled || ce.Method != "picard" {
-		t.Fatalf("want cancelled picard ConvergenceError, got %v", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error does not unwrap to context.Canceled: %v", err)
-	}
-}
-
 // TestEquivalenceTelemetry: attaching a telemetry collector and a
 // background context must not change a single bit of the solution at
 // either worker count — observability is observational. Named

@@ -228,37 +228,6 @@ func TestEquivalenceTransient(t *testing.T) {
 	}
 }
 
-// TestEquivalenceNonlinear: the Picard iteration over
-// temperature-dependent conductivity stays equivalent — each inner
-// solve agrees to ~1e-12, and the outer loop does not amplify the
-// difference beyond 1e-9 on the converged field.
-func TestEquivalenceNonlinear(t *testing.T) {
-	rng := &eqRNG{s: 0x40212E42}
-	p := randomProblem(t, rng, 12, 12, 10) // 1440 cells
-	update := func(cell int, tempK float64) (kx, ky, kz float64) {
-		s := SiliconKScale(tempK)
-		return p.KX[cell] * s, p.KY[cell] * s, p.KZ[cell] * s
-	}
-	run := func(workers int) []float64 {
-		r, err := SolveSteadyNonlinear(p, update, NonlinearOptions{
-			TolK:  1e-6,
-			Inner: Options{Tol: 1e-13, MaxIter: 100000, Precond: ZLine, Workers: workers},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.T
-	}
-	ser := run(1)
-	par := run(4)
-	if d := relDiff(ser, par); d > 1e-9 {
-		t.Errorf("nonlinear serial vs parallel rel diff %g > 1e-9", d)
-	}
-	if !bitIdentical(par, run(2)) {
-		t.Error("nonlinear field differs across worker counts")
-	}
-}
-
 // refReduce replicates the deterministic reduction the kernels
 // promise: a single index-order accumulator at workers=1, and
 // chunk-ordered partial sums at workers ≥ 2.

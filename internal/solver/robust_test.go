@@ -173,39 +173,6 @@ func TestBreakdownExhaustsLadder(t *testing.T) {
 	}
 }
 
-// TestPicardNonConvergenceTyped: the nonlinear driver surfaces Picard
-// non-convergence as a typed error with the ΔT history.
-func TestPicardNonConvergenceTyped(t *testing.T) {
-	rng := &eqRNG{s: 55}
-	p := randomProblem(t, rng, 6, 6, 5)
-	// An oscillating updater that never settles: conductivity flips by
-	// 2× with the parity of an external counter.
-	flip := 0
-	update := func(cell int, tempK float64) (float64, float64, float64) {
-		k := 5.0
-		if (flip+cell)%2 == 0 {
-			k = 10
-		}
-		return k, k, k
-	}
-	_, err := SolveSteadyNonlinear(p, func(cell int, tempK float64) (float64, float64, float64) {
-		if cell == 0 {
-			flip++
-		}
-		return update(cell, tempK)
-	}, NonlinearOptions{MaxPicard: 4, TolK: 1e-9, Inner: Options{Tol: 1e-10, MaxIter: 20000, Workers: 1, Precond: ZLine}})
-	ce, ok := AsConvergenceError(err)
-	if !ok {
-		t.Fatalf("error is not a *ConvergenceError: %v", err)
-	}
-	if ce.Method != "picard" || ce.Reason != ReasonMaxIter {
-		t.Fatalf("method/reason = %q/%v, want picard/max-iterations", ce.Method, ce.Reason)
-	}
-	if len(ce.History) == 0 || ce.Best == nil {
-		t.Fatalf("history/best not populated (history %d, best %v)", len(ce.History), ce.Best != nil)
-	}
-}
-
 // TestTransientNonConvergenceTyped: transient steps route through the
 // same typed-error path.
 func TestTransientNonConvergenceTyped(t *testing.T) {

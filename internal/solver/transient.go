@@ -192,12 +192,4 @@ func (tr *Transient) Run(n int, dt float64) ([]float64, error) {
 }
 
 // MaxField returns the maximum of the current field.
-func (tr *Transient) MaxField() float64 {
-	m := tr.T[0]
-	for _, t := range tr.T[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
+func (tr *Transient) MaxField() float64 { return maxOf(tr.T) }

@@ -449,52 +449,6 @@ func (s *Spec) Solve(opts solver.Options) (*Result, error) {
 	return &Result{Spec: s, Layout: lay, Field: r}, nil
 }
 
-// SolveNonlinear solves the stack with temperature-dependent silicon
-// conductivity (k ∝ T^-1.3 around 300 K) applied to the handle and
-// device layers — hot stacks conduct measurably worse than the
-// constant-property model predicts. BEOL layers keep their
-// homogenized values (dielectric and copper temperature coefficients
-// are second-order over the 100–150 °C range).
-func (s *Spec) SolveNonlinear(opts solver.Options) (*Result, error) {
-	p, lay, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-7
-	}
-	g := lay.Grid
-	// Mark silicon cells and remember their 300 K conductivities.
-	silicon := make([]bool, g.NumCells())
-	baseKX := append([]float64(nil), p.KX...)
-	baseKY := append([]float64(nil), p.KY...)
-	baseKZ := append([]float64(nil), p.KZ...)
-	for k := 0; k < g.NZ(); k++ {
-		// Silicon layers: the handle (tier −1) and thin device layers
-		// (identified by their 100 nm thickness).
-		isSi := lay.TierOfLayer[k] == -1 || g.DZ(k) <= 2*pdk.DeviceSiliconThickness
-		if !isSi {
-			continue
-		}
-		for j := 0; j < s.NY; j++ {
-			for i := 0; i < s.NX; i++ {
-				silicon[g.Index(i, j, k)] = true
-			}
-		}
-	}
-	nl, err := solver.SolveSteadyNonlinear(p, func(c int, tK float64) (float64, float64, float64) {
-		if !silicon[c] {
-			return baseKX[c], baseKY[c], baseKZ[c]
-		}
-		scale := solver.SiliconKScale(tK)
-		return baseKX[c] * scale, baseKY[c] * scale, baseKZ[c] * scale
-	}, solver.NonlinearOptions{Inner: opts})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Spec: s, Layout: lay, Field: nl.Result}, nil
-}
-
 // MaxT returns the peak temperature (K) — the paper's T_j.
 func (r *Result) MaxT() float64 { return r.Field.Max() }
 

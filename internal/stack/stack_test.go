@@ -373,26 +373,6 @@ func TestZPlaneTBRValidation(t *testing.T) {
 	}
 }
 
-// TestSolveNonlinearSilicon: temperature-dependent silicon makes hot
-// stacks hotter — a bounded, second-order correction.
-func TestSolveNonlinearSilicon(t *testing.T) {
-	spec := gemminiSpec(8, ConventionalBEOL(), 0)
-	lin := solveSpec(t, spec)
-	nl, err := spec.SolveNonlinear(solver.Options{Tol: 1e-7, MaxIter: 60000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	amb := spec.Sink.Ambient()
-	riseLin := lin.MaxT() - amb
-	riseNl := nl.MaxT() - amb
-	if riseNl <= riseLin {
-		t.Errorf("nonlinear rise %g not above linear %g", riseNl, riseLin)
-	}
-	if riseNl > 1.5*riseLin {
-		t.Errorf("nonlinear correction implausibly large: %g vs %g", riseNl, riseLin)
-	}
-}
-
 // TestSolveRunsRequestedPrecond: Solve runs the preconditioner it is
 // given, as its telemetry trace records — the zero value is zline,
 // and an explicit Jacobi runs Jacobi, which needs more iterations on

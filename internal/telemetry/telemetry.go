@@ -20,7 +20,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
@@ -346,31 +345,4 @@ func (c *Collector) WriteReportFile(path, tool string, args []string) error {
 		return fmt.Errorf("telemetry: %w", err)
 	}
 	return f.Close()
-}
-
-// Summary renders a short human-readable counter/phase digest (used
-// by the CLIs when verbose reporting is off).
-func (c *Collector) Summary() string {
-	if c == nil {
-		return ""
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.counters))
-	for k := range c.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	out := ""
-	for _, k := range names {
-		if out != "" {
-			out += "  "
-		}
-		out += fmt.Sprintf("%s=%d", k, c.counters[k])
-	}
-	for _, name := range c.order {
-		p := c.phases[name]
-		out += fmt.Sprintf("\n  phase %-16s ×%-4d %s", p.Name, p.Count, time.Duration(p.WallNS))
-	}
-	return out
 }

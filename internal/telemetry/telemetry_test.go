@@ -26,9 +26,6 @@ func TestNilCollectorSafe(t *testing.T) {
 	if r == nil || len(r.Solves) != 0 {
 		t.Fatalf("nil report: %+v", r)
 	}
-	if c.Summary() != "" {
-		t.Fatal("nil summary non-empty")
-	}
 }
 
 // TestNilCollectorLogfStillLogs: fallback warnings must never be
@@ -149,15 +146,5 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if got := c.Counter(CounterIterations); got != 800 {
 		t.Fatalf("counter = %d, want 800", got)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	c := New()
-	c.Add("solves", 3)
-	c.Add("fallbacks", 1)
-	s := c.Summary()
-	if !strings.Contains(s, "solves=3") || !strings.Contains(s, "fallbacks=1") {
-		t.Fatalf("summary: %q", s)
 	}
 }
