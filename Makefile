@@ -4,7 +4,7 @@ GO ?= go
 # `make cover` — raise it when coverage rises, never lower it.
 COVER_FLOOR ?= 87.0
 
-.PHONY: all build test vet race equivalence serve-stress fuzz-short cover bench bench-json bench-serve bench-cluster bench-smoke bench-build bench-run ci
+.PHONY: all build test vet race equivalence serve-stress fuzz-short cover examples-run bench bench-json bench-serve bench-cluster bench-smoke bench-build bench-run ci
 
 all: build test
 
@@ -71,6 +71,18 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 		{ echo "coverage $$total% fell below the ratcheted floor $(COVER_FLOOR)%"; exit 1; }
+
+# examples-run runs every program under examples/ and the quick pass
+# over every paper figure, and fails on any non-zero exit. `go build
+# ./...` only proves they compile; a solve that fails at run time
+# (a preconditioner that stagnates, say) shows up only here. About
+# 25 s; stdout is discarded, errors stay on stderr.
+examples-run:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "examples-run: $$d failed"; exit 1; }; \
+	done
+	$(GO) run ./cmd/paperfigs -quick -fig all > /dev/null
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=2x ./internal/solver/
@@ -150,6 +162,7 @@ bench-run:
 
 # ci is the gate: vet + race-clean full suite + doubled equivalence
 # (which also pins determinism with telemetry attached) + the service
-# stress suite + fuzz bursts + the ratcheted coverage floor + a build
-# of the repository benchmark.
-ci: race equivalence serve-stress fuzz-short cover bench-build
+# stress suite + fuzz bursts + the ratcheted coverage floor + a run of
+# every example and quick figure + a build of the repository
+# benchmark.
+ci: race equivalence serve-stress fuzz-short cover examples-run bench-build

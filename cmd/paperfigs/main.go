@@ -3,11 +3,12 @@
 //
 // Usage:
 //
-//	paperfigs [-quick] [-fig ID] [-workers N] [-precond P] [-report out.json]
+//	paperfigs [-quick] [-fig ID] [-outdir DIR] [-workers N] [-report out.json]
 //
 // where ID is one of: 2b, 2c, 3, 4, 5, 7a, 7b, 9, 10, 11, 12, table1,
-// ablations, extras (macro cooling, misalignment, tier-resistance share), or
-// "all" (default).
+// ablations, extras (macro cooling, misalignment, tier-resistance
+// share, heterogeneous tiers, power-gated transient, solver
+// cross-check), or "all" (default).
 //
 // -report writes a machine-readable JSON run report with per-figure
 // wall-clock phases, solver counters, and per-solve traces ("-" =
@@ -25,9 +26,10 @@ import (
 	"path/filepath"
 	"strings"
 
+	"thermalscaffold/internal/core"
+	"thermalscaffold/internal/design"
 	"thermalscaffold/internal/experiments"
 	"thermalscaffold/internal/report"
-	"thermalscaffold/internal/solver"
 	"thermalscaffold/internal/telemetry"
 )
 
@@ -47,20 +49,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fig := fs.String("fig", "all", "figure/table to regenerate (2b, 2c, 3, 4, 5, 7a, 7b, 9, 10, 11, 12, table1, ablations, extras, all)")
 	outdir := fs.String("outdir", "", "when set, also write each series/table to files in this directory")
 	workers := fs.Int("workers", 0, "solver worker goroutines (0 = one per CPU core, 1 = serial)")
-	precond := fs.String("precond", "zline", "PCG preconditioner for the figure sweeps: zline, multigrid or jacobi")
 	reportPath := fs.String("report", "", "write a JSON run report (per-figure timings, solver counters, traces) to this path; \"-\" = stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	experiments.Workers = *workers
-	pc, err := solver.ParsePreconditioner(*precond)
-	if err != nil {
-		fmt.Fprintf(stderr, "paperfigs: %v\n", err)
-		fs.Usage()
-		return 2
-	}
-	experiments.Precond = pc
 	experiments.Ctx = ctx
 	var tel *telemetry.Collector
 	if *reportPath != "" {
@@ -184,8 +178,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		} else {
 			fmt.Fprintln(stdout, r.Table.String())
 			save("fig9-table.txt", r.Table.String())
-			for _, byStrat := range r.Curves {
-				for _, s := range byStrat {
+			for _, d := range design.All() {
+				for _, st := range []core.Strategy{core.Conventional3D, core.Scaffolding} {
+					s := r.Curves[d.Name][st]
 					fmt.Fprintln(stdout, s.String())
 					saveSeries(s)
 				}

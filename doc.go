@@ -19,9 +19,9 @@
 // geometric multigrid (x/y semi-coarsening with red-black z-line
 // Gauss-Seidel smoothing), whose iteration count stays nearly flat
 // under grid refinement — the default for the repeated solves of the
-// pillar placement loop and 3.5–4× faster end-to-end on large grids.
-// The cmd/thermsim and cmd/paperfigs binaries expose the choice as
-// -precond jacobi|zline|multigrid. See DESIGN.md §7.
+// pillar placement loop and of every paper figure, and 3.5–4× faster
+// end-to-end on large grids. The cmd/thermsim binary exposes the
+// choice as -precond jacobi|zline|multigrid. See DESIGN.md §7.
 //
 // See README.md for the architecture overview, DESIGN.md for the
 // system inventory and per-experiment index, and EXPERIMENTS.md for

@@ -369,63 +369,34 @@ func evaluatePillarsAtBudget(cfg Config, s Strategy, tiers int, areaBudget float
 	geo := pillar.Default()
 	targetMetal := areaBudget / geo.KeepoutFactor
 	tier := cfg.Design.Tier
-	pm := tier.PowerMap(cfg.NX, cfg.NY)
-	qMax := 0.0
-	for _, q := range pm {
-		if q > qMax {
-			qMax = q
-		}
-	}
-	if qMax <= 0 {
-		return nil, errors.New("core: design has no power")
-	}
-	macroFrac := tier.MacroAreaFraction(cfg.NX, cfg.NY)
 	beol := beolFor(s)
-	halfW := pillar.MacroHalfWidth(tier)
-
+	alloc, err := pillar.NewAllocator(tier, cfg.NX, cfg.NY, tiers, beol, geo, cfg.MaxCoverage)
+	if err != nil {
+		return nil, err
+	}
 	// Find λ so the metal coverage mean matches the budget (monotone
 	// — plain bisection without thermal solves).
-	metalMean := func(lambda float64) (float64, *stack.PillarField) {
-		eff := stack.NewPillarField(cfg.NX, cfg.NY)
-		total := 0.0
-		for i, q := range pm {
-			m := macroFrac[i]
-			fCh := math.Min(lambda*q/qMax, cfg.MaxCoverage)
-			col := fCh * (1 - m)
-			total += col
-			lam := pillar.SpreadingLength(beol, tiers, col, geo.EffectiveK(), true)
-			eta := pillar.FinEfficiency(halfW, lam)
-			eff.Coverage[i] = col * ((1 - m) + m*eta)
-		}
-		return total / float64(len(pm)), eff
-	}
+	field := stack.NewPillarField(cfg.NX, cfg.NY)
 	var metal float64
-	var field *stack.PillarField
-	if targetMetal <= 0 {
-		field = stack.NewPillarField(cfg.NX, cfg.NY)
-	} else {
+	if targetMetal > 0 {
 		lo, hi := 0.0, 1.0
-		for {
-			m, _ := metalMean(hi)
-			if m >= targetMetal*0.999 || hi > 1e6 {
-				break
-			}
+		for alloc.Fill(hi, nil, nil) < targetMetal*0.999 && hi <= 1e6 {
 			hi *= 4
 		}
 		for i := 0; i < 60; i++ {
 			mid := (lo + hi) / 2
-			if m, _ := metalMean(mid); m < targetMetal {
+			if alloc.Fill(mid, nil, nil) < targetMetal {
 				lo = mid
 			} else {
 				hi = mid
 			}
 		}
-		metal, field = metalMean(hi)
+		metal = alloc.Fill(hi, field, nil)
 	}
 	spec := &stack.Spec{
 		DieW: tier.Die.W, DieH: tier.Die.H,
 		Tiers: tiers, NX: cfg.NX, NY: cfg.NY,
-		PowerMaps:     [][]float64{pm},
+		PowerMaps:     [][]float64{alloc.Power},
 		BEOL:          beol,
 		Pillars:       field,
 		PillarK:       geo.EffectiveK(),

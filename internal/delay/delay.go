@@ -1,8 +1,7 @@
 // Package delay models the timing side of the physical-design flows:
-// synthesis period/area trade-offs, interconnect RC delay, and the
-// delay penalties of the three cooling strategies (dielectric
-// capacitance increase, routing blockage by inserted pillars or
-// dummy vias, and fill coupling).
+// synthesis period/area trade-offs and the delay penalties of the
+// three cooling strategies (dielectric capacitance increase, routing
+// blockage by inserted pillars or dummy vias, and fill coupling).
 //
 // The paper extracts these numbers from Synopsys DC synthesis and
 // Cadence Innovus place-and-route runs that are unavailable here;
@@ -70,43 +69,6 @@ func (s SynthesisModel) Area(pNs float64) (float64, error) {
 
 // FrequencyGHz returns the operating frequency at the target period.
 func (s SynthesisModel) FrequencyGHz() float64 { return 1 / s.TargetPeriodNs }
-
-// Wire is a minimal distributed-RC interconnect model used for
-// first-order Elmore delay estimates and for translating dielectric
-// constant into wire capacitance.
-type Wire struct {
-	Width     float64 // m
-	Thickness float64 // m
-	Spacing   float64 // m
-	Length    float64 // m
-	Epsilon   float64 // ILD relative permittivity
-}
-
-// CuResistivity is the effective resistivity of scaled copper
-// interconnect (Ω·m), including barrier/scattering effects at 7 nm
-// dimensions.
-const CuResistivity = 4.0e-8
-
-const eps0 = 8.854e-12 // F/m
-
-// Resistance returns the wire resistance (Ω).
-func (w Wire) Resistance() float64 {
-	return CuResistivity * w.Length / (w.Width * w.Thickness)
-}
-
-// Capacitance returns a parallel-plate estimate of the wire's total
-// capacitance (F): sidewall coupling to both neighbors plus a fringe
-// allowance, all proportional to the ILD permittivity.
-func (w Wire) Capacitance() float64 {
-	side := 2 * eps0 * w.Epsilon * w.Thickness * w.Length / w.Spacing
-	fringe := 0.3 * side
-	return side + fringe
-}
-
-// ElmoreDelay returns the 0.69·R·C distributed wire delay (s).
-func (w Wire) ElmoreDelay() float64 {
-	return 0.69 * w.Resistance() * w.Capacitance() / 2
-}
 
 // PathProfile decomposes a design's critical path delay into logic,
 // lower-layer (V0–M7) wire, and upper-layer (M8–M9) wire components.

@@ -71,21 +71,6 @@ func TestFrequency(t *testing.T) {
 	approx(t, RocketSynthesis().FrequencyGHz(), 1.25, 1e-12, "Rocket 1.25 GHz")
 }
 
-func TestWireRC(t *testing.T) {
-	w := Wire{Width: 40e-9, Thickness: 80e-9, Spacing: 40e-9, Length: 100e-6, Epsilon: 2}
-	r := w.Resistance()
-	want := CuResistivity * 100e-6 / (40e-9 * 80e-9)
-	approx(t, r, want, want*1e-12, "resistance")
-	c2 := Wire{Width: 40e-9, Thickness: 80e-9, Spacing: 40e-9, Length: 100e-6, Epsilon: 4}.Capacitance()
-	approx(t, c2, 2*w.Capacitance(), c2*1e-12, "capacitance scales with ε")
-	if w.ElmoreDelay() <= 0 {
-		t.Error("non-positive Elmore delay")
-	}
-	// Doubling ε doubles wire delay.
-	d2 := Wire{Width: 40e-9, Thickness: 80e-9, Spacing: 40e-9, Length: 100e-6, Epsilon: 4}.ElmoreDelay()
-	approx(t, d2, 2*w.ElmoreDelay(), d2*1e-9, "delay scales with ε")
-}
-
 func TestPathProfileValidate(t *testing.T) {
 	if err := DefaultPathProfile().Validate(); err != nil {
 		t.Error(err)

@@ -95,13 +95,6 @@ func nearlyEqual(a, b, relTol float64) bool {
 // -workers.
 var Workers int
 
-// Precond is the preconditioner handed to every solver invocation in
-// this package (zero value = z-line, the solver's default).
-// cmd/paperfigs exposes it as -precond; the figure sweeps re-solve
-// hundreds of stacks, so multigrid typically cuts their wall-clock
-// severalfold.
-var Precond solver.Preconditioner
-
 // Ctx, when non-nil, cancels every solver invocation in this package:
 // each inner solve checks it per iteration, so a figure sweep stops
 // within one solver iteration of cancellation and surfaces a typed
@@ -121,14 +114,16 @@ func solverOpts() solver.Options {
 }
 
 // solverOptsTol is solverOpts with an explicit tolerance — the single
-// place experiment solves pick up MaxIter, Workers, Precond, Ctx, and
+// place experiment solves pick up MaxIter, Workers, Ctx, and
 // Telemetry, so a stray literal can no longer drop the iteration cap
 // (hetero.go once passed a Tol-only Options at 1e-10 and silently ran
 // with the solver's 20000-iteration default, a quarter of the
-// intended cap).
+// intended cap). Every experiment solves on multigrid, as core and
+// pillar placement do: z-line has no in-plane coarse correction and
+// stagnates on Misalignment's 0.1 µm-cell stacks.
 func solverOptsTol(tol float64) solver.Options {
 	return solver.Options{
-		Tol: tol, MaxIter: 80000, Workers: Workers, Precond: Precond,
+		Tol: tol, MaxIter: 80000, Workers: Workers, Precond: solver.Multigrid,
 		Ctx: Ctx, Telemetry: Telemetry,
 	}
 }

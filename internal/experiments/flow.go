@@ -367,9 +367,3 @@ func paperPenalty(d *design.Design, s core.Strategy) (fp, dl float64) {
 		return d.Paper.ConventionalFootprintPct, d.Paper.ConventionalDelayPct
 	}
 }
-
-// Strategy accessors used by tests and external tooling without
-// importing core directly alongside experiments.
-func scaffoldingStrategy() core.Strategy  { return core.Scaffolding }
-func conventionalStrategy() core.Strategy { return core.Conventional3D }
-func verticalOnlyStrategy() core.Strategy { return core.VerticalOnly }

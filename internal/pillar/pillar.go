@@ -82,8 +82,6 @@ type Request struct {
 	MaxCoverage float64
 	// Tol is the thermal solver tolerance (default 1e-6).
 	Tol float64
-	// MemoryPerTier mirrors stack.Spec (default true).
-	NoMemoryPerTier bool
 	// Ctx, when non-nil, cancels the placement: the bisection checks
 	// it before every outer iteration and the inner thermal solves
 	// check it per PCG iteration, so Place returns within one solver
@@ -93,11 +91,11 @@ type Request struct {
 	// every thermal solve the placement runs (see internal/telemetry).
 	Telemetry *telemetry.Collector
 	// Engine, when non-nil, supplies a persistent solver worker pool
-	// shared by every thermal solve this request issues. Place and
-	// RefineFill run ~20 same-sized solves back to back; without an
-	// engine each one builds and tears down its own pool. When nil,
-	// those loops create a private engine for their own duration.
-	// Results are bitwise identical either way (see solver.Engine).
+	// shared by every thermal solve this request issues. Place runs
+	// ~20 same-sized solves back to back; when Engine is nil it
+	// creates a private engine for the bisection's duration, so a
+	// caller that places many designs can share one instead. Results
+	// are bitwise identical either way (see solver.Engine).
 	Engine *solver.Engine
 }
 
@@ -204,10 +202,10 @@ func SpreadingLength(beol stack.BEOLProps, tiers int, columnDensity, kPillar flo
 	return math.Sqrt(gs / g)
 }
 
-// FinEfficiency returns tanh(x)/x — the classic fin efficiency of a
+// finEfficiency returns tanh(x)/x — the classic fin efficiency of a
 // heat source strip of half-width d feeding sinks at its edges
 // through a sheet with healing length lambda.
-func FinEfficiency(d, lambda float64) float64 {
+func finEfficiency(d, lambda float64) float64 {
 	if d <= 0 {
 		return 1
 	}
@@ -221,10 +219,10 @@ func FinEfficiency(d, lambda float64) float64 {
 	return math.Tanh(x) / x
 }
 
-// MacroHalfWidth returns the mean half-width (m) of the design's
+// macroHalfWidth returns the mean half-width (m) of the design's
 // hard macros — the distance macro-interior heat must travel
 // laterally to reach channel pillars.
-func MacroHalfWidth(f *floorplan.Floorplan) float64 {
+func macroHalfWidth(f *floorplan.Floorplan) float64 {
 	macros := f.Macros()
 	if len(macros) == 0 {
 		return 0
@@ -234,6 +232,72 @@ func MacroHalfWidth(f *floorplan.Floorplan) float64 {
 		sum += math.Min(m.Rect.W, m.Rect.H) / 2
 	}
 	return sum / float64(len(macros))
+}
+
+// Allocator is the Sec. III-A coverage-allocation rule on one tier's
+// grid. At intensity λ a cell with power density q gets channel
+// coverage min(λ·q/qMax, MaxCoverage) on its non-macro share 1−m:
+// hard macro interiors are off-limits, but the routing channels
+// between banked SRAM macros are available. Heat generated inside a
+// macro reaches channel pillars laterally at the fin efficiency η set
+// by the tier sheet's healing length — the thermal dielectric's main
+// contribution (Fig. 3) — so the thermal model sees the metal as
+// col·((1−m) + m·η). Place bisects λ on the thermal solve; core's
+// budget mode bisects it on the mean metal coverage.
+type Allocator struct {
+	// Power is the tier's power map (W/m²) and QMax its largest cell.
+	Power []float64
+	QMax  float64
+
+	macroFrac              []float64
+	halfW, kPillar, maxCov float64
+	beol                   stack.BEOLProps
+	tiers                  int
+}
+
+// NewAllocator prepares the allocation rule for a tier floorplan on
+// an nx×ny grid of a stack with the given tier count and BEOL
+// (memory sub-layer on every tier, as every stack here has).
+func NewAllocator(tier *floorplan.Floorplan, nx, ny, tiers int, beol stack.BEOLProps, g Geometry, maxCoverage float64) (*Allocator, error) {
+	a := &Allocator{
+		Power:     tier.PowerMap(nx, ny),
+		macroFrac: tier.MacroAreaFraction(nx, ny),
+		halfW:     macroHalfWidth(tier),
+		kPillar:   g.EffectiveK(),
+		maxCov:    maxCoverage,
+		beol:      beol,
+		tiers:     tiers,
+	}
+	for _, q := range a.Power {
+		a.QMax = math.Max(a.QMax, q)
+	}
+	if a.QMax <= 0 {
+		return nil, errors.New("pillar: design has no power")
+	}
+	return a, nil
+}
+
+// Fill writes the allocation at intensity lambda and returns the
+// die-mean pillar metal coverage. A non-nil eff receives the
+// effective coverage the thermal model sees; a non-nil metal receives
+// the physical metal coverage used for footprint accounting. Fill
+// allocates nothing, and with a nil eff it skips the fin-efficiency
+// work, so a bisection on the mean alone stays cheap.
+func (a *Allocator) Fill(lambda float64, eff, metal *stack.PillarField) float64 {
+	total := 0.0
+	for i, q := range a.Power {
+		m := a.macroFrac[i]
+		col := math.Min(lambda*q/a.QMax, a.maxCov) * (1 - m)
+		total += col
+		if metal != nil {
+			metal.Coverage[i] = col
+		}
+		if eff != nil {
+			eta := finEfficiency(a.halfW, SpreadingLength(a.beol, a.tiers, col, a.kPillar, true))
+			eff.Coverage[i] = col * ((1 - m) + m*eta)
+		}
+	}
+	return total / float64(len(a.Power))
 }
 
 // Place runs the Sec. III-A placement algorithm. Coverage is
@@ -249,24 +313,10 @@ func Place(req Request) (*Placement, error) {
 		return nil, err
 	}
 	tier := r.Design.Tier
-	pm := tier.PowerMap(r.NX, r.NY)
-	qMax := 0.0
-	for _, q := range pm {
-		if q > qMax {
-			qMax = q
-		}
+	alloc, err := NewAllocator(tier, r.NX, r.NY, r.Tiers, r.BEOL, r.Geometry, r.MaxCoverage)
+	if err != nil {
+		return nil, err
 	}
-	if qMax <= 0 {
-		return nil, errors.New("pillar: design has no power")
-	}
-	// Pillars may only occupy the non-macro share of each cell: hard
-	// macro interiors are off-limits (Sec. III-A), but the routing
-	// channels between banked SRAM macros are available. Heat
-	// generated inside a macro reaches channel pillars laterally at
-	// the fin efficiency set by the tier sheet's healing length — the
-	// thermal dielectric's main contribution (Fig. 3).
-	macroFrac := tier.MacroAreaFraction(r.NX, r.NY)
-	halfW := MacroHalfWidth(tier)
 
 	// One pool serves the whole bisection (~20 solves on one grid).
 	eng := r.Engine
@@ -275,35 +325,19 @@ func Place(req Request) (*Placement, error) {
 		defer eng.Close()
 	}
 
-	// fieldFor returns the effective field seen by the thermal solver
-	// and the physical metal field used for footprint accounting.
-	fieldFor := func(lambda float64) (eff, metal *stack.PillarField) {
-		eff = stack.NewPillarField(r.NX, r.NY)
-		metal = stack.NewPillarField(r.NX, r.NY)
-		for i, q := range pm {
-			m := macroFrac[i]
-			fCh := math.Min(lambda*q/qMax, r.MaxCoverage)
-			colDensity := fCh * (1 - m)
-			metal.Coverage[i] = colDensity
-			lam := SpreadingLength(r.BEOL, r.Tiers, colDensity, r.Geometry.EffectiveK(), !r.NoMemoryPerTier)
-			eta := FinEfficiency(halfW, lam)
-			eff.Coverage[i] = colDensity * ((1 - m) + m*eta)
-		}
-		return eff, metal
-	}
-
 	var lastField []float64
 	solveAt := func(lambda float64) (float64, *stack.PillarField, *stack.PillarField, error) {
-		eff, metal := fieldFor(lambda)
+		eff, metal := stack.NewPillarField(r.NX, r.NY), stack.NewPillarField(r.NX, r.NY)
+		alloc.Fill(lambda, eff, metal)
 		spec := &stack.Spec{
 			DieW: tier.Die.W, DieH: tier.Die.H,
 			Tiers: r.Tiers, NX: r.NX, NY: r.NY,
-			PowerMaps:     [][]float64{pm},
+			PowerMaps:     [][]float64{alloc.Power},
 			BEOL:          r.BEOL,
 			Pillars:       eff,
 			PillarK:       r.Geometry.EffectiveK(),
 			Sink:          r.Sink,
-			MemoryPerTier: !r.NoMemoryPerTier,
+			MemoryPerTier: true,
 		}
 		// The bisection re-solves the same stack ~20 times with nearby
 		// coverage fields: multigrid keeps each warm-started solve at a
@@ -329,7 +363,7 @@ func Place(req Request) (*Placement, error) {
 		return finishPlacement(r, eff0, metal0, t0, 0, true), nil
 	}
 	// Max coverage everywhere (λ high enough to saturate).
-	lambdaHi := r.MaxCoverage * qMax / minPositive(pm) // saturates every powered cell
+	lambdaHi := r.MaxCoverage * alloc.QMax / minPositive(alloc.Power) // saturates every powered cell
 	if math.IsInf(lambdaHi, 0) || lambdaHi <= 0 {
 		lambdaHi = 1e3
 	}
@@ -417,50 +451,4 @@ func minPositive(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Point is a pillar location on the die.
-type Point struct{ X, Y float64 }
-
-// GridPlace returns discrete pillar coordinates in a grid at the
-// given pitch within region, skipping any point inside a macro —
-// the paper places P_min pillars between macro gaps and in a grid at
-// the required pitch within each heat source.
-func GridPlace(region floorplan.Rect, pitch float64, macros []floorplan.Rect) []Point {
-	if pitch <= 0 {
-		return nil
-	}
-	var pts []Point
-	for y := region.Y + pitch/2; y < region.MaxY(); y += pitch {
-		for x := region.X + pitch/2; x < region.MaxX(); x += pitch {
-			inMacro := false
-			for _, m := range macros {
-				if m.ContainsPoint(x, y) {
-					inMacro = true
-					break
-				}
-			}
-			if !inMacro {
-				pts = append(pts, Point{X: x, Y: y})
-			}
-		}
-	}
-	return pts
-}
-
-// FieldFromPoints rasterizes discrete pillars (each of the geometry's
-// footprint area) onto a coverage field over the die.
-func FieldFromPoints(pts []Point, die floorplan.Rect, nx, ny int, g Geometry) *stack.PillarField {
-	pf := stack.NewPillarField(nx, ny)
-	cellArea := die.Area() / float64(nx*ny)
-	frac := g.Area() / cellArea
-	for _, p := range pts {
-		i := int((p.X - die.X) / die.W * float64(nx))
-		j := int((p.Y - die.Y) / die.H * float64(ny))
-		if i < 0 || i >= nx || j < 0 || j >= ny {
-			continue
-		}
-		pf.Coverage[j*nx+i] = math.Min(pf.Coverage[j*nx+i]+frac, 1)
-	}
-	return pf
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"thermalscaffold/internal/design"
-	"thermalscaffold/internal/floorplan"
 	"thermalscaffold/internal/heatsink"
 	"thermalscaffold/internal/stack"
 )
@@ -83,19 +82,19 @@ func TestSpreadingLengthEdgeCases(t *testing.T) {
 }
 
 func TestFinEfficiency(t *testing.T) {
-	if FinEfficiency(0, 1e-6) != 1 {
+	if finEfficiency(0, 1e-6) != 1 {
 		t.Error("zero half-width should be perfectly coupled")
 	}
-	if FinEfficiency(1e-6, 0) != 0 {
+	if finEfficiency(1e-6, 0) != 0 {
 		t.Error("zero healing length should decouple")
 	}
-	if e := FinEfficiency(1e-9, 1e-3); e < 0.999 {
+	if e := finEfficiency(1e-9, 1e-3); e < 0.999 {
 		t.Errorf("tiny x should approach 1, got %g", e)
 	}
 	// Monotone decreasing in distance.
 	prev := 1.0
 	for d := 1e-6; d < 100e-6; d *= 2 {
-		e := FinEfficiency(d, 5e-6)
+		e := finEfficiency(d, 5e-6)
 		if e > prev {
 			t.Fatalf("efficiency not decreasing at d=%g", d)
 		}
@@ -227,53 +226,5 @@ func TestPlaceRequestValidation(t *testing.T) {
 	bad := Request{Design: design.Gemmini(), Tiers: 4, Sink: heatsink.TwoPhase(), TTargetC: 125, BEOL: stack.ScaffoldedBEOL(), Geometry: Geometry{FootprintSide: -1, KeepoutFactor: 2}}
 	if _, err := Place(bad); err == nil {
 		t.Error("bad geometry accepted")
-	}
-}
-
-func TestGridPlace(t *testing.T) {
-	region := floorplan.Rect{W: 100e-6, H: 100e-6}
-	pts := GridPlace(region, 10e-6, nil)
-	if len(pts) != 100 {
-		t.Fatalf("expected 100 grid points, got %d", len(pts))
-	}
-	// A central macro removes interior points.
-	macro := floorplan.Rect{X: 30e-6, Y: 30e-6, W: 40e-6, H: 40e-6}
-	ptsM := GridPlace(region, 10e-6, []floorplan.Rect{macro})
-	if len(ptsM) >= len(pts) {
-		t.Error("macro did not exclude points")
-	}
-	for _, p := range ptsM {
-		if macro.ContainsPoint(p.X, p.Y) {
-			t.Fatalf("point %+v inside macro", p)
-		}
-	}
-	if GridPlace(region, 0, nil) != nil {
-		t.Error("zero pitch should yield nothing")
-	}
-}
-
-func TestFieldFromPoints(t *testing.T) {
-	die := floorplan.Rect{W: 100e-6, H: 100e-6}
-	g := Geometry{FootprintSide: 1e-6, KeepoutFactor: 1.05}
-	pts := []Point{{X: 5e-6, Y: 5e-6}, {X: 5.1e-6, Y: 5.2e-6}, {X: 95e-6, Y: 95e-6}, {X: 1, Y: 1}}
-	pf := FieldFromPoints(pts, die, 10, 10, g)
-	if err := pf.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cellArea := die.Area() / 100
-	want := 2 * g.Area() / cellArea
-	if math.Abs(pf.Coverage[0]-want) > 1e-12 {
-		t.Errorf("cell 0 coverage %g, want %g (two pillars)", pf.Coverage[0], want)
-	}
-	if pf.Coverage[99] <= 0 {
-		t.Error("corner pillar not rasterized")
-	}
-	// The out-of-die point is dropped.
-	total := 0.0
-	for _, c := range pf.Coverage {
-		total += c
-	}
-	if math.Abs(total-3*g.Area()/cellArea) > 1e-12 {
-		t.Errorf("total coverage %g counts out-of-die pillars", total)
 	}
 }

@@ -38,19 +38,6 @@ func MatmulTrace() Trace {
 	}
 }
 
-// SpmvTrace returns the memory-bound sparse kernel shape: long
-// stall-dominated stretches punctuated by compute bursts.
-func SpmvTrace() Trace {
-	return Trace{
-		Name: "spmv",
-		Phases: []Phase{
-			{Name: "gather", Duration: 20e-6, ArrayUtil: 0.25, LogicActivity: 0.12},
-			{Name: "compute", Duration: 8e-6, ArrayUtil: 0.65, LogicActivity: 0.22},
-			{Name: "writeback", Duration: 6e-6, ArrayUtil: 0.15, LogicActivity: 0.10},
-		},
-	}
-}
-
 // Validate checks the trace.
 func (t Trace) Validate() error {
 	if len(t.Phases) == 0 {
@@ -74,26 +61,6 @@ func (t Trace) Period() float64 {
 		total += p.Duration
 	}
 	return total
-}
-
-// PhaseAt returns the phase active at time s into the (repeating)
-// trace.
-func (t Trace) PhaseAt(s float64) Phase {
-	period := t.Period()
-	if period <= 0 {
-		return Phase{}
-	}
-	s = s - float64(int(s/period))*period
-	if s < 0 {
-		s += period
-	}
-	for _, p := range t.Phases {
-		if s < p.Duration {
-			return p
-		}
-		s -= p.Duration
-	}
-	return t.Phases[len(t.Phases)-1]
 }
 
 // MeanUtil returns the duration-weighted mean array utilization.

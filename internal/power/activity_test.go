@@ -6,13 +6,12 @@ import (
 )
 
 func TestTracesValidate(t *testing.T) {
-	for _, tr := range []Trace{MatmulTrace(), SpmvTrace()} {
-		if err := tr.Validate(); err != nil {
-			t.Errorf("%s: %v", tr.Name, err)
-		}
-		if tr.Period() <= 0 {
-			t.Errorf("%s: non-positive period", tr.Name)
-		}
+	tr := MatmulTrace()
+	if err := tr.Validate(); err != nil {
+		t.Errorf("%s: %v", tr.Name, err)
+	}
+	if tr.Period() <= 0 {
+		t.Errorf("%s: non-positive period", tr.Name)
 	}
 	if err := (Trace{}).Validate(); err == nil {
 		t.Error("empty trace accepted")
@@ -57,27 +56,6 @@ func TestMatmulTraceMatchesWorkload(t *testing.T) {
 	}
 }
 
-func TestPhaseAt(t *testing.T) {
-	tr := MatmulTrace()
-	if got := tr.PhaseAt(0); got.Name != "load" {
-		t.Errorf("t=0 phase %q", got.Name)
-	}
-	if got := tr.PhaseAt(10e-6); got.Name != "compute" {
-		t.Errorf("t=10µs phase %q", got.Name)
-	}
-	// Wraps around the period.
-	if got := tr.PhaseAt(tr.Period() + 10e-6); got.Name != "compute" {
-		t.Errorf("wrapped phase %q", got.Name)
-	}
-	// Negative times wrap too.
-	if got := tr.PhaseAt(-1e-6); got.Name == "" {
-		t.Error("negative time returned empty phase")
-	}
-	if (Trace{}).PhaseAt(1) != (Phase{}) {
-		t.Error("empty trace should return zero phase")
-	}
-}
-
 // TestTracePower: peak power equals the worst phase and exceeds the
 // mean; the paper's thermal design point is the peak.
 func TestTracePower(t *testing.T) {
@@ -90,10 +68,6 @@ func TestTracePower(t *testing.T) {
 	}
 	if math.Abs(peak-a.Power(1.0)) > 1e-15 {
 		t.Errorf("peak power %g should be the 100%% burst (%g)", peak, a.Power(1.0))
-	}
-	// spmv averages well below matmul.
-	if SpmvTrace().MeanPower(a) >= mean {
-		t.Error("spmv should average below matmul")
 	}
 	if (Trace{}).MeanPower(a) != 0 || (Trace{}).MeanUtil() != 0 {
 		t.Error("empty trace should have zero power")

@@ -8,12 +8,11 @@ import (
 )
 
 // Engine owns a persistent worker pool shared across many solves.
-// The outer loops of this codebase — pillar placement bisection,
-// RefineFill, the evaluation service — issue thousands of solves
-// against same-sized grids; without an engine each solve builds and
-// tears down a throwaway engine of its own (W−1 goroutines plus
-// channel setup). Attach an engine via Options.Engine to amortize
-// that across the whole loop.
+// The pillar placement bisection and the evaluation service issue
+// many solves against same-sized grids; without an engine each solve
+// builds and tears down a throwaway engine of its own (W−1
+// goroutines plus channel setup). Attach an engine via
+// Options.Engine to amortize that across the whole loop.
 //
 // Determinism: an engine changes where kernels run, never what they
 // compute — chunk boundaries depend only on the problem size, so a
