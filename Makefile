@@ -4,7 +4,7 @@ GO ?= go
 # `make cover` — raise it when coverage rises, never lower it.
 COVER_FLOOR ?= 87.0
 
-.PHONY: all build test vet race equivalence serve-stress fuzz-short cover examples-run bench bench-json bench-serve bench-cluster bench-smoke bench-build bench-run ci
+.PHONY: all build test vet race equivalence serve-stress fuzz-short cover examples-run bench bench-json bench-serve bench-cluster bench-smoke bench-build bench-run bench-pairs ci
 
 all: build test
 
@@ -159,6 +159,21 @@ bench-run:
 		*) echo "bench-run: workload $$w did not answer correctly"; exit 1 ;; \
 		esac; \
 	done
+
+# bench-pairs compares one BENCHMARK.json workload between revision
+# BASE and this checkout: PAIRS alternating pairs of SECONDS-long runs
+# through perfbench/run.sh, seeded by pair index, with BASE built in a
+# git worktree under .bench_build that is removed afterwards. It prints
+# each side's round_p50_ms and setup_s medians and quartiles and the
+# checkout's win count, and fails on any run that does not answer
+# correctly. Run it on an otherwise idle machine: 10 pairs of 10 s
+# take about 5 minutes (6 for trace, whose set-up is slower).
+#   make bench-pairs BASE=HEAD~ WORKLOAD=paperflow PAIRS=10 SECONDS=10
+PAIRS ?= 10
+SECONDS ?= 10
+bench-pairs:
+	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || { echo "bench-pairs: set BASE=<rev> and WORKLOAD=<name>"; exit 2; }
+	bash scripts/bench-pairs.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)"
 
 # ci is the gate: vet + race-clean full suite + doubled equivalence
 # (which also pins determinism with telemetry attached) + the service

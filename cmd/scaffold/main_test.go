@@ -70,3 +70,18 @@ func TestScaffoldCancelled(t *testing.T) {
 		t.Fatalf("stderr does not mention cancellation: %q", errs)
 	}
 }
+
+func TestScaffoldSweepBadTiers(t *testing.T) {
+	for _, n := range []string{"0", "-2"} {
+		code, out, errs := runCLI(t, context.Background(), "-sweep", "-tiers", n, "-grid", "4")
+		if code != 1 {
+			t.Errorf("-sweep -tiers %s: exit %d, want 1", n, code)
+		}
+		if !strings.Contains(errs, "bad maxN") {
+			t.Errorf("-sweep -tiers %s: stderr %q does not name the bad tier count", n, errs)
+		}
+		if strings.Contains(out, "supported tiers") {
+			t.Errorf("-sweep -tiers %s: reported supported tiers for an empty sweep:\n%s", n, out)
+		}
+	}
+}

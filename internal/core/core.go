@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"thermalscaffold/internal/delay"
 	"thermalscaffold/internal/design"
@@ -418,38 +419,65 @@ func evaluatePillarsAtBudget(cfg Config, s Strategy, tiers int, areaBudget float
 	}, nil
 }
 
-// MaxTiersAtBudget returns the largest tier count the strategy keeps
-// below the temperature target within the given footprint budget,
-// searching up to maxN, together with the per-N evaluations.
+// MaxTiersAtBudget returns the largest tier count in 1..maxN that the
+// strategy keeps at or below the temperature target within the given
+// footprint budget (0 when even one tier runs hot), together with the
+// evaluations it solved, sorted by N.
+//
+// It bisects instead of scanning, so it runs at most ⌈log2(maxN+1)⌉
+// solves. Bisection is exact only while T_max rises strictly with N,
+// which makes the feasible tier counts a prefix of 1..maxN; the search
+// checks that contract on the points it solved and returns an error if
+// their T_max does not strictly rise with N.
 func MaxTiersAtBudget(cfg Config, s Strategy, areaBudget float64, maxN int) (int, []*Evaluation, error) {
 	if maxN < 1 {
 		return 0, nil, fmt.Errorf("core: bad maxN %d", maxN)
 	}
-	best := 0
+	// lo is feasible and hi is not; 0 and maxN+1 stand for the empty
+	// stack and the first count past the search.
+	lo, hi := 0, maxN+1
 	var evals []*Evaluation
-	for n := 1; n <= maxN; n++ {
+	for hi-lo > 1 {
 		if err := cfg.ctxErr(); err != nil {
 			return 0, nil, err
 		}
-		e, err := EvaluateAtBudget(cfg, s, n, areaBudget)
+		mid := (lo + hi) / 2
+		e, err := EvaluateAtBudget(cfg, s, mid, areaBudget)
 		if err != nil {
 			return 0, nil, err
 		}
 		evals = append(evals, e)
 		if e.Feasible {
-			best = n
-		} else if n > best+2 {
-			// Temperature is monotone in N; two consecutive misses
-			// past the best confirm the ceiling.
-			break
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	return best, evals, nil
+	sort.Slice(evals, func(a, b int) bool { return evals[a].Tiers < evals[b].Tiers })
+	if err := checkRising(evals); err != nil {
+		return 0, nil, err
+	}
+	return lo, evals, nil
+}
+
+// checkRising returns an error unless T_max rises strictly across
+// evals, which are sorted by N.
+func checkRising(evals []*Evaluation) error {
+	for k := 1; k < len(evals); k++ {
+		if prev, e := evals[k-1], evals[k]; !(e.TMaxC > prev.TMaxC) {
+			return fmt.Errorf("core: %s T_max %g°C at N=%d does not exceed %g°C at N=%d; the tier search needs it to rise with N",
+				e.Strategy, e.TMaxC, e.Tiers, prev.TMaxC, prev.Tiers)
+		}
+	}
+	return nil
 }
 
 // SweepTiers evaluates the strategy at a fixed budget across tier
 // counts 1..maxN — the Fig. 9 / Fig. 11 curves.
 func SweepTiers(cfg Config, s Strategy, areaBudget float64, maxN int) ([]*Evaluation, error) {
+	if maxN < 1 {
+		return nil, fmt.Errorf("core: bad maxN %d", maxN)
+	}
 	var out []*Evaluation
 	for n := 1; n <= maxN; n++ {
 		if err := cfg.ctxErr(); err != nil {

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
 	"thermalscaffold/internal/design"
 	"thermalscaffold/internal/heatsink"
+	"thermalscaffold/internal/telemetry"
 )
 
 func gemminiCfg() Config {
@@ -45,8 +49,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := EvaluateAtBudget(gemminiCfg(), Strategy(9), 4, 0.1); err == nil {
 		t.Error("unknown strategy accepted at budget")
 	}
-	if _, _, err := MaxTiersAtBudget(gemminiCfg(), Scaffolding, 0.1, 0); err == nil {
-		t.Error("zero maxN accepted")
+	for _, maxN := range []int{0, -2} {
+		if _, _, err := MaxTiersAtBudget(gemminiCfg(), Scaffolding, 0.1, maxN); err == nil {
+			t.Errorf("maxN %d accepted by the tier search", maxN)
+		}
+		if _, err := SweepTiers(gemminiCfg(), Scaffolding, 0.1, maxN); err == nil || !strings.Contains(err.Error(), "bad maxN") {
+			t.Errorf("maxN %d: sweep error %v, want bad maxN", maxN, err)
+		}
 	}
 }
 
@@ -279,6 +288,122 @@ func TestSweepTiersShape(t *testing.T) {
 	for i := 2; i < 8; i++ { // beyond trivial stacks
 		if scaf[i].TMaxC >= conv[i].TMaxC {
 			t.Errorf("N=%d: scaffolding %g not below conventional %g", i+1, scaf[i].TMaxC, conv[i].TMaxC)
+		}
+	}
+}
+
+// TestMaxTiersAtBudgetMatchesSweep: the tier search is an exact
+// replacement for reading the largest feasible N off a full sweep, on
+// every design, both strategies and budgets from none to generous.
+func TestMaxTiersAtBudgetMatchesSweep(t *testing.T) {
+	const maxN = 14
+	for _, d := range design.All() {
+		cfg := Config{Design: d, Sink: heatsink.TwoPhase(), NX: 12, NY: 12, TaskSpread: -1}
+		for _, s := range []Strategy{Conventional3D, Scaffolding} {
+			for _, budget := range []float64{0, 0.05, 0.10, 0.40} {
+				sweep, err := SweepTiers(cfg, s, budget, maxN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 0
+				for _, e := range sweep {
+					if e.Feasible {
+						want = e.Tiers
+					}
+				}
+				best, evals, err := MaxTiersAtBudget(cfg, s, budget, maxN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := d.Name + "/" + s.String()
+				if best != want {
+					t.Errorf("%s budget %g: search found %d tiers, sweep %d", name, budget, best, want)
+				}
+				if len(evals) > bits.Len(uint(maxN)) {
+					t.Errorf("%s budget %g: %d solves, want ≤ %d", name, budget, len(evals), bits.Len(uint(maxN)))
+				}
+				for k, e := range evals {
+					if k > 0 && e.Tiers <= evals[k-1].Tiers {
+						t.Errorf("%s budget %g: evaluations not strictly sorted by N at %d", name, budget, k)
+					}
+					if got := sweep[e.Tiers-1].TMaxC; math.Float64bits(e.TMaxC) != math.Float64bits(got) {
+						t.Errorf("%s budget %g N=%d: T_max %v, sweep %v", name, budget, e.Tiers, e.TMaxC, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaxTiersAtBudgetEdges: a target nothing meets, a target
+// everything meets, a one-tier search and a cancelled search.
+func TestMaxTiersAtBudgetEdges(t *testing.T) {
+	cfg := gemminiCfg()
+	cfg.TaskSpread = -1
+	one, err := EvaluateAtBudget(cfg, Scaffolding, 1, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cold := cfg
+	cold.TTargetC = one.TMaxC - 1
+	best, evals, err := MaxTiersAtBudget(cold, Scaffolding, 0.10, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best != 0 || evals[0].Tiers != 1 {
+		t.Errorf("target below the one-tier T_max: best %d, lowest N %d; want 0 and 1", best, evals[0].Tiers)
+	}
+
+	hot := cfg
+	hot.TTargetC = 1000
+	if best, _, err := MaxTiersAtBudget(hot, Scaffolding, 0.10, 14); err != nil || best != 14 {
+		t.Errorf("target 1000°C: best %d (%v), want 14", best, err)
+	}
+
+	tel := telemetry.New()
+	single := cfg
+	single.Telemetry = tel
+	best, evals, err = MaxTiersAtBudget(single, Scaffolding, 0.10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best != 1 || len(evals) != 1 || tel.Counter(telemetry.CounterSolves) != 1 {
+		t.Errorf("maxN 1: best %d, %d evaluations, %d solves; want 1, 1, 1",
+			best, len(evals), tel.Counter(telemetry.CounterSolves))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := cfg
+	cancelled.Ctx = ctx
+	cancelled.Telemetry = telemetry.New()
+	if _, _, err := MaxTiersAtBudget(cancelled, Scaffolding, 0.10, 14); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled search: %v, want context.Canceled", err)
+	}
+	if n := cancelled.Telemetry.Counter(telemetry.CounterSolves); n != 0 {
+		t.Errorf("cancelled search started %d solves, want 0", n)
+	}
+}
+
+// TestCheckRising: the guard on the search's monotonicity contract
+// rejects a T_max that stays level, falls or is NaN as N rises.
+func TestCheckRising(t *testing.T) {
+	evals := func(ts ...float64) []*Evaluation {
+		var out []*Evaluation
+		for i, tc := range ts {
+			out = append(out, &Evaluation{Strategy: Scaffolding, Tiers: 2*i + 1, TMaxC: tc})
+		}
+		return out
+	}
+	for _, ok := range [][]float64{nil, {110}, {110, 111, 130}} {
+		if err := checkRising(evals(ok...)); err != nil {
+			t.Errorf("%v rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range [][]float64{{110, 110}, {110, 120, 119}, {110, math.NaN()}} {
+		if err := checkRising(evals(bad...)); err == nil || !strings.Contains(err.Error(), "rise with N") {
+			t.Errorf("%v: error %v, want the not-rising error", bad, err)
 		}
 	}
 }

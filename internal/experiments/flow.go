@@ -265,19 +265,24 @@ func Fig10(o Options, maxN int) (*Fig10Result, error) {
 		}
 		out.ConvTiers = append(out.ConvTiers, nConv)
 		out.ScafTiers = append(out.ScafTiers, nScaf)
-		conv.AddRow(100*b, 100*lastDelay(evalsC), nConv)
-		scaf.AddRow(100*b, 100*lastDelay(evalsS), nScaf)
+		conv.AddRow(100*b, 100*delayAt(evalsC, nConv), nConv)
+		scaf.AddRow(100*b, 100*delayAt(evalsS, nScaf), nScaf)
 	}
 	out.Conventional = conv
 	out.Scaffolding = scaf
 	return out, nil
 }
 
-func lastDelay(evals []*core.Evaluation) float64 {
-	if len(evals) == 0 {
-		return 0
+// delayAt returns the delay penalty of the evaluation at the supported
+// tier count best, or at the lowest N evaluated when best is 0; the
+// tier search returns its evaluations sorted by N.
+func delayAt(evals []*core.Evaluation, best int) float64 {
+	for _, e := range evals {
+		if e.Tiers == best {
+			return e.DelayPenalty
+		}
 	}
-	return evals[len(evals)-1].DelayPenalty
+	return evals[0].DelayPenalty
 }
 
 // Fig11Result is the heatsink exploration.
