@@ -29,15 +29,18 @@ race:
 # nondeterminism that a single pass would miss). Batch and Engine
 # cover the multi-RHS solver and the persistent-pool path, which must
 # stay bitwise identical to independent solves; Transient covers the
-# integrator's per-Δt leased contexts; TraceResume pins
-# the trace checkpoint/resume bitwise contract at every worker count
-# and precision tier; ArrivalOrder pins the service's default config
-# to answers that do not depend on which request came first. The rom
+# integrator's per-Δt leased contexts; TraceResume pins the trace
+# checkpoint/resume bitwise contract at every worker count and
+# precision tier; Precision pins the f32 tier's contracts (every
+# scheme bitwise equal at every Workers ≥ 2, its own cache entry, a
+# fallback that keeps the tier) and ZLine the default preconditioner
+# against Jacobi; ArrivalOrder pins the service's default config to
+# answers that do not depend on which request came first. The rom
 # conformance suite rides along: 200 randomized cross-fidelity
 # problems whose certified bounds are a hard contract against the
 # full solver.
 equivalence:
-	$(GO) test -race -run 'Equivalence|Batch|Engine|TraceResume|Family|Transient' -count=2 ./internal/solver/ ./internal/parallel/
+	$(GO) test -race -run 'Equivalence|Batch|Engine|TraceResume|Family|Transient|Precision|ZLine' -count=2 ./internal/solver/ ./internal/parallel/
 	$(GO) test -race -run 'Equivalence|Window|ArrivalOrder' -count=2 ./internal/serve/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/rom/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/cluster/

@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	showMap := fs.Bool("map", false, "render the top-tier temperature field as an ASCII heatmap")
 	workers := fs.Int("workers", 0, "solver worker goroutines (0 = one per CPU core, 1 = serial)")
 	precond := fs.String("precond", "zline", "PCG preconditioner: zline, multigrid or jacobi")
-	precision := fs.String("precision", "f64", "preconditioner arithmetic tier: f64 (exact historical results) or f32 (halves preconditioner memory traffic; same solution to tolerance)")
+	precision := fs.String("precision", "f64", "preconditioner arithmetic tier: f64 or f32 (f32 halves preconditioner memory traffic; same solution to tolerance)")
 	fidelity := fs.String("fidelity", specio.FidelityFull, "evaluation tier: full (exact FVM solve) or rc (certified reduced-order estimate)")
 	dtm := fs.Bool("dtm", false, "run the closed-loop DTM burst experiment on the spec instead of a steady solve")
 	dtmLimit := fs.Float64("dtm-limit", 125, "DTM thermal limit (°C)")

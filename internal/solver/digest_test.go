@@ -57,9 +57,6 @@ func hotEval(t *testing.T) *specio.Eval {
 func TestEquivalencePinnedDigests(t *testing.T) {
 	ev := hotEval(t)
 	p := ev.Problem
-	steady := func(workers int) solver.Options {
-		return solver.Options{Tol: ev.Tol, MaxIter: ev.MaxIter, Precond: ev.Precond, Workers: workers}
-	}
 	check := func(name, want string, field []float64) {
 		t.Helper()
 		if got := fieldDigest(field); got != want {
@@ -68,32 +65,51 @@ func TestEquivalencePinnedDigests(t *testing.T) {
 	}
 
 	const (
-		hotW1    = "99c613ba01e2c8bdc0b1fb56a2cb3b1dee92f92414ae53664025457b7b403575"
-		hotW3    = "85c02241ca5caedf78303fe67efd61df3253cc379960b4439666f98c37340d59"
-		transW1  = "99b529f725f3103708b0923e8a79d58f8724ac2c3d6fe81617fc006bc466cd4a"
-		failBest = "0669da70209a071d4c2043d497428ab631a6430da8cf3388b178c03ba8b9b2ac"
+		hotW1    = "ce88787c164eb65ce30a9d6d903ddb6eee6ca70ae32a5968222aee6a08e3d9e5"
+		hotW3    = "3e7daa3702c8a77f6144fe1269de21f6243e9860b8272ebafa9dc1bfef6bcfda"
+		transW1  = "ec800f91348597ce72c0aa0dcbae741ae23ea6b5596a372d3442a925175a9362"
+		failBest = "ee0f90f1986581ec75f67eddfe83c00b882a0847a64f9751f3a8611b969fde4b"
+		mgW1     = "fdf330134a34510f262e4fb54b59be8d06419eb1d667b1df6268022b7fc239a2"
+		mgW3     = "a2a19e5ee8fce6c266a296f5c70b6e1078f3f1c5eb84c2b8080a4ca84a0b67bb"
+		mgF32    = "42752d7a0ff357068a41fe5d5888396869cfe03875ddcbd07079c40d5fe1add0"
+		zlineF32 = "99ef5d757993337566d1c52966400001d9dd97791eef1497ef0efe202d1e9d10"
+		jacobiW1 = "673264c8136bbb00e8e593794e2b4861b40b76f19e01102c8dc0e3ca1f088701"
 	)
+	// The service default (zline, f64) and every other scheme and tier
+	// on the same problem.
 	for _, c := range []struct {
+		precond solver.Preconditioner
+		prec    solver.Precision
 		workers int
 		want    string
-	}{{1, hotW1}, {3, hotW3}} {
-		res, err := solver.SolveSteady(p, steady(c.workers))
+	}{
+		{solver.ZLine, solver.F64, 1, hotW1},
+		{solver.ZLine, solver.F64, 3, hotW3},
+		{solver.Multigrid, solver.F64, 1, mgW1},
+		{solver.Multigrid, solver.F64, 3, mgW3},
+		{solver.Multigrid, solver.F32, 1, mgF32},
+		{solver.ZLine, solver.F32, 1, zlineF32},
+		{solver.Jacobi, solver.F64, 1, jacobiW1},
+	} {
+		name := fmt.Sprintf("hot %s %s workers=%d", c.precond, c.prec, c.workers)
+		steady := solver.Options{Tol: ev.Tol, MaxIter: ev.MaxIter, Precond: c.precond, Precision: c.prec, Workers: c.workers}
+		res, err := solver.SolveSteady(p, steady)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		check(fmt.Sprintf("hot steady workers=%d", c.workers), c.want, res.T)
+		check(name, c.want, res.T)
 
 		// The engine's family path (leased kern, cached preconditioner)
 		// must land on the same bits, on the first and a reused lease.
 		eng := solver.NewEngine(c.workers)
 		for rep := 0; rep < 2; rep++ {
-			o := steady(c.workers)
+			o := steady
 			o.Engine, o.FamilyKey = eng, "hot"
 			res, err := solver.SolveSteady(p, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("hot family solve workers=%d rep=%d", c.workers, rep), c.want, res.T)
+			check(fmt.Sprintf("%s family solve rep=%d", name, rep), c.want, res.T)
 		}
 		eng.Close()
 	}
@@ -109,8 +125,7 @@ func TestEquivalencePinnedDigests(t *testing.T) {
 	}
 	check("zline transient", transW1, field)
 
-	o := steady(1)
-	o.MaxIter = 5
+	o := solver.Options{Tol: ev.Tol, MaxIter: 5, Precond: ev.Precond, Workers: 1}
 	_, err = solver.SolveSteady(p, o)
 	ce, ok := solver.AsConvergenceError(err)
 	if !ok || ce.Reason != solver.ReasonMaxIter {

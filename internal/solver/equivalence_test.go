@@ -349,43 +349,51 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 	}
 }
 
-// thomasColumn is the oracle of the ZLine preconditioner: the
-// historical per-column Thomas solve of one vertical cell column,
-// eliminating and back-substituting at stride sz with cp/dp scratch
-// of length nz. The production preconditioner factors once and sweeps
-// plane by plane; TestEquivalenceZLinePlanes pins it to this bitwise.
-func (op *operator) thomasColumn(r, z []float64, col int, cp, dp []float64) {
+// thomasColumn is the oracle of the ZLine preconditioner in tier F:
+// the per-column Thomas solve of one vertical cell column at stride
+// sz. The elimination runs in float64 as columnFactors runs it and
+// rounds each factor once to F; the forward and back sweeps run in F
+// with z = (r + gzp·z_below)·(1/pivot), then z −= cpf·z_above. The
+// production preconditioner factors once and sweeps plane by plane;
+// TestEquivalenceZLinePlanes pins it to this bitwise.
+func thomasColumn[F mgFloat](op *operator, r, z []float64, col int) {
 	nz, sz := op.nz, op.sz
-	c0 := col
-	b0 := op.diag[c0]
-	cp[0] = -op.gzp[c0] / b0
-	dp[0] = r[c0] / b0
+	cp, minv, d := make([]float64, nz), make([]float64, nz), make([]F, nz)
+	for k := 0; k < nz; k++ {
+		c := col + k*sz
+		m := op.diag[c]
+		if k > 0 {
+			a := -op.gzp[c-sz]
+			m -= a * cp[k-1]
+		}
+		cp[k] = -op.gzp[c] / m
+		minv[k] = 1 / m
+	}
+	d[0] = F(r[col]) * F(minv[0])
 	for k := 1; k < nz; k++ {
 		c := col + k*sz
-		a := -op.gzp[c-sz]
-		m := op.diag[c] - a*cp[k-1]
-		if k < nz-1 {
-			cp[k] = -op.gzp[c] / m
-		}
-		dp[k] = (r[c] - a*dp[k-1]) / m
+		d[k] = (F(r[c]) + F(op.gzp[c-sz])*d[k-1]) * F(minv[k])
 	}
-	z[col+(nz-1)*sz] = dp[nz-1]
 	for k := nz - 2; k >= 0; k-- {
-		z[col+k*sz] = dp[k] - cp[k]*z[col+(k+1)*sz]
+		d[k] -= F(cp[k]) * d[k+1]
+	}
+	for k := range d {
+		z[col+k*sz] = float64(d[k])
 	}
 }
 
 // TestEquivalenceZLinePlanes pins the factored plane-sweep ZLine
-// preconditioner bitwise against the per-column Thomas oracle, on
-// degenerate shapes (a single layer, a single row or column of
-// columns, a single column), odd sizes, grids spanning several
-// parallel column chunks, and a transient-augmented diagonal, at the
-// serial path and three pool sizes. Each apply starts from a dirty z,
-// as it does when a kern's work vectors are reused.
+// preconditioner of both precision tiers bitwise against the
+// per-column Thomas oracle, on degenerate shapes (a single layer, a
+// single row or column of columns, a single column), odd sizes, grids
+// spanning several parallel column chunks, and a transient-augmented
+// diagonal, at the serial path and three pool sizes. Each apply
+// starts from a dirty z, as it does when a kern's work vectors are
+// reused.
 func TestEquivalenceZLinePlanes(t *testing.T) {
 	rng := &eqRNG{s: 0x21E5}
 	shapes := [][3]int{
-		{40, 30, 1}, // nz=1: the forward division alone, 2 column chunks
+		{40, 30, 1}, // nz=1: the forward multiply alone, 2 column chunks
 		{1, 37, 9},  // nx=1
 		{45, 1, 5},  // ny=1
 		{1, 1, 13},  // one column
@@ -407,22 +415,27 @@ func TestEquivalenceZLinePlanes(t *testing.T) {
 			op   *operator
 		}{{"steady", op}, {"augmented", &aug}} {
 			r := mgRandVec(rng, n)
-			want := make([]float64, n)
-			cp, dp := make([]float64, sys.op.nz), make([]float64, sys.op.nz)
-			for col := 0; col < sys.op.sz; col++ {
-				sys.op.thomasColumn(r, want, col, cp, dp)
-			}
-			for _, w := range []int{1, 2, 3, 8} {
-				kr := testKern(t, w, n)
-				pc, err := makePreconditioner(sys.op, ZLine, F64, kr)
-				if err != nil {
-					t.Fatal(err)
+			for _, prec := range []Precision{F64, F32} {
+				want := make([]float64, n)
+				for col := 0; col < sys.op.sz; col++ {
+					if prec == F32 {
+						thomasColumn[float32](sys.op, r, want, col)
+					} else {
+						thomasColumn[float64](sys.op, r, want, col)
+					}
 				}
-				got := mgRandVec(rng, n)
-				for rep := 0; rep < 2; rep++ {
-					pc.apply(r, got)
-					if !bitIdentical(got, want) {
-						t.Errorf("%v %s workers=%d apply %d: plane sweep differs from per-column Thomas", sh, sys.name, w, rep)
+				for _, w := range []int{1, 2, 3, 8} {
+					kr := testKern(t, w, n)
+					pc, err := makePreconditioner(sys.op, ZLine, prec, kr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := mgRandVec(rng, n)
+					for rep := 0; rep < 2; rep++ {
+						pc(r, got)
+						if !bitIdentical(got, want) {
+							t.Errorf("%v %s %s workers=%d apply %d: plane sweep differs from per-column Thomas", sh, sys.name, prec, w, rep)
+						}
 					}
 				}
 			}

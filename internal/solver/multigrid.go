@@ -145,11 +145,13 @@ type mgLevel[F mgFloat] struct {
 	// on the hot path).
 	cpf, minv []F
 	// dp is the full-grid forward-elimination scratch of the
-	// layer-wise smoother. Making it grid-sized (instead of one
-	// column's worth) is what lets the smoother sweep layer by layer
-	// in linear memory order rather than column by column at stride
-	// sz — the column walk touched one cache line per z-layer per
-	// column and defeated the hardware prefetchers.
+	// layer-wise smoother (nil on a level that never smooths: the
+	// coarsest, whose lineSolve eliminates straight into its output).
+	// Making it grid-sized (instead of one column's worth) is what
+	// lets the smoother sweep layer by layer in linear memory order
+	// rather than column by column at stride sz — the column walk
+	// touched one cache line per z-layer per column and defeated the
+	// hardware prefetchers.
 	dp []F
 	// colGrain is the parallel column-range grain for this level,
 	// rounded up to whole rows so each worker strip runs linearly
@@ -170,29 +172,38 @@ type multigrid[F mgFloat] struct {
 	rbuf, zbuf []F
 }
 
-// newMultigrid builds the float64-tier hierarchy for op — the tier
-// whose results are bitwise-pinned to the historical implementation.
-func newMultigrid(op *operator, kr *kern) *multigrid[float64] {
-	return newMultigridTier[float64](op, kr)
+// newMultigridTier builds the semi-coarsened hierarchy for op in
+// precision tier F.
+func newMultigridTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
+	return newHierarchy[F](op, kr, mgMaxLevels)
 }
 
-// newMultigridTier builds the semi-coarsened hierarchy for op in
-// precision tier F. The construction is a few O(n) float64 passes —
-// cheap next to a single PCG iteration — and runs serially for
-// simplicity and determinism; only the finished per-level arrays are
-// stored in F.
-func newMultigridTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
+// newZLineTier builds the ZLine preconditioner for op in tier F: the
+// hierarchy cut off at one level, whose apply is the coarsest-level
+// lineSolve — the exact per-column Thomas solve against the full
+// diagonal.
+func newZLineTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
+	return newHierarchy[F](op, kr, 1)
+}
+
+// newHierarchy coarsens op until a single column is left or
+// maxLevels levels exist. The construction is a few O(n) float64
+// passes — cheap next to a single PCG iteration — and runs serially
+// for simplicity and determinism; only the finished per-level arrays
+// are stored in F.
+func newHierarchy[F mgFloat](op *operator, kr *kern, maxLevels int) *multigrid[F] {
 	mg := &multigrid[F]{kr: kr}
 	for cur := op; ; {
 		lvl := newMGLevel[F](cur)
 		mg.levels = append(mg.levels, lvl)
-		if (cur.nx == 1 && cur.ny == 1) || len(mg.levels) >= mgMaxLevels {
+		if (cur.nx == 1 && cur.ny == 1) || len(mg.levels) >= maxLevels {
 			break
 		}
 		lvl.xoff = mesh.CoarsenOffsets(cur.nx)
 		lvl.yoff = mesh.CoarsenOffsets(cur.ny)
 		lvl.xmap = aggregateMap(lvl.xoff, cur.nx)
 		lvl.ymap = aggregateMap(lvl.yoff, cur.ny)
+		lvl.dp = make([]F, len(lvl.diag))
 		cur = coarsenOperator(cur, lvl.xoff, lvl.yoff)
 	}
 	for _, lvl := range mg.levels[1:] {
@@ -207,26 +218,8 @@ func newMultigridTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
 	return mg
 }
 
-// newZLineTier builds a single-level "hierarchy" for op: its apply is
-// just the coarsest-level lineSolve — the exact per-column Thomas
-// solve against the full diagonal that the ZLine preconditioner
-// performs — with the column factors prefactored in tier F. This is
-// how the f32 ZLine tier reuses the multigrid machinery (conversion
-// buffers, layer-ordered sweeps, pool fan-out) without a second
-// tridiagonal kernel.
-func newZLineTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
-	mg := &multigrid[F]{kr: kr, levels: []*mgLevel[F]{newMGLevel[F](op)}}
-	if _, native := any(op.diag).([]F); !native {
-		n := len(op.diag)
-		mg.rbuf = make([]F, n)
-		mg.zbuf = make([]F, n)
-	}
-	return mg
-}
-
 // newMGLevel captures one operator as a tier-F level: stencil and
-// Thomas factors converted once, scratch allocated, column grain
-// fixed.
+// Thomas factors converted once, column grain fixed.
 func newMGLevel[F mgFloat](cur *operator) *mgLevel[F] {
 	lvl := &mgLevel[F]{
 		nx: cur.nx, ny: cur.ny, nz: cur.nz,
@@ -235,11 +228,7 @@ func newMGLevel[F mgFloat](cur *operator) *mgLevel[F] {
 		gzp: toTier[F](cur.gzp), diag: toTier[F](cur.diag),
 	}
 	cpf, minv := columnFactors(cur)
-	for c, m := range minv { // pivots → reciprocals, in place
-		minv[c] = 1 / m
-	}
 	lvl.cpf, lvl.minv = toTier[F](cpf), toTier[F](minv)
-	lvl.dp = make([]F, len(cur.diag))
 	cg := parallel.Grain / cur.nz
 	if cg < 1 {
 		cg = 1
@@ -252,29 +241,25 @@ func newMGLevel[F mgFloat](cur *operator) *mgLevel[F] {
 }
 
 // columnFactors runs the Thomas forward elimination of every column
-// tridiagonal once, returning the per-cell eliminated super-diagonal
-// (cpf) and pivot (piv). The ZLine preconditioner divides by the
-// pivots; multigrid levels store their reciprocals.
-func columnFactors(op *operator) (cpf, piv []float64) {
+// tridiagonal once, in float64, returning the per-cell eliminated
+// super-diagonal (cpf) and reciprocal pivot (minv).
+func columnFactors(op *operator) (cpf, minv []float64) {
 	n := len(op.diag)
 	cpf = make([]float64, n)
-	piv = make([]float64, n)
+	minv = make([]float64, n)
 	sz := op.sz
 	// Layer-by-layer (linear memory) order; every column eliminates
 	// independently. gzp is zero on the top layer, so cpf there is
 	// harmlessly zero and never read by the back-substitution.
-	for c := 0; c < sz && c < n; c++ {
+	for c := range minv {
 		m := op.diag[c]
-		piv[c] = m
+		if c >= sz {
+			m += op.gzp[c-sz] * cpf[c-sz]
+		}
+		minv[c] = 1 / m
 		cpf[c] = -op.gzp[c] / m
 	}
-	for c := sz; c < n; c++ {
-		a := -op.gzp[c-sz]
-		m := op.diag[c] - a*cpf[c-sz]
-		piv[c] = m
-		cpf[c] = -op.gzp[c] / m
-	}
-	return cpf, piv
+	return cpf, minv
 }
 
 // aggregateMap inverts the offsets: fine index → aggregate index.
@@ -438,7 +423,8 @@ func (mg *multigrid[F]) cycle(l int, b, x []F) {
 	if l == len(mg.levels)-1 {
 		// Coarsest level: a single z column — solve exactly with one
 		// Thomas elimination (the operator is purely tridiagonal once
-		// nx = ny = 1).
+		// nx = ny = 1). On the one-level ZLine hierarchy this is the
+		// whole preconditioner.
 		mg.lineSolve(lvl, b, x)
 		return
 	}
@@ -458,10 +444,10 @@ func (mg *multigrid[F]) cycle(l int, b, x []F) {
 	mg.solveColumns(lvl, b, x, 0, true)
 }
 
-// solveColumns relaxes the columns of one color (or every column when
-// color < 0) exactly, fanning contiguous column ranges out across the
-// pool. Columns are independent tridiagonal solves writing disjoint
-// cells, so any partition produces bit-identical results.
+// solveColumns relaxes the columns of one color exactly, fanning
+// contiguous column ranges out across the pool. Columns are
+// independent tridiagonal solves writing disjoint cells, so any
+// partition produces bit-identical results.
 func (mg *multigrid[F]) solveColumns(lvl *mgLevel[F], b, x []F, color int, gather bool) {
 	sz := lvl.sz
 	if mg.kr.pool.Serial() {
@@ -475,9 +461,9 @@ func (mg *multigrid[F]) solveColumns(lvl *mgLevel[F], b, x []F, color int, gathe
 
 // rowSpan returns the in-row iteration bounds for flat column range
 // [lo, hi) intersected with the row starting at flat index rs: the
-// first in-row offset (parity-adjusted to color when color ≥ 0), the
-// end offset, and the step (2 within one color, else 1).
-func rowSpan(nx, lo, hi, rs, j, color int) (i, ie, step int) {
+// first in-row offset of the given color and the end offset. Cells
+// of one color are two apart within a row.
+func rowSpan(nx, lo, hi, rs, j, color int) (i, ie int) {
 	if rs < lo {
 		i = lo - rs
 	}
@@ -485,14 +471,10 @@ func rowSpan(nx, lo, hi, rs, j, color int) (i, ie, step int) {
 	if rs+ie > hi {
 		ie = hi - rs
 	}
-	step = 1
-	if color >= 0 {
-		if (i+j)&1 != color {
-			i++
-		}
-		step = 2
+	if (i+j)&1 != color {
+		i++
 	}
-	return i, ie, step
+	return i, ie
 }
 
 // smoothRange relaxes the color-matching columns within flat column
@@ -516,9 +498,9 @@ func (lvl *mgLevel[F]) smoothRange(b, x []F, color int, gather bool, lo, hi int)
 		base := k * sz
 		for rs := row0; rs < hi; rs += nx {
 			j := rs / nx
-			i, ie, step := rowSpan(nx, lo, hi, rs, j, color)
+			i, ie := rowSpan(nx, lo, hi, rs, j, color)
 			if gather {
-				for ; i < ie; i += step {
+				for ; i < ie; i += 2 {
 					c := base + rs + i
 					s := b[c]
 					if g := gxp[c]; g != 0 {
@@ -543,7 +525,7 @@ func (lvl *mgLevel[F]) smoothRange(b, x []F, color int, gather bool, lo, hi int)
 					dp[c] = s * minv[c]
 				}
 			} else {
-				for ; i < ie; i += step {
+				for ; i < ie; i += 2 {
 					c := base + rs + i
 					s := b[c]
 					if c >= sz {
@@ -567,8 +549,8 @@ func (lvl *mgLevel[F]) backSubstitute(x []F, color, lo, hi int) {
 	top := (nz - 1) * sz
 	for rs := row0; rs < hi; rs += nx {
 		j := rs / nx
-		i, ie, step := rowSpan(nx, lo, hi, rs, j, color)
-		for ; i < ie; i += step {
+		i, ie := rowSpan(nx, lo, hi, rs, j, color)
+		for ; i < ie; i += 2 {
 			c := top + rs + i
 			x[c] = dp[c]
 		}
@@ -577,8 +559,8 @@ func (lvl *mgLevel[F]) backSubstitute(x []F, color, lo, hi int) {
 		base := k * sz
 		for rs := row0; rs < hi; rs += nx {
 			j := rs / nx
-			i, ie, step := rowSpan(nx, lo, hi, rs, j, color)
-			for ; i < ie; i += step {
+			i, ie := rowSpan(nx, lo, hi, rs, j, color)
+			for ; i < ie; i += 2 {
 				c := base + rs + i
 				x[c] = dp[c] - cpf[c]*x[c+sz]
 			}
@@ -586,12 +568,56 @@ func (lvl *mgLevel[F]) backSubstitute(x []F, color, lo, hi int) {
 	}
 }
 
-// lineSolve solves the z-line system of every column — on the
-// coarsest (1×1-column) level this is the exact solve of the whole
-// level. Columns write disjoint entries, so the result is bitwise
-// identical at any worker count.
+// lineSolve solves the z-line system of every column exactly: the
+// ZLine preconditioner, and on the coarsest (1×1-column) level the
+// exact solve of the whole level. Columns write disjoint entries, so
+// any partition of the column range gives the same bits at any
+// worker count.
 func (mg *multigrid[F]) lineSolve(lvl *mgLevel[F], r, z []F) {
-	mg.solveColumns(lvl, r, z, -1, false)
+	if mg.kr.pool.Serial() {
+		lvl.lineRange(r, z, 0, lvl.sz)
+		return
+	}
+	mg.kr.pool.ForGrain(lvl.sz, lvl.colGrain, func(_, s, e int) {
+		lvl.lineRange(r, z, s, e)
+	})
+}
+
+// lineRange solves the columns in flat column range [lo, hi): a
+// forward sweep bottom-up, z = (r + gzp·z_below)·minv written
+// straight into z, then back substitution top-down,
+// z −= cpf·z_above, each plane in linear memory order rather than one
+// column at a time at stride sz. Every cell evaluates the per-column
+// Thomas recurrence's own expressions and columns never couple, so
+// the result is bitwise identical to solving the columns one by one
+// (TestEquivalenceZLinePlanes).
+func (lvl *mgLevel[F]) lineRange(r, z []F, lo, hi int) {
+	sz, n := lvl.sz, len(lvl.minv)
+	// Each plane works on equal-length subslices, so the compiler
+	// drops the per-cell bounds checks.
+	zc, rc, mc := z[lo:hi], r[lo:hi], lvl.minv[lo:hi]
+	rc, mc = rc[:len(zc)], mc[:len(zc)]
+	for i := range zc {
+		zc[i] = rc[i] * mc[i]
+	}
+	for base := sz; base < n; base += sz {
+		zc := z[base+lo : base+hi]
+		zb := z[base-sz+lo : base-sz+hi][:len(zc)]
+		gb := lvl.gzp[base-sz+lo : base-sz+hi][:len(zc)]
+		rc := r[base+lo : base+hi][:len(zc)]
+		mc := lvl.minv[base+lo : base+hi][:len(zc)]
+		for i := range zc {
+			zc[i] = (rc[i] + gb[i]*zb[i]) * mc[i]
+		}
+	}
+	for base := n - 2*sz; base >= 0; base -= sz {
+		zc := z[base+lo : base+hi]
+		za := z[base+sz+lo : base+sz+hi][:len(zc)]
+		cc := lvl.cpf[base+lo : base+hi][:len(zc)]
+		for i := range zc {
+			zc[i] -= cc[i] * za[i]
+		}
+	}
 }
 
 // smoothRestrict is the fused down-leg tail: the black half-sweep of
@@ -773,9 +799,9 @@ func (lvl *mgLevel[F]) correctRange(b, x, xc []F, nxc, nyc int, lo, hi int) {
 		kc := k * nyc * nxc
 		for rs := row0; rs < hi; rs += nx {
 			j := rs / nx
-			i, ie, step := rowSpan(nx, lo, hi, rs, j, 1)
+			i, ie := rowSpan(nx, lo, hi, rs, j, 1)
 			c0 := kc + ymap[j]*nxc // coarse base of this fine row
-			for ; i < ie; i += step {
+			for ; i < ie; i += 2 {
 				c := base + rs + i
 				s := b[c]
 				if g := gxp[c]; g != 0 {

@@ -24,7 +24,7 @@ func TestMultigridSymmetricPD(t *testing.T) {
 	op := assemble(p)
 	n := len(op.b)
 	kr := testKern(t, 1, n)
-	mg := newMultigrid(op, kr)
+	mg := newMultigridTier[float64](op, kr)
 
 	rng := &eqRNG{s: 0x5ca1ab1e}
 	bu := make([]float64, n)
@@ -89,7 +89,7 @@ func TestMultigridCycleBitwiseDeterministic(t *testing.T) {
 	var ref []float64
 	for _, w := range []int{1, 2, 3, 4, 8} {
 		kr := testKern(t, w, n)
-		mg := newMultigrid(op, kr)
+		mg := newMultigridTier[float64](op, kr)
 		z := make([]float64, n)
 		mg.apply(r, z)
 		if ref == nil {

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"thermalscaffold/internal/parallel"
 	"thermalscaffold/internal/telemetry"
 )
 
@@ -74,8 +73,7 @@ func ParsePreconditioner(s string) (Preconditioner, error) {
 type Precision int
 
 const (
-	// F64 (the zero value) runs the preconditioner in float64 — the
-	// historical arithmetic, bit-for-bit.
+	// F64 (the zero value) runs the preconditioner in float64.
 	F64 Precision = iota
 	// F32 stores the preconditioner's stencil, factors, and iterates
 	// in float32 and sweeps in float32 arithmetic. The multigrid and
@@ -84,8 +82,7 @@ const (
 	// rougher M⁻¹ typically costs a few extra PCG iterations.
 	// Determinism is unchanged — the f32 sweeps contain no
 	// floating-point reductions, so results are bit-identical
-	// run-to-run and across worker counts, exactly like F64; only the
-	// F64 tier's values are pinned to the historical ones.
+	// run-to-run and across worker counts, exactly like F64.
 	F32
 )
 
@@ -125,7 +122,7 @@ type Options struct {
 	// Precond selects the preconditioner (default ZLine).
 	Precond Preconditioner
 	// Precision selects the preconditioner's arithmetic tier (default
-	// F64, the historical bit-for-bit arithmetic). See Precision.
+	// F64). See Precision.
 	Precision Precision
 	// Workers is the number of goroutines running the parallel solver
 	// kernels: chunked SpMV, deterministic PCG reductions, ZLine
@@ -447,13 +444,7 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 			Method: "pcg", Precond: opts.Precond, Reason: ReasonBreakdown, Err: err,
 		}
 	}
-	var rz float64
-	if pc.applyDot != nil {
-		rz = pc.applyDot(r, z)
-	} else {
-		pc.apply(r, z)
-		rz = kr.dot(r, z)
-	}
+	rz := pc(r, z)
 	// Iteration 1 takes p = z directly (a β=0 fused direction could
 	// flip signed zeros: z + 0·p is not always bit-equal to z).
 	copy(p, z)
@@ -503,29 +494,20 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 			return fail(ReasonStagnation, it,
 				fmt.Errorf("no residual improvement in %d iterations (best %g at iteration %d)", it-bestIter, bestRes, bestIter))
 		}
-		var rzNew float64
-		if pc.applyDot != nil {
-			rzNew = pc.applyDot(r, z)
-		} else {
-			pc.apply(r, z)
-			rzNew = kr.dot(r, z)
-		}
+		rzNew := pc(r, z)
 		beta = rzNew / rz
 		rz = rzNew
 	}
 	return fail(ReasonMaxIter, opts.MaxIter, nil)
 }
 
-// precondOp is one built preconditioner. apply is z ← M⁻¹·r;
-// applyDot, when non-nil, additionally returns rᵀz from the same
-// sweep. The fusion is offered only where it preserves the flat
-// index-order summation of the separate dot pass (Jacobi); the
-// column-ordered ZLine/Multigrid solvers keep the separate reduction
-// so the determinism contract's summation order never changes.
-type precondOp struct {
-	apply    func(r, z []float64)
-	applyDot func(r, z []float64) float64
-}
+// precondOp is one built preconditioner: it overwrites z with M⁻¹·r
+// and returns rᵀz. Jacobi sums rᵀz in the sweep that writes z, which
+// is the flat index-order summation of a separate dot pass; ZLine and
+// Multigrid write z in column or level order, so they apply first and
+// then reduce with kr.dot, and the determinism contract's summation
+// order never changes.
+type precondOp func(r, z []float64) float64
 
 // precondKey identifies one built preconditioner: the scheme plus its
 // arithmetic tier (the f32 and f64 builds of the same scheme hold
@@ -551,209 +533,81 @@ func (pcs precondCache) get(op *operator, kind Preconditioner, prec Precision, k
 	}
 	pc, err := makePreconditioner(op, kind, prec, kr)
 	if err != nil {
-		return precondOp{}, err
+		return nil, err
 	}
 	pcs[key] = pc
 	return pc, nil
 }
 
-// makePreconditioner builds z ← M⁻¹·r for the selected scheme and
+// makePreconditioner builds the selected scheme in the selected
 // precision tier, running on kr's worker pool.
 func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *kern) (precondOp, error) {
-	n := len(op.diag)
 	if !op.diagChecked {
-		for c := 0; c < n; c++ {
-			if op.diag[c] <= 0 {
-				return precondOp{}, errors.New("solver: non-positive diagonal — singular system")
+		for _, d := range op.diag {
+			if d <= 0 {
+				return nil, errors.New("solver: non-positive diagonal — singular system")
 			}
 		}
 		op.diagChecked = true
 	}
 	switch prec {
 	case F64:
+		return makeTier[float64](op, kind, kr)
 	case F32:
-		// The f32 tier reuses the generic multigrid machinery for the
-		// line-based schemes: ZLine is exactly a single-level hierarchy
-		// (the coarsest-level lineSolve is the same exact per-column
-		// Thomas solve against the full diagonal), and Multigrid is the
-		// full hierarchy in float32. Jacobi stores its reciprocal
-		// diagonal in float32 and multiplies in float32; like the f64
-		// tier, the fused rᵀz reduction stays float64 in chunk order.
-		switch kind {
-		case Jacobi:
-			invDiag := make([]float32, n)
-			for c := range invDiag {
-				invDiag[c] = float32(1 / op.diag[c])
-			}
-			if kr.pool.Serial() {
-				return precondOp{
-					apply: func(r, z []float64) {
-						for c := range z {
-							z[c] = float64(float32(r[c]) * invDiag[c])
-						}
-					},
-					applyDot: func(r, z []float64) float64 {
-						sum := 0.0
-						for c := range z {
-							zc := float64(float32(r[c]) * invDiag[c])
-							z[c] = zc
-							sum += r[c] * zc
-						}
-						return sum
-					},
-				}, nil
-			}
-			return precondOp{
-				apply: func(r, z []float64) {
-					kr.pool.For(n, func(s, e int) {
-						for c := s; c < e; c++ {
-							z[c] = float64(float32(r[c]) * invDiag[c])
-						}
-					})
-				},
-				applyDot: func(r, z []float64) float64 {
-					return kr.pool.ReduceSum(n, kr.partials, func(s, e int) float64 {
-						sum := 0.0
-						for c := s; c < e; c++ {
-							zc := float64(float32(r[c]) * invDiag[c])
-							z[c] = zc
-							sum += r[c] * zc
-						}
-						return sum
-					})
-				},
-			}, nil
-		case ZLine:
-			return precondOp{apply: newZLineTier[float32](op, kr).apply}, nil
-		case Multigrid:
-			return precondOp{apply: newMultigridTier[float32](op, kr).apply}, nil
-		default:
-			return precondOp{}, fmt.Errorf("solver: unknown preconditioner %d", kind)
-		}
-	default:
-		return precondOp{}, fmt.Errorf("solver: unknown precision %d", prec)
+		return makeTier[float32](op, kind, kr)
 	}
+	return nil, fmt.Errorf("solver: unknown precision %d", prec)
+}
+
+// makeTier builds the selected scheme in tier F. ZLine is the
+// one-level hierarchy (its apply is lineSolve, the exact per-column
+// Thomas solve against the full diagonal) and Multigrid the full one.
+func makeTier[F mgFloat](op *operator, kind Preconditioner, kr *kern) (precondOp, error) {
+	var mg *multigrid[F]
 	switch kind {
 	case Jacobi:
-		invDiag := make([]float64, n)
-		for c := range invDiag {
-			invDiag[c] = 1 / op.diag[c]
-		}
-		if kr.pool.Serial() {
-			return precondOp{
-				apply: func(r, z []float64) {
-					for c := range z {
-						z[c] = r[c] * invDiag[c]
-					}
-				},
-				applyDot: func(r, z []float64) float64 {
-					sum := 0.0
-					for c := range z {
-						zc := r[c] * invDiag[c]
-						z[c] = zc
-						sum += r[c] * zc
-					}
-					return sum
-				},
-			}, nil
-		}
-		return precondOp{
-			apply: func(r, z []float64) {
-				kr.pool.For(n, func(s, e int) {
-					for c := s; c < e; c++ {
-						z[c] = r[c] * invDiag[c]
-					}
-				})
-			},
-			applyDot: func(r, z []float64) float64 {
-				return kr.pool.ReduceSum(n, kr.partials, func(s, e int) float64 {
-					sum := 0.0
-					for c := s; c < e; c++ {
-						zc := r[c] * invDiag[c]
-						z[c] = zc
-						sum += r[c] * zc
-					}
-					return sum
-				})
-			},
-		}, nil
+		return newJacobi[F](op, kr), nil
 	case ZLine:
-		zl := newZLine(op)
-		if kr.pool.Serial() {
-			return precondOp{apply: func(r, z []float64) { zl.solve(r, z, 0, zl.sz) }}, nil
-		}
-		// Column-range fan-out: columns are independent tridiagonal
-		// solves writing disjoint z entries, so the output is bitwise
-		// identical to the serial sweep at any worker count. Chunks are
-		// sized to ~Grain cells so scheduling overhead stays amortized
-		// on shallow stacks.
-		colGrain := max(parallel.Grain/op.nz, 1)
-		return precondOp{apply: func(r, z []float64) {
-			kr.pool.ForGrain(zl.sz, colGrain, func(_, s, e int) { zl.solve(r, z, s, e) })
-		}}, nil
+		mg = newZLineTier[F](op, kr)
 	case Multigrid:
-		return precondOp{apply: newMultigrid(op, kr).apply}, nil
+		mg = newMultigridTier[F](op, kr)
 	default:
-		return precondOp{}, fmt.Errorf("solver: unknown preconditioner %d", kind)
+		return nil, fmt.Errorf("solver: unknown preconditioner %d", kind)
+	}
+	return func(r, z []float64) float64 {
+		mg.apply(r, z)
+		return kr.dot(r, z)
+	}, nil
+}
+
+// newJacobi builds diagonal preconditioning in tier F: the reciprocal
+// diagonal is computed in float64 and stored in F, each z entry is
+// the F product r·(1/diag), and rᵀz sums in float64 over the same
+// chunks, in the same order, as kr.dot.
+func newJacobi[F mgFloat](op *operator, kr *kern) precondOp {
+	n := len(op.diag)
+	invDiag := make([]F, n)
+	for c, d := range op.diag {
+		invDiag[c] = F(1 / d)
+	}
+	if kr.pool.Serial() {
+		return func(r, z []float64) float64 { return jacobiRange(invDiag, r, z, 0, n) }
+	}
+	return func(r, z []float64) float64 {
+		return kr.pool.ReduceSum(n, kr.partials, func(s, e int) float64 {
+			return jacobiRange(invDiag, r, z, s, e)
+		})
 	}
 }
 
-// zline is the ZLine preconditioner of one operator: the Thomas
-// forward elimination of every column tridiagonal (sub/super diagonals
-// −gzp, main diagonal the full operator diagonal — keeping lateral and
-// boundary conductance makes M SPD and closer to A) done once, so an
-// application is only the right-hand-side sweeps. It lives in the
-// precondCache, so every solve that reuses the cache reuses the
-// factors.
-type zline struct {
-	sz  int
-	gzp []float64 // the operator's vertical couplings (shared)
-	piv []float64 // Thomas pivot per cell
-	cpf []float64 // eliminated super-diagonal per cell
-}
-
-func newZLine(op *operator) *zline {
-	cpf, piv := columnFactors(op)
-	return &zline{sz: op.sz, gzp: op.gzp, piv: piv, cpf: cpf}
-}
-
-// solve computes z ← M⁻¹·r for the columns in flat column range
-// [lo, hi): a forward sweep bottom-up, written straight into z, then
-// back substitution top-down, each plane in linear memory order
-// rather than one column at a time at stride sz. Every cell evaluates
-// the per-column Thomas recurrence's own expressions — the forward
-// value (r − a·z_below)/pivot with a = −gzp, the back value
-// z − cpf·z_above — and columns never couple, so the result is
-// bitwise identical to solving the columns one by one
-// (TestEquivalenceZLinePlanes).
-func (zl *zline) solve(r, z []float64, lo, hi int) {
-	sz, n := zl.sz, len(zl.piv)
-	// Each plane works on equal-length subslices, so the compiler
-	// drops the per-cell bounds checks.
-	zc, rc, pc := z[lo:hi], r[lo:hi], zl.piv[lo:hi]
-	rc, pc = rc[:len(zc)], pc[:len(zc)]
-	for i := range zc {
-		zc[i] = rc[i] / pc[i]
+func jacobiRange[F mgFloat](invDiag []F, r, z []float64, s, e int) float64 {
+	sum := 0.0
+	for c := s; c < e; c++ {
+		zc := float64(F(r[c]) * invDiag[c])
+		z[c] = zc
+		sum += r[c] * zc
 	}
-	for base := sz; base < n; base += sz {
-		zc := z[base+lo : base+hi]
-		zb := z[base-sz+lo : base-sz+hi][:len(zc)]
-		gb := zl.gzp[base-sz+lo : base-sz+hi][:len(zc)]
-		rc := r[base+lo : base+hi][:len(zc)]
-		pc := zl.piv[base+lo : base+hi][:len(zc)]
-		for i := range zc {
-			a := -gb[i]
-			zc[i] = (rc[i] - a*zb[i]) / pc[i]
-		}
-	}
-	for base := n - 2*sz; base >= 0; base -= sz {
-		zc := z[base+lo : base+hi]
-		za := z[base+sz+lo : base+sz+hi][:len(zc)]
-		cc := zl.cpf[base+lo : base+hi][:len(zc)]
-		for i := range zc {
-			zc[i] = zc[i] - cc[i]*za[i]
-		}
-	}
+	return sum
 }
 
 func dot(a, b []float64) float64 {

@@ -267,17 +267,35 @@ func BuildTrace(r TraceRequest) (*TraceEval, error) {
 }
 
 // segmentSources builds one segment's volumetric source field: the
-// normalized base power map scaled and repainted, run through the
-// same stack build as the base problem. Geometry and materials are
-// fixed by the base request, so the built problems differ only in Q.
+// sources of its segmentRequest, painted onto the base problem's
+// geometry by CloneForPower (the same-family path the service's
+// family-prefix memo uses) instead of a full BuildEval — geometry and
+// materials are fixed by the base request, so the two differ only in
+// cost (TestBuildTraceSegmentSources pins them bitwise).
 func segmentSources(base *Eval, stackNorm StackJSON, seg TraceSegmentJSON) ([]float64, error) {
+	derived, ok := segmentRequest(base, stackNorm, seg)
+	if !ok {
+		// The base problem's own sources, verbatim.
+		return append([]float64(nil), base.Problem.Q...), nil
+	}
+	dev, err := base.CloneForPower(derived)
+	if err != nil {
+		return nil, err
+	}
+	return dev.Problem.Q, nil
+}
+
+// segmentRequest returns the /v1/eval request whose power a segment
+// describes: the normalized base power map scaled, with the segment's
+// blocks painted on top. ok is false for a segment that keeps the
+// base power unchanged (scale 1, no blocks).
+func segmentRequest(base *Eval, stackNorm StackJSON, seg TraceSegmentJSON) (req EvalRequest, ok bool) {
 	scale := 1.0
 	if seg.PowerScale != nil {
 		scale = *seg.PowerScale
 	}
 	if scale == 1 && len(seg.PowerBlocks) == 0 {
-		// The base problem's own sources, verbatim.
-		return append([]float64(nil), base.Problem.Q...), nil
+		return EvalRequest{}, false
 	}
 	sj := stackNorm
 	pm := make([]float64, len(sj.PowerMap))
@@ -296,12 +314,7 @@ func segmentSources(base *Eval, stackNorm StackJSON, seg TraceSegmentJSON) ([]fl
 	}
 	sj.PowerMap = pm
 	sj.UniformPower = 0
-	derived := EvalRequest{Stack: sj, PowerBlocks: seg.PowerBlocks, Solver: base.Req.Solver}
-	dev, err := BuildEval(derived)
-	if err != nil {
-		return nil, err
-	}
-	return dev.Problem.Q, nil
+	return EvalRequest{Stack: sj, PowerBlocks: seg.PowerBlocks, Solver: base.Req.Solver}, true
 }
 
 // EncodeTraceState serializes a temperature field for a checkpoint:

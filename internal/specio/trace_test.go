@@ -145,7 +145,8 @@ func TestTraceStateRoundTrip(t *testing.T) {
 
 // TestBuildTraceSegmentSources pins segment power semantics: a
 // default segment carries the base problem's exact sources, scale
-// rescales the device-layer sources, and blocks add on top.
+// rescales the device-layer sources, blocks add on top, and every
+// segment's sources equal a full BuildEval of its request.
 func TestBuildTraceSegmentSources(t *testing.T) {
 	te, err := BuildTrace(validTrace())
 	if err != nil {
@@ -172,6 +173,34 @@ func TestBuildTraceSegmentSources(t *testing.T) {
 	}
 	if sum2 <= sum0 {
 		t.Fatalf("block segment total %g did not exceed base %g", sum2, sum0)
+	}
+
+	// Segment sources are painted onto the base geometry; they must be
+	// bitwise what a full build of the segment's own request gives.
+	for _, req := range []TraceRequest{validTrace(), ExampleTrace()} {
+		te, err := BuildTrace(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, seg := range te.Req.Segments {
+			want := te.Base.Problem.Q
+			if derived, ok := segmentRequest(te.Base, te.Req.Stack, seg); ok {
+				dev, err := BuildEval(derived)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = dev.Problem.Q
+			}
+			got := te.Segments[i].Q
+			if len(got) != len(want) {
+				t.Fatalf("segment %d: %d sources, want %d", i, len(got), len(want))
+			}
+			for c := range want {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("segment %d: sources differ from BuildEval at cell %d", i, c)
+				}
+			}
+		}
 	}
 }
 
