@@ -4,7 +4,7 @@ GO ?= go
 # `make cover` — raise it when coverage rises, never lower it.
 COVER_FLOOR ?= 87.0
 
-.PHONY: all build test vet race equivalence serve-stress fuzz-short cover examples-run bench bench-json bench-serve bench-cluster bench-smoke bench-build bench-run bench-pairs ci
+.PHONY: all build test vet fmt race equivalence serve-stress fuzz-short cover examples-run bench bench-json bench-serve bench-cluster bench-smoke bench-build bench-run bench-pairs ci
 
 all: build test
 
@@ -16,6 +16,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when `gofmt -l .` lists any file, that is, when gofmt would
+# reformat one (or cannot parse it).
+fmt:
+	@out=$$(gofmt -l .) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # race runs the full suite under the race detector — the parallel
 # solver kernels (internal/parallel, internal/solver) must stay
@@ -35,12 +41,16 @@ race:
 # scheme bitwise equal at every Workers ≥ 2, its own cache entry, a
 # fallback that keeps the tier) and ZLine the default preconditioner
 # against Jacobi; ArrivalOrder pins the service's default config to
-# answers that do not depend on which request came first. The rom
+# answers that do not depend on which request came first. In
+# internal/stack, Equivalence covers solves on arrays an earlier solve
+# returned to the solver's free list: dirty buffers and concurrent
+# private solves must give their fresh answers bit for bit. The rom
 # conformance suite rides along: 200 randomized cross-fidelity
 # problems whose certified bounds are a hard contract against the
 # full solver.
 equivalence:
 	$(GO) test -race -run 'Equivalence|Batch|Engine|TraceResume|Family|Transient|Precision|ZLine' -count=2 ./internal/solver/ ./internal/parallel/
+	$(GO) test -race -run 'Equivalence' -count=2 ./internal/stack/
 	$(GO) test -race -run 'Equivalence|Window|ArrivalOrder' -count=2 ./internal/serve/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/rom/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/cluster/
@@ -178,9 +188,9 @@ bench-pairs:
 	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || { echo "bench-pairs: set BASE=<rev> and WORKLOAD=<name>"; exit 2; }
 	bash scripts/bench-pairs.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)"
 
-# ci is the gate: vet + race-clean full suite + doubled equivalence
-# (which also pins determinism with telemetry attached) + the service
-# stress suite + fuzz bursts + the ratcheted coverage floor + a run of
-# every example and quick figure + a build of the repository
-# benchmark.
-ci: race equivalence serve-stress fuzz-short cover examples-run bench-build
+# ci is the gate: gofmt + vet + race-clean full suite + doubled
+# equivalence (which also pins determinism with telemetry attached) +
+# the service stress suite + fuzz bursts + the ratcheted coverage floor
+# + a run of every example and quick figure + a build of the
+# repository benchmark.
+ci: fmt race equivalence serve-stress fuzz-short cover examples-run bench-build

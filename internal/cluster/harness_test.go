@@ -70,8 +70,16 @@ func newFaultTransport() *faultTransport {
 	}
 }
 
-func (f *faultTransport) block(hostport string)   { f.mu.Lock(); f.blocked[hostport] = true; f.mu.Unlock() }
-func (f *faultTransport) unblock(hostport string) { f.mu.Lock(); delete(f.blocked, hostport); f.mu.Unlock() }
+func (f *faultTransport) block(hostport string) {
+	f.mu.Lock()
+	f.blocked[hostport] = true
+	f.mu.Unlock()
+}
+func (f *faultTransport) unblock(hostport string) {
+	f.mu.Lock()
+	delete(f.blocked, hostport)
+	f.mu.Unlock()
+}
 func (f *faultTransport) delay(hostport string, d time.Duration) {
 	f.mu.Lock()
 	f.delays[hostport] = d

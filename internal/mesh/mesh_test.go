@@ -231,9 +231,9 @@ func TestCoarsenOffsets(t *testing.T) {
 
 func TestCoarsenXY(t *testing.T) {
 	g, err := New(
-		[]float64{0, 1, 3, 4, 7, 8},    // 5 cells
-		[]float64{0, 2, 5, 9, 10},      // 4 cells
-		[]float64{0, 0.1, 0.9, 1.0},    // 3 layers, nonuniform
+		[]float64{0, 1, 3, 4, 7, 8}, // 5 cells
+		[]float64{0, 2, 5, 9, 10},   // 4 cells
+		[]float64{0, 0.1, 0.9, 1.0}, // 3 layers, nonuniform
 	)
 	if err != nil {
 		t.Fatal(err)

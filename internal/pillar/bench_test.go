@@ -1,7 +1,6 @@
 package pillar
 
 import (
-	"fmt"
 	"testing"
 
 	"thermalscaffold/internal/design"
@@ -16,6 +15,7 @@ func BenchmarkPlaceScaffold12(b *testing.B) {
 		Sink: heatsink.TwoPhase(), TTargetC: 125,
 		BEOL: stack.ScaffoldedBEOL(), NX: 12, NY: 12,
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Place(req); err != nil {
@@ -60,6 +60,7 @@ func BenchmarkPlacementLoop(b *testing.B) {
 	opts := solver.Options{Tol: 1e-7, MaxIter: 80000, Precond: solver.Multigrid}
 
 	b.Run("percandidate", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range qs {
 				cp := *p
@@ -71,41 +72,13 @@ func BenchmarkPlacementLoop(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := solver.SolveSteadyBatch(p, qs, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkPlaceEngine compares the full bisection loop with the
-// caller-supplied persistent engine against per-solve pools (the
-// Engine==nil path creates one internally, so both rows now share a
-// pool across the loop; the comparison bounds the engine plumbing
-// overhead).
-func BenchmarkPlaceEngine(b *testing.B) {
-	req := Request{
-		Design: design.Gemmini(), Tiers: 12,
-		Sink: heatsink.TwoPhase(), TTargetC: 125,
-		BEOL: stack.ScaffoldedBEOL(), NX: 12, NY: 12,
-	}
-	for _, withEngine := range []bool{false, true} {
-		b.Run(fmt.Sprintf("engine=%v", withEngine), func(b *testing.B) {
-			r := req
-			if withEngine {
-				eng := solver.NewEngine(0)
-				defer eng.Close()
-				r.Engine = eng
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Place(r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkSpreadingLength(b *testing.B) {

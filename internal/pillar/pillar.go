@@ -90,13 +90,6 @@ type Request struct {
 	// Telemetry, when non-nil, collects solve traces and counters from
 	// every thermal solve the placement runs (see internal/telemetry).
 	Telemetry *telemetry.Collector
-	// Engine, when non-nil, supplies a persistent solver worker pool
-	// shared by every thermal solve this request issues. Place runs
-	// ~20 same-sized solves back to back; when Engine is nil it
-	// creates a private engine for the bisection's duration, so a
-	// caller that places many designs can share one instead. Results
-	// are bitwise identical either way (see solver.Engine).
-	Engine *solver.Engine
 }
 
 func (r *Request) withDefaults() (*Request, error) {
@@ -319,11 +312,8 @@ func Place(req Request) (*Placement, error) {
 	}
 
 	// One pool serves the whole bisection (~20 solves on one grid).
-	eng := r.Engine
-	if eng == nil {
-		eng = solver.NewEngine(0)
-		defer eng.Close()
-	}
+	eng := solver.NewEngine(0)
+	defer eng.Close()
 
 	var lastField []float64
 	solveAt := func(lambda float64) (float64, *stack.PillarField, *stack.PillarField, error) {

@@ -432,7 +432,7 @@ func TestEquivalenceZLinePlanes(t *testing.T) {
 					}
 					got := mgRandVec(rng, n)
 					for rep := 0; rep < 2; rep++ {
-						pc(r, got)
+						pc.apply(r, got)
 						if !bitIdentical(got, want) {
 							t.Errorf("%v %s %s workers=%d apply %d: plane sweep differs from per-column Thomas", sh, sys.name, prec, w, rep)
 						}

@@ -29,9 +29,12 @@ import (
 // singular assembly declined) — runs on a private entry assembled for
 // that call alone: never inserted into the cache, never counted in
 // AssemblyStats or the family_assembly_* telemetry counters, and its
-// one steady lease takes the assembled b as its right-hand side, so
-// an unkeyed solve allocates no second one. Either way the solve runs
-// the same code: lease a context, derive the RHS, run PCG, release.
+// one steady lease takes the assembled b as its right-hand side. Its
+// arrays — operator, stencil, kern vectors and preconditioners — come
+// from the free list (freelist.go), and a steady call hands them all
+// back when it releases its lease, so the next same-sized solve
+// reuses them. Either way the solve runs the same code: lease a
+// context, derive the RHS, run PCG, release.
 //
 // Key contract: two problems may share a key only if every
 // operator-determining field — grid coordinates, KX/KY/KZ, Cv,
@@ -104,10 +107,11 @@ type augCtx struct {
 // positive) and shared read-only by every solve in the family; a
 // private entry's op serves one caller (see Engine.entry).
 type familyEntry struct {
-	pool  *parallel.Pool // the engine's pool, which every leased kern runs on
-	build sync.Once
-	op    *operator
-	ok    bool // false: assembly declined (e.g. singular diagonal) — callers use a private entry
+	pool    *parallel.Pool // the engine's pool, which every leased kern runs on
+	build   sync.Once
+	op      *operator
+	ok      bool // false: assembly declined (e.g. singular diagonal) — callers use a private entry
+	private bool // assembled for one call, whose release frees it
 
 	lastUse int64 // LRU clock value at last lookup
 
@@ -175,7 +179,7 @@ func (e *Engine) entry(p *Problem, opts Options) *familyEntry {
 		}
 	}
 	op := assemble(p)
-	return &familyEntry{pool: e.pool, op: op, ctxs: []*famCtx{{
+	return &familyEntry{pool: e.pool, op: op, private: true, ctxs: []*famCtx{{
 		kr: newKern(e.pool, len(op.b)), pcs: precondCache{}, b: op.b,
 	}}}
 }
@@ -258,8 +262,17 @@ func (fe *familyEntry) lease() *famCtx {
 
 // release returns a leased context to the spare pool (dropped beyond
 // maxSpareCtxs — the kern holds no goroutines of its own, so dropping
-// is garbage-collection only).
+// is garbage-collection only). A private entry's one lease ends its
+// call, so releasing it hands the context's kern vectors and
+// preconditioners and the operator's arrays (the context's b among
+// them) back to the free list instead.
 func (fe *familyEntry) release(c *famCtx) {
+	if fe.private {
+		c.kr.free()
+		c.pcs.free()
+		fe.op.free()
+		return
+	}
 	fe.mu.Lock()
 	if len(fe.ctxs) < maxSpareCtxs {
 		fe.ctxs = append(fe.ctxs, c)

@@ -36,7 +36,8 @@ type kern struct {
 	partials []float64 // chunk partial sums for deterministic reductions
 	// PCG work vectors — residual, preconditioned residual, direction,
 	// next direction, operator times direction — and the best-iterate
-	// snapshot, sized by the first solve (see pcgVectors).
+	// snapshot, drawn from the free list by the first solve (see
+	// pcgVectors).
 	r, z, p, pn, ap, best []float64
 }
 
@@ -52,15 +53,23 @@ func newKern(pool *parallel.Pool, n int) *kern {
 }
 
 // pcgVectors returns the kern's PCG work vectors for an n-cell solve,
-// allocating them on first use (or when n changes). They hold the
-// previous solve's values; pcg overwrites each entry before it reads
-// it, and copies the snapshot out before handing it to a caller.
+// drawing them from the free list on first use (or when n changes).
+// Later solves on the kern get them holding the previous solve's
+// values; pcg overwrites each entry before it reads it, and copies the
+// snapshot out before handing it to a caller.
 func (k *kern) pcgVectors(n int) (r, z, p, pn, ap, best []float64) {
 	if len(k.r) != n {
-		k.r, k.z, k.p = make([]float64, n), make([]float64, n), make([]float64, n)
-		k.pn, k.ap, k.best = make([]float64, n), make([]float64, n), make([]float64, n)
+		k.r, k.z, k.p = getFloats(n), getFloats(n), getFloats(n)
+		k.pn, k.ap, k.best = getFloats(n), getFloats(n), getFloats(n)
 	}
 	return k.r, k.z, k.p, k.pn, k.ap, k.best
+}
+
+// free hands the PCG work vectors back to the free list; the kern of
+// a private family entry does so when the entry's call ends.
+func (k *kern) free() {
+	putFloats(k.r, k.z, k.p, k.pn, k.ap, k.best)
+	k.r, k.z, k.p, k.pn, k.ap, k.best = nil, nil, nil, nil, nil, nil
 }
 
 // apply computes y = A·x, chunked across the pool. Each chunk writes

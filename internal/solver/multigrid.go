@@ -130,7 +130,8 @@ type mgLevel[F mgFloat] struct {
 	nx, ny, nz int
 	sy, sz     int // index strides
 	// Stencil of this level's operator (see operator): positive face
-	// conductances plus the full diagonal.
+	// conductances plus the full diagonal. A line-only level (see
+	// newMGLevel) holds gzp alone.
 	gxp, gyp, gzp, diag []F
 	// Coarsening maps to the next-coarser level (nil on the coarsest):
 	// xoff/yoff are the mesh.CoarsenOffsets aggregate boundaries,
@@ -167,6 +168,10 @@ type mgLevel[F mgFloat] struct {
 type multigrid[F mgFloat] struct {
 	levels []*mgLevel[F]
 	kr     *kern
+	// coarse holds the coarse operators whose arrays the levels below
+	// the finest alias (tier F64 only; other tiers convert them and
+	// hand them back to the free list during construction).
+	coarse []*operator
 	// rbuf/zbuf convert the caller's float64 r/z at the fine-level
 	// boundary; nil when F is float64 (apply runs in place).
 	rbuf, zbuf []F
@@ -190,27 +195,42 @@ func newZLineTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
 // maxLevels levels exist. The construction is a few O(n) float64
 // passes — cheap next to a single PCG iteration — and runs serially
 // for simplicity and determinism; only the finished per-level arrays
-// are stored in F.
+// are stored in F. Every float64 array it draws goes back to the free
+// list through free, or at once when tier F holds a converted copy.
 func newHierarchy[F mgFloat](op *operator, kr *kern, maxLevels int) *multigrid[F] {
 	mg := &multigrid[F]{kr: kr}
+	_, native := any(op.diag).([]F)
 	for cur := op; ; {
-		lvl := newMGLevel[F](cur)
+		last := (cur.nx == 1 && cur.ny == 1) || len(mg.levels)+1 >= maxLevels
+		lvl := newMGLevel[F](cur, last)
 		mg.levels = append(mg.levels, lvl)
-		if (cur.nx == 1 && cur.ny == 1) || len(mg.levels) >= maxLevels {
+		var next *operator
+		if !last {
+			lvl.xoff = mesh.CoarsenOffsets(cur.nx)
+			lvl.yoff = mesh.CoarsenOffsets(cur.ny)
+			lvl.xmap = aggregateMap(lvl.xoff, cur.nx)
+			lvl.ymap = aggregateMap(lvl.yoff, cur.ny)
+			lvl.dp = getTier[F](len(cur.diag))
+			next = coarsenOperator(cur, lvl.xoff, lvl.yoff)
+		}
+		if cur != op {
+			// The level and the next coarsening were cur's last readers.
+			if native {
+				mg.coarse = append(mg.coarse, cur)
+			} else {
+				cur.free()
+			}
+		}
+		if last {
 			break
 		}
-		lvl.xoff = mesh.CoarsenOffsets(cur.nx)
-		lvl.yoff = mesh.CoarsenOffsets(cur.ny)
-		lvl.xmap = aggregateMap(lvl.xoff, cur.nx)
-		lvl.ymap = aggregateMap(lvl.yoff, cur.ny)
-		lvl.dp = make([]F, len(lvl.diag))
-		cur = coarsenOperator(cur, lvl.xoff, lvl.yoff)
+		cur = next
 	}
 	for _, lvl := range mg.levels[1:] {
-		lvl.b = make([]F, len(lvl.diag))
-		lvl.x = make([]F, len(lvl.diag))
+		lvl.b = getTier[F](len(lvl.gzp))
+		lvl.x = getTier[F](len(lvl.gzp))
 	}
-	if _, native := any(op.diag).([]F); !native {
+	if !native {
 		n := len(op.diag)
 		mg.rbuf = make([]F, n)
 		mg.zbuf = make([]F, n)
@@ -218,17 +238,38 @@ func newHierarchy[F mgFloat](op *operator, kr *kern, maxLevels int) *multigrid[F
 	return mg
 }
 
+// free hands the hierarchy's float64 arrays back to the free list:
+// the coarse operators, and every level's Thomas factors and scratch.
+// The finest level's stencil belongs to the operator the hierarchy
+// was built on.
+func (mg *multigrid[F]) free() {
+	for _, co := range mg.coarse {
+		co.free()
+	}
+	for _, lvl := range mg.levels {
+		putTier(lvl.cpf, lvl.minv, lvl.dp, lvl.b, lvl.x)
+	}
+}
+
 // newMGLevel captures one operator as a tier-F level: stencil and
-// Thomas factors converted once, column grain fixed.
-func newMGLevel[F mgFloat](cur *operator) *mgLevel[F] {
+// Thomas factors converted once, column grain fixed. A lineOnly level
+// — the one-level ZLine hierarchy, or multigrid's coarsest — runs
+// only lineSolve, which reads gzp and the factors, so it skips gxp,
+// gyp and diag.
+func newMGLevel[F mgFloat](cur *operator, lineOnly bool) *mgLevel[F] {
 	lvl := &mgLevel[F]{
 		nx: cur.nx, ny: cur.ny, nz: cur.nz,
 		sy: cur.sy, sz: cur.sz,
-		gxp: toTier[F](cur.gxp), gyp: toTier[F](cur.gyp),
-		gzp: toTier[F](cur.gzp), diag: toTier[F](cur.diag),
+		gzp: toTier[F](cur.gzp),
+	}
+	if !lineOnly {
+		lvl.gxp, lvl.gyp, lvl.diag = toTier[F](cur.gxp), toTier[F](cur.gyp), toTier[F](cur.diag)
 	}
 	cpf, minv := columnFactors(cur)
 	lvl.cpf, lvl.minv = toTier[F](cpf), toTier[F](minv)
+	if _, native := any(cpf).([]F); !native {
+		putFloats(cpf, minv)
+	}
 	cg := parallel.Grain / cur.nz
 	if cg < 1 {
 		cg = 1
@@ -245,8 +286,8 @@ func newMGLevel[F mgFloat](cur *operator) *mgLevel[F] {
 // super-diagonal (cpf) and reciprocal pivot (minv).
 func columnFactors(op *operator) (cpf, minv []float64) {
 	n := len(op.diag)
-	cpf = make([]float64, n)
-	minv = make([]float64, n)
+	cpf = getFloats(n)
+	minv = getFloats(n)
 	sz := op.sz
 	// Layer-by-layer (linear memory) order; every column eliminates
 	// independently. gzp is zero on the top layer, so cpf there is
@@ -273,24 +314,26 @@ func aggregateMap(off []int, n int) []int {
 	return m
 }
 
-// coarsenOperator rediscretizes op on the x/y-aggregated grid.
+// coarsenOperator rediscretizes op on the x/y-aggregated grid. The
+// coarse operator carries no right-hand side: only newMGLevel and the
+// next coarsening read it, and neither reads b.
 func coarsenOperator(op *operator, xoff, yoff []int) *operator {
 	nxc, nyc, nz := len(xoff)-1, len(yoff)-1, op.nz
 	nc := nxc * nyc * nz
 	co := &operator{
 		nx: nxc, ny: nyc, nz: nz,
 		sy: nxc, sz: nxc * nyc,
-		gxp:  make([]float64, nc),
-		gyp:  make([]float64, nc),
-		gzp:  make([]float64, nc),
-		diag: make([]float64, nc),
-		b:    make([]float64, nc),
+		gxp:  getFloats(nc),
+		gyp:  getFloats(nc),
+		gzp:  getFloats(nc),
+		diag: getFloats(nc),
 	}
 	// Fine-cell "excess": the diagonal mass that is not face coupling —
 	// boundary conductance and (for the transient operator) the
 	// capacitance term. It sums in parallel over each aggregate.
 	nf := len(op.diag)
-	excess := make([]float64, nf)
+	excess := getFloats(nf)
+	defer putFloats(excess)
 	for c := 0; c < nf; c++ {
 		excess[c] = op.diag[c]
 	}

@@ -122,21 +122,33 @@ type Problem struct {
 }
 
 // NewProblem allocates a problem over g with all-zero sources,
-// unit conductivity, and all-adiabatic boundaries.
+// unit conductivity, and all-adiabatic boundaries. Its per-cell
+// arrays come from the package's free list (see freelist.go).
 func NewProblem(g *mesh.Grid) *Problem {
 	n := g.NumCells()
 	p := &Problem{
 		Grid: g,
-		KX:   make([]float64, n),
-		KY:   make([]float64, n),
-		KZ:   make([]float64, n),
-		Q:    make([]float64, n),
-		Cv:   make([]float64, n),
+		KX:   getFloats(n),
+		KY:   getFloats(n),
+		KZ:   getFloats(n),
+		Q:    getFloats(n),
+		Cv:   getFloats(n),
 	}
 	for i := range p.KX {
 		p.KX[i], p.KY[i], p.KZ[i] = 1, 1, 1
 	}
 	return p
+}
+
+// Release hands the problem's per-cell arrays (KX, KY, KZ, Q, Cv) back
+// to the free list, for later problems and solves of the same size,
+// and clears them from p. Only the problem's sole owner may call it,
+// once nothing reads those arrays any more — stack.Spec.Solve does,
+// for the problem it builds and never hands out. No solve keeps a
+// reference to its problem's arrays.
+func (p *Problem) Release() {
+	putFloats(p.KX, p.KY, p.KZ, p.Q, p.Cv)
+	p.KX, p.KY, p.KZ, p.Q, p.Cv = nil, nil, nil, nil, nil
 }
 
 // CloneBlankSources returns a shallow copy of the problem sharing the
@@ -291,7 +303,7 @@ func (op *operator) ensureStencil() {
 	}
 	n := len(op.diag)
 	sy, sz := op.sy, op.sz
-	st := make([]float64, stencilStride*n)
+	st := getFloats(stencilStride * n)
 	for c := 0; c < n; c++ {
 		o := stencilStride * c
 		st[o] = op.diag[c]
@@ -342,11 +354,11 @@ func assemble(p *Problem) *operator {
 	op := &operator{
 		g: g, nx: nx, ny: ny, nz: nz,
 		sy: nx, sz: nx * ny,
-		gxp:  make([]float64, n),
-		gyp:  make([]float64, n),
-		gzp:  make([]float64, n),
-		diag: make([]float64, n),
-		b:    make([]float64, n),
+		gxp:  getFloats(n),
+		gyp:  getFloats(n),
+		gzp:  getFloats(n),
+		diag: getFloats(n),
+		b:    getFloats(n),
 	}
 	for k := 0; k < nz; k++ {
 		dz := g.DZ(k)
@@ -411,9 +423,18 @@ func assemble(p *Problem) *operator {
 	// into diag, not b), so splitting the source add into a second
 	// pass keeps the exact per-cell accumulation order: boundary
 	// terms first, then + q·dx·dy·dz.
-	op.bBound = append([]float64(nil), op.b...)
+	op.bBound = getFloats(n)
+	copy(op.bBound, op.b)
 	op.setSources(p.Q)
 	return op
+}
+
+// free hands the operator's arrays back to the free list. Only the
+// owner of an operator no solve reads any more calls it: a private
+// family entry when its call ends, or a hierarchy for the coarse
+// operators it built.
+func (op *operator) free() {
+	putFloats(op.gxp, op.gyp, op.gzp, op.diag, op.b, op.bBound, op.st)
 }
 
 // setSources rebuilds the rhs for the volumetric source field q

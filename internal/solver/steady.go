@@ -509,6 +509,13 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 // order never changes.
 type precondOp func(r, z []float64) float64
 
+// precond is one built preconditioner: its apply, and free, which
+// hands the arrays the build drew from the free list back to it.
+type precond struct {
+	apply precondOp
+	free  func()
+}
+
 // precondKey identifies one built preconditioner: the scheme plus its
 // arithmetic tier (the f32 and f64 builds of the same scheme hold
 // different arrays).
@@ -524,28 +531,36 @@ type precondKey struct {
 // preconditioner construction is a pure function of the operator
 // matrix, so reuse is bitwise-neutral, and for Multigrid it saves
 // rebuilding the whole hierarchy per solve.
-type precondCache map[precondKey]precondOp
+type precondCache map[precondKey]precond
 
 func (pcs precondCache) get(op *operator, kind Preconditioner, prec Precision, kr *kern) (precondOp, error) {
 	key := precondKey{pc: kind, prec: prec}
 	if pc, ok := pcs[key]; ok {
-		return pc, nil
+		return pc.apply, nil
 	}
 	pc, err := makePreconditioner(op, kind, prec, kr)
 	if err != nil {
 		return nil, err
 	}
 	pcs[key] = pc
-	return pc, nil
+	return pc.apply, nil
+}
+
+// free hands every cached preconditioner's arrays back to the free
+// list; a private family entry's context does so when its call ends.
+func (pcs precondCache) free() {
+	for _, pc := range pcs {
+		pc.free()
+	}
 }
 
 // makePreconditioner builds the selected scheme in the selected
 // precision tier, running on kr's worker pool.
-func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *kern) (precondOp, error) {
+func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *kern) (precond, error) {
 	if !op.diagChecked {
 		for _, d := range op.diag {
 			if d <= 0 {
-				return nil, errors.New("solver: non-positive diagonal — singular system")
+				return precond{}, errors.New("solver: non-positive diagonal — singular system")
 			}
 		}
 		op.diagChecked = true
@@ -556,13 +571,13 @@ func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *k
 	case F32:
 		return makeTier[float32](op, kind, kr)
 	}
-	return nil, fmt.Errorf("solver: unknown precision %d", prec)
+	return precond{}, fmt.Errorf("solver: unknown precision %d", prec)
 }
 
 // makeTier builds the selected scheme in tier F. ZLine is the
 // one-level hierarchy (its apply is lineSolve, the exact per-column
 // Thomas solve against the full diagonal) and Multigrid the full one.
-func makeTier[F mgFloat](op *operator, kind Preconditioner, kr *kern) (precondOp, error) {
+func makeTier[F mgFloat](op *operator, kind Preconditioner, kr *kern) (precond, error) {
 	var mg *multigrid[F]
 	switch kind {
 	case Jacobi:
@@ -572,11 +587,14 @@ func makeTier[F mgFloat](op *operator, kind Preconditioner, kr *kern) (precondOp
 	case Multigrid:
 		mg = newMultigridTier[F](op, kr)
 	default:
-		return nil, fmt.Errorf("solver: unknown preconditioner %d", kind)
+		return precond{}, fmt.Errorf("solver: unknown preconditioner %d", kind)
 	}
-	return func(r, z []float64) float64 {
-		mg.apply(r, z)
-		return kr.dot(r, z)
+	return precond{
+		apply: func(r, z []float64) float64 {
+			mg.apply(r, z)
+			return kr.dot(r, z)
+		},
+		free: mg.free,
 	}, nil
 }
 
@@ -584,20 +602,23 @@ func makeTier[F mgFloat](op *operator, kind Preconditioner, kr *kern) (precondOp
 // diagonal is computed in float64 and stored in F, each z entry is
 // the F product r·(1/diag), and rᵀz sums in float64 over the same
 // chunks, in the same order, as kr.dot.
-func newJacobi[F mgFloat](op *operator, kr *kern) precondOp {
+func newJacobi[F mgFloat](op *operator, kr *kern) precond {
 	n := len(op.diag)
-	invDiag := make([]F, n)
+	invDiag := getTier[F](n)
 	for c, d := range op.diag {
 		invDiag[c] = F(1 / d)
 	}
+	pc := precond{free: func() { putTier(invDiag) }}
 	if kr.pool.Serial() {
-		return func(r, z []float64) float64 { return jacobiRange(invDiag, r, z, 0, n) }
+		pc.apply = func(r, z []float64) float64 { return jacobiRange(invDiag, r, z, 0, n) }
+		return pc
 	}
-	return func(r, z []float64) float64 {
+	pc.apply = func(r, z []float64) float64 {
 		return kr.pool.ReduceSum(n, kr.partials, func(s, e int) float64 {
 			return jacobiRange(invDiag, r, z, s, e)
 		})
 	}
+	return pc
 }
 
 func jacobiRange[F mgFloat](invDiag []F, r, z []float64, s, e int) float64 {

@@ -433,12 +433,14 @@ type Result struct {
 }
 
 // Solve builds and solves the stack with opts, defaulting Tol to
-// 1e-7.
+// 1e-7. The problem it builds never leaves the call, so its arrays go
+// back to the solver's free list when the solve ends.
 func (s *Spec) Solve(opts solver.Options) (*Result, error) {
 	p, lay, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-7
 	}
