@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "run at reduced resolution for a fast pass")
 	fig := fs.String("fig", "all", "figure/table to regenerate (2b, 2c, 3, 4, 5, 7a, 7b, 9, 10, 11, 12, table1, ablations, extras, all)")
 	outdir := fs.String("outdir", "", "when set, also write each series/table to files in this directory")
-	workers := fs.Int("workers", 0, "solver worker goroutines (0 = one per CPU core, 1 = serial)")
+	workers := fs.Int("workers", 0, "solver worker goroutines (0 = one per CPU core, 1 = serial); grids under about 40 000 cells run on one goroutine at any count")
 	reportPath := fs.String("report", "", "write a JSON run report (per-figure timings, solver counters, traces) to this path; \"-\" = stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2

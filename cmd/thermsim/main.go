@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	specPath := fs.String("spec", "", "path to the JSON stack spec")
 	example := fs.Bool("example", false, "print an example spec and exit")
 	showMap := fs.Bool("map", false, "render the top-tier temperature field as an ASCII heatmap")
-	workers := fs.Int("workers", 0, "solver worker goroutines (0 = one per CPU core, 1 = serial)")
+	workers := fs.Int("workers", 0, "solver worker goroutines (0 = one per CPU core, 1 = serial); grids under about 40 000 cells run on one goroutine at any count")
 	precond := fs.String("precond", "zline", "PCG preconditioner: zline, multigrid or jacobi")
 	precision := fs.String("precision", "f64", "preconditioner arithmetic tier: f64 or f32 (f32 halves preconditioner memory traffic; same solution to tolerance)")
 	fidelity := fs.String("fidelity", specio.FidelityFull, "evaluation tier: full (exact FVM solve) or rc (certified reduced-order estimate)")

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -46,7 +47,7 @@ func TestOwnedRange(t *testing.T) {
 // assignment is identical on every Run with the same chunk count, and
 // matches the pure ownedRange function — no per-call reshuffling.
 func TestAffineStableOwnership(t *testing.T) {
-	const workers, chunks = 4, 67 // > serialCutoffChunks so Run dispatches
+	const workers, chunks = 4, 67 // ≥ minDispatchChunks, so Run dispatches
 	p := NewAffinePool(workers)
 	defer p.Close()
 	if !p.Affine() {
@@ -55,10 +56,12 @@ func TestAffineStableOwnership(t *testing.T) {
 	var mu sync.Mutex
 	record := func() []int {
 		owner := make([]int, chunks)
-		p.Run(chunks, func(worker, c int) {
-			mu.Lock()
-			owner[c] = worker
-			mu.Unlock()
+		wantDispatched(t, "affine Run", 1, func() {
+			p.Run(chunks, func(worker, c int) {
+				mu.Lock()
+				owner[c] = worker
+				mu.Unlock()
+			})
 		})
 		return owner
 	}
@@ -86,7 +89,7 @@ func TestAffineStableOwnership(t *testing.T) {
 // bitwise identical between affine and dynamic pools, and across
 // repeated calls on the same affine pool.
 func TestAffineDynamicBitIdentical(t *testing.T) {
-	const n = 9*Grain + 311
+	const n = 40*Grain + 311 // 41 chunks: the reductions dispatch
 	a := make([]float64, n)
 	rng := uint64(7)
 	for i := range a {
@@ -105,11 +108,13 @@ func TestAffineDynamicBitIdentical(t *testing.T) {
 	want := dyn.ReduceSum(n, nil, sumRange)
 	for _, w := range []int{2, 4, 8} {
 		p := NewAffinePool(w)
-		for rep := 0; rep < 3; rep++ {
-			if got := p.ReduceSum(n, nil, sumRange); got != want {
-				t.Errorf("affine workers=%d rep=%d: sum %v != dynamic %v", w, rep, got, want)
+		wantDispatched(t, fmt.Sprintf("affine workers=%d ReduceSum", w), 3, func() {
+			for rep := 0; rep < 3; rep++ {
+				if got := p.ReduceSum(n, nil, sumRange); got != want {
+					t.Errorf("affine workers=%d rep=%d: sum %v != dynamic %v", w, rep, got, want)
+				}
 			}
-		}
+		})
 		p.Close()
 	}
 }
@@ -127,14 +132,16 @@ func TestArenaPerWorkerScratch(t *testing.T) {
 		t.Fatalf("arena workers = %d, want %d", ar.Workers(), workers)
 	}
 	const chunks = 64
-	for rep := 0; rep < 10; rep++ {
-		p.Run(chunks, func(worker, c int) {
-			buf := ar.Get(worker, 512)
-			for i := range buf {
-				buf[i] = float64(worker*chunks + c)
-			}
-		})
-	}
+	wantDispatched(t, "arena Run", 10, func() {
+		for rep := 0; rep < 10; rep++ {
+			p.Run(chunks, func(worker, c int) {
+				buf := ar.Get(worker, 512)
+				for i := range buf {
+					buf[i] = float64(worker*chunks + c)
+				}
+			})
+		}
+	})
 	// Distinct workers must have received distinct backing arrays.
 	seen := map[*float64]int{}
 	for w := 0; w < workers; w++ {

@@ -12,6 +12,12 @@
 // plain serial loops (single full-range pass for reductions), which
 // is the solver's exact legacy path; it differs from the chunked
 // parallel reduction only by floating-point summation order.
+//
+// Dispatch rule: a region wakes the helper goroutines only when it has
+// at least minDispatchChunks chunks (Pool.Dispatches); a smaller one
+// runs inline on the caller, in the serial loop shapes but with
+// reductions still summed in chunk order. The rule decides where a
+// kernel runs, never what it computes.
 package parallel
 
 import (
@@ -38,14 +44,15 @@ func NumChunks(n int) int {
 	return (n + Grain - 1) / Grain
 }
 
-// serialCutoffChunks is the dispatch threshold: regions with at most
-// this many chunks run inline on the caller instead of waking helper
-// goroutines. Sub-grain and few-chunk kernels (coarse multigrid
-// levels, small test grids) spend more on channel sends and wakeups
-// than on the work itself — the workers=2 small-n regression. The
-// inline path executes chunks in ascending order, so chunk-ordered
-// reductions are bit-identical to the dispatched path.
-const serialCutoffChunks = 4
+// minDispatchChunks is the dispatch threshold: a region wakes helper
+// goroutines only when it has at least this many chunks, and runs
+// inline on the caller otherwise. Waking a parked helper and parking
+// the caller until it is done costs more than splitting a region of a
+// few chunks (1–9 µs of solver work each) gains; DESIGN §6 records the
+// sweep that set the value. The inline path executes chunks in
+// ascending order, so chunk-ordered reductions are bit-identical to
+// the dispatched path.
+const minDispatchChunks = 40
 
 // region is one parallel-for dispatched to the pool. Dynamic regions
 // have workers repeatedly claim the next unclaimed chunk off an
@@ -173,9 +180,18 @@ func (p *Pool) Affine() bool { return p.affine }
 // Workers returns the pool's worker count (≥ 1).
 func (p *Pool) Workers() int { return p.workers }
 
-// Serial reports whether the pool executes regions inline on the
-// calling goroutine (worker count 1).
+// Serial reports whether the pool has no helpers (worker count 1):
+// every region runs inline, and ReduceSum makes one full-range pass.
 func (p *Pool) Serial() bool { return p.workers <= 1 }
+
+// Dispatches reports whether a region of numChunks chunks wakes the
+// pool's helpers: the pool has some, and the region has enough chunks
+// to pay for waking them (minDispatchChunks). Callers that split work
+// themselves use it to run a region that does not dispatch as one
+// range.
+func (p *Pool) Dispatches(numChunks int) bool {
+	return p.workers > 1 && numChunks >= minDispatchChunks
+}
 
 // Close shuts the helper goroutines down. Idempotent; the pool must
 // not be used afterwards.
@@ -200,24 +216,47 @@ func (p *Pool) helper(id int) {
 // caller) — use it to index per-worker scratch. Chunk-to-worker
 // assignment is dynamic (work stealing off an atomic counter), so fn
 // must not depend on which worker runs a chunk, only on the chunk
-// index.
+// index. A region that does not dispatch (Dispatches) runs its chunks
+// in ascending order on the caller.
 func (p *Pool) Run(numChunks int, fn func(worker, chunk int)) {
-	if p.workers <= 1 || numChunks <= serialCutoffChunks {
+	if !p.Dispatches(numChunks) {
 		for c := 0; c < numChunks; c++ {
 			fn(0, c)
 		}
 		return
 	}
-	r := &region{fn: fn, num: int64(numChunks)}
+	p.dispatch(numChunks, fn)
+}
+
+// RunBands executes fn(worker, band) for every band in [0, bands) and
+// wakes the helpers whenever the pool has any and there are two bands
+// or more. It is for work the caller has split into about one band
+// per worker after deciding, with Dispatches, that the work is large
+// enough: the band count itself says nothing about the cost.
+func (p *Pool) RunBands(bands int, fn func(worker, band int)) {
+	if p.workers <= 1 || bands <= 1 {
+		for b := 0; b < bands; b++ {
+			fn(0, b)
+		}
+		return
+	}
+	p.dispatch(bands, fn)
+}
+
+// dispatch hands a region of num chunks to the helpers, runs the
+// caller's share, and waits for the rest.
+func (p *Pool) dispatch(num int, fn func(worker, chunk int)) {
+	regionsDispatched.Add(1)
+	r := &region{fn: fn, num: int64(num)}
 	helpers := p.workers - 1
 	if p.affine {
 		// Static ownership: every helper's fixed block must run even
 		// when some blocks are empty, so all W−1 helpers are
-		// dispatched (no capping at numChunks−1 — the chunk→worker
+		// dispatched (no capping at num−1 — the chunk→worker
 		// map may not depend on which helpers happened to wake).
 		r.owners = p.workers
-	} else if helpers > numChunks-1 {
-		helpers = numChunks - 1
+	} else if helpers > num-1 {
+		helpers = num - 1
 	}
 	r.wg.Add(helpers)
 	for h := 0; h < helpers; h++ {
@@ -237,18 +276,30 @@ var poolsCreated atomic.Int64
 // guard, assert the delta.
 func PoolsCreated() int64 { return poolsCreated.Load() }
 
+// regionsDispatched counts regions handed to helper goroutines,
+// process-wide.
+var regionsDispatched atomic.Int64
+
+// RegionsDispatched returns the number of regions that have woken
+// helper goroutines so far in this process. Like PoolsCreated it is
+// for tests and benchmarks: the delta across a call says whether that
+// call's regions were large enough to dispatch.
+func RegionsDispatched() int64 { return regionsDispatched.Load() }
+
 // For runs fn over [0, n) split into fixed Grain-sized chunks:
-// fn(start, end) with end−start ≤ Grain. Writes to disjoint index
-// ranges are race-free; elementwise kernels produce bit-identical
-// results at any worker count.
+// fn(start, end) with end−start ≤ Grain. A range too short to
+// dispatch gets one full-range call fn(0, n) instead. Writes to
+// disjoint index ranges are race-free; elementwise kernels produce
+// bit-identical results at any worker count.
 func (p *Pool) For(n int, fn func(start, end int)) {
-	if p.workers <= 1 {
+	nc := NumChunks(n)
+	if !p.Dispatches(nc) {
 		if n > 0 {
 			fn(0, n)
 		}
 		return
 	}
-	p.Run(NumChunks(n), func(_, c int) {
+	p.dispatch(nc, func(_, c int) {
 		s := c * Grain
 		e := s + Grain
 		if e > n {
@@ -260,19 +311,20 @@ func (p *Pool) For(n int, fn func(start, end int)) {
 
 // ForGrain runs fn(worker, start, end) over [0, n) in chunks of the
 // given grain (≥ 1). Used where the natural unit is not a float64
-// element — e.g. one grid column per index.
+// element — e.g. one grid column per index. Like For, a range too
+// short to dispatch gets one full-range call fn(0, 0, n).
 func (p *Pool) ForGrain(n, grain int, fn func(worker, start, end int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	if p.workers <= 1 {
+	chunks := (n + grain - 1) / grain
+	if !p.Dispatches(chunks) {
 		if n > 0 {
 			fn(0, 0, n)
 		}
 		return
 	}
-	chunks := (n + grain - 1) / grain
-	p.Run(chunks, func(worker, c int) {
+	p.dispatch(chunks, func(worker, c int) {
 		s := c * grain
 		e := s + grain
 		if e > n {
@@ -287,7 +339,8 @@ func (p *Pool) ForGrain(n, grain int, fn func(worker, start, end int)) {
 // chunk order — deterministic at any worker count ≥ 2. With 1 worker
 // it performs a single full-range fn(0, n) call (the exact serial
 // summation order). scratch, when non-nil, must have at least
-// NumChunks(n) capacity and avoids a per-call allocation.
+// NumChunks(n) capacity and avoids a per-call allocation; only a
+// reduction that dispatches needs it.
 func (p *Pool) ReduceSum(n int, scratch []float64, fn func(start, end int) float64) float64 {
 	if n <= 0 {
 		return 0
@@ -296,7 +349,7 @@ func (p *Pool) ReduceSum(n int, scratch []float64, fn func(start, end int) float
 		return fn(0, n)
 	}
 	nc := NumChunks(n)
-	if nc <= serialCutoffChunks {
+	if !p.Dispatches(nc) {
 		// Inline, no scratch: accumulate the per-chunk partials
 		// in ascending chunk order — the same order the
 		// dispatched path sums its partial array, so the result
@@ -316,7 +369,7 @@ func (p *Pool) ReduceSum(n int, scratch []float64, fn func(start, end int) float
 		scratch = make([]float64, nc)
 	}
 	partial := scratch[:nc]
-	p.Run(nc, func(_, c int) {
+	p.dispatch(nc, func(_, c int) {
 		s := c * Grain
 		e := s + Grain
 		if e > n {

@@ -2,18 +2,26 @@ package parallel
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestSmallRegionRunsInline: at or below the serial cutoff the region
-// executes on the caller (worker 0) in ascending chunk order — no
-// helper wakeups, and chunk-ordered reductions see the exact same
-// order as the dispatched path.
+// dispatchedBy runs f and returns how many regions it handed to
+// helper goroutines. Tests in this package run one at a time, so the
+// delta of the process-wide counter is f's own.
+func dispatchedBy(f func()) int64 {
+	before := RegionsDispatched()
+	f()
+	return RegionsDispatched() - before
+}
+
+// TestSmallRegionRunsInline: below minDispatchChunks a region
+// executes on the caller (worker 0) in ascending chunk order, so
+// chunk-ordered reductions see the exact order of the dispatched path.
 func TestSmallRegionRunsInline(t *testing.T) {
 	p := NewPool(8)
 	defer p.Close()
-	for chunks := 0; chunks <= serialCutoffChunks; chunks++ {
+	for chunks := 0; chunks < minDispatchChunks; chunks++ {
 		var order []int
 		p.Run(chunks, func(worker, c int) {
 			if worker != 0 {
@@ -32,12 +40,62 @@ func TestSmallRegionRunsInline(t *testing.T) {
 	}
 }
 
-// TestSmallReduceBitIdentical: the scratch-free small-n ReduceSum path
-// is bit-identical to both the serial single pass at 1 worker (for
-// single-chunk inputs) and to a large pool's result, and no scratch is
-// needed.
+// TestSmallNDispatchesNoRegion pins the small-n contract structurally,
+// through the dispatch counter rather than a timing: on dynamic and
+// affine pools of several widths, no region below minDispatchChunks
+// wakes a helper, whichever entry point issues it, and For and
+// ForGrain make one full-range call, the serial loop shape. A region
+// at the threshold does dispatch, so the counter is not vacuous.
+func TestSmallNDispatchesNoRegion(t *testing.T) {
+	for _, affine := range []bool{false, true} {
+		for _, w := range []int{2, 3, 8} {
+			p := newPool(w, affine)
+			name := fmt.Sprintf("affine=%v workers=%d", affine, w)
+			for _, chunks := range []int{0, 1, 2, 5, 13, 19, minDispatchChunks - 1} {
+				if p.Dispatches(chunks) {
+					t.Errorf("%s: Dispatches(%d) = true below the threshold", name, chunks)
+				}
+				n := chunks * Grain
+				d := dispatchedBy(func() {
+					p.Run(chunks, func(_, _ int) {})
+					p.For(n, func(s, e int) {
+						if s != 0 || e != n {
+							t.Errorf("%s n=%d: For called fn(%d, %d), want one full-range call", name, n, s, e)
+						}
+					})
+					p.ForGrain(chunks*7, 7, func(worker, s, e int) {
+						if worker != 0 || s != 0 || e != chunks*7 {
+							t.Errorf("%s: ForGrain called fn(%d, %d, %d), want one full-range call", name, worker, s, e)
+						}
+					})
+					p.ReduceSum(n, nil, func(s, e int) float64 { return float64(e - s) })
+				})
+				if d != 0 {
+					t.Errorf("%s chunks=%d: %d regions woke helpers, want 0", name, chunks, d)
+				}
+			}
+			var ran atomic.Int64
+			if d := dispatchedBy(func() {
+				p.Run(minDispatchChunks, func(_, _ int) { ran.Add(1) })
+			}); d != 1 || ran.Load() != minDispatchChunks {
+				t.Errorf("%s: a %d-chunk region dispatched %d times and ran %d chunks, want 1 and %d",
+					name, minDispatchChunks, d, ran.Load(), minDispatchChunks)
+			}
+			p.Close()
+		}
+	}
+	serial := NewPool(1)
+	defer serial.Close()
+	if d := dispatchedBy(func() { serial.Run(4*minDispatchChunks, func(_, _ int) {}) }); d != 0 || serial.Dispatches(4*minDispatchChunks) {
+		t.Errorf("1-worker pool dispatched %d regions", d)
+	}
+}
+
+// TestSmallReduceBitIdentical: the scratch-free inline ReduceSum path
+// is bit-identical to the explicit chunk-ordered sum the dispatched
+// path computes, at every worker count ≥ 2, and needs no scratch.
 func TestSmallReduceBitIdentical(t *testing.T) {
-	a := make([]float64, serialCutoffChunks*Grain)
+	a := make([]float64, minDispatchChunks*Grain)
 	rng := uint64(7)
 	for i := range a {
 		rng = rng*6364136223846793005 + 1442695040888963407
@@ -50,7 +108,7 @@ func TestSmallReduceBitIdentical(t *testing.T) {
 		}
 		return v
 	}
-	for _, n := range []int{1, Grain, Grain + 1, 2 * Grain, serialCutoffChunks * Grain} {
+	for _, n := range []int{1, Grain, Grain + 1, 2 * Grain, (minDispatchChunks-1)*Grain + 5, minDispatchChunks * Grain} {
 		p2 := NewPool(2)
 		p8 := NewPool(8)
 		got2 := p2.ReduceSum(n, nil, sumRange)
@@ -71,57 +129,14 @@ func TestSmallReduceBitIdentical(t *testing.T) {
 			want += sumRange(s, e)
 		}
 		if got2 != want {
-			t.Errorf("n=%d: small-n reduce %v differs from chunk-ordered reference %v", n, got2, want)
+			t.Errorf("n=%d: reduce %v differs from chunk-ordered reference %v", n, got2, want)
 		}
-	}
-}
-
-// TestSmallNParallelOverheadRegression pins the workers=2 small-n
-// regression fix: below the dispatch cutoff a multi-worker pool must
-// cost no more than ~1.1× the serial pool on the same kernel, because
-// both run the identical inline loop. Uses min-of-5 timings to shed
-// scheduler noise.
-func TestSmallNParallelOverheadRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test skipped in -short")
-	}
-	const n = 2 * Grain // 2 chunks: under the cutoff, over the single-chunk trivial case
-	a := make([]float64, n)
-	for i := range a {
-		a[i] = float64(i%17) * 0.25
-	}
-	kernel := func(s, e int) float64 {
-		v := 0.0
-		for i := s; i < e; i++ {
-			v += a[i] * a[i]
-		}
-		return v
-	}
-	timePool := func(workers int) time.Duration {
-		p := NewPool(workers)
-		defer p.Close()
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < 5; rep++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = p.ReduceSum(n, nil, kernel)
-				}
-			})
-			if d := time.Duration(r.NsPerOp()); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	serial := timePool(1)
-	par := timePool(2)
-	if float64(par) > 1.1*float64(serial) {
-		t.Errorf("workers=2 small-n ReduceSum %v exceeds 1.1× serial %v", par, serial)
 	}
 }
 
 // BenchmarkSmallNReduce tracks the small-n dispatch overhead directly:
-// with the inline cutoff the two variants should be indistinguishable.
+// a region below the threshold runs inline, so the variants should be
+// indistinguishable.
 func BenchmarkSmallNReduce(b *testing.B) {
 	const n = 2 * Grain
 	a := make([]float64, n)

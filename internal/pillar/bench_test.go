@@ -5,23 +5,37 @@ import (
 
 	"thermalscaffold/internal/design"
 	"thermalscaffold/internal/heatsink"
+	"thermalscaffold/internal/parallel"
 	"thermalscaffold/internal/solver"
 	"thermalscaffold/internal/stack"
 )
 
-func BenchmarkPlaceScaffold12(b *testing.B) {
-	req := Request{
+// scaffold12 is the Table I placement the benchmark times: Gemmini at
+// 12 tiers on the paper flow's 12×12 grid.
+func scaffold12() Request {
+	return Request{
 		Design: design.Gemmini(), Tiers: 12,
 		Sink: heatsink.TwoPhase(), TTargetC: 125,
 		BEOL: stack.ScaffoldedBEOL(), NX: 12, NY: 12,
 	}
+}
+
+// BenchmarkPlaceScaffold12 times one Table I placement and reports
+// dispatches/op, the solver regions that woke helper goroutines: the
+// paper flow's grids are too small to pay for a wake-up, so it reads 0
+// (TestPlaceDispatchesNoRegions pins that at two workers).
+func BenchmarkPlaceScaffold12(b *testing.B) {
+	req := scaffold12()
 	b.ReportAllocs()
+	before := parallel.RegionsDispatched()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Place(req); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(parallel.RegionsDispatched()-before)/float64(b.N), "dispatches/op")
 }
 
 // BenchmarkPlacementLoop times the placement-style candidate sweep:

@@ -2,10 +2,12 @@ package pillar
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"thermalscaffold/internal/design"
 	"thermalscaffold/internal/heatsink"
+	"thermalscaffold/internal/parallel"
 	"thermalscaffold/internal/stack"
 )
 
@@ -226,5 +228,23 @@ func TestPlaceRequestValidation(t *testing.T) {
 	bad := Request{Design: design.Gemmini(), Tiers: 4, Sink: heatsink.TwoPhase(), TTargetC: 125, BEOL: stack.ScaffoldedBEOL(), Geometry: Geometry{FootprintSide: -1, KeepoutFactor: 2}}
 	if _, err := Place(bad); err == nil {
 		t.Error("bad geometry accepted")
+	}
+}
+
+// TestPlaceDispatchesNoRegions: at two workers, the Table I placement
+// BenchmarkPlaceScaffold12 times (12 tiers on 12×12, 10 656 cells)
+// runs every solver region on the caller. Its vectors split into 11
+// chunks and its finest multigrid level into 6, below the pool's
+// dispatch threshold: waking a helper would cost more than the work
+// it takes over.
+func TestPlaceDispatchesNoRegions(t *testing.T) {
+	// Place sizes its engine from GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	before := parallel.RegionsDispatched()
+	if _, err := Place(scaffold12()); err != nil {
+		t.Fatal(err)
+	}
+	if d := parallel.RegionsDispatched() - before; d != 0 {
+		t.Errorf("placement dispatched %d regions at 2 workers, want 0", d)
 	}
 }

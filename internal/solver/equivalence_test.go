@@ -193,6 +193,46 @@ func TestEquivalenceDeterminism(t *testing.T) {
 	}
 }
 
+// TestEquivalenceDispatchedDeterminism: on a grid large enough that
+// its fine level and PCG vectors dispatch to the pool's helpers while
+// its coarse levels run inline — the mixed shape every large solve
+// has — a multigrid solve is bitwise identical across worker counts
+// ≥ 2. The smaller problems above run every region inline.
+func TestEquivalenceDispatchedDeterminism(t *testing.T) {
+	rng := &eqRNG{s: 0xD15BA7}
+	p := randomProblem(t, rng, 80, 80, 10) // 64 000 cells: 63 reduction chunks, 40 fine-level column chunks
+	op := assemble(p)
+	n := len(op.b)
+	var ref []float64
+	for _, w := range []int{2, 3, 8} {
+		mg := newMultigridTier[float64](op, testKern(t, w, n))
+		for l, lvl := range mg.levels {
+			if want := l == 0; lvl.dispatch != want {
+				t.Fatalf("workers=%d: level %d (%dx%dx%d) dispatch = %v, want %v", w, l, lvl.nx, lvl.ny, lvl.nz, lvl.dispatch, want)
+			}
+		}
+		if mg.levels[0].bands < 2 {
+			t.Fatalf("workers=%d: fine level has %d down-leg bands, want ≥ 2", w, mg.levels[0].bands)
+		}
+		before := parallel.RegionsDispatched()
+		r, err := SolveSteady(p, Options{Tol: 1e-10, MaxIter: 10000, Precond: Multigrid, Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if len(r.Fallbacks) != 0 {
+			t.Fatalf("workers=%d: multigrid broke down (fallbacks %v)", w, r.Fallbacks)
+		}
+		if parallel.RegionsDispatched() == before {
+			t.Errorf("workers=%d: the solve dispatched no region", w)
+		}
+		if ref == nil {
+			ref = r.T
+		} else if !bitIdentical(ref, r.T) {
+			t.Errorf("workers=%d: field differs bitwise from workers=2 reference (rel %g)", w, relDiff(ref, r.T))
+		}
+	}
+}
+
 // TestEquivalenceTransient: a multi-step backward-Euler integration
 // matches the serial path within 1e-12 relative and is bitwise
 // deterministic across worker counts.

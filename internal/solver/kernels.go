@@ -13,7 +13,9 @@ import (
 // bit-reproducible at a fixed worker count and identical across any
 // worker count ≥ 2. With one worker every kernel falls through to the
 // exact single-threaded legacy loop (no goroutines, and no closure
-// built per call).
+// built per call). With more, a vector too short to dispatch
+// (parallel.Pool.Dispatches) runs on the caller, its reductions still
+// summed in chunk order.
 //
 // The hot-path kernels are fused: each one makes a single sweep over
 // the vectors where the pre-fusion solver made two or three (SpMV
@@ -46,8 +48,8 @@ type kern struct {
 // Options.Engine runs on a throwaway engine; see Options.ownEngine).
 func newKern(pool *parallel.Pool, n int) *kern {
 	k := &kern{pool: pool}
-	if !pool.Serial() {
-		k.partials = make([]float64, parallel.NumChunks(n))
+	if nc := parallel.NumChunks(n); pool.Dispatches(nc) {
+		k.partials = make([]float64, nc)
 	}
 	return k
 }
@@ -72,11 +74,12 @@ func (k *kern) free() {
 	k.r, k.z, k.p, k.pn, k.ap, k.best = nil, nil, nil, nil, nil, nil
 }
 
-// apply computes y = A·x, chunked across the pool. Each chunk writes
-// a disjoint range of y and only reads x, so the result is bitwise
-// identical to the serial loop at any worker count.
+// apply computes y = A·x, chunked across the pool when the vector is
+// long enough to dispatch. Each chunk writes a disjoint range of y and
+// only reads x, so the result is bitwise identical to the serial loop
+// at any worker count.
 func (k *kern) apply(op *operator, x, y []float64) {
-	if k.pool.Serial() {
+	if !k.pool.Dispatches(parallel.NumChunks(len(x))) {
 		op.applyRange(x, y, 0, len(x))
 		return
 	}

@@ -91,6 +91,14 @@ package solver
 // floating-point reductions, so one V-cycle is bitwise identical at
 // every worker count (serial included) in both tiers; the solve-level
 // contract is then identical to the other preconditioners'.
+//
+// Dispatch: each level follows internal/parallel's dispatch rule on
+// its own column regions (mgLevel.dispatch). A level whose columns
+// split into too few chunks to pay for waking the pool's helpers runs
+// every sweep as one range and its down-leg as one band, on the
+// caller; typically the fine level of a large grid dispatches and its
+// coarse levels do not. Since any partition gives the same bits, the
+// rule moves no result.
 
 import (
 	"thermalscaffold/internal/mesh"
@@ -158,6 +166,17 @@ type mgLevel[F mgFloat] struct {
 	// rounded up to whole rows so each worker strip runs linearly
 	// through every layer.
 	colGrain int
+	// dispatch records whether this level's column regions have enough
+	// chunks to wake the pool's helpers (parallel.Pool.Dispatches); a
+	// level that does not runs each sweep as one range on the caller.
+	dispatch bool
+	// bands is the number of y-bands smoothRestrict splits a
+	// dispatched level's down-leg into (0 runs it as one band), and
+	// spans the band-boundary fine-row ranges its phase one smooths
+	// first. Both depend only on the coarse row count, the band count
+	// and yoff, so they are built once, with the level.
+	bands int
+	spans []rowRange
 	// Scratch: b is the restricted right-hand side and x the solution
 	// estimate (levels below the finest; the finest uses the caller's
 	// r/z).
@@ -200,9 +219,11 @@ func newZLineTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
 func newHierarchy[F mgFloat](op *operator, kr *kern, maxLevels int) *multigrid[F] {
 	mg := &multigrid[F]{kr: kr}
 	_, native := any(op.diag).([]F)
+	pool := kr.pool
 	for cur := op; ; {
 		last := (cur.nx == 1 && cur.ny == 1) || len(mg.levels)+1 >= maxLevels
 		lvl := newMGLevel[F](cur, last)
+		lvl.dispatch = pool.Dispatches((lvl.sz + lvl.colGrain - 1) / lvl.colGrain)
 		mg.levels = append(mg.levels, lvl)
 		var next *operator
 		if !last {
@@ -211,6 +232,9 @@ func newHierarchy[F mgFloat](op *operator, kr *kern, maxLevels int) *multigrid[F
 			lvl.xmap = aggregateMap(lvl.xoff, cur.nx)
 			lvl.ymap = aggregateMap(lvl.yoff, cur.ny)
 			lvl.dp = getTier[F](len(cur.diag))
+			if lvl.dispatch {
+				lvl.bands, lvl.spans = bandSpans(lvl.yoff, pool.Workers())
+			}
 			next = coarsenOperator(cur, lvl.xoff, lvl.yoff)
 		}
 		if cur != op {
@@ -435,7 +459,7 @@ func (mg *multigrid[F]) apply(r, z []float64) {
 	}
 	rb, zb := mg.rbuf, mg.zbuf
 	pool := mg.kr.pool
-	if pool.Serial() {
+	if !pool.Dispatches(parallel.NumChunks(len(r))) {
 		for i, v := range r {
 			rb[i] = F(v)
 		}
@@ -488,12 +512,12 @@ func (mg *multigrid[F]) cycle(l int, b, x []F) {
 }
 
 // solveColumns relaxes the columns of one color exactly, fanning
-// contiguous column ranges out across the pool. Columns are
-// independent tridiagonal solves writing disjoint cells, so any
-// partition produces bit-identical results.
+// contiguous column ranges out across the pool when the level
+// dispatches. Columns are independent tridiagonal solves writing
+// disjoint cells, so any partition produces bit-identical results.
 func (mg *multigrid[F]) solveColumns(lvl *mgLevel[F], b, x []F, color int, gather bool) {
 	sz := lvl.sz
-	if mg.kr.pool.Serial() {
+	if !lvl.dispatch {
 		lvl.smoothRange(b, x, color, gather, 0, sz)
 		return
 	}
@@ -617,7 +641,7 @@ func (lvl *mgLevel[F]) backSubstitute(x []F, color, lo, hi int) {
 // any partition of the column range gives the same bits at any
 // worker count.
 func (mg *multigrid[F]) lineSolve(lvl *mgLevel[F], r, z []F) {
-	if mg.kr.pool.Serial() {
+	if !lvl.dispatch {
 		lvl.lineRange(r, z, 0, lvl.sz)
 		return
 	}
@@ -670,49 +694,33 @@ func (lvl *mgLevel[F]) lineRange(r, z []F, lo, hi int) {
 // the fine row above it is final (a trailing emit), so the restrict
 // reads x while the smoother's writes are still cache-hot.
 //
-// Band-boundary fine rows (the last row before and first row of each
-// band start) are smoothed in a small preliminary pool pass, so phase
-// two never reads a row another band is still writing: each band
-// writes only its interior rows and reads beyond its edges only
-// phase-one rows. Black columns are mutually independent (they read
-// b and red values fixed by the preceding half-sweep), so this
-// smoothing order is bitwise identical to any other; rc cells keep
-// the unfused kernel's exact per-cell accumulation order, so the
-// whole fusion is a bitwise rewrite at every worker count.
+// A level that dispatches splits this into y-bands, one per worker at
+// most. Band-boundary fine rows (the last row before and first row of
+// each band start) are smoothed first, on the caller, so phase two
+// never reads a row another band is still writing: each band writes
+// only its interior rows and reads beyond its edges only phase-one
+// rows. Black columns are mutually independent (they read b and red
+// values fixed by the preceding half-sweep), so this smoothing order
+// is bitwise identical to any other; rc cells keep the unfused
+// kernel's exact per-cell accumulation order, so the whole fusion is
+// a bitwise rewrite at every worker count.
 func (mg *multigrid[F]) smoothRestrict(fine, coarse *mgLevel[F], b, x, rc []F) {
 	nyc := coarse.ny
-	yoff := fine.yoff
-	pool := mg.kr.pool
-	bands := pool.Workers()
-	if bands > nyc {
-		bands = nyc
-	}
+	bands := fine.bands
 	if bands <= 1 {
 		mg.bandRestrict(fine, coarse, b, x, rc, 0, nyc, 0, fine.ny)
 		return
 	}
-	// Phase one: smooth the band-boundary fine rows. Spans merge when
-	// single-row bands make neighboring boundaries overlap, so no row
-	// is written twice.
+	// Phase one: the boundary rows are a few per band, too little work
+	// to wake the helpers for.
 	nx := fine.nx
-	type span struct{ lo, hi int } // fine row range [lo, hi)
-	spans := make([]span, 0, bands-1)
-	for w := 1; w < bands; w++ {
-		J0, _ := parallel.Partition(nyc, bands, w)
-		lo, hi := yoff[J0]-1, yoff[J0]+1
-		if len(spans) > 0 && lo <= spans[len(spans)-1].hi {
-			spans[len(spans)-1].hi = hi
-		} else {
-			spans = append(spans, span{lo, hi})
-		}
-	}
-	pool.Run(len(spans), func(_, si int) {
-		sp := spans[si]
+	for _, sp := range fine.spans {
 		fine.smoothRange(b, x, 1, true, sp.lo*nx, sp.hi*nx)
-	})
+	}
 	// Phase two: per band, smooth the interior rows coarse row by
 	// coarse row with the trailing restrict emit.
-	pool.Run(bands, func(_, w int) {
+	yoff := fine.yoff
+	mg.kr.pool.RunBands(bands, func(_, w int) {
 		J0, J1 := parallel.Partition(nyc, bands, w)
 		rowLo, rowHi := yoff[J0], yoff[J1]
 		if w > 0 {
@@ -723,6 +731,34 @@ func (mg *multigrid[F]) smoothRestrict(fine, coarse *mgLevel[F], b, x, rc []F) {
 		}
 		mg.bandRestrict(fine, coarse, b, x, rc, J0, J1, rowLo, rowHi)
 	})
+}
+
+// rowRange is a range [lo, hi) of fine rows.
+type rowRange struct{ lo, hi int }
+
+// bandSpans splits the coarse rows of a level with coarsening offsets
+// yoff into y-bands for smoothRestrict, one per worker at most and
+// one coarse row at least, and returns the band count with the
+// band-boundary fine-row ranges phase one smooths. Spans merge when
+// single-row bands make neighboring boundaries overlap, so no row is
+// written twice. A level with one band needs no spans.
+func bandSpans(yoff []int, workers int) (int, []rowRange) {
+	nyc := len(yoff) - 1
+	bands := min(workers, nyc)
+	if bands <= 1 {
+		return 1, nil
+	}
+	spans := make([]rowRange, 0, bands-1)
+	for w := 1; w < bands; w++ {
+		J0, _ := parallel.Partition(nyc, bands, w)
+		lo, hi := yoff[J0]-1, yoff[J0]+1
+		if len(spans) > 0 && lo <= spans[len(spans)-1].hi {
+			spans[len(spans)-1].hi = hi
+		} else {
+			spans = append(spans, rowRange{lo, hi})
+		}
+	}
+	return bands, spans
 }
 
 // bandRestrict smooths the black columns of fine rows [rowLo, rowHi)
@@ -820,7 +856,7 @@ func emitRestrict[F mgFloat](fine, coarse *mgLevel[F], b, x, rc []F, J int) {
 // needed again and the prolongation pass disappears entirely.
 func (mg *multigrid[F]) smoothCorrect(fine, coarse *mgLevel[F], b, x, xc []F) {
 	sz := fine.sz
-	if mg.kr.pool.Serial() {
+	if !fine.dispatch {
 		fine.correctRange(b, x, xc, coarse.nx, coarse.ny, 0, sz)
 		return
 	}

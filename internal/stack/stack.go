@@ -162,6 +162,24 @@ type Layout struct {
 	TierOfLayer []int
 }
 
+// layerKind is the material class of one z cell layer of a stack.
+type layerKind uint8
+
+const (
+	handleLayer layerKind = iota // handle wafer
+	deviceLayer                  // a tier's device silicon, where its power goes
+	memoryLayer                  // the passive silicon of a tier's memory sub-layer
+	lowerLayer                   // lower BEOL group (V0–M7), logic or memory
+	upperLayer                   // upper BEOL group (M8/V8/M9), logic or memory
+)
+
+// zLayer says what one z cell layer is and which tier it belongs to
+// (−1 for the handle).
+type zLayer struct {
+	kind layerKind
+	tier int
+}
+
 // PillarKDefault is the COMSOL-derived effective pillar conductivity
 // of the paper (Fig. 7): 105 W/m/K at 100 nm × 100 nm footprint.
 const PillarKDefault = 105.0
@@ -234,16 +252,29 @@ func (s *Spec) Build() (*solver.Problem, *Layout, error) {
 	lowerT := asap.LowerThickness()
 	upperT := asap.UpperThickness()
 
+	// layers records what each z cell layer is, bottom first, as the
+	// builder subdivides the physical layers.
+	perTier := 1 + 2*cells // device silicon, lower and upper BEOL
+	if s.MemoryPerTier {
+		perTier *= 2
+	}
 	zb := mesh.NewZLayerBuilder()
-	zb.Add("handle", pdk.HandleSiliconThickness, handleCells)
+	layers := make([]zLayer, 0, handleCells+s.Tiers*perTier)
+	add := func(tag string, kind layerKind, tier int, thickness float64, n int) {
+		zb.Add(tag, thickness, n)
+		for ; n > 0; n-- {
+			layers = append(layers, zLayer{kind, tier})
+		}
+	}
+	add("handle", handleLayer, -1, pdk.HandleSiliconThickness, handleCells)
 	for t := 0; t < s.Tiers; t++ {
-		zb.Add(fmt.Sprintf("si%d", t), pdk.DeviceSiliconThickness, 1)
-		zb.Add(fmt.Sprintf("lower%d", t), lowerT, cells)
-		zb.Add(fmt.Sprintf("upper%d", t), upperT, cells)
+		add("si", deviceLayer, t, pdk.DeviceSiliconThickness, 1)
+		add("lower", lowerLayer, t, lowerT, cells)
+		add("upper", upperLayer, t, upperT, cells)
 		if s.MemoryPerTier {
-			zb.Add(fmt.Sprintf("msi%d", t), pdk.DeviceSiliconThickness, 1)
-			zb.Add(fmt.Sprintf("mlower%d", t), lowerT, cells)
-			zb.Add(fmt.Sprintf("mupper%d", t), upperT, cells)
+			add("msi", memoryLayer, t, pdk.DeviceSiliconThickness, 1)
+			add("mlower", lowerLayer, t, lowerT, cells)
+			add("mupper", upperLayer, t, upperT, cells)
 		}
 	}
 	xs := make([]float64, s.NX+1)
@@ -265,38 +296,24 @@ func (s *Spec) Build() (*solver.Problem, *Layout, error) {
 	deviceSi := materials.DeviceSilicon()
 	handleSi := materials.HandleSilicon()
 
-	tags := zb.Tags()
-	for k := 0; k < g.NZ(); k++ {
-		tag := tags[k]
-		tier := -1
+	for k, l := range layers {
+		tier := l.tier
 		isBEOL := false
 		var kLat, kVert, cv float64
-		kind := tag
-		if tag != "handle" {
-			// Strip the tier suffix: si3 → si, mlower0 → mlower.
-			end := len(tag)
-			for end > 0 && tag[end-1] >= '0' && tag[end-1] <= '9' {
-				end--
-			}
-			kind = tag[:end]
-			fmt.Sscanf(tag[end:], "%d", &tier)
-		}
-		switch kind {
-		case "handle":
+		switch l.kind {
+		case handleLayer:
 			kLat, kVert, cv = handleSi.KLateral, handleSi.KVertical, handleSi.VolHeatCapacity
-		case "si":
+		case deviceLayer:
 			kLat, kVert, cv = deviceSi.KLateral, deviceSi.KVertical, deviceSi.VolHeatCapacity
 			lay.DeviceLayers[tier] = append(lay.DeviceLayers[tier], k)
-		case "msi":
+		case memoryLayer:
 			kLat, kVert, cv = deviceSi.KLateral, deviceSi.KVertical, deviceSi.VolHeatCapacity
-		case "lower", "mlower":
+		case lowerLayer:
 			kLat, kVert, cv = s.BEOL.LowerKLat, s.BEOL.LowerKVert+s.ExtraBEOLKVert, materials.CvOxide
 			isBEOL = true
-		case "upper", "mupper":
+		case upperLayer:
 			kLat, kVert, cv = s.BEOL.UpperKLat, s.BEOL.UpperKVert+s.ExtraBEOLKVert, materials.CvOxide
 			isBEOL = true
-		default:
-			return nil, nil, fmt.Errorf("stack: unknown layer tag %q", tag)
 		}
 		lay.TierOfLayer[k] = tier
 		var pillars *PillarField
