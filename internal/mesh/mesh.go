@@ -223,8 +223,7 @@ func (g *Grid) CoarsenXY() *Grid {
 // number of cells, producing the z boundary coordinates for a chip
 // stack grid. Layers are added bottom (heatsink side) first.
 type ZLayerBuilder struct {
-	zs   []float64
-	tags []string // tag per cell layer
+	zs []float64
 }
 
 // NewZLayerBuilder starts a builder at z = 0.
@@ -233,9 +232,9 @@ func NewZLayerBuilder() *ZLayerBuilder {
 }
 
 // Add appends a physical layer of the given thickness subdivided into
-// cells equal slices, tagging each resulting cell layer. It returns
-// the builder for chaining. Non-positive thickness or cells panic:
-// stack construction is programmer-controlled.
+// cells equal slices; tag names the layer in the panic message. It
+// returns the builder for chaining. Non-positive thickness or cells
+// panic: stack construction is programmer-controlled.
 func (b *ZLayerBuilder) Add(tag string, thickness float64, cells int) *ZLayerBuilder {
 	if thickness <= 0 || cells < 1 {
 		panic(fmt.Sprintf("mesh: bad layer %q: thickness=%g cells=%d", tag, thickness, cells))
@@ -243,27 +242,9 @@ func (b *ZLayerBuilder) Add(tag string, thickness float64, cells int) *ZLayerBui
 	z0 := b.zs[len(b.zs)-1]
 	for c := 1; c <= cells; c++ {
 		b.zs = append(b.zs, z0+thickness*float64(c)/float64(cells))
-		b.tags = append(b.tags, tag)
 	}
 	return b
 }
 
 // Bounds returns the accumulated z boundary coordinates.
 func (b *ZLayerBuilder) Bounds() []float64 { return b.zs }
-
-// Tags returns one tag per cell layer, bottom first.
-func (b *ZLayerBuilder) Tags() []string { return b.tags }
-
-// NumLayers returns the number of cell layers accumulated.
-func (b *ZLayerBuilder) NumLayers() int { return len(b.tags) }
-
-// LayersTagged returns the indices of cell layers with the given tag.
-func (b *ZLayerBuilder) LayersTagged(tag string) []int {
-	var out []int
-	for i, t := range b.tags {
-		if t == tag {
-			out = append(out, i)
-		}
-	}
-	return out
-}

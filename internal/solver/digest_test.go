@@ -67,7 +67,7 @@ func TestEquivalencePinnedDigests(t *testing.T) {
 	const (
 		hotW1    = "ce88787c164eb65ce30a9d6d903ddb6eee6ca70ae32a5968222aee6a08e3d9e5"
 		hotW3    = "3e7daa3702c8a77f6144fe1269de21f6243e9860b8272ebafa9dc1bfef6bcfda"
-		transW1  = "ec800f91348597ce72c0aa0dcbae741ae23ea6b5596a372d3442a925175a9362"
+		transW1  = "f0c8ba1e2b51e71c343077c8e8e10c6e283aeed2935746c06151797bb08b036f"
 		failBest = "ee0f90f1986581ec75f67eddfe83c00b882a0847a64f9751f3a8611b969fde4b"
 		mgW1     = "fdf330134a34510f262e4fb54b59be8d06419eb1d667b1df6268022b7fc239a2"
 		mgW3     = "a2a19e5ee8fce6c266a296f5c70b6e1078f3f1c5eb84c2b8080a4ca84a0b67bb"

@@ -91,15 +91,19 @@ type famCtx struct {
 
 // augCtx is one leased transient-solve context for a fixed Δt: the
 // augmented operator (C/Δt + A) with its own diagonal, stencil and
-// RHS, plus the paired kern and preconditioner cache. The kern is
-// part of the lease because cached preconditioner closures capture
-// the kern they were built with (its partials array is scratch), so
-// kern and preconditioners must travel together.
+// RHS, the per-cell C/Δt both the diagonal and every step's RHS add,
+// the scratch a step's extrapolated start is written to, plus the
+// paired kern and preconditioner cache. The kern is part of the lease
+// because cached preconditioner closures capture the kern they were
+// built with (its partials array is scratch), so kern and
+// preconditioners must travel together.
 type augCtx struct {
-	dt  float64
-	aug *operator
-	kr  *kern
-	pcs precondCache
+	dt    float64
+	aug   *operator
+	capDt []float64 // cap[c]/dt per cell, W/K
+	guess []float64 // predictor scratch; nil until a step extrapolates
+	kr    *kern
+	pcs   precondCache
 }
 
 // familyEntry is one assembly with its spare solve contexts. A cached
@@ -298,9 +302,10 @@ func (fe *familyEntry) cloneForSources() *operator {
 
 // leaseAug returns an exclusive transient context for Δt dt, reusing
 // the most recently released spare built for the same Δt when one is
-// idle. A fresh context's augmented diagonal is diag[c] + cap[c]/dt,
-// so a reused one is bitwise-neutral: every leased value is a pure
-// function of (operator, Δt).
+// idle. A fresh context stores capDt[c] = cap[c]/dt and builds the
+// augmented diagonal as diag[c] + capDt[c], so a reused one is
+// bitwise-neutral: every leased value is a pure function of
+// (operator, Δt).
 func (fe *familyEntry) leaseAug(dt float64, heatCap []float64) *augCtx {
 	fe.mu.Lock()
 	for i := len(fe.augs) - 1; i >= 0; i-- {
@@ -320,10 +325,12 @@ func (fe *familyEntry) leaseAug(dt float64, heatCap []float64) *augCtx {
 		diag: make([]float64, n),
 		b:    make([]float64, n),
 	}
+	capDt := make([]float64, n)
 	for c := 0; c < n; c++ {
-		aug.diag[c] = op.diag[c] + heatCap[c]/dt
+		capDt[c] = heatCap[c] / dt
+		aug.diag[c] = op.diag[c] + capDt[c]
 	}
-	return &augCtx{dt: dt, aug: aug, kr: newKern(fe.pool, n), pcs: precondCache{}}
+	return &augCtx{dt: dt, aug: aug, capDt: capDt, kr: newKern(fe.pool, n), pcs: precondCache{}}
 }
 
 // releaseAug returns a transient context to the spare pool. The pool

@@ -367,6 +367,29 @@ func TestInitialGuessAccelerates(t *testing.T) {
 	}
 }
 
+// TestExactInitialGuess: a guess that solves the system exactly (here
+// a solve's own answer, where b − A·x is exactly zero) comes back
+// unchanged after 0 iterations. PCG used to iterate on the zero
+// residual, find pᵀAp = 0, fall back to Jacobi and fail with a
+// breakdown.
+func TestExactInitialGuess(t *testing.T) {
+	p := sinkCell()
+	first, err := SolveSteady(p, Options{Tol: 1e-13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SolveSteady(p, Options{Tol: 1e-13, InitialGuess: first.T})
+	if err != nil {
+		t.Fatalf("seeded with its own answer: %v", err)
+	}
+	if res.Iterations != 0 || res.Residual != 0 || len(res.Fallbacks) != 0 {
+		t.Errorf("got %d iterations, residual %g, fallbacks %v; want 0, 0, none", res.Iterations, res.Residual, res.Fallbacks)
+	}
+	if math.Float64bits(res.T[0]) != math.Float64bits(first.T[0]) {
+		t.Errorf("field %v, want the guess %v", res.T[0], first.T[0])
+	}
+}
+
 func TestLayerHelpers(t *testing.T) {
 	p := uniformProblem(t, 3, 3, 4, 2)
 	p.Bounds[ZMin] = DirichletBC(300)

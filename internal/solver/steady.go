@@ -409,6 +409,13 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 		// Zero RHS with SPD A ⇒ zero solution.
 		return &iterOutcome{x: x}, nil
 	}
+	if resNum == 0 {
+		// The guess solves the system exactly. Iterating would find
+		// z = p = 0 and pᵀAp = 0 and report a breakdown, so return it.
+		// Only an exact zero: a start merely within Tol still iterates
+		// (DESIGN §13 measures what returning there costs a trace).
+		return &iterOutcome{x: x}, nil
+	}
 	var done <-chan struct{}
 	if opts.Ctx != nil {
 		done = opts.Ctx.Done()

@@ -192,6 +192,9 @@ func SolveTrace(p *Problem, t0 []float64, segs []TraceSegment, opts Options, top
 	out := &TraceResult{PeakT: math.Inf(-1)}
 	for s := start; s < len(segs); s++ {
 		seg := segs[s]
+		// A checkpoint carries only the field, so every segment starts
+		// the predictor afresh, resumed or not.
+		tr.resetHistory()
 		if seg.Q != nil {
 			if err := tr.SetSources(seg.Q); err != nil {
 				return nil, err

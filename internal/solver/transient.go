@@ -29,6 +29,18 @@ import (
 // identical arithmetic — pinned by TestEquivalenceTransient and
 // TestFamilyEngineTraceEquivalence.
 //
+// Predictor: each step seeds its PCG solve with the extrapolation
+// Tⁿ + ρ·(Tⁿ − Tⁿ⁻¹) instead of Tⁿ, where ρ = ⟨Δⁿ, Δⁿ⁻¹⟩/⟨Δⁿ⁻¹, Δⁿ⁻¹⟩
+// (Δⁿ = Tⁿ − Tⁿ⁻¹) clamped to [0, 1] — the one-term case of Fischer's
+// projection of earlier solutions. Under fixed sources and Δt the
+// backward-Euler increments decay geometrically, so the guess starts
+// far closer to Tⁿ⁺¹ and the solve needs fewer iterations. ρ sums in
+// one serial loop, so the guess is the same at every worker count.
+// The history — the two fields before Tⁿ — resets on a new Δt and on
+// SetSources (SolveTrace also resets it per segment); the two steps
+// after a reset, and any step where ρ is 0 or undefined, start from
+// Tⁿ itself.
+//
 // Call Close when done to return the leased context and, without a
 // caller-owned Options.Engine, release the throwaway engine's
 // goroutines (a finalizer covers leaked integrators, but
@@ -41,6 +53,12 @@ type Transient struct {
 	T    []float64 // current temperature field, K
 	time float64
 	opts Options
+
+	// prev holds Tⁿ⁻¹ and Tⁿ⁻² for the predictor, newest first; an
+	// entry is nil until that many steps have run since the last
+	// reset. They are earlier Field() results, which callers may
+	// still hold, so they rotate but are never written.
+	prev [2][]float64
 
 	fam    *familyEntry
 	lease  *augCtx // the (C/Δt + A) system for lastDt; nil before the first step
@@ -119,7 +137,8 @@ func (tr *Transient) Close() {
 // Time returns the elapsed simulated time (s).
 func (tr *Transient) Time() float64 { return tr.time }
 
-// Field returns the current temperature field (not a copy).
+// Field returns the current temperature field (not a copy). Later
+// steps leave it as it is: each step returns its field in a new slice.
 func (tr *Transient) Field() []float64 { return tr.T }
 
 // SetSources replaces the volumetric source field (W/m³) — used by
@@ -134,7 +153,44 @@ func (tr *Transient) SetSources(q []float64) error {
 	}
 	copy(tr.p.Q, q)
 	tr.op.setSources(tr.p.Q)
+	tr.resetHistory()
 	return nil
+}
+
+// resetHistory forgets the fields before Tⁿ, so the next two steps
+// start from Tⁿ itself.
+func (tr *Transient) resetHistory() { tr.prev = [2][]float64{} }
+
+// initialGuess returns the start of the next step's solve: the
+// predictor's extrapolation of the last three fields, written to the
+// lease's scratch (pcg copies it), or Tⁿ when the history is short or
+// ρ is 0 or undefined. ρ's two sums run in one serial loop in cell
+// order, so the guess does not depend on Workers.
+func (tr *Transient) initialGuess() []float64 {
+	if tr.prev[1] == nil {
+		return tr.T
+	}
+	t, t1, t2 := tr.T, tr.prev[0], tr.prev[1]
+	var num, den float64
+	for c := range t {
+		d, d1 := t[c]-t1[c], t1[c]-t2[c]
+		num += d * d1
+		den += d1 * d1
+	}
+	rho := num / den
+	if !(rho > 0) {
+		return tr.T // ρ ≤ 0, or 0/0 when the field stood still
+	}
+	rho = min(rho, 1)
+	g := tr.lease.guess
+	if g == nil {
+		g = make([]float64, len(t))
+		tr.lease.guess = g
+	}
+	for c := range t {
+		g[c] = t[c] + rho*(t[c]-t1[c])
+	}
+	return g
 }
 
 // Step advances the field by dt seconds with one backward-Euler step.
@@ -153,21 +209,21 @@ func (tr *Transient) Step(dt float64) error {
 		}
 		tr.lease = tr.fam.leaseAug(dt, tr.cap)
 		tr.lastDt = dt
+		tr.resetHistory()
 	}
-	aug := tr.lease.aug
-	// The rhs changes every step (it carries the previous field).
-	// cap[c]/dt here is the identical expression that built the
-	// diagonal, so splitting the loops keeps each value bit-equal to
-	// the historical single fused loop.
+	aug, capDt := tr.lease.aug, tr.lease.capDt
+	// The rhs changes every step (it carries the previous field);
+	// capDt[c] is the value the lease added to the diagonal.
 	for c := 0; c < n; c++ {
-		aug.b[c] = tr.op.b[c] + tr.cap[c]/dt*tr.T[c]
+		aug.b[c] = tr.op.b[c] + capDt[c]*tr.T[c]
 	}
 	opts := tr.opts
-	opts.InitialGuess = tr.T
+	opts.InitialGuess = tr.initialGuess()
 	out, _, err := solveLadder(aug, aug.b, opts, "transient", tr.lease.kr, tr.lease.pcs)
 	if err != nil {
 		return err
 	}
+	tr.prev = [2][]float64{tr.T, tr.prev[0]}
 	tr.T = out.x
 	tr.time += dt
 	return nil

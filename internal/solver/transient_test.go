@@ -1,10 +1,12 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"thermalscaffold/internal/mesh"
+	"thermalscaffold/internal/telemetry"
 )
 
 // TestTransientApproachesSteady: integrating long enough converges to
@@ -159,5 +161,149 @@ func TestTransientRejections(t *testing.T) {
 	p2.Bounds[ZMin] = DirichletBC(300)
 	if _, err := NewTransient(p2, good, Options{}); err == nil {
 		t.Error("short Cv accepted")
+	}
+}
+
+// sinkCell is one 100 µm cell of conductivity 1e4 W/(m·K) and heat
+// capacity 2e6 J/(m³·K), cooled through a convective h = 1e4 W/(m²·K)
+// to 300 K, with no sources.
+func sinkCell() *Problem {
+	g, _ := mesh.Uniform(1e-4, 1e-4, 1e-4, 1, 1, 1)
+	p := NewProblem(g)
+	p.SetIsotropic(0, 1e4)
+	p.Cv[0] = 2e6
+	p.Bounds[ZMin] = ConvectiveBC(1e4, 300)
+	return p
+}
+
+// TestTransientExactStart: a cell resting at the ambient of its
+// convective boundary, with no sources, settles in one step to a field
+// that solves every later step's system exactly, and those steps
+// return it after 0 iterations. PCG used to iterate on the zero
+// residual, find pᵀAp = 0 and report a breakdown on every rung of the
+// fallback ladder.
+func TestTransientExactStart(t *testing.T) {
+	p := sinkCell()
+	tel := telemetry.New()
+	tr, err := NewTransient(p, []float64{300}, Options{Tol: 1e-13, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var first int64
+	for s := 0; s < 4; s++ {
+		if err := tr.Step(1e-4); err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+		if d := math.Abs(tr.Field()[0] - 300); d > 1e-12 {
+			t.Fatalf("step %d: field moved %g K off equilibrium", s, d)
+		}
+		if s == 0 {
+			first = tel.Counter(telemetry.CounterIterations)
+		}
+	}
+	if later := tel.Counter(telemetry.CounterIterations) - first; later != 0 {
+		t.Errorf("steps 2–4 took %d iterations, want 0", later)
+	}
+	if fb := tel.Counter(telemetry.CounterFallbacks); fb != 0 {
+		t.Errorf("%d preconditioner fallbacks, want 0", fb)
+	}
+}
+
+// stepIterations integrates steps steps of dt from t0 and returns the
+// PCG iterations they took. With reset, SetSources re-applies the
+// problem's own sources before every step: that changes nothing but
+// the predictor's history, so every step starts from Tⁿ.
+func stepIterations(t *testing.T, p *Problem, t0 []float64, pc Preconditioner, dt float64, steps int, reset bool) int64 {
+	t.Helper()
+	tel := telemetry.New()
+	tr, err := NewTransient(p, t0, Options{Tol: 1e-7, Precond: pc, Workers: 1, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for s := 0; s < steps; s++ {
+		if reset {
+			if err := tr.SetSources(p.Q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Step(dt); err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+	}
+	return tel.Counter(telemetry.CounterIterations)
+}
+
+// TestTransientPredictorNeverCostsIterations: starting each step from
+// the extrapolated field never takes more PCG iterations than starting
+// from Tⁿ, for both production preconditioners across four decades of
+// Δt on two stacks (the 12-tier chip stack and an isotropic block).
+func TestTransientPredictorNeverCostsIterations(t *testing.T) {
+	block := uniformProblem(t, 8, 8, 6, 4)
+	block.Bounds[ZMin] = ConvectiveBC(1e5, 350)
+	for c := range block.Q {
+		block.Q[c] = 1e10 * float64(1+c%5)
+	}
+	const steps = 8
+	for _, st := range []struct {
+		name string
+		p    *Problem
+		t0   float64
+	}{{"chip", benchStack(t, 6), 373.15}, {"block", block, 350}} {
+		t0 := make([]float64, st.p.Grid.NumCells())
+		for c := range t0 {
+			t0[c] = st.t0
+		}
+		for _, pc := range []Preconditioner{ZLine, Multigrid} {
+			for _, dt := range []float64{1e-5, 1e-4, 1e-3, 1e-2} {
+				name := fmt.Sprintf("%s/%s/dt=%g", st.name, pc, dt)
+				with := stepIterations(t, st.p, t0, pc, dt, steps, false)
+				without := stepIterations(t, st.p, t0, pc, dt, steps, true)
+				t.Logf("%s: %d iterations with the predictor, %d from Tⁿ", name, with, without)
+				if with > without {
+					t.Errorf("%s: predictor took %d iterations, more than the %d from Tⁿ", name, with, without)
+				}
+			}
+		}
+	}
+}
+
+// TestTransientPredictorAllocs: once the predictor is running, a step
+// allocates one n-vector — the field it returns. The extrapolated
+// start lives in the leased Δt context's scratch, and the history
+// only rotates fields the integrator already returned.
+func TestTransientPredictorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	p := benchStack(t, 16)
+	n := p.Grid.NumCells()
+	vec := float64(8 * n)
+	t0 := make([]float64, n)
+	for c := range t0 {
+		t0[c] = 373.15
+	}
+	for _, pc := range []Preconditioner{ZLine, Multigrid} {
+		tr, err := NewTransient(p, t0, Options{Tol: 1e-7, Precond: pc, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			if err := tr.Step(1e-4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		step()
+		objs, bytes := allocBudget(step)
+		t.Logf("%s: %.0f objects, %.0f bytes per step (n-vector %.0f bytes)", pc, objs, bytes, vec)
+		if tr.lease.guess == nil {
+			t.Errorf("%s: the predictor never extrapolated", pc)
+		}
+		if bytes >= 1.5*vec {
+			t.Errorf("%s: a step allocates %.0f bytes, budget one %.0f-byte field", pc, bytes, vec)
+		}
+		tr.Close()
 	}
 }
