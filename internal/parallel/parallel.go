@@ -90,8 +90,8 @@ func (r *region) run(worker int) {
 // Partition returns part idx of n items split into parts contiguous
 // blocks — the same static tiling affine pools use for chunk
 // ownership. Exposed for callers that band work themselves (e.g. the
-// solver's tiled multigrid sweeps) and need the partition to be a
-// pure function of (n, parts, idx).
+// solver's multigrid kernels on a dispatched level) and need the
+// partition to be a pure function of (n, parts, idx).
 func Partition(n, parts, idx int) (start, end int) {
 	return ownedRange(n, parts, idx)
 }
@@ -334,6 +334,21 @@ func (p *Pool) ForGrain(n, grain int, fn func(worker, start, end int)) {
 	})
 }
 
+// SumChunks is the inline path of ReduceSum: fn over the fixed
+// Grain-sized chunks of [0, n) in ascending order on the caller, the
+// per-chunk partials accumulated in chunk order — the order the
+// dispatched path sums its partial array, so the result is
+// bit-identical. fn does not escape, so a caller that runs a region
+// too short to dispatch here passes a closure that is not
+// heap-allocated.
+func SumChunks(n int, fn func(start, end int) float64) float64 {
+	sum := 0.0
+	for s := 0; s < n; s += Grain {
+		sum += fn(s, min(s+Grain, n))
+	}
+	return sum
+}
+
 // ReduceSum computes Σ fn(start, end) over fixed Grain-sized chunks
 // of [0, n), combining the per-chunk partial sums sequentially in
 // chunk order — deterministic at any worker count ≥ 2. With 1 worker
@@ -350,20 +365,7 @@ func (p *Pool) ReduceSum(n int, scratch []float64, fn func(start, end int) float
 	}
 	nc := NumChunks(n)
 	if !p.Dispatches(nc) {
-		// Inline, no scratch: accumulate the per-chunk partials
-		// in ascending chunk order — the same order the
-		// dispatched path sums its partial array, so the result
-		// is bit-identical.
-		sum := 0.0
-		for c := 0; c < nc; c++ {
-			s := c * Grain
-			e := s + Grain
-			if e > n {
-				e = n
-			}
-			sum += fn(s, e)
-		}
-		return sum
+		return SumChunks(n, fn)
 	}
 	if cap(scratch) < nc {
 		scratch = make([]float64, nc)

@@ -129,7 +129,7 @@ func solveBatch(p *Problem, qs [][]float64, opts Options) ([]*Result, int, error
 			q = p.Q
 		}
 		fe.op.sourcesInto(q, ctx.b)
-		out, fallbacks, err := solveLadder(fe.op, ctx.b, opts, "pcg", ctx.kr, ctx.pcs)
+		out, fallbacks, err := solveLadder(fe.op, ctx.b, make([]float64, len(ctx.b)), opts, "pcg", ctx.kr, ctx.pcs)
 		if err != nil {
 			return nil, i, err
 		}

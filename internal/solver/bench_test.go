@@ -33,9 +33,17 @@ import (
 // iteration-flatness tests can reuse the exact acceptance grids.
 func benchStack(b testing.TB, n int) *Problem {
 	b.Helper()
+	return tierStack(b, n, 12)
+}
+
+// tierStack is benchStack with the given tier count: an n×n×(2 + 3·tiers)
+// grid, a two-cell handle under tiers of one silicon and two BEOL
+// layers.
+func tierStack(b testing.TB, n, tiers int) *Problem {
+	b.Helper()
 	zb := mesh.NewZLayerBuilder()
 	zb.Add("handle", 10e-6, 2)
-	for t := 0; t < 12; t++ {
+	for t := 0; t < tiers; t++ {
 		zb.Add("si", 100e-9, 1)
 		zb.Add("beol", 940e-9, 2)
 	}
@@ -181,11 +189,11 @@ func BenchmarkSteadyZLine64Workers(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyMG96Workers is the tiled-multigrid acceptance
-// measurement: the full steady MGCG solve on the 96×96×26-cell
+// BenchmarkSteadyMG96Workers is the multigrid acceptance
+// measurement: the full steady MGCG solve on the 96×96×38-cell
 // 12-tier stack, per preconditioner precision tier, across worker
 // counts. workers=1 f64 is the seed-parity baseline (bitwise pinned
-// to the pre-tiling implementation by the equivalence suite); the
+// to the row-major textbook cycle by the equivalence suite); the
 // workers=8/workers=1 ratio is the scaling figure recorded in
 // BENCH_solver.json — on the 1-vCPU CI box it can only measure pool
 // overhead, the multi-core ratio requires real cores.
@@ -356,5 +364,48 @@ func BenchmarkTransientTrace(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMGCycleShapes times one V-cycle (apply, transposes
+// included) at Workers 1 on the shapes the benchmark workloads solve:
+// the paper flow's 12×12×74 stack, the trace's 16×16×74 on its
+// transient (C/Δt + A) operator, and the cold-family 32×32×14 in the
+// f32 tier the service's cold-family traffic asks for.
+func BenchmarkMGCycleShapes(b *testing.B) {
+	shapes := []struct {
+		name     string
+		n, tiers int
+		dt       float64
+		prec     Precision
+	}{
+		{"12x12x74", 12, 24, 0, F64},
+		{"16x16x74-transient", 16, 24, 1e-4, F64},
+		{"32x32x14", 32, 4, 0, F32},
+	}
+	for _, s := range shapes {
+		op := workloadOperator(b, s.n, s.tiers, s.dt)
+		n := len(op.diag)
+		r := make([]float64, n)
+		z := make([]float64, n)
+		for i := range r {
+			r[i] = float64(i%13) - 6
+		}
+		b.Run(fmt.Sprintf("shape=%s/precision=%s", s.name, s.prec), func(b *testing.B) {
+			kr := testKern(b, 1, n)
+			var apply func(r, z []float64)
+			if s.prec == F32 {
+				apply = newMultigridTier[float32](op, kr).apply
+			} else {
+				apply = newMultigridTier[float64](op, kr).apply
+			}
+			apply(r, z) // warm: bench-json runs two cycles per sample
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply(r, z)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cell")
+		})
 	}
 }

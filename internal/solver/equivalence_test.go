@@ -212,7 +212,7 @@ func TestEquivalenceDispatchedDeterminism(t *testing.T) {
 			}
 		}
 		if mg.levels[0].bands < 2 {
-			t.Fatalf("workers=%d: fine level has %d down-leg bands, want ≥ 2", w, mg.levels[0].bands)
+			t.Fatalf("workers=%d: fine level has %d row bands, want ≥ 2", w, mg.levels[0].bands)
 		}
 		before := parallel.RegionsDispatched()
 		r, err := SolveSteady(p, Options{Tol: 1e-10, MaxIter: 10000, Precond: Multigrid, Workers: w})

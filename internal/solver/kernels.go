@@ -86,6 +86,14 @@ func (k *kern) apply(op *operator, x, y []float64) {
 	k.pool.For(len(x), func(s, e int) { op.applyRange(x, y, s, e) })
 }
 
+// inline reports whether an n-long reduction runs on the caller in
+// chunk order (parallel.SumChunks) rather than on the pool. The
+// kernels below build the closure they pass to SumChunks there
+// separately from the one ReduceSum may hand to the helpers: only the
+// second escapes, so a reduction that does not dispatch allocates
+// nothing.
+func (k *kern) inline(n int) bool { return !k.pool.Dispatches(parallel.NumChunks(n)) }
+
 // applyDot fuses the SpMV with the PCG curvature reduction: one sweep
 // computes ap = A·p and returns pᵀ·ap. The per-chunk partial is
 // Σ p[c]·ap[c] in index order — the same partials the separate
@@ -95,6 +103,9 @@ func (k *kern) applyDot(op *operator, p, ap []float64) float64 {
 	n := len(p)
 	if k.pool.Serial() {
 		return applyDotRange(op, p, ap, 0, n)
+	}
+	if k.inline(n) {
+		return parallel.SumChunks(n, func(s, e int) float64 { return applyDotRange(op, p, ap, s, e) })
 	}
 	return k.pool.ReduceSum(n, k.partials, func(s, e int) float64 {
 		return applyDotRange(op, p, ap, s, e)
@@ -122,6 +133,9 @@ func (k *kern) applyDirDot(op *operator, z, p, pn, ap []float64, beta float64) f
 	n := len(p)
 	if k.pool.Serial() {
 		return applyDirDotRange(op, z, p, pn, ap, beta, 0, n)
+	}
+	if k.inline(n) {
+		return parallel.SumChunks(n, func(s, e int) float64 { return applyDirDotRange(op, z, p, pn, ap, beta, s, e) })
 	}
 	return k.pool.ReduceSum(n, k.partials, func(s, e int) float64 {
 		return applyDirDotRange(op, z, p, pn, ap, beta, s, e)
@@ -168,6 +182,9 @@ func (k *kern) residual(op *operator, x, b, r []float64) float64 {
 	if k.pool.Serial() {
 		return math.Sqrt(residualRange(op, x, b, r, 0, n))
 	}
+	if k.inline(n) {
+		return math.Sqrt(parallel.SumChunks(n, func(s, e int) float64 { return residualRange(op, x, b, r, s, e) }))
+	}
 	return math.Sqrt(k.pool.ReduceSum(n, k.partials, func(s, e int) float64 {
 		return residualRange(op, x, b, r, s, e)
 	}))
@@ -186,16 +203,14 @@ func residualRange(op *operator, x, b, r []float64, s, e int) float64 {
 
 // dot returns aᵀb with the deterministic chunked reduction.
 func (k *kern) dot(a, b []float64) float64 {
+	n := len(a)
 	if k.pool.Serial() {
 		return dot(a, b)
 	}
-	return k.pool.ReduceSum(len(a), k.partials, func(s, e int) float64 {
-		sum := 0.0
-		for i := s; i < e; i++ {
-			sum += a[i] * b[i]
-		}
-		return sum
-	})
+	if k.inline(n) {
+		return parallel.SumChunks(n, func(s, e int) float64 { return dot(a[s:e], b[s:e]) })
+	}
+	return k.pool.ReduceSum(n, k.partials, func(s, e int) float64 { return dot(a[s:e], b[s:e]) })
 }
 
 func (k *kern) norm2(a []float64) float64 { return math.Sqrt(k.dot(a, a)) }
@@ -208,6 +223,9 @@ func (k *kern) updateNorm(x, r, p, ap []float64, alpha float64) float64 {
 	n := len(x)
 	if k.pool.Serial() {
 		return math.Sqrt(updateNormRange(x, r, p, ap, alpha, 0, n))
+	}
+	if k.inline(n) {
+		return math.Sqrt(parallel.SumChunks(n, func(s, e int) float64 { return updateNormRange(x, r, p, ap, alpha, s, e) }))
 	}
 	return math.Sqrt(k.pool.ReduceSum(n, k.partials, func(s, e int) float64 {
 		return updateNormRange(x, r, p, ap, alpha, s, e)

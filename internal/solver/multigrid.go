@@ -40,77 +40,73 @@ package solver
 // half-sweeps are A-orthogonal projections, so no damping parameter
 // is needed for positive definiteness.
 //
-// # Temporal tiling
+// # Column layout
 //
-// The production cycle fuses the kernels of each V-cycle leg so the
-// fine grid is streamed once per leg instead of once per kernel —
-// the sweeps are memory-bound, so bytes moved, not flops, set the
-// cost. Both fusions follow from the red-black structure and are
-// exact (bitwise) rewrites of the textbook sequence:
+// Every smoothing level stores its arrays column-major: cell (i, j, k)
+// at (j·nx + i)·nz + k, so one z column is nz contiguous values. The
+// stacks are tall and narrow (nz in the tens, a few to a few dozen
+// cells across), and every kernel of the cycle works a column at a
+// time: the Thomas solve runs straight down it with the eliminated
+// value in a register, its lateral gather reads four neighbour columns
+// as four contiguous streams, and the restriction and the folded
+// coarse correction read whole coarse columns. The operator, SpMV and
+// the PCG vectors stay row-major; apply transposes r into the finest
+// level and the result back out, in both precision tiers.
 //
-// Down-leg (pre-smooth → residual → restrict): after the black
+// The cycle sequence is fused where that is exact. The red pre-smooth
+// starts from x = 0, so it skips the lateral gather. After the black
 // half-sweep relaxes a black column exactly, the residual vanishes on
-// it, so restriction sums red-cell residuals only — and a red cell's
-// residual is final as soon as its black neighbors are smoothed. The
-// black half-sweep therefore walks y-bands of coarse rows and emits
-// each coarse row's restricted residual as soon as the fine row above
-// it is smoothed (a trailing emit), while the data is still in cache.
-// Band-boundary fine rows are smoothed in a small preliminary pass so
-// bands never read a neighbor band's in-flight rows; black columns
-// are mutually independent, so any smoothing order is bitwise
-// identical, and each rc cell keeps the exact nested j,i accumulation
-// order of the unfused restriction.
+// it, so restriction evaluates red cells only. In the up-leg the black
+// post-smooth overwrites every black cell without reading it, so
+// prolonged black values are dead, and the following red half-sweep
+// reads only black values: prolonged red values are read exactly once,
+// as lateral operands of the black gather, which adds the coarse
+// correction x[nb] + xc[aggregate(nb)] on the fly — the same single
+// addition a materialized prolongation pass performed — and the pass
+// disappears.
 //
-// Up-leg (prolong → post-smooth): the post-smooth relaxes black
-// columns first (reverse color order), overwriting every black cell
-// without reading it — so prolonged black values are dead — and the
-// following red half-sweep reads only black values. Prolonged red
-// values are thus read exactly once, as lateral operands of the black
-// gather, and the prolongation pass is folded away entirely: the
-// black gather reads x[nb] + xc[aggregate(nb)] on the fly, the same
-// single addition the materialized pass performed.
+// Interior columns of a level whose interior faces are all nonzero run
+// without the g ≠ 0 and edge guards: a guard only ever skipped a zero
+// coupling, so dropping it there moves no bit. Same-color columns are
+// solved two at a time, so the two Thomas recurrences overlap.
 //
-// The unfused textbook cycle lives in multigrid_tiling_test.go as
+// The row-major textbook cycle lives in multigrid_tiling_test.go as
 // the oracle: the suite pins the production cycle to it bitwise at
 // every worker count and in both precision tiers.
 //
 // # Precision tiers
 //
 // The hierarchy is generic over the arithmetic type F (float32 or
-// float64). Construction — coarsening, Thomas factorization — always
-// runs in float64; the per-level coefficient, factor, and scratch
-// arrays are then stored in F (the float64 tier aliases the operator
-// arrays, zero-copy). The float32 tier halves the bytes every sweep
-// moves. It exists for preconditioning only: the outer PCG vectors
-// and every dot-product reduction stay float64, so the f32 V-cycle
-// only changes how fast the preconditioner approximates A⁻¹, not what
-// the solve converges to (the MMS suite pins solution accuracy).
+// float64). Construction — transposing, coarsening, Thomas
+// factorization — always runs in float64; the per-level coefficient,
+// factor, and scratch arrays are then stored in F (the float64 tier
+// keeps the float64 arrays themselves). The float32 tier halves the
+// bytes every sweep moves. It exists for preconditioning only: the
+// outer PCG vectors and every dot-product reduction stay float64, so
+// the f32 V-cycle only changes how fast the preconditioner
+// approximates A⁻¹, not what the solve converges to (the MMS suite
+// pins solution accuracy).
 //
-// Determinism: smoothing, restriction, and prolongation all run
-// through internal/parallel with fixed-grain chunking and no
-// floating-point reductions, so one V-cycle is bitwise identical at
-// every worker count (serial included) in both tiers; the solve-level
+// Determinism: smoothing, restriction, and the transposes contain no
+// floating-point reductions across columns, and every column's
+// arithmetic is fixed, so one V-cycle is bitwise identical at every
+// worker count (serial included) in both tiers; the solve-level
 // contract is then identical to the other preconditioners'.
 //
 // Dispatch: each level follows internal/parallel's dispatch rule on
-// its own column regions (mgLevel.dispatch). A level whose columns
-// split into too few chunks to pay for waking the pool's helpers runs
-// every sweep as one range and its down-leg as one band, on the
-// caller; typically the fine level of a large grid dispatches and its
-// coarse levels do not. Since any partition gives the same bits, the
-// rule moves no result.
+// its own column count. A level whose columns split into too few
+// chunks to pay for waking the pool's helpers runs every kernel on the
+// caller; a level that does splits its rows into one band per worker.
+// Typically the fine level of a large grid dispatches and its coarse
+// levels do not. Since any partition gives the same bits, the rule
+// moves no result.
 
 import (
+	"slices"
+
 	"thermalscaffold/internal/mesh"
 	"thermalscaffold/internal/parallel"
 )
-
-// mgMaxLevels bounds the hierarchy depth (2^40 cells per axis is far
-// beyond any realistic grid — this is a runaway guard, not a tuning
-// knob). A hierarchy cut off here leaves a non-trivial coarsest grid,
-// which the exact-per-column coarsest lineSolve then merely smooths —
-// still a valid SPD preconditioner, just a slower one.
-const mgMaxLevels = 40
 
 // mgFloat constrains a multigrid precision tier's arithmetic type.
 type mgFloat interface {
@@ -118,9 +114,9 @@ type mgFloat interface {
 }
 
 // toTier converts a float64 array to tier F. For F = float64 the
-// original slice is returned unchanged (zero-copy — this is what
-// keeps the f64 tier bit-for-bit on the operator's own arrays); for
-// float32 each element is rounded once, here, never on the hot path.
+// original slice is returned unchanged (zero-copy — the f64 tier keeps
+// the float64 arrays bit for bit); for float32 each element is rounded
+// once, here, never on the hot path.
 func toTier[F mgFloat](src []float64) []F {
 	if dst, ok := any(src).([]F); ok {
 		return dst
@@ -133,15 +129,20 @@ func toTier[F mgFloat](src []float64) []F {
 }
 
 // mgLevel is one grid level of the multigrid hierarchy, with every
-// hot-path array stored in the tier's precision.
+// hot-path array stored in the tier's precision. A smoothing level is
+// column-major; a line level — the one-level ZLine hierarchy, or
+// multigrid's 1×1 coarsest — keeps the row-major order of the
+// operator, which for one column is the same thing.
 type mgLevel[F mgFloat] struct {
 	nx, ny, nz int
-	sy, sz     int // index strides
+	// cols = nx·ny, the column count; on a line level it is also the
+	// stride between z planes.
+	cols int
 	// Stencil of this level's operator (see operator): positive face
-	// conductances plus the full diagonal. A line-only level (see
-	// newMGLevel) holds gzp alone.
+	// conductances plus the full diagonal. A line level holds gzp
+	// alone.
 	gxp, gyp, gzp, diag []F
-	// Coarsening maps to the next-coarser level (nil on the coarsest):
+	// Coarsening maps to the next-coarser level (nil on a line level):
 	// xoff/yoff are the mesh.CoarsenOffsets aggregate boundaries,
 	// xmap/ymap map each fine axis index to its aggregate.
 	xoff, yoff []int
@@ -153,33 +154,27 @@ type mgLevel[F mgFloat] struct {
 	// per level halves the per-sweep column-solve cost (no divisions
 	// on the hot path).
 	cpf, minv []F
-	// dp is the full-grid forward-elimination scratch of the
-	// layer-wise smoother (nil on a level that never smooths: the
-	// coarsest, whose lineSolve eliminates straight into its output).
-	// Making it grid-sized (instead of one column's worth) is what
-	// lets the smoother sweep layer by layer in linear memory order
-	// rather than column by column at stride sz — the column walk
-	// touched one cache line per z-layer per column and defeated the
-	// hardware prefetchers.
-	dp []F
-	// colGrain is the parallel column-range grain for this level,
-	// rounded up to whole rows so each worker strip runs linearly
-	// through every layer.
+	// bare records that every interior face of the level — lateral and
+	// vertical — is nonzero in tier F, so interior columns run without
+	// the g ≠ 0 guards.
+	bare bool
+	// zero is one column of zeros standing in for the couplings and
+	// values of a neighbour outside the grid (smoothing levels only).
+	zero []F
+	// colGrain is the parallel column-range grain of a line level,
+	// rounded up to whole rows; the dispatch rule counts chunks of it
+	// on every level.
 	colGrain int
-	// dispatch records whether this level's column regions have enough
-	// chunks to wake the pool's helpers (parallel.Pool.Dispatches); a
-	// level that does not runs each sweep as one range on the caller.
+	// dispatch records that the level's column regions have enough
+	// chunks to wake the pool's helpers (parallel.Pool.Dispatches).
 	dispatch bool
-	// bands is the number of y-bands smoothRestrict splits a
-	// dispatched level's down-leg into (0 runs it as one band), and
-	// spans the band-boundary fine-row ranges its phase one smooths
-	// first. Both depend only on the coarse row count, the band count
-	// and yoff, so they are built once, with the level.
+	// bands is the number of row bands a dispatched smoothing level's
+	// kernels split into, one per worker; 0 or 1 runs each kernel on
+	// the caller.
 	bands int
-	spans []rowRange
-	// Scratch: b is the restricted right-hand side and x the solution
-	// estimate (levels below the finest; the finest uses the caller's
-	// r/z).
+	// Scratch: b is the level's right-hand side and x its solution
+	// estimate, both in the level's layout. The one-level f64 ZLine
+	// hierarchy runs in place on the caller's vectors and has neither.
 	b, x []F
 }
 
@@ -187,127 +182,142 @@ type mgLevel[F mgFloat] struct {
 type multigrid[F mgFloat] struct {
 	levels []*mgLevel[F]
 	kr     *kern
-	// coarse holds the coarse operators whose arrays the levels below
-	// the finest alias (tier F64 only; other tiers convert them and
-	// hand them back to the free list during construction).
-	coarse []*operator
-	// rbuf/zbuf convert the caller's float64 r/z at the fine-level
-	// boundary; nil when F is float64 (apply runs in place).
-	rbuf, zbuf []F
+	// owned records that every level's stencil was drawn for this
+	// hierarchy (multigrid); the ZLine level's gzp is the operator's.
+	owned bool
+}
+
+// columnGrain is the column-range grain of an nx×ny×nz level: about
+// parallel.Grain cells, rounded up to whole rows so every chunk is a
+// band of rows.
+func columnGrain(nx, nz int) int {
+	cg := max(parallel.Grain/nz, 1)
+	return (cg + nx - 1) / nx * nx
+}
+
+// newZLineTier builds the ZLine preconditioner for op in tier F: one
+// line level on the operator's own row-major arrays, whose apply is
+// the exact per-column Thomas solve against the full diagonal.
+func newZLineTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
+	cpf, minv := columnFactors(op)
+	lvl := newLineLevel[F](op.nx, op.ny, op.nz, op.gzp, cpf, minv, kr.pool)
+	if _, native := any(op.gzp).([]F); !native {
+		n := len(op.diag)
+		lvl.b, lvl.x = getTier[F](n), getTier[F](n)
+	}
+	return &multigrid[F]{levels: []*mgLevel[F]{lvl}, kr: kr}
 }
 
 // newMultigridTier builds the semi-coarsened hierarchy for op in
-// precision tier F.
+// precision tier F: the operator transposed to column-major, then
+// coarsened until a single column is left. The construction is a few
+// O(n) float64 passes — cheap next to a single PCG iteration — and
+// runs serially for simplicity and determinism; only the finished
+// per-level arrays are stored in F. Every array it draws comes from
+// the free list and goes back through free, or at once when tier F
+// holds a converted copy.
 func newMultigridTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
-	return newHierarchy[F](op, kr, mgMaxLevels)
-}
-
-// newZLineTier builds the ZLine preconditioner for op in tier F: the
-// hierarchy cut off at one level, whose apply is the coarsest-level
-// lineSolve — the exact per-column Thomas solve against the full
-// diagonal.
-func newZLineTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
-	return newHierarchy[F](op, kr, 1)
-}
-
-// newHierarchy coarsens op until a single column is left or
-// maxLevels levels exist. The construction is a few O(n) float64
-// passes — cheap next to a single PCG iteration — and runs serially
-// for simplicity and determinism; only the finished per-level arrays
-// are stored in F. Every float64 array it draws goes back to the free
-// list through free, or at once when tier F holds a converted copy.
-func newHierarchy[F mgFloat](op *operator, kr *kern, maxLevels int) *multigrid[F] {
-	mg := &multigrid[F]{kr: kr}
+	mg := &multigrid[F]{kr: kr, owned: true}
 	_, native := any(op.diag).([]F)
-	pool := kr.pool
-	for cur := op; ; {
-		last := (cur.nx == 1 && cur.ny == 1) || len(mg.levels)+1 >= maxLevels
-		lvl := newMGLevel[F](cur, last)
-		lvl.dispatch = pool.Dispatches((lvl.sz + lvl.colGrain - 1) / lvl.colGrain)
-		mg.levels = append(mg.levels, lvl)
-		var next *operator
-		if !last {
-			lvl.xoff = mesh.CoarsenOffsets(cur.nx)
-			lvl.yoff = mesh.CoarsenOffsets(cur.ny)
-			lvl.xmap = aggregateMap(lvl.xoff, cur.nx)
-			lvl.ymap = aggregateMap(lvl.yoff, cur.ny)
-			lvl.dp = getTier[F](len(cur.diag))
-			if lvl.dispatch {
-				lvl.bands, lvl.spans = bandSpans(lvl.yoff, pool.Workers())
-			}
-			next = coarsenOperator(cur, lvl.xoff, lvl.yoff)
+	s := transposeStencil(op)
+	for s.nx > 1 || s.ny > 1 {
+		xoff, yoff := mesh.CoarsenOffsets(s.nx), mesh.CoarsenOffsets(s.ny)
+		next := coarsenColumns(s, xoff, yoff)
+		mg.levels = append(mg.levels, newSmoothLevel[F](s, xoff, yoff, kr.pool))
+		if !native {
+			s.free()
 		}
-		if cur != op {
-			// The level and the next coarsening were cur's last readers.
-			if native {
-				mg.coarse = append(mg.coarse, cur)
-			} else {
-				cur.free()
-			}
-		}
-		if last {
-			break
-		}
-		cur = next
+		s = next
 	}
-	for _, lvl := range mg.levels[1:] {
-		lvl.b = getTier[F](len(lvl.gzp))
-		lvl.x = getTier[F](len(lvl.gzp))
-	}
+	// The coarsest level is one column, the same in either layout.
+	cpf, minv := s.factors()
+	mg.levels = append(mg.levels, newLineLevel[F](1, 1, s.nz, s.gzp, cpf, minv, kr.pool))
+	putFloats(s.gxp, s.gyp, s.diag)
 	if !native {
-		n := len(op.diag)
-		mg.rbuf = make([]F, n)
-		mg.zbuf = make([]F, n)
+		putFloats(s.gzp)
+	}
+	for _, lvl := range mg.levels {
+		n := lvl.cols * lvl.nz
+		lvl.b, lvl.x = getTier[F](n), getTier[F](n)
 	}
 	return mg
 }
 
-// free hands the hierarchy's float64 arrays back to the free list:
-// the coarse operators, and every level's Thomas factors and scratch.
-// The finest level's stencil belongs to the operator the hierarchy
-// was built on.
+// free hands the hierarchy's arrays back to the free list (at F64;
+// the F32 tier's arrays are made, and left to the collector). A ZLine
+// level's gzp belongs to the operator the hierarchy was built on.
 func (mg *multigrid[F]) free() {
-	for _, co := range mg.coarse {
-		co.free()
-	}
 	for _, lvl := range mg.levels {
-		putTier(lvl.cpf, lvl.minv, lvl.dp, lvl.b, lvl.x)
+		putTier(lvl.cpf, lvl.minv, lvl.b, lvl.x, lvl.zero)
+		if mg.owned {
+			putTier(lvl.gxp, lvl.gyp, lvl.gzp, lvl.diag)
+		}
 	}
 }
 
-// newMGLevel captures one operator as a tier-F level: stencil and
-// Thomas factors converted once, column grain fixed. A lineOnly level
-// — the one-level ZLine hierarchy, or multigrid's coarsest — runs
-// only lineSolve, which reads gzp and the factors, so it skips gxp,
-// gyp and diag.
-func newMGLevel[F mgFloat](cur *operator, lineOnly bool) *mgLevel[F] {
+// newLineLevel captures one column tridiagonal set as a tier-F line
+// level: gzp and the Thomas factors (which it takes over) converted
+// once, column grain fixed.
+func newLineLevel[F mgFloat](nx, ny, nz int, gzp, cpf, minv []float64, pool *parallel.Pool) *mgLevel[F] {
 	lvl := &mgLevel[F]{
-		nx: cur.nx, ny: cur.ny, nz: cur.nz,
-		sy: cur.sy, sz: cur.sz,
-		gzp: toTier[F](cur.gzp),
+		nx: nx, ny: ny, nz: nz, cols: nx * ny,
+		gzp: toTier[F](gzp), cpf: toTier[F](cpf), minv: toTier[F](minv),
+		colGrain: columnGrain(nx, nz),
 	}
-	if !lineOnly {
-		lvl.gxp, lvl.gyp, lvl.diag = toTier[F](cur.gxp), toTier[F](cur.gyp), toTier[F](cur.diag)
+	if _, native := any(cpf).([]F); !native {
+		putFloats(cpf, minv)
 	}
-	cpf, minv := columnFactors(cur)
+	lvl.dispatch = pool.Dispatches((lvl.cols + lvl.colGrain - 1) / lvl.colGrain)
+	return lvl
+}
+
+// newSmoothLevel captures the column-major stencil s as a tier-F
+// smoothing level with its coarsening maps and Thomas factors. At F64
+// the level keeps s's arrays.
+func newSmoothLevel[F mgFloat](s colStencil, xoff, yoff []int, pool *parallel.Pool) *mgLevel[F] {
+	nx, ny, nz := s.nx, s.ny, s.nz
+	lvl := &mgLevel[F]{
+		nx: nx, ny: ny, nz: nz, cols: nx * ny,
+		gxp: toTier[F](s.gxp), gyp: toTier[F](s.gyp), gzp: toTier[F](s.gzp), diag: toTier[F](s.diag),
+		xoff: xoff, yoff: yoff,
+		xmap: aggregateMap(xoff, nx), ymap: aggregateMap(yoff, ny),
+		zero:     getTier[F](nz),
+		colGrain: columnGrain(nx, nz),
+	}
+	cpf, minv := s.factors()
 	lvl.cpf, lvl.minv = toTier[F](cpf), toTier[F](minv)
 	if _, native := any(cpf).([]F); !native {
 		putFloats(cpf, minv)
 	}
-	cg := parallel.Grain / cur.nz
-	if cg < 1 {
-		cg = 1
+	lvl.bare = lvl.interiorNonzero()
+	lvl.dispatch = pool.Dispatches((lvl.cols + lvl.colGrain - 1) / lvl.colGrain)
+	if lvl.dispatch {
+		lvl.bands = min(pool.Workers(), ny)
 	}
-	if cur.nx > 1 {
-		cg = (cg + cur.nx - 1) / cur.nx * cur.nx
-	}
-	lvl.colGrain = cg
 	return lvl
 }
 
+// interiorNonzero reports whether every face between two cells of the
+// level has a nonzero coupling in tier F.
+func (lvl *mgLevel[F]) interiorNonzero() bool {
+	nx, ny, nz := lvl.nx, lvl.ny, lvl.nz
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			c := (j*nx + i) * nz
+			if (i+1 < nx && slices.Contains(lvl.gxp[c:c+nz], 0)) ||
+				(j+1 < ny && slices.Contains(lvl.gyp[c:c+nz], 0)) ||
+				slices.Contains(lvl.gzp[c:c+nz-1], 0) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // columnFactors runs the Thomas forward elimination of every column
-// tridiagonal once, in float64, returning the per-cell eliminated
-// super-diagonal (cpf) and reciprocal pivot (minv).
+// tridiagonal of the row-major operator op once, in float64, returning
+// the per-cell eliminated super-diagonal (cpf) and reciprocal pivot
+// (minv).
 func columnFactors(op *operator) (cpf, minv []float64) {
 	n := len(op.diag)
 	cpf = getFloats(n)
@@ -338,132 +348,310 @@ func aggregateMap(off []int, n int) []int {
 	return m
 }
 
-// coarsenOperator rediscretizes op on the x/y-aggregated grid. The
-// coarse operator carries no right-hand side: only newMGLevel and the
-// next coarsening read it, and neither reads b.
-func coarsenOperator(op *operator, xoff, yoff []int) *operator {
-	nxc, nyc, nz := len(xoff)-1, len(yoff)-1, op.nz
-	nc := nxc * nyc * nz
-	co := &operator{
-		nx: nxc, ny: nyc, nz: nz,
-		sy: nxc, sz: nxc * nyc,
-		gxp:  getFloats(nc),
-		gyp:  getFloats(nc),
-		gzp:  getFloats(nc),
-		diag: getFloats(nc),
+// colStencil is one level's stencil in float64 and column-major order
+// while the hierarchy is built.
+type colStencil struct {
+	nx, ny, nz          int
+	gxp, gyp, gzp, diag []float64
+}
+
+func newColStencil(nx, ny, nz int) colStencil {
+	n := nx * ny * nz
+	return colStencil{nx: nx, ny: ny, nz: nz,
+		gxp: getFloats(n), gyp: getFloats(n), gzp: getFloats(n), diag: getFloats(n)}
+}
+
+func (s colStencil) free() { putFloats(s.gxp, s.gyp, s.gzp, s.diag) }
+
+// transposeStencil copies op's stencil into column-major order — the
+// finest level's only copies of operator arrays.
+func transposeStencil(op *operator) colStencil {
+	s := newColStencil(op.nx, op.ny, op.nz)
+	toColumns(s.gxp, op.gxp, op.nx, op.ny, op.nz, 0, op.ny)
+	toColumns(s.gyp, op.gyp, op.nx, op.ny, op.nz, 0, op.ny)
+	toColumns(s.gzp, op.gzp, op.nx, op.ny, op.nz, 0, op.ny)
+	toColumns(s.diag, op.diag, op.nx, op.ny, op.nz, 0, op.ny)
+	return s
+}
+
+// toColumns writes rows [j0, j1) of the row-major nx×ny×nz array src
+// into dst in column-major order, converted to D. Each row's block of
+// nx columns is contiguous in dst; src is read four x rows (four
+// layers) at a time, so every column receives four consecutive values
+// per visit.
+func toColumns[D mgFloat](dst []D, src []float64, nx, ny, nz, j0, j1 int) {
+	sz := nx * ny
+	for j := j0; j < j1; j++ {
+		blk := dst[j*nx*nz : (j+1)*nx*nz]
+		k := 0
+		for ; k+4 <= nz; k += 4 {
+			o := k*sz + j*nx
+			r0 := src[o : o+nx]
+			r1 := src[o+sz : o+sz+nx][:len(r0)]
+			r2 := src[o+2*sz : o+2*sz+nx][:len(r0)]
+			r3 := src[o+3*sz : o+3*sz+nx][:len(r0)]
+			for i := range r0 {
+				c := blk[i*nz+k : i*nz+k+4]
+				c[0], c[1], c[2], c[3] = D(r0[i]), D(r1[i]), D(r2[i]), D(r3[i])
+			}
+		}
+		for ; k < nz; k++ {
+			row := src[k*sz+j*nx : k*sz+j*nx+nx]
+			for i, v := range row {
+				blk[i*nz+k] = D(v)
+			}
+		}
 	}
+}
+
+// fromColumns is the inverse of toColumns, converting back to float64.
+func fromColumns[F mgFloat](dst []float64, src []F, nx, ny, nz, j0, j1 int) {
+	sz := nx * ny
+	for j := j0; j < j1; j++ {
+		blk := src[j*nx*nz : (j+1)*nx*nz]
+		k := 0
+		for ; k+4 <= nz; k += 4 {
+			o := k*sz + j*nx
+			r0 := dst[o : o+nx]
+			r1 := dst[o+sz : o+sz+nx][:len(r0)]
+			r2 := dst[o+2*sz : o+2*sz+nx][:len(r0)]
+			r3 := dst[o+3*sz : o+3*sz+nx][:len(r0)]
+			for i := range r0 {
+				c := blk[i*nz+k : i*nz+k+4]
+				r0[i], r1[i], r2[i], r3[i] = float64(c[0]), float64(c[1]), float64(c[2]), float64(c[3])
+			}
+		}
+		for ; k < nz; k++ {
+			row := dst[k*sz+j*nx : k*sz+j*nx+nx]
+			for i := range row {
+				row[i] = float64(blk[i*nz+k])
+			}
+		}
+	}
+}
+
+// factors runs the Thomas forward elimination of every column of s
+// once, in float64 — columnFactors for the column-major layout, with
+// the same per-cell expressions. It runs layer by layer across the
+// columns, as columnFactors does: within a column each pivot waits on
+// the two divisions below it, while the cells of a layer are
+// independent.
+func (s colStencil) factors() (cpf, minv []float64) {
+	n, nz := len(s.diag), s.nz
+	cpf = getFloats(n)
+	minv = getFloats(n)
+	for c := 0; c < n; c += nz {
+		m := s.diag[c]
+		minv[c] = 1 / m
+		cpf[c] = -s.gzp[c] / m
+	}
+	for k := 1; k < nz; k++ {
+		for c := k; c < n; c += nz {
+			m := s.diag[c] + s.gzp[c-1]*cpf[c-1]
+			minv[c] = 1 / m
+			cpf[c] = -s.gzp[c] / m
+		}
+	}
+	return cpf, minv
+}
+
+// coarsenColumns rediscretizes s on the x/y-aggregated grid, both in
+// column-major order. Every coarse value is the expression the
+// row-major rediscretization evaluates, in its order: the excess and
+// diagonal sums meet each cell's faces in the order a row-major sweep
+// over the cells meets them — below, south, west, then the cell's own
+// east, north and up faces.
+func coarsenColumns(s colStencil, xoff, yoff []int) colStencil {
+	nx, ny, nz := s.nx, s.ny, s.nz
+	nxc, nyc := len(xoff)-1, len(yoff)-1
+	co := newColStencil(nxc, nyc, nz)
+	sy := nx * nz
 	// Fine-cell "excess": the diagonal mass that is not face coupling —
 	// boundary conductance and (for the transient operator) the
 	// capacitance term. It sums in parallel over each aggregate.
-	nf := len(op.diag)
-	excess := getFloats(nf)
+	excess := getFloats(len(s.diag))
 	defer putFloats(excess)
-	for c := 0; c < nf; c++ {
-		excess[c] = op.diag[c]
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			c := (j*nx + i) * nz
+			ex := excess[c : c+nz]
+			dg, gz := s.diag[c : c+nz][:len(ex)], s.gzp[c : c+nz][:len(ex)]
+			ge, gn := s.gxp[c : c+nz][:len(ex)], s.gyp[c : c+nz][:len(ex)]
+			// The west and south faces are stored with the neighbour.
+			var gw, gs []float64
+			if i > 0 {
+				gw = s.gxp[c-nz : c]
+			}
+			if j > 0 {
+				gs = s.gyp[c-sy : c-sy+nz]
+			}
+			for k := range ex {
+				e := dg[k]
+				if k > 0 {
+					if g := gz[k-1]; g != 0 {
+						e -= g
+					}
+				}
+				if gs != nil {
+					if g := gs[k]; g != 0 {
+						e -= g
+					}
+				}
+				if gw != nil {
+					if g := gw[k]; g != 0 {
+						e -= g
+					}
+				}
+				if g := ge[k]; g != 0 {
+					e -= g
+				}
+				if g := gn[k]; g != 0 {
+					e -= g
+				}
+				if g := gz[k]; g != 0 {
+					e -= g
+				}
+				ex[k] = e
+			}
+		}
 	}
-	for c := 0; c < nf; c++ {
-		if g := op.gxp[c]; g != 0 {
-			excess[c] -= g
-			excess[c+1] -= g
-		}
-		if g := op.gyp[c]; g != 0 {
-			excess[c] -= g
-			excess[c+op.sy] -= g
-		}
-		if g := op.gzp[c]; g != 0 {
-			excess[c] -= g
-			excess[c+op.sz] -= g
-		}
-	}
-	fidx := func(i, j, k int) int { return (k*op.ny+j)*op.nx + i }
-	for k := 0; k < nz; k++ {
-		for J := 0; J < nyc; J++ {
-			for I := 0; I < nxc; I++ {
-				C := (k*nyc+J)*nxc + I
-				// Parallel sums over the aggregate: vertical coupling and
-				// excess (coarse faces/boundaries are unions of fine ones).
-				for j := yoff[J]; j < yoff[J+1]; j++ {
-					for i := xoff[I]; i < xoff[I+1]; i++ {
-						c := fidx(i, j, k)
-						co.gzp[C] += op.gzp[c]
-						if e := excess[c]; e > 0 { // clamp rounding noise
-							co.diag[C] += e
+	for J := 0; J < nyc; J++ {
+		for I := 0; I < nxc; I++ {
+			C := (J*nxc + I) * nz
+			gz, dg := co.gzp[C:C+nz], co.diag[C:C+nz]
+			// Parallel sums over the aggregate, visited in j, i order:
+			// vertical coupling and excess (coarse faces/boundaries are
+			// unions of fine ones).
+			for j := yoff[J]; j < yoff[J+1]; j++ {
+				for i := xoff[I]; i < xoff[I+1]; i++ {
+					c := (j*nx + i) * nz
+					for k := range gz {
+						gz[k] += s.gzp[c+k]
+						if e := excess[c+k]; e > 0 { // clamp rounding noise
+							dg[k] += e
 						}
 					}
 				}
-				// Coarse x face to aggregate I+1: per fine row, series-
-				// combine (harmonic mean) the half-cell interior faces
-				// with the interface face, then sum the rows in parallel.
-				if I+1 < nxc {
-					iL := xoff[I+1] - 1
-					var g float64
-					for j := yoff[J]; j < yoff[J+1]; j++ {
-						c := fidx(iL, j, k)
-						r := 1 / op.gxp[c]
+			}
+			// Coarse x face to aggregate I+1: per fine row, series-
+			// combine (harmonic mean) the half-cell interior faces with
+			// the interface face, then sum the rows in parallel.
+			if I+1 < nxc {
+				iL := xoff[I+1] - 1
+				gx := co.gxp[C : C+nz]
+				for j := yoff[J]; j < yoff[J+1]; j++ {
+					c := (j*nx + iL) * nz
+					for k := range gx {
+						r := 1 / s.gxp[c+k]
 						if xoff[I+1]-xoff[I] == 2 {
-							r += 1 / (2 * op.gxp[c-1])
+							r += 1 / (2 * s.gxp[c+k-nz])
 						}
 						if xoff[I+2]-xoff[I+1] == 2 {
-							r += 1 / (2 * op.gxp[c+1])
+							r += 1 / (2 * s.gxp[c+k+nz])
 						}
-						g += 1 / r
+						gx[k] += 1 / r
 					}
-					co.gxp[C] = g
 				}
-				// Coarse y face, symmetric.
-				if J+1 < nyc {
-					jL := yoff[J+1] - 1
-					var g float64
-					for i := xoff[I]; i < xoff[I+1]; i++ {
-						c := fidx(i, jL, k)
-						r := 1 / op.gyp[c]
+			}
+			// Coarse y face, symmetric.
+			if J+1 < nyc {
+				jL := yoff[J+1] - 1
+				gy := co.gyp[C : C+nz]
+				for i := xoff[I]; i < xoff[I+1]; i++ {
+					c := (jL*nx + i) * nz
+					for k := range gy {
+						r := 1 / s.gyp[c+k]
 						if yoff[J+1]-yoff[J] == 2 {
-							r += 1 / (2 * op.gyp[c-op.nx])
+							r += 1 / (2 * s.gyp[c+k-sy])
 						}
 						if yoff[J+2]-yoff[J+1] == 2 {
-							r += 1 / (2 * op.gyp[c+op.nx])
+							r += 1 / (2 * s.gyp[c+k+sy])
 						}
-						g += 1 / r
+						gy[k] += 1 / r
 					}
-					co.gyp[C] = g
 				}
 			}
 		}
 	}
 	// Accumulate couplings into the diagonal (excess is already there).
-	for c := 0; c < nc; c++ {
-		if g := co.gxp[c]; g != 0 {
-			co.diag[c] += g
-			co.diag[c+1] += g
-		}
-		if g := co.gyp[c]; g != 0 {
-			co.diag[c] += g
-			co.diag[c+co.sy] += g
-		}
-		if g := co.gzp[c]; g != 0 {
-			co.diag[c] += g
-			co.diag[c+co.sz] += g
+	syc := nxc * nz
+	for J := 0; J < nyc; J++ {
+		for I := 0; I < nxc; I++ {
+			C0 := (J*nxc + I) * nz
+			for k := 0; k < nz; k++ {
+				C := C0 + k
+				d := co.diag[C]
+				if k > 0 {
+					if g := co.gzp[C-1]; g != 0 {
+						d += g
+					}
+				}
+				if J > 0 {
+					if g := co.gyp[C-syc]; g != 0 {
+						d += g
+					}
+				}
+				if I > 0 {
+					if g := co.gxp[C-nz]; g != 0 {
+						d += g
+					}
+				}
+				if g := co.gxp[C]; g != 0 {
+					d += g
+				}
+				if g := co.gyp[C]; g != 0 {
+					d += g
+				}
+				if g := co.gzp[C]; g != 0 {
+					d += g
+				}
+				co.diag[C] = d
+			}
 		}
 	}
 	return co
 }
 
-// apply is the preconditioner action z ← B·r (one V-cycle). For the
-// float64 tier it runs in place on the caller's vectors; other tiers
-// convert at the fine-level boundary (elementwise, chunked — so the
-// conversion is as deterministic as the cycle itself).
+// apply is the preconditioner action z ← B·r (one V-cycle). A
+// multigrid hierarchy transposes r into its finest level and the
+// result back out; the one-level ZLine hierarchy works in the
+// operator's own layout, in place at F64 and through converted copies
+// at F32. Both copies are elementwise, so they are as deterministic as
+// the cycle itself.
 func (mg *multigrid[F]) apply(r, z []float64) {
-	if rf, ok := any(r).([]F); ok {
-		mg.cycle(0, rf, any(z).([]F))
+	top := mg.levels[0]
+	if len(mg.levels) > 1 {
+		nx, ny, nz := top.nx, top.ny, top.nz
+		b, x := top.b, top.x
+		if top.bands <= 1 {
+			toColumns(b, r, nx, ny, nz, 0, ny)
+			mg.cycle(0, b, x)
+			fromColumns(z, x, nx, ny, nz, 0, ny)
+			return
+		}
+		pool, bands := mg.kr.pool, top.bands
+		pool.RunBands(bands, func(_, w int) {
+			j0, j1 := parallel.Partition(ny, bands, w)
+			toColumns(b, r, nx, ny, nz, j0, j1)
+		})
+		mg.cycle(0, b, x)
+		pool.RunBands(bands, func(_, w int) {
+			j0, j1 := parallel.Partition(ny, bands, w)
+			fromColumns(z, x, nx, ny, nz, j0, j1)
+		})
 		return
 	}
-	rb, zb := mg.rbuf, mg.zbuf
+	if rf, ok := any(r).([]F); ok {
+		mg.lineSolve(top, rf, any(z).([]F))
+		return
+	}
+	rb, zb := top.b, top.x
 	pool := mg.kr.pool
 	if !pool.Dispatches(parallel.NumChunks(len(r))) {
 		for i, v := range r {
 			rb[i] = F(v)
 		}
-		mg.cycle(0, rb, zb)
+		mg.lineSolve(top, rb, zb)
 		for i, v := range zb {
 			z[i] = float64(v)
 		}
@@ -474,7 +662,7 @@ func (mg *multigrid[F]) apply(r, z []float64) {
 			rb[i] = F(r[i])
 		}
 	})
-	mg.cycle(0, rb, zb)
+	mg.lineSolve(top, rb, zb)
 	pool.For(len(z), func(s, e int) {
 		for i := s; i < e; i++ {
 			z[i] = float64(zb[i])
@@ -482,156 +670,369 @@ func (mg *multigrid[F]) apply(r, z []float64) {
 	})
 }
 
+// The three kinds of half-sweep a cycle runs.
+const (
+	sweepFromZero = iota // right-hand side b alone: x is logically zero
+	sweepGather          // b plus the coupling to the other color's x
+	sweepCorrect         // as sweepGather, each lateral operand corrected by the coarse level
+)
+
 // cycle runs one V(1,1) cycle solving lvl·x ≈ b with x entered as
 // scratch (fully overwritten by the pre-smooth, so no zeroing pass is
-// needed): the temporally tiled cycle of the package comment.
+// needed).
 func (mg *multigrid[F]) cycle(l int, b, x []F) {
 	lvl := mg.levels[l]
 	if l == len(mg.levels)-1 {
 		// Coarsest level: a single z column — solve exactly with one
 		// Thomas elimination (the operator is purely tridiagonal once
-		// nx = ny = 1). On the one-level ZLine hierarchy this is the
-		// whole preconditioner.
+		// nx = ny = 1).
 		mg.lineSolve(lvl, b, x)
 		return
 	}
 	next := mg.levels[l+1]
-	// Tiled down-leg: red half-sweep from zero, then the fused black
-	// half-sweep + residual restriction over y-bands.
-	mg.solveColumns(lvl, b, x, 0, false)
-	mg.smoothRestrict(lvl, next, b, x, next.b)
+	// Down-leg: red half-sweep from zero, black half-sweep, then the
+	// restriction of the red-only residual.
+	mg.smooth(lvl, sweepFromZero, 0, b, x, nil)
+	mg.smooth(lvl, sweepGather, 1, b, x, nil)
+	mg.restrict(lvl, b, x, next.b)
 	mg.cycle(l+1, next.b, next.x)
-	// Tiled up-leg: the prolongation is folded into the black
-	// post-smooth's gather; the red half-sweep then reads only final
-	// black values. Colors reversed relative to the pre-smooth — each
-	// half-sweep is an exact block solve and therefore A-self-adjoint,
-	// so black∘red is the A-adjoint of red∘black and the V-cycle stays
-	// symmetric.
-	mg.smoothCorrect(lvl, next, b, x, next.x)
-	mg.solveColumns(lvl, b, x, 0, true)
+	// Up-leg: the prolongation is folded into the black post-smooth's
+	// gather; the red half-sweep then reads only final black values.
+	// Colors reversed relative to the pre-smooth — each half-sweep is
+	// an exact block solve and therefore A-self-adjoint, so black∘red
+	// is the A-adjoint of red∘black and the V-cycle stays symmetric.
+	mg.smooth(lvl, sweepCorrect, 1, b, x, next.x)
+	mg.smooth(lvl, sweepGather, 0, b, x, nil)
 }
 
-// solveColumns relaxes the columns of one color exactly, fanning
-// contiguous column ranges out across the pool when the level
-// dispatches. Columns are independent tridiagonal solves writing
-// disjoint cells, so any partition produces bit-identical results.
-func (mg *multigrid[F]) solveColumns(lvl *mgLevel[F], b, x []F, color int, gather bool) {
-	sz := lvl.sz
-	if !lvl.dispatch {
-		lvl.smoothRange(b, x, color, gather, 0, sz)
+// smooth relaxes the columns of one color exactly, one row band per
+// worker when the level dispatches. Columns are independent
+// tridiagonal solves writing disjoint cells, so any partition produces
+// bit-identical results.
+func (mg *multigrid[F]) smooth(lvl *mgLevel[F], kind, color int, b, x, xc []F) {
+	if lvl.bands <= 1 {
+		lvl.smoothRows(kind, color, b, x, xc, 0, lvl.ny)
 		return
 	}
-	mg.kr.pool.ForGrain(sz, lvl.colGrain, func(_, s, e int) {
-		lvl.smoothRange(b, x, color, gather, s, e)
+	mg.kr.pool.RunBands(lvl.bands, func(_, w int) {
+		j0, j1 := parallel.Partition(lvl.ny, lvl.bands, w)
+		lvl.smoothRows(kind, color, b, x, xc, j0, j1)
 	})
 }
 
-// rowSpan returns the in-row iteration bounds for flat column range
-// [lo, hi) intersected with the row starting at flat index rs: the
-// first in-row offset of the given color and the end offset. Cells
-// of one color are two apart within a row.
-func rowSpan(nx, lo, hi, rs, j, color int) (i, ie int) {
-	if rs < lo {
-		i = lo - rs
+// restrict writes the coarse right-hand side rc = R·(b − A·x), one
+// band of coarse rows per worker when the level dispatches. Every
+// coarse column owns a disjoint aggregate, so any partition gives the
+// same bits.
+func (mg *multigrid[F]) restrict(lvl *mgLevel[F], b, x, rc []F) {
+	nyc := len(lvl.yoff) - 1
+	if lvl.bands <= 1 {
+		lvl.restrictRows(b, x, rc, 0, nyc)
+		return
 	}
-	ie = nx
-	if rs+ie > hi {
-		ie = hi - rs
-	}
-	if (i+j)&1 != color {
-		i++
-	}
-	return i, ie
+	bands := min(lvl.bands, nyc)
+	mg.kr.pool.RunBands(bands, func(_, w int) {
+		J0, J1 := parallel.Partition(nyc, bands, w)
+		lvl.restrictRows(b, x, rc, J0, J1)
+	})
 }
 
-// smoothRange relaxes the color-matching columns within flat column
-// range [lo, hi): a fused lateral-gather + Thomas forward elimination
-// sweeping the layers bottom-up, then back substitution sweeping
-// top-down. Processing whole layers in linear memory order (instead
-// of one column at a time, which strides sz — one cache line per
-// z-layer per cell) is the smoother's main cache optimization; the
-// per-cell arithmetic is exactly the per-column Thomas recurrence, so
-// results are bitwise identical to the column-at-a-time order
-// (columns never couple within a color).
-func (lvl *mgLevel[F]) smoothRange(b, x []F, color int, gather bool, lo, hi int) {
-	nx, sy, sz, nz := lvl.nx, lvl.sy, lvl.sz, lvl.nz
-	gxp, gyp, gzp := lvl.gxp, lvl.gyp, lvl.gzp
-	minv, dp := lvl.minv, lvl.dp
-	row0 := lo - lo%nx
-	// Forward elimination: dp[c] = (rhs[c] + gzp[c−sz]·dp[c−sz])·minv[c]
-	// with rhs gathered in place (b plus lateral coupling to the
-	// fixed opposite color).
-	for k := 0; k < nz; k++ {
-		base := k * sz
-		for rs := row0; rs < hi; rs += nx {
-			j := rs / nx
-			i, ie := rowSpan(nx, lo, hi, rs, j, color)
-			if gather {
-				for ; i < ie; i += 2 {
-					c := base + rs + i
-					s := b[c]
-					if g := gxp[c]; g != 0 {
-						s += g * x[c+1]
+// smoothRows relaxes the color-matching columns of rows [j0, j1): each
+// column's right-hand side is gathered into its own x (the column's
+// old values are dead: a half-sweep never reads the color it writes),
+// then solved in place, two columns at a time. A sweep from zero
+// solves straight from b.
+func (lvl *mgLevel[F]) smoothRows(kind, color int, b, x, xc []F, j0, j1 int) {
+	nx, nz := lvl.nx, lvl.nz
+	src := x
+	if kind == sweepFromZero {
+		src = b
+	}
+	held := -1 // a column waiting for a partner
+	for j := j0; j < j1; j++ {
+		for i := (j + color) & 1; i < nx; i += 2 {
+			c := (j*nx + i) * nz
+			switch kind {
+			case sweepGather:
+				lvl.gather(b, x, nil, i, j)
+			case sweepCorrect:
+				lvl.gather(b, x, xc, i, j)
+			}
+			if held < 0 {
+				held = c
+				continue
+			}
+			lvl.thomas2(src, x, held, c)
+			held = -1
+		}
+	}
+	if held >= 0 {
+		lvl.thomas2(src, x, held, held) // an odd column is its own partner
+	}
+}
+
+// interior reports whether column (i, j) has all four lateral
+// neighbours.
+func (lvl *mgLevel[F]) interior(i, j int) bool {
+	return i > 0 && i+1 < lvl.nx && j > 0 && j+1 < lvl.ny
+}
+
+// around returns the columns of v east, west, north and south of
+// column (i, j), in the gather's order, with the zero column standing
+// in for a neighbour outside the grid.
+func (lvl *mgLevel[F]) around(v []F, i, j int) (e, w, n, s []F) {
+	nx, ny, nz := lvl.nx, lvl.ny, lvl.nz
+	c := (j*nx + i) * nz
+	e, w, n, s = lvl.zero, lvl.zero, lvl.zero, lvl.zero
+	if i+1 < nx {
+		e = v[c+nz : c+2*nz]
+	}
+	if i > 0 {
+		w = v[c-nz : c]
+	}
+	if j+1 < ny {
+		n = v[c+nx*nz : c+nx*nz+nz]
+	}
+	if j > 0 {
+		s = v[c-nx*nz : c-nx*nz+nz]
+	}
+	return e, w, n, s
+}
+
+// couplings returns the conductances of column (i, j)'s east, west,
+// north and south faces, with the zero column for a face on the
+// domain edge (where the coupling is zero anyway).
+func (lvl *mgLevel[F]) couplings(i, j int) (e, w, n, s []F) {
+	nx, ny, nz := lvl.nx, lvl.ny, lvl.nz
+	c := (j*nx + i) * nz
+	e, w, n, s = lvl.zero, lvl.zero, lvl.zero, lvl.zero
+	if i+1 < nx {
+		e = lvl.gxp[c : c+nz]
+	}
+	if i > 0 {
+		w = lvl.gxp[c-nz : c]
+	}
+	if j+1 < ny {
+		n = lvl.gyp[c : c+nz]
+	}
+	if j > 0 {
+		s = lvl.gyp[c-nx*nz : c-nx*nz+nz]
+	}
+	return e, w, n, s
+}
+
+// coarseAround returns the coarse columns of xc under the aggregates
+// of column (i, j)'s east, west, north and south neighbours.
+func (lvl *mgLevel[F]) coarseAround(xc []F, i, j int) (e, w, n, s []F) {
+	nx, ny, nz := lvl.nx, lvl.ny, lvl.nz
+	nxc := len(lvl.xoff) - 1
+	col := func(I, J int) []F {
+		C := (J*nxc + I) * nz
+		return xc[C : C+nz]
+	}
+	e, w, n, s = lvl.zero, lvl.zero, lvl.zero, lvl.zero
+	if i+1 < nx {
+		e = col(lvl.xmap[i+1], lvl.ymap[j])
+	}
+	if i > 0 {
+		w = col(lvl.xmap[i-1], lvl.ymap[j])
+	}
+	if j+1 < ny {
+		n = col(lvl.xmap[i], lvl.ymap[j+1])
+	}
+	if j > 0 {
+		s = col(lvl.xmap[i], lvl.ymap[j-1])
+	}
+	return e, w, n, s
+}
+
+// gather writes column (i, j)'s smoothing right-hand side into its own
+// x: b plus the coupling to the four lateral neighbours, in east,
+// west, north, south order. With xc non-nil each neighbour value is
+// first corrected by the coarse solution under its aggregate. An
+// interior column of a bare level skips the guards, which only ever
+// skipped a zero coupling.
+func (lvl *mgLevel[F]) gather(b, x, xc []F, i, j int) {
+	nz := lvl.nz
+	c := (j*lvl.nx + i) * nz
+	out := x[c : c+nz]
+	bc := b[c : c+nz][:len(out)]
+	ge, gw, gn, gs := lvl.couplings(i, j)
+	ge, gw, gn, gs = ge[:len(out)], gw[:len(out)], gn[:len(out)], gs[:len(out)]
+	xe, xw, xn, xs := lvl.around(x, i, j)
+	xe, xw, xn, xs = xe[:len(out)], xw[:len(out)], xn[:len(out)], xs[:len(out)]
+	bare := lvl.bare && lvl.interior(i, j)
+	if xc != nil {
+		ce, cw, cn, cs := lvl.coarseAround(xc, i, j)
+		ce, cw, cn, cs = ce[:len(out)], cw[:len(out)], cn[:len(out)], cs[:len(out)]
+		if bare {
+			for k := range out {
+				s := bc[k] + ge[k]*(xe[k]+ce[k])
+				s += gw[k] * (xw[k] + cw[k])
+				s += gn[k] * (xn[k] + cn[k])
+				s += gs[k] * (xs[k] + cs[k])
+				out[k] = s
+			}
+			return
+		}
+		for k := range out {
+			s := bc[k]
+			if g := ge[k]; g != 0 {
+				s += g * (xe[k] + ce[k])
+			}
+			if g := gw[k]; g != 0 {
+				s += g * (xw[k] + cw[k])
+			}
+			if g := gn[k]; g != 0 {
+				s += g * (xn[k] + cn[k])
+			}
+			if g := gs[k]; g != 0 {
+				s += g * (xs[k] + cs[k])
+			}
+			out[k] = s
+		}
+		return
+	}
+	if bare {
+		for k := range out {
+			s := bc[k] + ge[k]*xe[k]
+			s += gw[k] * xw[k]
+			s += gn[k] * xn[k]
+			s += gs[k] * xs[k]
+			out[k] = s
+		}
+		return
+	}
+	for k := range out {
+		s := bc[k]
+		if g := ge[k]; g != 0 {
+			s += g * xe[k]
+		}
+		if g := gw[k]; g != 0 {
+			s += g * xw[k]
+		}
+		if g := gn[k]; g != 0 {
+			s += g * xn[k]
+		}
+		if g := gs[k]; g != 0 {
+			s += g * xs[k]
+		}
+		out[k] = s
+	}
+}
+
+// thomas2 solves the z tridiagonals of the columns starting at c0 and
+// c1 against right-hand sides src, writing dst: forward elimination up
+// the column, dp = (rhs + gzp·dp_below)·minv, then back substitution
+// down it, x = dp − cpf·x_above. Two independent columns per loop let
+// their recurrences overlap. src may be dst, and c1 may be c0: each
+// step reads both columns before it writes either.
+func (lvl *mgLevel[F]) thomas2(src, dst []F, c0, c1 int) {
+	nz := lvl.nz
+	x0, x1 := dst[c0:c0+nz], dst[c1:c1+nz]
+	x1 = x1[:len(x0)]
+	s0, s1 := src[c0 : c0+nz][:len(x0)], src[c1 : c1+nz][:len(x0)]
+	g0, g1 := lvl.gzp[c0 : c0+nz][:len(x0)], lvl.gzp[c1 : c1+nz][:len(x0)]
+	m0, m1 := lvl.minv[c0 : c0+nz][:len(x0)], lvl.minv[c1 : c1+nz][:len(x0)]
+	p0, p1 := s0[0]*m0[0], s1[0]*m1[0]
+	x0[0], x1[0] = p0, p1
+	for k := 1; k < len(x0); k++ {
+		p0 = (s0[k] + g0[k-1]*p0) * m0[k]
+		p1 = (s1[k] + g1[k-1]*p1) * m1[k]
+		x0[k], x1[k] = p0, p1
+	}
+	f0, f1 := lvl.cpf[c0 : c0+nz][:len(x0)], lvl.cpf[c1 : c1+nz][:len(x0)]
+	for k := len(x0) - 2; k >= 0; k-- {
+		p0 = x0[k] - f0[k]*p0
+		p1 = x1[k] - f1[k]*p1
+		x0[k], x1[k] = p0, p1
+	}
+}
+
+// restrictRows writes coarse rows [J0, J1) of rc = R·(b − A·x). The
+// pre-smooth's black half-sweep solved every black column exactly
+// with red values fixed, so the residual vanishes on black cells and
+// only red cells contribute — the kernel evaluates the 7-point
+// residual on half the cells and never materializes the residual
+// vector. Each coarse cell sums its aggregate's red cells in nested
+// j, i order from zero.
+func (lvl *mgLevel[F]) restrictRows(b, x, rc []F, J0, J1 int) {
+	nz := lvl.nz
+	xoff, yoff := lvl.xoff, lvl.yoff
+	nxc := len(xoff) - 1
+	for J := J0; J < J1; J++ {
+		for I := 0; I < nxc; I++ {
+			C := (J*nxc + I) * nz
+			out := rc[C : C+nz]
+			clear(out)
+			for j := yoff[J]; j < yoff[J+1]; j++ {
+				for i := xoff[I]; i < xoff[I+1]; i++ {
+					if (i+j)&1 == 0 {
+						lvl.addResidual(b, x, out, i, j)
 					}
-					if c >= 1 {
-						if g := gxp[c-1]; g != 0 {
-							s += g * x[c-1]
-						}
-					}
-					if g := gyp[c]; g != 0 {
-						s += g * x[c+sy]
-					}
-					if c >= sy {
-						if g := gyp[c-sy]; g != 0 {
-							s += g * x[c-sy]
-						}
-					}
-					if c >= sz {
-						s += gzp[c-sz] * dp[c-sz]
-					}
-					dp[c] = s * minv[c]
-				}
-			} else {
-				for ; i < ie; i += 2 {
-					c := base + rs + i
-					s := b[c]
-					if c >= sz {
-						s += gzp[c-sz] * dp[c-sz]
-					}
-					dp[c] = s * minv[c]
 				}
 			}
 		}
 	}
-	lvl.backSubstitute(x, color, lo, hi)
 }
 
-// backSubstitute finishes the column solves of smoothRange (and its
-// fused variants): top layer is dp directly, then
-// x[c] = dp[c] − cpf[c]·x[c+sz] layer by layer downward.
-func (lvl *mgLevel[F]) backSubstitute(x []F, color, lo, hi int) {
-	nx, sz, nz := lvl.nx, lvl.sz, lvl.nz
-	cpf, dp := lvl.cpf, lvl.dp
-	row0 := lo - lo%nx
-	top := (nz - 1) * sz
-	for rs := row0; rs < hi; rs += nx {
-		j := rs / nx
-		i, ie := rowSpan(nx, lo, hi, rs, j, color)
-		for ; i < ie; i += 2 {
-			c := top + rs + i
-			x[c] = dp[c]
+// addResidual adds the residual b − A·x of column (i, j) to out, term
+// by term in the order of operator.applyRange: diagonal, east, west,
+// north, south, up, down. An interior column of a bare level skips
+// the guards.
+func (lvl *mgLevel[F]) addResidual(b, x, out []F, i, j int) {
+	nz := lvl.nz
+	c := (j*lvl.nx + i) * nz
+	xc := x[c : c+nz]
+	out = out[:len(xc)]
+	bc, dc := b[c : c+nz][:len(xc)], lvl.diag[c : c+nz][:len(xc)]
+	gz := lvl.gzp[c : c+nz][:len(xc)]
+	ge, gw, gn, gs := lvl.couplings(i, j)
+	ge, gw, gn, gs = ge[:len(xc)], gw[:len(xc)], gn[:len(xc)], gs[:len(xc)]
+	xe, xw, xn, xs := lvl.around(x, i, j)
+	xe, xw, xn, xs = xe[:len(xc)], xw[:len(xc)], xn[:len(xc)], xs[:len(xc)]
+	if lvl.bare && lvl.interior(i, j) {
+		for k := range xc {
+			r := bc[k] - dc[k]*xc[k]
+			r += ge[k] * xe[k]
+			r += gw[k] * xw[k]
+			r += gn[k] * xn[k]
+			r += gs[k] * xs[k]
+			if k+1 < len(xc) {
+				r += gz[k] * xc[k+1]
+			}
+			if k > 0 {
+				r += gz[k-1] * xc[k-1]
+			}
+			out[k] += r
 		}
+		return
 	}
-	for k := nz - 2; k >= 0; k-- {
-		base := k * sz
-		for rs := row0; rs < hi; rs += nx {
-			j := rs / nx
-			i, ie := rowSpan(nx, lo, hi, rs, j, color)
-			for ; i < ie; i += 2 {
-				c := base + rs + i
-				x[c] = dp[c] - cpf[c]*x[c+sz]
+	for k := range xc {
+		r := bc[k] - dc[k]*xc[k]
+		if g := ge[k]; g != 0 {
+			r += g * xe[k]
+		}
+		if g := gw[k]; g != 0 {
+			r += g * xw[k]
+		}
+		if g := gn[k]; g != 0 {
+			r += g * xn[k]
+		}
+		if g := gs[k]; g != 0 {
+			r += g * xs[k]
+		}
+		if k+1 < len(xc) {
+			if g := gz[k]; g != 0 {
+				r += g * xc[k+1]
 			}
 		}
+		if k > 0 {
+			if g := gz[k-1]; g != 0 {
+				r += g * xc[k-1]
+			}
+		}
+		out[k] += r
 	}
 }
 
@@ -642,24 +1043,24 @@ func (lvl *mgLevel[F]) backSubstitute(x []F, color, lo, hi int) {
 // worker count.
 func (mg *multigrid[F]) lineSolve(lvl *mgLevel[F], r, z []F) {
 	if !lvl.dispatch {
-		lvl.lineRange(r, z, 0, lvl.sz)
+		lvl.lineRange(r, z, 0, lvl.cols)
 		return
 	}
-	mg.kr.pool.ForGrain(lvl.sz, lvl.colGrain, func(_, s, e int) {
+	mg.kr.pool.ForGrain(lvl.cols, lvl.colGrain, func(_, s, e int) {
 		lvl.lineRange(r, z, s, e)
 	})
 }
 
-// lineRange solves the columns in flat column range [lo, hi): a
-// forward sweep bottom-up, z = (r + gzp·z_below)·minv written
-// straight into z, then back substitution top-down,
-// z −= cpf·z_above, each plane in linear memory order rather than one
-// column at a time at stride sz. Every cell evaluates the per-column
-// Thomas recurrence's own expressions and columns never couple, so
-// the result is bitwise identical to solving the columns one by one
-// (TestEquivalenceZLinePlanes).
+// lineRange solves the columns in flat column range [lo, hi) of a
+// row-major line level: a forward sweep bottom-up, z = (r +
+// gzp·z_below)·minv written straight into z, then back substitution
+// top-down, z −= cpf·z_above, each plane in linear memory order rather
+// than one column at a time at stride cols. Every cell evaluates the
+// per-column Thomas recurrence's own expressions and columns never
+// couple, so the result is bitwise identical to solving the columns
+// one by one (TestEquivalenceZLinePlanes).
 func (lvl *mgLevel[F]) lineRange(r, z []F, lo, hi int) {
-	sz, n := lvl.sz, len(lvl.minv)
+	sz, n := lvl.cols, len(lvl.minv)
 	// Each plane works on equal-length subslices, so the compiler
 	// drops the per-cell bounds checks.
 	zc, rc, mc := z[lo:hi], r[lo:hi], lvl.minv[lo:hi]
@@ -685,226 +1086,4 @@ func (lvl *mgLevel[F]) lineRange(r, z []F, lo, hi int) {
 			zc[i] -= cc[i] * za[i]
 		}
 	}
-}
-
-// smoothRestrict is the fused down-leg tail: the black half-sweep of
-// the pre-smooth plus the restriction of the resulting residual, in
-// one pass over y-bands of coarse rows. Fine rows are smoothed in
-// band order and each coarse row's rc values are emitted as soon as
-// the fine row above it is final (a trailing emit), so the restrict
-// reads x while the smoother's writes are still cache-hot.
-//
-// A level that dispatches splits this into y-bands, one per worker at
-// most. Band-boundary fine rows (the last row before and first row of
-// each band start) are smoothed first, on the caller, so phase two
-// never reads a row another band is still writing: each band writes
-// only its interior rows and reads beyond its edges only phase-one
-// rows. Black columns are mutually independent (they read b and red
-// values fixed by the preceding half-sweep), so this smoothing order
-// is bitwise identical to any other; rc cells keep the unfused
-// kernel's exact per-cell accumulation order, so the whole fusion is
-// a bitwise rewrite at every worker count.
-func (mg *multigrid[F]) smoothRestrict(fine, coarse *mgLevel[F], b, x, rc []F) {
-	nyc := coarse.ny
-	bands := fine.bands
-	if bands <= 1 {
-		mg.bandRestrict(fine, coarse, b, x, rc, 0, nyc, 0, fine.ny)
-		return
-	}
-	// Phase one: the boundary rows are a few per band, too little work
-	// to wake the helpers for.
-	nx := fine.nx
-	for _, sp := range fine.spans {
-		fine.smoothRange(b, x, 1, true, sp.lo*nx, sp.hi*nx)
-	}
-	// Phase two: per band, smooth the interior rows coarse row by
-	// coarse row with the trailing restrict emit.
-	yoff := fine.yoff
-	mg.kr.pool.RunBands(bands, func(_, w int) {
-		J0, J1 := parallel.Partition(nyc, bands, w)
-		rowLo, rowHi := yoff[J0], yoff[J1]
-		if w > 0 {
-			rowLo++ // boundary rows already smoothed in phase one
-		}
-		if w < bands-1 {
-			rowHi--
-		}
-		mg.bandRestrict(fine, coarse, b, x, rc, J0, J1, rowLo, rowHi)
-	})
-}
-
-// rowRange is a range [lo, hi) of fine rows.
-type rowRange struct{ lo, hi int }
-
-// bandSpans splits the coarse rows of a level with coarsening offsets
-// yoff into y-bands for smoothRestrict, one per worker at most and
-// one coarse row at least, and returns the band count with the
-// band-boundary fine-row ranges phase one smooths. Spans merge when
-// single-row bands make neighboring boundaries overlap, so no row is
-// written twice. A level with one band needs no spans.
-func bandSpans(yoff []int, workers int) (int, []rowRange) {
-	nyc := len(yoff) - 1
-	bands := min(workers, nyc)
-	if bands <= 1 {
-		return 1, nil
-	}
-	spans := make([]rowRange, 0, bands-1)
-	for w := 1; w < bands; w++ {
-		J0, _ := parallel.Partition(nyc, bands, w)
-		lo, hi := yoff[J0]-1, yoff[J0]+1
-		if len(spans) > 0 && lo <= spans[len(spans)-1].hi {
-			spans[len(spans)-1].hi = hi
-		} else {
-			spans = append(spans, rowRange{lo, hi})
-		}
-	}
-	return bands, spans
-}
-
-// bandRestrict smooths the black columns of fine rows [rowLo, rowHi)
-// coarse row by coarse row, emitting coarse row J−1's restriction
-// right after coarse row J's rows are smoothed (J−1's red cells then
-// have all their black neighbors final, through fine row yoff[J]).
-// The band's last coarse row is emitted after the loop — its top
-// neighbor row is either a phase-one boundary row or past the grid.
-func (mg *multigrid[F]) bandRestrict(fine, coarse *mgLevel[F], b, x, rc []F, J0, J1, rowLo, rowHi int) {
-	nx := fine.nx
-	yoff := fine.yoff
-	for J := J0; J < J1; J++ {
-		lo, hi := yoff[J], yoff[J+1]
-		if lo < rowLo {
-			lo = rowLo
-		}
-		if hi > rowHi {
-			hi = rowHi
-		}
-		if lo < hi {
-			fine.smoothRange(b, x, 1, true, lo*nx, hi*nx)
-		}
-		if J > J0 {
-			emitRestrict(fine, coarse, b, x, rc, J-1)
-		}
-	}
-	emitRestrict(fine, coarse, b, x, rc, J1-1)
-}
-
-// emitRestrict writes coarse row J of rc = R·(b − A·x). The
-// pre-smooth's black half-sweep solved every black column exactly
-// with red values fixed, so the residual vanishes on black cells and
-// only red cells contribute — the kernel evaluates the 7-point
-// residual on half the cells and never materializes the residual
-// vector. Per coarse cell the fine aggregate is visited in the same
-// nested j,i order as the reference restrictResidual (the test
-// oracle in multigrid_tiling_test.go), so each rc value is
-// bit-identical regardless of which rows/bands produced it.
-func emitRestrict[F mgFloat](fine, coarse *mgLevel[F], b, x, rc []F, J int) {
-	nx, ny, sy, sz := fine.nx, fine.ny, fine.sy, fine.sz
-	nxc, nyc := coarse.nx, coarse.ny
-	xoff, yoff := fine.xoff, fine.yoff
-	gxp, gyp, gzp, diag := fine.gxp, fine.gyp, fine.gzp, fine.diag
-	for k := 0; k < fine.nz; k++ {
-		cb := (k*nyc + J) * nxc
-		for I := 0; I < nxc; I++ {
-			var sum F
-			for j := yoff[J]; j < yoff[J+1]; j++ {
-				for i := xoff[I]; i < xoff[I+1]; i++ {
-					if (i+j)&1 != 0 {
-						continue // exactly-relaxed color: zero residual
-					}
-					c := (k*ny+j)*nx + i
-					r := b[c] - diag[c]*x[c]
-					if g := gxp[c]; g != 0 {
-						r += g * x[c+1]
-					}
-					if c >= 1 {
-						if g := gxp[c-1]; g != 0 {
-							r += g * x[c-1]
-						}
-					}
-					if g := gyp[c]; g != 0 {
-						r += g * x[c+sy]
-					}
-					if c >= sy {
-						if g := gyp[c-sy]; g != 0 {
-							r += g * x[c-sy]
-						}
-					}
-					if g := gzp[c]; g != 0 {
-						r += g * x[c+sz]
-					}
-					if c >= sz {
-						if g := gzp[c-sz]; g != 0 {
-							r += g * x[c-sz]
-						}
-					}
-					sum += r
-				}
-			}
-			rc[cb+I] = sum
-		}
-	}
-}
-
-// smoothCorrect is the fused up-leg head: the black half-sweep of the
-// post-smooth with the coarse correction folded into its gather. The
-// black half-sweep overwrites every black cell without reading it, so
-// prolonged black values are dead; prolonged red values are read
-// exactly once, here, as lateral operands — computed on the fly as
-// x[nb] + xc[aggregate(nb)], the identical single addition the
-// materialized prolongation performed. The following red half-sweep
-// (in cycle) reads only black values, so no prolonged value is ever
-// needed again and the prolongation pass disappears entirely.
-func (mg *multigrid[F]) smoothCorrect(fine, coarse *mgLevel[F], b, x, xc []F) {
-	sz := fine.sz
-	if !fine.dispatch {
-		fine.correctRange(b, x, xc, coarse.nx, coarse.ny, 0, sz)
-		return
-	}
-	mg.kr.pool.ForGrain(sz, fine.colGrain, func(_, s, e int) {
-		fine.correctRange(b, x, xc, coarse.nx, coarse.ny, s, e)
-	})
-}
-
-// correctRange is smoothRange for the black color with the coarse
-// correction xc added to every lateral (red) operand on the fly.
-func (lvl *mgLevel[F]) correctRange(b, x, xc []F, nxc, nyc int, lo, hi int) {
-	nx, sy, sz, nz := lvl.nx, lvl.sy, lvl.sz, lvl.nz
-	gxp, gyp, gzp := lvl.gxp, lvl.gyp, lvl.gzp
-	minv, dp := lvl.minv, lvl.dp
-	xmap, ymap := lvl.xmap, lvl.ymap
-	row0 := lo - lo%nx
-	for k := 0; k < nz; k++ {
-		base := k * sz
-		kc := k * nyc * nxc
-		for rs := row0; rs < hi; rs += nx {
-			j := rs / nx
-			i, ie := rowSpan(nx, lo, hi, rs, j, 1)
-			c0 := kc + ymap[j]*nxc // coarse base of this fine row
-			for ; i < ie; i += 2 {
-				c := base + rs + i
-				s := b[c]
-				if g := gxp[c]; g != 0 {
-					s += g * (x[c+1] + xc[c0+xmap[i+1]])
-				}
-				if c >= 1 {
-					if g := gxp[c-1]; g != 0 {
-						s += g * (x[c-1] + xc[c0+xmap[i-1]])
-					}
-				}
-				if g := gyp[c]; g != 0 {
-					s += g * (x[c+sy] + xc[kc+ymap[j+1]*nxc+xmap[i]])
-				}
-				if c >= sy {
-					if g := gyp[c-sy]; g != 0 {
-						s += g * (x[c-sy] + xc[kc+ymap[j-1]*nxc+xmap[i]])
-					}
-				}
-				if c >= sz {
-					s += gzp[c-sz] * dp[c-sz]
-				}
-				dp[c] = s * minv[c]
-			}
-		}
-	}
-	lvl.backSubstitute(x, 1, lo, hi)
 }

@@ -193,3 +193,29 @@ func TestTransientNonConvergenceTyped(t *testing.T) {
 		t.Fatal("errors.As failed through the wrapping chain")
 	}
 }
+
+// TestZeroRHSReturnsZero: with no sources and a 0 K Dirichlet face the
+// right-hand side is zero, so the SPD system's solution is exactly
+// zero — whatever the initial guess held.
+func TestZeroRHSReturnsZero(t *testing.T) {
+	p := uniformProblem(t, 3, 3, 3, 4.0)
+	p.Bounds[ZMin] = DirichletBC(0)
+	guess := make([]float64, p.Grid.NumCells())
+	for c := range guess {
+		guess[c] = 5
+	}
+	for _, pc := range []Preconditioner{ZLine, Multigrid, Jacobi} {
+		r, err := SolveSteady(p, Options{Precond: pc, Workers: 1, InitialGuess: guess})
+		if err != nil {
+			t.Fatalf("%v: %v", pc, err)
+		}
+		if r.Iterations != 0 {
+			t.Errorf("%v: %d iterations, want 0", pc, r.Iterations)
+		}
+		for c, v := range r.T {
+			if v != 0 {
+				t.Fatalf("%v: cell %d holds %g K, want 0", pc, c, v)
+			}
+		}
+	}
+}

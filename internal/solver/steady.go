@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"thermalscaffold/internal/parallel"
 	"thermalscaffold/internal/telemetry"
 )
 
@@ -76,10 +77,10 @@ const (
 	// F64 (the zero value) runs the preconditioner in float64.
 	F64 Precision = iota
 	// F32 stores the preconditioner's stencil, factors, and iterates
-	// in float32 and sweeps in float32 arithmetic. The multigrid and
-	// z-line smoothers are memory-bound, so halving the bytes per
-	// sweep roughly halves preconditioner cost per iteration; the
-	// rougher M⁻¹ typically costs a few extra PCG iterations.
+	// in float32 and sweeps in float32 arithmetic, halving the bytes
+	// every sweep moves; that pays once a level outgrows the cache
+	// (DESIGN §12), and the rougher M⁻¹ typically costs a few extra
+	// PCG iterations.
 	// Determinism is unchanged — the f32 sweeps contain no
 	// floating-point reductions, so results are bit-identical
 	// run-to-run and across worker counts, exactly like F64.
@@ -285,7 +286,7 @@ var testBreakdownHook func(pc Preconditioner, iteration int) bool
 // is overwritten before it is read, and the cached preconditioners
 // are pure functions of the operator matrix, which does not change
 // between solves.
-func solveLadder(op *operator, b []float64, opts Options, method string, kr *kern, pcs precondCache) (*iterOutcome, []Preconditioner, error) {
+func solveLadder(op *operator, b, x []float64, opts Options, method string, kr *kern, pcs precondCache) (*iterOutcome, []Preconditioner, error) {
 	tel := opts.Telemetry
 	var start time.Time
 	if tel != nil {
@@ -300,7 +301,7 @@ func solveLadder(op *operator, b []float64, opts Options, method string, kr *ker
 		used = try
 		o := opts
 		o.Precond = try
-		out, err = pcg(op, b, o, kr, pcs)
+		out, err = pcg(op, b, x, o, kr, pcs)
 		if err == nil {
 			break
 		}
@@ -389,15 +390,20 @@ type iterOutcome struct {
 // residual stops improving for stagnationWindow iterations, and
 // ReasonMaxIter when the budget runs out. The error always carries
 // the residual history and the best iterate observed.
-func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*iterOutcome, error) {
+//
+// The solution is written into x, which the caller passes (n long,
+// any contents, never the initial guess itself) and gets back as
+// iterOutcome.x: pcg starts it from opts.InitialGuess, or from zero.
+func pcg(op *operator, b, x []float64, opts Options, kr *kern, pcs precondCache) (*iterOutcome, error) {
 	n := len(b)
 	op.ensureStencil()
-	x := make([]float64, n)
 	if opts.InitialGuess != nil {
 		if len(opts.InitialGuess) != n {
 			return nil, fmt.Errorf("solver: initial guess has %d entries, want %d", len(opts.InitialGuess), n)
 		}
 		copy(x, opts.InitialGuess)
+	} else {
+		clear(x)
 	}
 	// The work vectors belong to the kern; pn is the next direction,
 	// pointer-swapped with p.
@@ -406,7 +412,8 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 	resNum := kr.residual(op, x, b, r)
 	bn := kr.norm2(b)
 	if bn == 0 {
-		// Zero RHS with SPD A ⇒ zero solution.
+		// Zero RHS with SPD A ⇒ zero solution, whatever the guess.
+		clear(x)
 		return &iterOutcome{x: x}, nil
 	}
 	if resNum == 0 {
@@ -433,12 +440,14 @@ func pcg(op *operator, b []float64, opts Options, kr *kern, pcs precondCache) (*
 	snapped := false
 	bestSnapRes := math.Inf(1)
 	fail := func(reason FailureReason, it int, cause error) (*iterOutcome, error) {
+		// x belongs to the caller, and the snapshot is kern scratch that
+		// the next solve on this kern overwrites, so the error gets its
+		// own copy of either.
 		best, bres := x, res
 		if snapped && !(res <= bestSnapRes) {
-			// The snapshot is kern scratch that the next solve on this
-			// kern overwrites, so the error gets its own copy.
-			best, bres = append([]float64(nil), bestX...), bestSnapRes
+			best, bres = bestX, bestSnapRes
 		}
+		best = append([]float64(nil), best...)
 		return nil, &ConvergenceError{
 			Method: "pcg", Precond: opts.Precond, Reason: reason,
 			Iterations: it, Residual: res, History: history,
@@ -618,6 +627,12 @@ func newJacobi[F mgFloat](op *operator, kr *kern) precond {
 	pc := precond{free: func() { putTier(invDiag) }}
 	if kr.pool.Serial() {
 		pc.apply = func(r, z []float64) float64 { return jacobiRange(invDiag, r, z, 0, n) }
+		return pc
+	}
+	if kr.inline(n) {
+		pc.apply = func(r, z []float64) float64 {
+			return parallel.SumChunks(n, func(s, e int) float64 { return jacobiRange(invDiag, r, z, s, e) })
+		}
 		return pc
 	}
 	pc.apply = func(r, z []float64) float64 {

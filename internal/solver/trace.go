@@ -183,6 +183,7 @@ func SolveTrace(p *Problem, t0 []float64, segs []TraceSegment, opts Options, top
 		return nil, err
 	}
 	defer tr.Close()
+	tr.recycle = true
 	tr.time = startTime
 	if q := effectiveSources(segs, start); q != nil {
 		if err := tr.SetSources(q); err != nil {

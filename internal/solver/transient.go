@@ -57,8 +57,17 @@ type Transient struct {
 	// prev holds Tⁿ⁻¹ and Tⁿ⁻² for the predictor, newest first; an
 	// entry is nil until that many steps have run since the last
 	// reset. They are earlier Field() results, which callers may
-	// still hold, so they rotate but are never written.
+	// still hold, so they rotate but are never written — unless the
+	// integrator recycles.
 	prev [2][]float64
+	// recycle is set by SolveTrace, whose callers see only copies of
+	// the field and, once the integrator is done, its last one. A step
+	// then solves into a field buffer the integrator no longer reads —
+	// spare holds those — instead of a new one, so a trace rotates a
+	// fixed set of buffers: Tⁿ, the predictor's two, and the one being
+	// solved.
+	recycle bool
+	spare   [][]float64
 
 	fam    *familyEntry
 	lease  *augCtx // the (C/Δt + A) system for lastDt; nil before the first step
@@ -141,6 +150,30 @@ func (tr *Transient) Time() float64 { return tr.time }
 // steps leave it as it is: each step returns its field in a new slice.
 func (tr *Transient) Field() []float64 { return tr.T }
 
+// field returns a buffer for the next step's solution: a spare one
+// when the integrator recycles, else a new one.
+func (tr *Transient) field(n int) []float64 {
+	if k := len(tr.spare); k > 0 {
+		buf := tr.spare[k-1]
+		tr.spare = tr.spare[:k-1]
+		return buf
+	}
+	return make([]float64, n)
+}
+
+// retire hands buffers the integrator no longer reads back for reuse,
+// when it recycles; otherwise they belong to whoever holds them.
+func (tr *Transient) retire(bufs ...[]float64) {
+	if !tr.recycle {
+		return
+	}
+	for _, buf := range bufs {
+		if buf != nil {
+			tr.spare = append(tr.spare, buf)
+		}
+	}
+}
+
 // SetSources replaces the volumetric source field (W/m³) — used by
 // scheduling studies that gate heat sources over time. The slice is
 // copied into the problem and the operator rhs is rebuilt in place
@@ -159,7 +192,10 @@ func (tr *Transient) SetSources(q []float64) error {
 
 // resetHistory forgets the fields before Tⁿ, so the next two steps
 // start from Tⁿ itself.
-func (tr *Transient) resetHistory() { tr.prev = [2][]float64{} }
+func (tr *Transient) resetHistory() {
+	tr.retire(tr.prev[0], tr.prev[1])
+	tr.prev = [2][]float64{}
+}
 
 // initialGuess returns the start of the next step's solve: the
 // predictor's extrapolation of the last three fields, written to the
@@ -219,10 +255,13 @@ func (tr *Transient) Step(dt float64) error {
 	}
 	opts := tr.opts
 	opts.InitialGuess = tr.initialGuess()
-	out, _, err := solveLadder(aug, aug.b, opts, "transient", tr.lease.kr, tr.lease.pcs)
+	x := tr.field(n)
+	out, _, err := solveLadder(aug, aug.b, x, opts, "transient", tr.lease.kr, tr.lease.pcs)
 	if err != nil {
+		tr.retire(x)
 		return err
 	}
+	tr.retire(tr.prev[1])
 	tr.prev = [2][]float64{tr.T, tr.prev[0]}
 	tr.T = out.x
 	tr.time += dt

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"thermalscaffold/internal/parallel"
@@ -136,5 +138,93 @@ func TestTransientSetSourcesKeepsMatrix(t *testing.T) {
 	// Length mismatch still rejected.
 	if err := tr.SetSources(q2[:n-1]); err == nil {
 		t.Error("short source field accepted")
+	}
+}
+
+// TestTransientFieldNeverOverwritten: a Field() result a caller holds
+// keeps its values across later steps, predictor resets and Δt
+// changes — the integrator's own trace loop recycles field buffers,
+// a direct NewTransient user's steps never do.
+func TestTransientFieldNeverOverwritten(t *testing.T) {
+	p := uniformProblem(t, 6, 5, 4, 4.0)
+	p.Bounds[ZMin] = ConvectiveBC(1e5, 350)
+	for c := range p.Q {
+		p.Q[c] = 1e9
+	}
+	init := make([]float64, p.Grid.NumCells())
+	for i := range init {
+		init[i] = 350
+	}
+	tr, err := NewTransient(p, init, Options{Tol: 1e-9, Workers: 1, Precond: Multigrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var held, kept [][]float64
+	step := func(dt float64) {
+		t.Helper()
+		if err := tr.Step(dt); err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, tr.Field())
+		kept = append(kept, append([]float64(nil), tr.Field()...))
+	}
+	for s := 0; s < 4; s++ {
+		step(1e-4)
+	}
+	hot := append([]float64(nil), p.Q...)
+	for c := range hot {
+		hot[c] *= 2
+	}
+	if err := tr.SetSources(hot); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 4; s++ {
+		step(2e-4)
+	}
+	for s, f := range held {
+		if !bitIdentical(f, kept[s]) {
+			t.Errorf("step %d's field was overwritten by a later step", s)
+		}
+	}
+}
+
+// TestTraceRecyclesFields: SolveTrace hands out only copies of the
+// field, so its steps solve into a fixed set of rotating buffers. The
+// trace's set-up — operator, augmented system, PCG vectors, hierarchy
+// — allocates the same for any length, so 40 more steps must cost
+// next to nothing; a field per step would be 40 n-vectors.
+func TestTraceRecyclesFields(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := uniformProblem(t, 8, 8, 6, 4.0)
+	p.Bounds[ZMin] = ConvectiveBC(1e5, 350)
+	n := p.Grid.NumCells()
+	hot := make([]float64, n)
+	for c := range p.Q {
+		p.Q[c] = 1e9
+		hot[c] = 2e9
+	}
+	init := make([]float64, n)
+	for i := range init {
+		init[i] = 350
+	}
+	opts := Options{Tol: 1e-9, Workers: 1, Precond: Multigrid}
+	fields := func(steps int) float64 {
+		segs := []TraceSegment{{Dt: 1e-4, Steps: steps}, {Dt: 1e-4, Steps: steps, Q: hot}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := SolveTrace(p, init, segs, opts, TraceOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(8*n)
+	}
+	fields(10) // warm the free list
+	short, long := fields(10), fields(30)
+	if extra := long - short; extra > 4 {
+		t.Errorf("40 more trace steps allocate %.1f more n-vectors (%.1f → %.1f); want a fixed set of fields", extra, short, long)
 	}
 }
