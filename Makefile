@@ -139,12 +139,13 @@ bench-cluster:
 # over a representative slice of every suite (the default zline and
 # the multigrid preconditioners, fused solver kernels, small-n
 # parallel overhead, batch vs independent, one V-cycle per workload
-# shape, placement loop, one Table I placement, service throughput). It checks the benchmarks still build
+# shape, one fused SpMV per workload shape, placement loop, one Table I
+# placement, service throughput). It checks the benchmarks still build
 # and run — timing numbers on shared CI runners are not compared. The
 # placement prints dispatches/op, the solver regions that woke helper
 # goroutines; the paper flow's grids should read 0.
 bench-smoke:
-	$(GO) test -run xxx -bench 'SteadyPrecond/precond=zline/n=16|SteadyPrecond/precond=multigrid/n=16|SteadyBatch|SmallNReduce|SteadyMG96Workers/precision=f32/workers=1|MGCyclePrecision|MGCycleShapes|TransientTrace/workers=1/segments=4' -benchtime=1x ./internal/solver/ ./internal/parallel/
+	$(GO) test -run xxx -bench 'SteadyPrecond/precond=zline/n=16|SteadyPrecond/precond=multigrid/n=16|SteadyBatch|SmallNReduce|SteadyMG96Workers/precision=f32/workers=1|MGCyclePrecision|MGCycleShapes|SpMVShapes|TransientTrace/workers=1/segments=4' -benchtime=1x ./internal/solver/ ./internal/parallel/
 	$(GO) test -run xxx -bench 'PlacementLoop|PlaceScaffold12' -benchtime=1x ./internal/pillar/
 	$(GO) test -run xxx -bench 'Serve100Mixed|ServeColdFamily/window=on|SteadyFamily/cached=on' -benchtime=1x ./internal/serve/ ./internal/solver/
 	$(GO) test -run xxx -bench 'ROMEval/n=16' -benchtime=1x ./internal/rom/

@@ -104,7 +104,7 @@ type Config struct {
 	MaxBatch int
 	// AssemblyCache sizes the solver engine's family-keyed assembly
 	// cache — how many distinct geometries keep their assembled
-	// operator, SoA stencil, and preconditioner hierarchies warm
+	// operator and preconditioner hierarchies warm
 	// across requests (0 → the engine default of 8, negative
 	// disables: every cold solve assembles from scratch).
 	AssemblyCache int

@@ -10,13 +10,17 @@ import (
 // operator A·T = b. It exposes exactly what reduced-order model
 // construction needs — the face conductances, the boundary
 // conductance and boundary rhs, and a concurrent-safe Apply — without
-// exporting the operator's mutable internals. The underlying stencil
-// is built once at Assemble time, so every method is safe for
-// concurrent use by multiple goroutines.
+// exporting the operator's mutable internals. Every view, and every
+// field Apply and RHS take or write, is in grid order (mesh.Grid.Index);
+// the operator's column order stays inside: Assemble transposes the
+// views once, and Apply transposes its vectors in and out. Every method
+// is safe for concurrent use by multiple goroutines.
 type Assembled struct {
-	op    *operator
-	bdiag []float64 // boundary conductance per cell (W/K), 0 in the interior
-	vol   []float64 // cell volumes (m³)
+	op            *operator
+	gxp, gyp, gzp []float64 // face conductances, grid order
+	bBound        []float64 // boundary-only rhs, grid order
+	bdiag         []float64 // boundary conductance per cell (W/K), 0 in the interior
+	vol           []float64 // cell volumes (m³)
 }
 
 // Assemble validates p and builds its finite-volume operator. The
@@ -27,7 +31,6 @@ func Assemble(p *Problem) (*Assembled, error) {
 		return nil, err
 	}
 	op := assemble(p)
-	op.ensureStencil()
 	g := p.Grid
 	n := g.NumCells()
 	bdiag := make([]float64, n)
@@ -66,7 +69,12 @@ func Assemble(p *Problem) (*Assembled, error) {
 			}
 		}
 	}
-	return &Assembled{op: op, bdiag: bdiag, vol: vol}, nil
+	return &Assembled{
+		op:  op,
+		gxp: op.gridField(op.gxp), gyp: op.gridField(op.gyp), gzp: op.gridField(op.gzp),
+		bBound: op.gridField(op.bBound),
+		bdiag:  bdiag, vol: vol,
+	}, nil
 }
 
 // NumCells returns the unknown count of the linear system.
@@ -79,9 +87,16 @@ func (a *Assembled) Grid() *mesh.Grid { return a.op.g }
 func (a *Assembled) Dims() (nx, ny, nz int) { return a.op.nx, a.op.ny, a.op.nz }
 
 // Apply computes y = A·x. Safe for concurrent use; x and y must have
-// NumCells entries and must not alias.
+// NumCells entries and must not alias. Each cell's value is the
+// operator's own SpMV expression, so the bits do not depend on the
+// transposes around it.
 func (a *Assembled) Apply(x, y []float64) {
-	a.op.applyRange(x, y, 0, len(x))
+	n := len(x)
+	xc, yc := getUncleared(n), getUncleared(n)
+	a.op.toColumns(xc, x)
+	a.op.apply(xc, yc)
+	a.op.fromColumns(y, yc)
+	putFloats(xc, yc)
 }
 
 // RHS writes the right-hand side for the volumetric source field q
@@ -100,20 +115,30 @@ func (a *Assembled) RHS(q, dst []float64) ([]float64, error) {
 	} else if len(dst) != n {
 		return nil, fmt.Errorf("solver: RHS dst has %d entries, want %d", len(dst), n)
 	}
-	a.op.sourcesInto(q, dst)
+	g := a.op.g
+	for k := 0; k < g.NZ(); k++ {
+		dz := g.DZ(k)
+		for j := 0; j < g.NY(); j++ {
+			dy := g.DY(j)
+			for i := 0; i < g.NX(); i++ {
+				c := g.Index(i, j, k)
+				dst[c] = a.bBound[c] + q[c]*g.DX(i)*dy*dz
+			}
+		}
+	}
 	return dst, nil
 }
 
 // BoundaryRHS returns the boundary-only part of the right-hand side
 // (the b of a zero-source problem). The slice is a read-only view —
 // callers must not modify it.
-func (a *Assembled) BoundaryRHS() []float64 { return a.op.bBound }
+func (a *Assembled) BoundaryRHS() []float64 { return a.bBound }
 
 // FaceConductances returns the +x/+y/+z face conductance arrays
 // (W/K); entry c couples cell c to its + neighbor and is 0 on the
 // last column/row/plane. Read-only views — callers must not modify.
 func (a *Assembled) FaceConductances() (gxp, gyp, gzp []float64) {
-	return a.op.gxp, a.op.gyp, a.op.gzp
+	return a.gxp, a.gyp, a.gzp
 }
 
 // BoundaryConductance returns the per-cell conductance to boundary

@@ -25,9 +25,9 @@ import (
 //
 // Beyond the pool, an engine carries the family-keyed assembly cache
 // (see family.go): solves that set Options.FamilyKey reuse the
-// assembled operator, SoA stencil, and preconditioner hierarchies of
-// every earlier solve in the same family. SetAssemblyCache sizes or
-// disables the cache; AssemblyStats exposes its structural counters.
+// assembled operator and preconditioner hierarchies of every earlier
+// solve in the same family. SetAssemblyCache sizes or disables the
+// cache; AssemblyStats exposes its structural counters.
 type Engine struct {
 	pool    *parallel.Pool
 	workers int
@@ -113,28 +113,43 @@ func SolveSteadyBatch(p *Problem, qs [][]float64, opts Options) ([]*Result, erro
 // solveBatch is the one steady solve loop behind SolveSteady (a
 // one-item batch) and SolveSteadyBatch: it leases one context of the
 // solve's family entry (see Engine.entry) and runs the items through
-// it, a nil source reusing p.Q. On failure it returns the failing
-// item's index with the unwrapped error. p and qs must be validated.
+// it, a nil source reusing p.Q. Options.InitialGuess goes into the
+// operator's column order once for every item, and each solution comes
+// back out to grid order. On failure it returns the failing item's
+// index with the unwrapped error. p and qs must be validated.
 func solveBatch(p *Problem, qs [][]float64, opts Options) ([]*Result, int, error) {
 	opts = opts.withDefaults()
+	n := p.Grid.NumCells()
+	if g := opts.InitialGuess; g != nil && len(g) != n {
+		return nil, 0, fmt.Errorf("solver: initial guess has %d entries, want %d", len(g), n)
+	}
 	if eng := opts.ownEngine(); eng != nil {
 		defer eng.Close()
 	}
 	fe := opts.Engine.entry(p, opts)
 	ctx := fe.lease()
 	defer fe.release(ctx)
+	op := fe.op
+	if g := opts.InitialGuess; g != nil {
+		col := getUncleared(n)
+		defer putFloats(col)
+		op.toColumns(col, g)
+		opts.InitialGuess = col
+	}
+	x := getUncleared(n)
+	defer putFloats(x)
 	results := make([]*Result, len(qs))
 	for i, q := range qs {
 		if q == nil {
 			q = p.Q
 		}
-		fe.op.sourcesInto(q, ctx.b)
-		out, fallbacks, err := solveLadder(fe.op, ctx.b, make([]float64, len(ctx.b)), opts, "pcg", ctx.kr, ctx.pcs)
+		op.sourcesInto(q, ctx.b)
+		out, fallbacks, err := solveLadder(op, ctx.b, x, opts, "pcg", ctx.kr, ctx.pcs)
 		if err != nil {
 			return nil, i, err
 		}
 		results[i] = &Result{
-			T: out.x, Iterations: out.iterations, Residual: out.residual,
+			T: op.gridField(out.x), Iterations: out.iterations, Residual: out.residual,
 			Residuals: out.history, Fallbacks: fallbacks, grid: p.Grid,
 		}
 	}

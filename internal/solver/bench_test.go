@@ -409,3 +409,41 @@ func BenchmarkMGCycleShapes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSpMVShapes times one fused PCG SpMV (applyDirDot: direction
+// update, A·p and pᵀAp in one sweep) at Workers 1 on the shapes the
+// benchmark workloads solve: the paper flow's 12×12×74, the trace's
+// 16×16×74 transient (C/Δt + A) operator, hot's 16×16×14 and the cold
+// family's 32×32×14.
+func BenchmarkSpMVShapes(b *testing.B) {
+	shapes := []struct {
+		name     string
+		n, tiers int
+		dt       float64
+	}{
+		{"12x12x74", 12, 24, 0},
+		{"16x16x74-transient", 16, 24, 1e-4},
+		{"16x16x14", 16, 4, 0},
+		{"32x32x14", 32, 4, 0},
+	}
+	for _, s := range shapes {
+		op := workloadOperator(b, s.n, s.tiers, s.dt)
+		n := len(op.diag)
+		z, p := make([]float64, n), make([]float64, n)
+		pn, ap := make([]float64, n), make([]float64, n)
+		for i := range z {
+			z[i] = float64(i%13) - 6
+			p[i] = float64(i%7) - 3
+		}
+		b.Run("shape="+s.name, func(b *testing.B) {
+			kr := testKern(b, 1, n)
+			kr.applyDirDot(op, z, p, pn, ap, 0.5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kr.applyDirDot(op, z, p, pn, ap, 0.5)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cell")
+		})
+	}
+}

@@ -65,15 +65,15 @@ func TestEquivalencePinnedDigests(t *testing.T) {
 	}
 
 	const (
-		hotW1    = "ce88787c164eb65ce30a9d6d903ddb6eee6ca70ae32a5968222aee6a08e3d9e5"
-		hotW3    = "3e7daa3702c8a77f6144fe1269de21f6243e9860b8272ebafa9dc1bfef6bcfda"
-		transW1  = "f0c8ba1e2b51e71c343077c8e8e10c6e283aeed2935746c06151797bb08b036f"
-		failBest = "ee0f90f1986581ec75f67eddfe83c00b882a0847a64f9751f3a8611b969fde4b"
-		mgW1     = "fdf330134a34510f262e4fb54b59be8d06419eb1d667b1df6268022b7fc239a2"
-		mgW3     = "a2a19e5ee8fce6c266a296f5c70b6e1078f3f1c5eb84c2b8080a4ca84a0b67bb"
-		mgF32    = "42752d7a0ff357068a41fe5d5888396869cfe03875ddcbd07079c40d5fe1add0"
-		zlineF32 = "99ef5d757993337566d1c52966400001d9dd97791eef1497ef0efe202d1e9d10"
-		jacobiW1 = "673264c8136bbb00e8e593794e2b4861b40b76f19e01102c8dc0e3ca1f088701"
+		hotW1    = "2f482703cfdf65ddfecd33deea560edd70400ff9b6232cf3c73ce3b49b95f29e"
+		hotW3    = "043a3b59388b48cd4dc9835824bab637211207d8e6ec84ada9b7226df82a3adc"
+		transW1  = "98b8925d5bdb7bb70f48b07a6892eeba1b3d04c1ea86d92dd76205e929c0a652"
+		failBest = "cef769a052797aa7d620c26e48c8c9545f04634eb8205fc3d8e255d8019ee322"
+		mgW1     = "b52cf538a8d9f99816f82d40d0984bdf2c70235405fd071b0f78c564bcba68ca"
+		mgW3     = "927caf6a26be5481b6bb7cd5581861886ba7ae478ec2649326f215c5805b565d"
+		mgF32    = "a78d96098964fd9941d29214739b9609f9890dacd9b7bd3a2dd1be72e6d577fb"
+		zlineF32 = "080c2ec629373ac5e3f008bc4ab6caa22d7a112cc273b928b9fbf4bd30699451"
+		jacobiW1 = "e72e9f3a8b8551ce3177a7e710b1237c8b4f61b5375ea00a1be8e95ed4082a2a"
 	)
 	// The service default (zline, f64) and every other scheme and tier
 	// on the same problem.

@@ -305,7 +305,6 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 	rng := &eqRNG{s: 0xF05ED}
 	p := randomProblem(t, rng, 15, 11, 13) // 2145 cells, 3 reduction chunks
 	op := assemble(p)
-	op.ensureStencil()
 	n := len(op.b)
 	zv := mgRandVec(rng, n)
 	pv := mgRandVec(rng, n)
@@ -390,13 +389,14 @@ func TestEquivalenceFusedKernels(t *testing.T) {
 }
 
 // thomasColumn is the oracle of the ZLine preconditioner in tier F:
-// the per-column Thomas solve of one vertical cell column at stride
-// sz. The elimination runs in float64 as columnFactors runs it and
-// rounds each factor once to F; the forward and back sweeps run in F
-// with z = (r + gzp·z_below)·(1/pivot), then z −= cpf·z_above. The
-// production preconditioner factors once and sweeps plane by plane;
-// TestEquivalenceZLinePlanes pins it to this bitwise.
-func thomasColumn[F mgFloat](op *operator, r, z []float64, col int) {
+// the per-column Thomas solve of one vertical cell column of the
+// grid-order operator, at stride sz. The elimination runs in float64
+// and rounds each factor once to F; the forward and back sweeps run in
+// F with z = (r + gzp·z_below)·(1/pivot), then z −= cpf·z_above. The
+// production preconditioner factors once and sweeps the operator's
+// contiguous columns four at a time; TestEquivalenceZLinePlanes pins it
+// to this bitwise.
+func thomasColumn[F mgFloat](op *rowOperator, r, z []float64, col int) {
 	nz, sz := op.nz, op.sz
 	cp, minv, d := make([]float64, nz), make([]float64, nz), make([]F, nz)
 	for k := 0; k < nz; k++ {
@@ -422,14 +422,15 @@ func thomasColumn[F mgFloat](op *operator, r, z []float64, col int) {
 	}
 }
 
-// TestEquivalenceZLinePlanes pins the factored plane-sweep ZLine
+// TestEquivalenceZLinePlanes pins the factored column-sweep ZLine
 // preconditioner of both precision tiers bitwise against the
 // per-column Thomas oracle, on degenerate shapes (a single layer, a
 // single row or column of columns, a single column), odd sizes, grids
 // spanning several parallel column chunks, and a transient-augmented
-// diagonal, at the serial path and three pool sizes. Each apply
-// starts from a dirty z, as it does when a kern's work vectors are
-// reused.
+// diagonal, at the serial path and three pool sizes. The oracle runs
+// in grid order and the preconditioner in column order, on the same
+// vector. Each apply starts from a dirty z, as it does when a kern's
+// work vectors are reused.
 func TestEquivalenceZLinePlanes(t *testing.T) {
 	rng := &eqRNG{s: 0x21E5}
 	shapes := [][3]int{
@@ -447,21 +448,30 @@ func TestEquivalenceZLinePlanes(t *testing.T) {
 		// The augmented diagonal C/Δt + A of a backward-Euler step.
 		aug := *op
 		aug.diag = make([]float64, n)
-		for c := range aug.diag {
-			aug.diag[c] = op.diag[c] + p.Cv[c]*1e-12/2e-4
+		g := p.Grid
+		for k := 0; k < g.NZ(); k++ {
+			for j := 0; j < g.NY(); j++ {
+				for i := 0; i < g.NX(); i++ {
+					c := op.index(i, j, k)
+					aug.diag[c] = op.diag[c] + p.Cv[g.Index(i, j, k)]*1e-12/2e-4
+				}
+			}
 		}
 		for _, sys := range []struct {
 			name string
 			op   *operator
 		}{{"steady", op}, {"augmented", &aug}} {
+			ro := rowsOf(sys.op)
 			r := mgRandVec(rng, n)
+			rc := make([]float64, n)
+			sys.op.toColumns(rc, r)
 			for _, prec := range []Precision{F64, F32} {
 				want := make([]float64, n)
-				for col := 0; col < sys.op.sz; col++ {
+				for col := 0; col < ro.sz; col++ {
 					if prec == F32 {
-						thomasColumn[float32](sys.op, r, want, col)
+						thomasColumn[float32](ro, r, want, col)
 					} else {
-						thomasColumn[float64](sys.op, r, want, col)
+						thomasColumn[float64](ro, r, want, col)
 					}
 				}
 				for _, w := range []int{1, 2, 3, 8} {
@@ -472,34 +482,13 @@ func TestEquivalenceZLinePlanes(t *testing.T) {
 					}
 					got := mgRandVec(rng, n)
 					for rep := 0; rep < 2; rep++ {
-						pc.apply(r, got)
-						if !bitIdentical(got, want) {
-							t.Errorf("%v %s %s workers=%d apply %d: plane sweep differs from per-column Thomas", sh, sys.name, prec, w, rep)
+						pc.apply(rc, got)
+						if !bitIdentical(sys.op.gridField(got), want) {
+							t.Errorf("%v %s %s workers=%d apply %d: column sweep differs from per-column Thomas", sh, sys.name, prec, w, rep)
 						}
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestStencilMatchesSliceApply pins the structure-of-arrays stencil
-// SpMV against the legacy slice-walking path bitwise — same operator,
-// same input, both execution strategies.
-func TestStencilMatchesSliceApply(t *testing.T) {
-	rng := &eqRNG{s: 0x57E9C}
-	for _, size := range [][3]int{{1, 1, 6}, {5, 1, 3}, {12, 10, 8}, {17, 13, 7}} {
-		p := randomProblem(t, rng, size[0], size[1], size[2])
-		op := assemble(p)
-		n := len(op.b)
-		x := mgRandVec(rng, n)
-		yLegacy := make([]float64, n)
-		op.applyRange(x, yLegacy, 0, n) // st == nil: slice path
-		op.ensureStencil()
-		ySt := make([]float64, n)
-		op.applyRange(x, ySt, 0, n)
-		if !bitIdentical(yLegacy, ySt) {
-			t.Errorf("size %v: stencil SpMV differs bitwise from slice SpMV", size)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Family entries: every solve runs on one.
 //
 // A family entry holds one assembled operator — the 7-point
-// couplings, diagonal, boundary RHS and SoA stencil — plus the leased
+// couplings, diagonal and boundary RHS — plus the leased
 // solve contexts that run against it. All of it is a pure function of
 // the problem's geometry, conductivities, heat capacity, and boundary
 // conditions — the "family" of the canonical encoding (WriteCanonical
@@ -30,7 +30,7 @@ import (
 // that call alone: never inserted into the cache, never counted in
 // AssemblyStats or the family_assembly_* telemetry counters, and its
 // one steady lease takes the assembled b as its right-hand side. Its
-// arrays — operator, stencil, kern vectors and preconditioners — come
+// arrays — operator, kern vectors and preconditioners — come
 // from the free list (freelist.go), and a steady call hands them all
 // back when it releases its lease, so the next same-sized solve
 // reuses them. Either way the solve runs the same code: lease a
@@ -55,10 +55,10 @@ import (
 // extended across calls. The equivalence suite pins this at Workers 1
 // and 8 for both precision tiers, for steady, batch, and trace solves.
 //
-// Concurrency: a cached operator is frozen at insert time (stencil
-// built, diagonal checked) and only read afterwards, so any number of
-// solves may run against it at once; a private entry has one user and
-// is left to pcg's lazy stencil build and diagonal check. Mutable
+// Concurrency: a cached operator is frozen at insert time (diagonal
+// checked) and only read afterwards, so any number of solves may run
+// against it at once; a private entry has one user and is left to
+// makePreconditioner's lazy diagonal check. Mutable
 // per-solve state — the RHS vector, the kern's reduction scratch and
 // PCG work vectors, and preconditioner instances (whose apply
 // closures carry internal scratch) — lives in leased solve contexts:
@@ -69,7 +69,7 @@ import (
 // them.
 
 // defaultFamilyCap is the default number of cached families per
-// engine. An entry holds the full operator arrays (~10 float64 words
+// engine. An entry holds the full operator arrays (6 float64 words
 // per cell) plus up to maxSpareCtxs preconditioner hierarchies, so
 // the cap is deliberately small — family traffic is concentrated on
 // few distinct geometries at a time.
@@ -90,8 +90,8 @@ type famCtx struct {
 }
 
 // augCtx is one leased transient-solve context for a fixed Δt: the
-// augmented operator (C/Δt + A) with its own diagonal, stencil and
-// RHS, the per-cell C/Δt both the diagonal and every step's RHS add,
+// augmented operator (C/Δt + A) with its own diagonal and RHS, the
+// per-cell C/Δt both the diagonal and every step's RHS add,
 // the scratch a step's extrapolated start is written to, plus the
 // paired kern and preconditioner cache. The kern is part of the lease
 // because cached preconditioner closures capture the kern they were
@@ -107,8 +107,8 @@ type augCtx struct {
 }
 
 // familyEntry is one assembly with its spare solve contexts. A cached
-// entry's op is frozen once built (stencil present, diagonal verified
-// positive) and shared read-only by every solve in the family; a
+// entry's op is frozen once built (diagonal verified positive) and
+// shared read-only by every solve in the family; a
 // private entry's op serves one caller (see Engine.entry).
 type familyEntry struct {
 	pool    *parallel.Pool // the engine's pool, which every leased kern runs on
@@ -228,18 +228,17 @@ func (e *Engine) family(key string, p *Problem, tel *telemetry.Collector) *famil
 	fe.build.Do(func() {
 		op := assemble(p)
 		fc.assemblies.Add(1)
-		// Freeze the operator before publishing: the stencil and the
-		// diagonal positivity flag are lazily written by pcg, which
-		// concurrent sharing cannot afford. A non-positive diagonal
-		// declines the entry — the private entry surfaces the
-		// identical singular-system error.
+		// Freeze the operator before publishing: the diagonal
+		// positivity flag is lazily written by makePreconditioner,
+		// which concurrent sharing cannot afford. A diagonal that is
+		// not positive (NaN included) declines the entry — the private
+		// entry surfaces the identical singular-system error.
 		for _, d := range op.diag {
-			if d <= 0 {
+			if !(d > 0) {
 				return
 			}
 		}
 		op.diagChecked = true
-		op.ensureStencil()
 		fe.op = op
 		fe.ok = true
 	})
@@ -285,19 +284,14 @@ func (fe *familyEntry) release(c *famCtx) {
 }
 
 // cloneForSources returns a shallow clone of the entry's operator
-// that shares every assembled array (couplings, diagonal, stencil,
-// boundary RHS) but owns its b vector — the shape a transient
-// integrator needs, since SetSources rewrites b in place per segment.
+// that shares every assembled array (couplings, diagonal, boundary
+// RHS) but owns its b vector — the shape a transient integrator needs,
+// since SetSources rewrites b in place per segment. b comes from the
+// free list uncleared: the caller writes it in full.
 func (fe *familyEntry) cloneForSources() *operator {
-	op := fe.op
-	return &operator{
-		g: op.g, nx: op.nx, ny: op.ny, nz: op.nz,
-		sy: op.sy, sz: op.sz,
-		gxp: op.gxp, gyp: op.gyp, gzp: op.gzp,
-		diag: op.diag, bBound: op.bBound, st: op.st,
-		diagChecked: op.diagChecked,
-		b:           make([]float64, len(op.diag)),
-	}
+	op := *fe.op
+	op.b = getUncleared(len(op.diag))
+	return &op
 }
 
 // leaseAug returns an exclusive transient context for Δt dt, reusing
@@ -318,10 +312,12 @@ func (fe *familyEntry) leaseAug(dt float64, heatCap []float64) *augCtx {
 	fe.mu.Unlock()
 	op := fe.op
 	n := len(op.diag)
+	// The augmented system shares the couplings; its diagonal is
+	// checked when its first preconditioner is built.
 	aug := &operator{
 		g: op.g, nx: op.nx, ny: op.ny, nz: op.nz,
-		sy: op.sy, sz: op.sz,
 		gxp: op.gxp, gyp: op.gyp, gzp: op.gzp,
+		bare: op.bare, zero: op.zero,
 		diag: make([]float64, n),
 		b:    make([]float64, n),
 	}

@@ -391,9 +391,9 @@ func TestFamilyAugSpareBound(t *testing.T) {
 
 	const dt = 3e-4
 	one := []TraceSegment{{Dt: dt, Steps: 2}, {Dt: dt, Steps: 2}}
-	// lastStencil returns the augmented stencil of the most recently
+	// lastDiag returns the augmented diagonal of the most recently
 	// released spare, which must be the single-Δt trace's context.
-	lastStencil := func() *float64 {
+	lastDiag := func() *float64 {
 		t.Helper()
 		fe.mu.Lock()
 		defer fe.mu.Unlock()
@@ -401,12 +401,12 @@ func TestFamilyAugSpareBound(t *testing.T) {
 		if c.dt != dt {
 			t.Fatalf("most recent spare is for Δt %g, want %g", c.dt, dt)
 		}
-		return &c.aug.st[0]
+		return &c.aug.diag[0]
 	}
 	if _, err := SolveTrace(p, t0, one, opts, TraceOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	st0 := lastStencil()
+	diag0 := lastDiag()
 	pools := parallel.PoolsCreated()
 	if _, err := SolveTrace(p, t0, one, opts, TraceOptions{}); err != nil {
 		t.Fatal(err)
@@ -414,8 +414,8 @@ func TestFamilyAugSpareBound(t *testing.T) {
 	if d := parallel.PoolsCreated() - pools; d != 0 {
 		t.Errorf("repeated single-Δt trace built %d worker pools, want 0", d)
 	}
-	if lastStencil() != st0 {
-		t.Error("repeated single-Δt trace rebuilt its augmented stencil instead of reusing the spare context")
+	if lastDiag() != diag0 {
+		t.Error("repeated single-Δt trace rebuilt its augmented system instead of reusing the spare context")
 	}
 }
 

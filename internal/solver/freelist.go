@@ -6,8 +6,8 @@ import "sync"
 //
 // The paper flow runs optimisation loops of small steady solves on
 // private family entries (see family.go), and each such solve owns a
-// working set of some thirty n-length float64 arrays: the operator
-// and its stencil, the PCG work vectors, the preconditioner hierarchy
+// working set of some twenty n-length float64 arrays: the operator,
+// the PCG work vectors, the preconditioner hierarchy
 // and, through stack.Spec.Solve, the Problem itself. Those arrays come
 // from one free list and go back to it when the solve ends, so the
 // next solve of the same size reuses them instead of allocating.
@@ -15,8 +15,14 @@ import "sync"
 // The list is a sync.Pool per exact length, so it cooperates with the
 // garbage collector: a collection empties it, and an array nobody
 // returns is simply collected. getFloats clears an array before it
-// hands it out, so code written against make's zeroed memory runs
-// unchanged and reuse moves no bit.
+// hands it out, for the sites that accumulate into it or rely on its
+// zeros (an operator's diagonal and rhs, coarse stencils, zero
+// columns, a problem's Q and Cv). getUncleared hands an array out as
+// the last user left it, for the sites that write every entry before
+// any is read (couplings, Thomas factors, the coarsening excess, level
+// scratch, PCG vectors, a problem's conductivities); clearing those
+// was a full extra pass over most of a solve's memory. Reuse moves no
+// bit either way (TestEquivalenceDirtyFreeList).
 //
 // An array goes back only when nothing can read it any more. Arrays
 // that escape a solve never go back: Result.T, Result.Residuals,
@@ -40,16 +46,34 @@ var freeList struct {
 // getFloats returns a zeroed float64 array of length n, recycled from
 // the free list when it holds one.
 func getFloats(n int) []float64 {
+	if s := recycled(n); s != nil {
+		clear(s)
+		return s
+	}
+	return make([]float64, n)
+}
+
+// getUncleared returns a float64 array of length n whose contents are
+// undefined: recycled from the free list as it was put back, when the
+// list holds one. The caller must write every entry before reading it.
+func getUncleared(n int) []float64 {
+	if s := recycled(n); s != nil {
+		return s
+	}
+	return make([]float64, n)
+}
+
+// recycled returns an array of length n from the free list, or nil.
+func recycled(n int) []float64 {
 	freeList.mu.RLock()
 	pool := freeList.pools[n]
 	freeList.mu.RUnlock()
 	if pool != nil {
 		if s, ok := pool.Get().([]float64); ok {
-			clear(s)
 			return s
 		}
 	}
-	return make([]float64, n)
+	return nil
 }
 
 // putFloats hands arrays back to the free list; empty ones are
@@ -92,6 +116,16 @@ func getTier[F mgFloat](n int) []F {
 	var zero F
 	if _, ok := any(zero).(float64); ok {
 		return any(getFloats(n)).([]F)
+	}
+	return make([]F, n)
+}
+
+// getTierUncleared is getUncleared in tier F: from the free list at
+// F64, made at F32.
+func getTierUncleared[F mgFloat](n int) []F {
+	var zero F
+	if _, ok := any(zero).(float64); ok {
+		return any(getUncleared(n)).([]F)
 	}
 	return make([]F, n)
 }

@@ -61,8 +61,8 @@ func newKern(pool *parallel.Pool, n int) *kern {
 // snapshot out before handing it to a caller.
 func (k *kern) pcgVectors(n int) (r, z, p, pn, ap, best []float64) {
 	if len(k.r) != n {
-		k.r, k.z, k.p = getFloats(n), getFloats(n), getFloats(n)
-		k.pn, k.ap, k.best = getFloats(n), getFloats(n), getFloats(n)
+		k.r, k.z, k.p = getUncleared(n), getUncleared(n), getUncleared(n)
+		k.pn, k.ap, k.best = getUncleared(n), getUncleared(n), getUncleared(n)
 	}
 	return k.r, k.z, k.p, k.pn, k.ap, k.best
 }
@@ -127,8 +127,7 @@ func applyDotRange(op *operator, p, ap []float64, s, e int) float64 {
 // values of pn are recomputed as z[nb] + β·p[nb] — the identical
 // expression that produces pn[nb] — so every operand is bit-equal to
 // what a materialized direction pass followed by applyDot would have
-// read. Requires the stencil (callers go through pcg, which builds
-// it).
+// read.
 func (k *kern) applyDirDot(op *operator, z, p, pn, ap []float64, beta float64) float64 {
 	n := len(p)
 	if k.pool.Serial() {
@@ -142,31 +141,106 @@ func (k *kern) applyDirDot(op *operator, z, p, pn, ap []float64, beta float64) f
 	})
 }
 
+// applyDirDotRange is applyDirDot on cells [s, e), split as
+// operator.applyRange splits a range: whole columns of a bare operator
+// run dirColumn, the rest dirCells. The sum runs through both in cell
+// order.
 func applyDirDotRange(op *operator, z, p, pn, ap []float64, beta float64, s, e int) float64 {
-	st := op.st
-	sy, sz := op.sy, op.sz
+	if !op.bare {
+		return dirCells(op, z, p, pn, ap, beta, s, e, 0)
+	}
+	nz := op.nz
 	sum := 0.0
+	c := s
+	if r := c % nz; r != 0 {
+		h := min(c-r+nz, e)
+		sum = dirCells(op, z, p, pn, ap, beta, c, h, sum)
+		c = h
+	}
+	col := c / nz
+	i, j := col%op.nx, col/op.nx
+	for ; c+nz <= e; c += nz {
+		sum = dirColumn(op, z, p, pn, ap, beta, c, i, j, sum)
+		if i++; i == op.nx {
+			i, j = 0, j+1
+		}
+	}
+	if c < e {
+		sum = dirCells(op, z, p, pn, ap, beta, c, e, sum)
+	}
+	return sum
+}
+
+// dirColumn is applyDirDot on the whole column (i, j) starting at c of
+// a bare operator: operator.applyColumn on the direction z + β·p,
+// adding each cell's pn·ap to sum in turn. A lateral neighbour outside
+// the grid reads zero columns of z, p and coupling: 0 + β·0 is +0 for
+// any finite β, and the 0·0 term leaves the value as it was.
+func dirColumn(op *operator, z, p, pn, ap []float64, beta float64, c, i, j int, sum float64) float64 {
+	nz := op.nz
+	out, dn := ap[c:c+nz], pn[c:c+nz]
+	dn = dn[:len(out)]
+	zc, pc := z[c : c+nz][:len(out)], p[c : c+nz][:len(out)]
+	d, gz := op.diag[c : c+nz][:len(out)], op.gzp[c : c+nz][:len(out)]
+	e, w, n, s := i+1 < op.nx, i > 0, j+1 < op.ny, j > 0
+	sy := op.nx * nz
+	ge, ze, pe := op.column(op.gxp, c, e)[:len(out)], op.column(z, c+nz, e)[:len(out)], op.column(p, c+nz, e)[:len(out)]
+	gw, zw, pw := op.column(op.gxp, c-nz, w)[:len(out)], op.column(z, c-nz, w)[:len(out)], op.column(p, c-nz, w)[:len(out)]
+	gn, zn, pno := op.column(op.gyp, c, n)[:len(out)], op.column(z, c+sy, n)[:len(out)], op.column(p, c+sy, n)[:len(out)]
+	gs, zs, ps := op.column(op.gyp, c-sy, s)[:len(out)], op.column(z, c-sy, s)[:len(out)], op.column(p, c-sy, s)[:len(out)]
+	top := len(out) - 1
+	xd, gd, xk := 0.0, 0.0, zc[0]+beta*pc[0]
+	for k := 0; k < top; k++ {
+		gk, xu := gz[k], zc[k+1]+beta*pc[k+1]
+		v := d[k]*xk - ge[k]*(ze[k]+beta*pe[k])
+		v -= gw[k] * (zw[k] + beta*pw[k])
+		v -= gn[k] * (zn[k] + beta*pno[k])
+		v -= gs[k] * (zs[k] + beta*ps[k])
+		v -= gk * xu
+		v -= gd * xd
+		dn[k], out[k] = xk, v
+		sum += xk * v
+		xd, gd, xk = xk, gk, xu
+	}
+	v := d[top]*xk - ge[top]*(ze[top]+beta*pe[top])
+	v -= gw[top] * (zw[top] + beta*pw[top])
+	v -= gn[top] * (zn[top] + beta*pno[top])
+	v -= gs[top] * (zs[top] + beta*ps[top])
+	v -= gd * xd
+	dn[top], out[top] = xk, v
+	return sum + xk*v
+}
+
+// dirCells is applyDirDotRange's guarded per-cell path (see
+// operator.applyCells), adding each cell's pn·ap to sum.
+func dirCells(op *operator, z, p, pn, ap []float64, beta float64, s, e int, sum float64) float64 {
+	sx, sy := op.nz, op.nx*op.nz
 	for c := s; c < e; c++ {
-		o := stencilStride * c
 		pc := z[c] + beta*p[c]
-		v := st[o] * pc
-		if g := st[o+1]; g != 0 {
-			v -= g * (z[c+1] + beta*p[c+1])
+		v := op.diag[c] * pc
+		if g := op.gxp[c]; g != 0 {
+			v -= g * (z[c+sx] + beta*p[c+sx])
 		}
-		if g := st[o+2]; g != 0 {
-			v -= g * (z[c-1] + beta*p[c-1])
+		if c >= sx {
+			if g := op.gxp[c-sx]; g != 0 {
+				v -= g * (z[c-sx] + beta*p[c-sx])
+			}
 		}
-		if g := st[o+3]; g != 0 {
+		if g := op.gyp[c]; g != 0 {
 			v -= g * (z[c+sy] + beta*p[c+sy])
 		}
-		if g := st[o+4]; g != 0 {
-			v -= g * (z[c-sy] + beta*p[c-sy])
+		if c >= sy {
+			if g := op.gyp[c-sy]; g != 0 {
+				v -= g * (z[c-sy] + beta*p[c-sy])
+			}
 		}
-		if g := st[o+5]; g != 0 {
-			v -= g * (z[c+sz] + beta*p[c+sz])
+		if g := op.gzp[c]; g != 0 {
+			v -= g * (z[c+1] + beta*p[c+1])
 		}
-		if g := st[o+6]; g != 0 {
-			v -= g * (z[c-sz] + beta*p[c-sz])
+		if c >= 1 {
+			if g := op.gzp[c-1]; g != 0 {
+				v -= g * (z[c-1] + beta*p[c-1])
+			}
 		}
 		pn[c] = pc
 		ap[c] = v

@@ -13,7 +13,6 @@ import (
 func TestInlineReductionsAllocateNothing(t *testing.T) {
 	p := shapeProblem(t, 6, 6, 6)
 	op := assemble(p)
-	op.ensureStencil()
 	n := len(op.diag)
 	kr := testKern(t, 2, n)
 	if kr.pool.Serial() || kr.pool.Dispatches(parallel.NumChunks(n)) {

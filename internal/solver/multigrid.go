@@ -42,16 +42,17 @@ package solver
 //
 // # Column layout
 //
-// Every smoothing level stores its arrays column-major: cell (i, j, k)
-// at (j·nx + i)·nz + k, so one z column is nz contiguous values. The
-// stacks are tall and narrow (nz in the tens, a few to a few dozen
-// cells across), and every kernel of the cycle works a column at a
-// time: the Thomas solve runs straight down it with the eliminated
-// value in a register, its lateral gather reads four neighbour columns
-// as four contiguous streams, and the restriction and the folded
-// coarse correction read whole coarse columns. The operator, SpMV and
-// the PCG vectors stay row-major; apply transposes r into the finest
-// level and the result back out, in both precision tiers.
+// Every level stores its arrays in the operator's column order: cell
+// (i, j, k) at (j·nx + i)·nz + k, so one z column is nz contiguous
+// values. The stacks are tall and narrow (nz in the tens, a few to a
+// few dozen cells across), and every kernel of the cycle works a
+// column at a time: the Thomas solve runs straight down it with the
+// eliminated value in a register, its lateral gather reads four
+// neighbour columns as four contiguous streams, and the restriction
+// and the folded coarse correction read whole coarse columns. In the
+// float64 tier the finest level is the operator itself — its stencil
+// arrays, with no copy — and apply runs the cycle straight on PCG's r
+// and z.
 //
 // The cycle sequence is fused where that is exact. The red pre-smooth
 // starts from x = 0, so it skips the lateral gather. After the black
@@ -68,7 +69,8 @@ package solver
 // Interior columns of a level whose interior faces are all nonzero run
 // without the g ≠ 0 and edge guards: a guard only ever skipped a zero
 // coupling, so dropping it there moves no bit. Same-color columns are
-// solved two at a time, so the two Thomas recurrences overlap.
+// solved two at a time, and the ZLine preconditioner's columns four at
+// a time, so the Thomas recurrences overlap.
 //
 // The row-major textbook cycle lives in multigrid_tiling_test.go as
 // the oracle: the suite pins the production cycle to it bitwise at
@@ -77,18 +79,19 @@ package solver
 // # Precision tiers
 //
 // The hierarchy is generic over the arithmetic type F (float32 or
-// float64). Construction — transposing, coarsening, Thomas
-// factorization — always runs in float64; the per-level coefficient,
-// factor, and scratch arrays are then stored in F (the float64 tier
-// keeps the float64 arrays themselves). The float32 tier halves the
-// bytes every sweep moves. It exists for preconditioning only: the
-// outer PCG vectors and every dot-product reduction stay float64, so
-// the f32 V-cycle only changes how fast the preconditioner
-// approximates A⁻¹, not what the solve converges to (the MMS suite
-// pins solution accuracy).
+// float64). Construction — coarsening, Thomas factorization — always
+// runs in float64; the per-level coefficient, factor, and scratch
+// arrays are then stored in F (the float64 tier keeps the float64
+// arrays themselves). The float32 tier halves the bytes every sweep
+// moves: it converts the finest stencil once at build, and r in and z
+// out per apply. It exists for preconditioning only: the outer PCG
+// vectors and every dot-product reduction stay float64, so the f32
+// V-cycle only changes how fast the preconditioner approximates A⁻¹,
+// not what the solve converges to (the MMS suite pins solution
+// accuracy).
 //
-// Determinism: smoothing, restriction, and the transposes contain no
-// floating-point reductions across columns, and every column's
+// Determinism: smoothing, restriction, and the f32 conversions contain
+// no floating-point reductions across columns, and every column's
 // arithmetic is fixed, so one V-cycle is bitwise identical at every
 // worker count (serial included) in both tiers; the solve-level
 // contract is then identical to the other preconditioners'.
@@ -129,15 +132,12 @@ func toTier[F mgFloat](src []float64) []F {
 }
 
 // mgLevel is one grid level of the multigrid hierarchy, with every
-// hot-path array stored in the tier's precision. A smoothing level is
-// column-major; a line level — the one-level ZLine hierarchy, or
-// multigrid's 1×1 coarsest — keeps the row-major order of the
-// operator, which for one column is the same thing.
+// hot-path array stored in the tier's precision and in column order.
+// A line level — the one-level ZLine hierarchy, or multigrid's 1×1
+// coarsest — solves its z columns alone.
 type mgLevel[F mgFloat] struct {
 	nx, ny, nz int
-	// cols = nx·ny, the column count; on a line level it is also the
-	// stride between z planes.
-	cols int
+	cols       int // nx·ny, the column count
 	// Stencil of this level's operator (see operator): positive face
 	// conductances plus the full diagonal. A line level holds gzp
 	// alone.
@@ -173,18 +173,17 @@ type mgLevel[F mgFloat] struct {
 	// the caller.
 	bands int
 	// Scratch: b is the level's right-hand side and x its solution
-	// estimate, both in the level's layout. The one-level f64 ZLine
-	// hierarchy runs in place on the caller's vectors and has neither.
+	// estimate. The finest level of the float64 tier runs on the
+	// caller's vectors and has neither.
 	b, x []F
 }
 
-// multigrid is the assembled hierarchy for one precision tier.
+// multigrid is the assembled hierarchy for one precision tier. The
+// finest level's stencil is the operator's (converted once in the
+// float32 tier); every coarser level's was drawn for the hierarchy.
 type multigrid[F mgFloat] struct {
 	levels []*mgLevel[F]
 	kr     *kern
-	// owned records that every level's stencil was drawn for this
-	// hierarchy (multigrid); the ZLine level's gzp is the operator's.
-	owned bool
 }
 
 // columnGrain is the column-range grain of an nx×ny×nz level: about
@@ -195,61 +194,75 @@ func columnGrain(nx, nz int) int {
 	return (cg + nx - 1) / nx * nx
 }
 
+// fineStencil views op's arrays as the finest level's stencil.
+func fineStencil(op *operator) colStencil {
+	return colStencil{nx: op.nx, ny: op.ny, nz: op.nz, gxp: op.gxp, gyp: op.gyp, gzp: op.gzp, diag: op.diag}
+}
+
 // newZLineTier builds the ZLine preconditioner for op in tier F: one
-// line level on the operator's own row-major arrays, whose apply is
-// the exact per-column Thomas solve against the full diagonal.
+// line level on the operator's own arrays, whose apply is the exact
+// per-column Thomas solve against the full diagonal.
 func newZLineTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
-	cpf, minv := columnFactors(op)
-	lvl := newLineLevel[F](op.nx, op.ny, op.nz, op.gzp, cpf, minv, kr.pool)
-	if _, native := any(op.gzp).([]F); !native {
-		n := len(op.diag)
-		lvl.b, lvl.x = getTier[F](n), getTier[F](n)
-	}
-	return &multigrid[F]{levels: []*mgLevel[F]{lvl}, kr: kr}
+	cpf, minv := fineStencil(op).factors()
+	mg := &multigrid[F]{kr: kr, levels: []*mgLevel[F]{newLineLevel[F](op.nx, op.ny, op.nz, op.gzp, cpf, minv, kr.pool)}}
+	mg.scratch()
+	return mg
 }
 
 // newMultigridTier builds the semi-coarsened hierarchy for op in
-// precision tier F: the operator transposed to column-major, then
-// coarsened until a single column is left. The construction is a few
-// O(n) float64 passes — cheap next to a single PCG iteration — and
-// runs serially for simplicity and determinism; only the finished
-// per-level arrays are stored in F. Every array it draws comes from
-// the free list and goes back through free, or at once when tier F
-// holds a converted copy.
+// precision tier F: the operator is the finest level, coarsened until
+// a single column is left. The construction is a few O(n) float64
+// passes — cheap next to a single PCG iteration — and runs serially
+// for simplicity and determinism; only the finished per-level arrays
+// are stored in F. Every array it draws comes from the free list and
+// goes back through free, or at once when tier F holds a converted
+// copy.
 func newMultigridTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
-	mg := &multigrid[F]{kr: kr, owned: true}
+	mg := &multigrid[F]{kr: kr}
 	_, native := any(op.diag).([]F)
-	s := transposeStencil(op)
+	s := fineStencil(op)
 	for s.nx > 1 || s.ny > 1 {
 		xoff, yoff := mesh.CoarsenOffsets(s.nx), mesh.CoarsenOffsets(s.ny)
 		next := coarsenColumns(s, xoff, yoff)
 		mg.levels = append(mg.levels, newSmoothLevel[F](s, xoff, yoff, kr.pool))
-		if !native {
+		if !native && len(mg.levels) > 1 {
 			s.free()
 		}
 		s = next
 	}
-	// The coarsest level is one column, the same in either layout.
+	// The coarsest level is one column.
 	cpf, minv := s.factors()
 	mg.levels = append(mg.levels, newLineLevel[F](1, 1, s.nz, s.gzp, cpf, minv, kr.pool))
-	putFloats(s.gxp, s.gyp, s.diag)
-	if !native {
-		putFloats(s.gzp)
+	if len(mg.levels) > 1 {
+		putFloats(s.gxp, s.gyp, s.diag)
+		if !native {
+			putFloats(s.gzp)
+		}
 	}
-	for _, lvl := range mg.levels {
-		n := lvl.cols * lvl.nz
-		lvl.b, lvl.x = getTier[F](n), getTier[F](n)
-	}
+	mg.scratch()
 	return mg
 }
 
+// scratch draws every level's b and x, except the finest level's in
+// the float64 tier, which runs on the caller's vectors.
+func (mg *multigrid[F]) scratch() {
+	var zero F
+	_, native := any(zero).(float64)
+	for l, lvl := range mg.levels {
+		if l > 0 || !native {
+			n := lvl.cols * lvl.nz
+			lvl.b, lvl.x = getTierUncleared[F](n), getTierUncleared[F](n)
+		}
+	}
+}
+
 // free hands the hierarchy's arrays back to the free list (at F64;
-// the F32 tier's arrays are made, and left to the collector). A ZLine
-// level's gzp belongs to the operator the hierarchy was built on.
+// the F32 tier's arrays are made, and left to the collector). The
+// finest level's stencil belongs to the operator.
 func (mg *multigrid[F]) free() {
-	for _, lvl := range mg.levels {
+	for l, lvl := range mg.levels {
 		putTier(lvl.cpf, lvl.minv, lvl.b, lvl.x, lvl.zero)
-		if mg.owned {
+		if l > 0 {
 			putTier(lvl.gxp, lvl.gyp, lvl.gzp, lvl.diag)
 		}
 	}
@@ -314,29 +327,6 @@ func (lvl *mgLevel[F]) interiorNonzero() bool {
 	return true
 }
 
-// columnFactors runs the Thomas forward elimination of every column
-// tridiagonal of the row-major operator op once, in float64, returning
-// the per-cell eliminated super-diagonal (cpf) and reciprocal pivot
-// (minv).
-func columnFactors(op *operator) (cpf, minv []float64) {
-	n := len(op.diag)
-	cpf = getFloats(n)
-	minv = getFloats(n)
-	sz := op.sz
-	// Layer-by-layer (linear memory) order; every column eliminates
-	// independently. gzp is zero on the top layer, so cpf there is
-	// harmlessly zero and never read by the back-substitution.
-	for c := range minv {
-		m := op.diag[c]
-		if c >= sz {
-			m += op.gzp[c-sz] * cpf[c-sz]
-		}
-		minv[c] = 1 / m
-		cpf[c] = -op.gzp[c] / m
-	}
-	return cpf, minv
-}
-
 // aggregateMap inverts the offsets: fine index → aggregate index.
 func aggregateMap(off []int, n int) []int {
 	m := make([]int, n)
@@ -355,6 +345,8 @@ type colStencil struct {
 	gxp, gyp, gzp, diag []float64
 }
 
+// newColStencil draws a cleared stencil: coarsenColumns accumulates
+// into every array.
 func newColStencil(nx, ny, nz int) colStencil {
 	n := nx * ny * nz
 	return colStencil{nx: nx, ny: ny, nz: nz,
@@ -363,25 +355,13 @@ func newColStencil(nx, ny, nz int) colStencil {
 
 func (s colStencil) free() { putFloats(s.gxp, s.gyp, s.gzp, s.diag) }
 
-// transposeStencil copies op's stencil into column-major order — the
-// finest level's only copies of operator arrays.
-func transposeStencil(op *operator) colStencil {
-	s := newColStencil(op.nx, op.ny, op.nz)
-	toColumns(s.gxp, op.gxp, op.nx, op.ny, op.nz, 0, op.ny)
-	toColumns(s.gyp, op.gyp, op.nx, op.ny, op.nz, 0, op.ny)
-	toColumns(s.gzp, op.gzp, op.nx, op.ny, op.nz, 0, op.ny)
-	toColumns(s.diag, op.diag, op.nx, op.ny, op.nz, 0, op.ny)
-	return s
-}
-
-// toColumns writes rows [j0, j1) of the row-major nx×ny×nz array src
-// into dst in column-major order, converted to D. Each row's block of
-// nx columns is contiguous in dst; src is read four x rows (four
-// layers) at a time, so every column receives four consecutive values
-// per visit.
-func toColumns[D mgFloat](dst []D, src []float64, nx, ny, nz, j0, j1 int) {
+// toColumns writes the grid-order nx×ny×nz field src into dst in
+// column order. Each row's block of nx columns is contiguous in dst;
+// src is read four x rows (four layers) at a time, so every column
+// receives four consecutive values per visit.
+func toColumns(dst, src []float64, nx, ny, nz int) {
 	sz := nx * ny
-	for j := j0; j < j1; j++ {
+	for j := 0; j < ny; j++ {
 		blk := dst[j*nx*nz : (j+1)*nx*nz]
 		k := 0
 		for ; k+4 <= nz; k += 4 {
@@ -392,22 +372,22 @@ func toColumns[D mgFloat](dst []D, src []float64, nx, ny, nz, j0, j1 int) {
 			r3 := src[o+3*sz : o+3*sz+nx][:len(r0)]
 			for i := range r0 {
 				c := blk[i*nz+k : i*nz+k+4]
-				c[0], c[1], c[2], c[3] = D(r0[i]), D(r1[i]), D(r2[i]), D(r3[i])
+				c[0], c[1], c[2], c[3] = r0[i], r1[i], r2[i], r3[i]
 			}
 		}
 		for ; k < nz; k++ {
 			row := src[k*sz+j*nx : k*sz+j*nx+nx]
 			for i, v := range row {
-				blk[i*nz+k] = D(v)
+				blk[i*nz+k] = v
 			}
 		}
 	}
 }
 
-// fromColumns is the inverse of toColumns, converting back to float64.
-func fromColumns[F mgFloat](dst []float64, src []F, nx, ny, nz, j0, j1 int) {
+// fromColumns is the inverse of toColumns.
+func fromColumns(dst, src []float64, nx, ny, nz int) {
 	sz := nx * ny
-	for j := j0; j < j1; j++ {
+	for j := 0; j < ny; j++ {
 		blk := src[j*nx*nz : (j+1)*nx*nz]
 		k := 0
 		for ; k+4 <= nz; k += 4 {
@@ -418,28 +398,29 @@ func fromColumns[F mgFloat](dst []float64, src []F, nx, ny, nz, j0, j1 int) {
 			r3 := dst[o+3*sz : o+3*sz+nx][:len(r0)]
 			for i := range r0 {
 				c := blk[i*nz+k : i*nz+k+4]
-				r0[i], r1[i], r2[i], r3[i] = float64(c[0]), float64(c[1]), float64(c[2]), float64(c[3])
+				r0[i], r1[i], r2[i], r3[i] = c[0], c[1], c[2], c[3]
 			}
 		}
 		for ; k < nz; k++ {
 			row := dst[k*sz+j*nx : k*sz+j*nx+nx]
 			for i := range row {
-				row[i] = float64(blk[i*nz+k])
+				row[i] = blk[i*nz+k]
 			}
 		}
 	}
 }
 
 // factors runs the Thomas forward elimination of every column of s
-// once, in float64 — columnFactors for the column-major layout, with
-// the same per-cell expressions. It runs layer by layer across the
-// columns, as columnFactors does: within a column each pivot waits on
-// the two divisions below it, while the cells of a layer are
-// independent.
+// once, in float64, returning the per-cell eliminated super-diagonal
+// (cpf) and reciprocal pivot (minv). It runs layer by layer across the
+// columns: within a column each pivot waits on the two divisions below
+// it, while the cells of a layer are independent. gzp is zero on the
+// top layer, so cpf there is zero and never read by the back
+// substitution.
 func (s colStencil) factors() (cpf, minv []float64) {
 	n, nz := len(s.diag), s.nz
-	cpf = getFloats(n)
-	minv = getFloats(n)
+	cpf = getUncleared(n)
+	minv = getUncleared(n)
 	for c := 0; c < n; c += nz {
 		m := s.diag[c]
 		minv[c] = 1 / m
@@ -468,9 +449,15 @@ func coarsenColumns(s colStencil, xoff, yoff []int) colStencil {
 	sy := nx * nz
 	// Fine-cell "excess": the diagonal mass that is not face coupling —
 	// boundary conductance and (for the transient operator) the
-	// capacitance term. It sums in parallel over each aggregate.
-	excess := getFloats(len(s.diag))
+	// capacitance term. It sums in parallel over each aggregate. Every
+	// face is subtracted unguarded: a face outside the grid is a zero
+	// coupling (the zero column west or south, the stored 0 east, north
+	// and on top), and e − (+0) = e for every e, so dropping the guards
+	// of the row-major loop moves no bit.
+	excess := getUncleared(len(s.diag))
 	defer putFloats(excess)
+	zero := getFloats(nz)
+	defer putFloats(zero)
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
 			c := (j*nx + i) * nz
@@ -478,40 +465,22 @@ func coarsenColumns(s colStencil, xoff, yoff []int) colStencil {
 			dg, gz := s.diag[c : c+nz][:len(ex)], s.gzp[c : c+nz][:len(ex)]
 			ge, gn := s.gxp[c : c+nz][:len(ex)], s.gyp[c : c+nz][:len(ex)]
 			// The west and south faces are stored with the neighbour.
-			var gw, gs []float64
+			gw, gs := zero[:len(ex)], zero[:len(ex)]
 			if i > 0 {
-				gw = s.gxp[c-nz : c]
+				gw = s.gxp[c-nz : c][:len(ex)]
 			}
 			if j > 0 {
-				gs = s.gyp[c-sy : c-sy+nz]
+				gs = s.gyp[c-sy : c-sy+nz][:len(ex)]
 			}
+			below := 0.0
 			for k := range ex {
-				e := dg[k]
-				if k > 0 {
-					if g := gz[k-1]; g != 0 {
-						e -= g
-					}
-				}
-				if gs != nil {
-					if g := gs[k]; g != 0 {
-						e -= g
-					}
-				}
-				if gw != nil {
-					if g := gw[k]; g != 0 {
-						e -= g
-					}
-				}
-				if g := ge[k]; g != 0 {
-					e -= g
-				}
-				if g := gn[k]; g != 0 {
-					e -= g
-				}
-				if g := gz[k]; g != 0 {
-					e -= g
-				}
-				ex[k] = e
+				e := dg[k] - below
+				e -= gs[k]
+				e -= gw[k]
+				e -= ge[k]
+				e -= gn[k]
+				below = gz[k]
+				ex[k] = e - below
 			}
 		}
 	}
@@ -612,62 +581,36 @@ func coarsenColumns(s colStencil, xoff, yoff []int) colStencil {
 	return co
 }
 
-// apply is the preconditioner action z ← B·r (one V-cycle). A
-// multigrid hierarchy transposes r into its finest level and the
-// result back out; the one-level ZLine hierarchy works in the
-// operator's own layout, in place at F64 and through converted copies
-// at F32. Both copies are elementwise, so they are as deterministic as
-// the cycle itself.
+// apply is the preconditioner action z ← B·r (one V-cycle, or the
+// line solve of the one-level ZLine hierarchy). The float64 tier runs
+// straight on r and z; the float32 tier converts r into its finest
+// level and the result back out, elementwise and so as deterministic
+// as the cycle itself.
 func (mg *multigrid[F]) apply(r, z []float64) {
-	top := mg.levels[0]
-	if len(mg.levels) > 1 {
-		nx, ny, nz := top.nx, top.ny, top.nz
-		b, x := top.b, top.x
-		if top.bands <= 1 {
-			toColumns(b, r, nx, ny, nz, 0, ny)
-			mg.cycle(0, b, x)
-			fromColumns(z, x, nx, ny, nz, 0, ny)
-			return
-		}
-		pool, bands := mg.kr.pool, top.bands
-		pool.RunBands(bands, func(_, w int) {
-			j0, j1 := parallel.Partition(ny, bands, w)
-			toColumns(b, r, nx, ny, nz, j0, j1)
-		})
-		mg.cycle(0, b, x)
-		pool.RunBands(bands, func(_, w int) {
-			j0, j1 := parallel.Partition(ny, bands, w)
-			fromColumns(z, x, nx, ny, nz, j0, j1)
-		})
-		return
-	}
 	if rf, ok := any(r).([]F); ok {
-		mg.lineSolve(top, rf, any(z).([]F))
+		mg.cycle(0, rf, any(z).([]F))
 		return
 	}
-	rb, zb := top.b, top.x
+	top := mg.levels[0]
+	b, x := top.b, top.x
 	pool := mg.kr.pool
 	if !pool.Dispatches(parallel.NumChunks(len(r))) {
-		for i, v := range r {
-			rb[i] = F(v)
-		}
-		mg.lineSolve(top, rb, zb)
-		for i, v := range zb {
-			z[i] = float64(v)
-		}
+		convert(b, r)
+		mg.cycle(0, b, x)
+		convert(z, x)
 		return
 	}
-	pool.For(len(r), func(s, e int) {
-		for i := s; i < e; i++ {
-			rb[i] = F(r[i])
-		}
-	})
-	mg.lineSolve(top, rb, zb)
-	pool.For(len(z), func(s, e int) {
-		for i := s; i < e; i++ {
-			z[i] = float64(zb[i])
-		}
-	})
+	pool.For(len(r), func(s, e int) { convert(b[s:e], r[s:e]) })
+	mg.cycle(0, b, x)
+	pool.For(len(z), func(s, e int) { convert(z[s:e], x[s:e]) })
+}
+
+// convert writes src into dst, rounding each value to D.
+func convert[D, S mgFloat](dst []D, src []S) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = D(v)
+	}
 }
 
 // The three kinds of half-sweep a cycle runs.
@@ -1043,47 +986,60 @@ func (lvl *mgLevel[F]) addResidual(b, x, out []F, i, j int) {
 // worker count.
 func (mg *multigrid[F]) lineSolve(lvl *mgLevel[F], r, z []F) {
 	if !lvl.dispatch {
-		lvl.lineRange(r, z, 0, lvl.cols)
+		lvl.lineColumns(r, z, 0, lvl.cols)
 		return
 	}
 	mg.kr.pool.ForGrain(lvl.cols, lvl.colGrain, func(_, s, e int) {
-		lvl.lineRange(r, z, s, e)
+		lvl.lineColumns(r, z, s, e)
 	})
 }
 
-// lineRange solves the columns in flat column range [lo, hi) of a
-// row-major line level: a forward sweep bottom-up, z = (r +
-// gzp·z_below)·minv written straight into z, then back substitution
-// top-down, z −= cpf·z_above, each plane in linear memory order rather
-// than one column at a time at stride cols. Every cell evaluates the
-// per-column Thomas recurrence's own expressions and columns never
-// couple, so the result is bitwise identical to solving the columns
-// one by one (TestEquivalenceZLinePlanes).
-func (lvl *mgLevel[F]) lineRange(r, z []F, lo, hi int) {
-	sz, n := lvl.cols, len(lvl.minv)
-	// Each plane works on equal-length subslices, so the compiler
-	// drops the per-cell bounds checks.
-	zc, rc, mc := z[lo:hi], r[lo:hi], lvl.minv[lo:hi]
-	rc, mc = rc[:len(zc)], mc[:len(zc)]
-	for i := range zc {
-		zc[i] = rc[i] * mc[i]
+// lineColumns solves columns [lo, hi) of a line level, four at a time
+// so that four Thomas recurrences overlap. Every cell evaluates the
+// per-column recurrence's own expressions and columns never couple,
+// so the result is bitwise identical to solving the columns one by
+// one (TestEquivalenceZLinePlanes).
+func (lvl *mgLevel[F]) lineColumns(r, z []F, lo, hi int) {
+	nz := lvl.nz
+	c := lo
+	for ; c+4 <= hi; c += 4 {
+		lvl.thomas4(r, z, c*nz)
 	}
-	for base := sz; base < n; base += sz {
-		zc := z[base+lo : base+hi]
-		zb := z[base-sz+lo : base-sz+hi][:len(zc)]
-		gb := lvl.gzp[base-sz+lo : base-sz+hi][:len(zc)]
-		rc := r[base+lo : base+hi][:len(zc)]
-		mc := lvl.minv[base+lo : base+hi][:len(zc)]
-		for i := range zc {
-			zc[i] = (rc[i] + gb[i]*zb[i]) * mc[i]
-		}
+	for ; c+2 <= hi; c += 2 {
+		lvl.thomas2(r, z, c*nz, (c+1)*nz)
 	}
-	for base := n - 2*sz; base >= 0; base -= sz {
-		zc := z[base+lo : base+hi]
-		za := z[base+sz+lo : base+sz+hi][:len(zc)]
-		cc := lvl.cpf[base+lo : base+hi][:len(zc)]
-		for i := range zc {
-			zc[i] -= cc[i] * za[i]
-		}
+	if c < hi {
+		lvl.thomas2(r, z, c*nz, c*nz)
+	}
+}
+
+// thomas4 is thomas2 on the four consecutive columns starting at c.
+func (lvl *mgLevel[F]) thomas4(src, dst []F, c int) {
+	nz := lvl.nz
+	x0 := dst[c : c+nz]
+	x1, x2, x3 := dst[c+nz : c+2*nz][:len(x0)], dst[c+2*nz : c+3*nz][:len(x0)], dst[c+3*nz : c+4*nz][:len(x0)]
+	s0, s1 := src[c : c+nz][:len(x0)], src[c+nz : c+2*nz][:len(x0)]
+	s2, s3 := src[c+2*nz : c+3*nz][:len(x0)], src[c+3*nz : c+4*nz][:len(x0)]
+	g0, g1 := lvl.gzp[c : c+nz][:len(x0)], lvl.gzp[c+nz : c+2*nz][:len(x0)]
+	g2, g3 := lvl.gzp[c+2*nz : c+3*nz][:len(x0)], lvl.gzp[c+3*nz : c+4*nz][:len(x0)]
+	m0, m1 := lvl.minv[c : c+nz][:len(x0)], lvl.minv[c+nz : c+2*nz][:len(x0)]
+	m2, m3 := lvl.minv[c+2*nz : c+3*nz][:len(x0)], lvl.minv[c+3*nz : c+4*nz][:len(x0)]
+	p0, p1, p2, p3 := s0[0]*m0[0], s1[0]*m1[0], s2[0]*m2[0], s3[0]*m3[0]
+	x0[0], x1[0], x2[0], x3[0] = p0, p1, p2, p3
+	for k := 1; k < len(x0); k++ {
+		p0 = (s0[k] + g0[k-1]*p0) * m0[k]
+		p1 = (s1[k] + g1[k-1]*p1) * m1[k]
+		p2 = (s2[k] + g2[k-1]*p2) * m2[k]
+		p3 = (s3[k] + g3[k-1]*p3) * m3[k]
+		x0[k], x1[k], x2[k], x3[k] = p0, p1, p2, p3
+	}
+	f0, f1 := lvl.cpf[c : c+nz][:len(x0)], lvl.cpf[c+nz : c+2*nz][:len(x0)]
+	f2, f3 := lvl.cpf[c+2*nz : c+3*nz][:len(x0)], lvl.cpf[c+3*nz : c+4*nz][:len(x0)]
+	for k := len(x0) - 2; k >= 0; k-- {
+		p0 = x0[k] - f0[k]*p0
+		p1 = x1[k] - f1[k]*p1
+		p2 = x2[k] - f2[k]*p2
+		p3 = x3[k] - f3[k]*p3
+		x0[k], x1[k], x2[k], x3[k] = p0, p1, p2, p3
 	}
 }

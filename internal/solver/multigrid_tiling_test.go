@@ -8,13 +8,15 @@ import (
 )
 
 // The row-major textbook V-cycle: every level stored x-fastest (cell
-// (i, j, k) at (k·ny + j)·nx + i, the operator's own layout), rebuilt
-// by the row-major rediscretization, and run as the textbook kernel
-// sequence — pre-smooth, residual restriction, coarse solve,
-// prolongation, post-smooth — each a separate full-grid pass. It is
-// the oracle the column-major production cycle (multigrid.go) is
-// pinned to, bitwise, at every worker count and in both precision
-// tiers.
+// (i, j, k) at (k·ny + j)·nx + i, grid order), rebuilt by the
+// row-major rediscretization from the operator transposed to grid
+// order, and run as the textbook kernel sequence — pre-smooth,
+// residual restriction, coarse solve, prolongation, post-smooth — each
+// a separate full-grid pass. It is the oracle the column-major
+// production cycle (multigrid.go) is pinned to, bitwise, at every
+// worker count and in both precision tiers: the production cycle runs
+// on a vector in column order, the oracle on the same vector in grid
+// order.
 
 // rowLevel is one level of the row-major reference hierarchy.
 type rowLevel[F mgFloat] struct {
@@ -40,18 +42,19 @@ type rowHierarchy[F mgFloat] struct {
 	cb, cx   []F // the coarsest level's right-hand side and solution
 }
 
-// newRowHierarchy builds the reference hierarchy for op.
-func newRowHierarchy[F mgFloat](op *operator, kr *kern) *rowHierarchy[F] {
+// newRowHierarchy builds the reference hierarchy for the grid-order
+// operator op.
+func newRowHierarchy[F mgFloat](op *rowOperator, kr *kern) *rowHierarchy[F] {
 	h := &rowHierarchy[F]{}
 	for cur := op; ; {
 		n := len(cur.diag)
 		if cur.nx == 1 && cur.ny == 1 {
-			cpf, minv := columnFactors(cur)
+			cpf, minv := rowFactors(cur)
 			h.coarsest = newLineLevel[F](1, 1, cur.nz, cur.gzp, cpf, minv, kr.pool)
 			h.cb, h.cx = make([]F, n), make([]F, n)
 			return h
 		}
-		cpf, minv := columnFactors(cur)
+		cpf, minv := rowFactors(cur)
 		lvl := &rowLevel[F]{
 			nx: cur.nx, ny: cur.ny, nz: cur.nz, sy: cur.sy, sz: cur.sz,
 			gxp: toTier[F](cur.gxp), gyp: toTier[F](cur.gyp),
@@ -81,7 +84,7 @@ func (h *rowHierarchy[F]) apply(r, z []float64) {
 // cycle is the textbook V(1,1) cycle with every kernel a separate pass.
 func (h *rowHierarchy[F]) cycle(l int, b, x []F) {
 	if l == len(h.levels) {
-		h.coarsest.lineRange(b, x, 0, 1)
+		h.coarsest.lineColumns(b, x, 0, 1)
 		return
 	}
 	lvl := h.levels[l]
@@ -97,12 +100,31 @@ func (h *rowHierarchy[F]) cycle(l int, b, x []F) {
 	lvl.rbLineSmooth(b, x, true, false)
 }
 
+// rowFactors runs the Thomas forward elimination of every column
+// tridiagonal of the grid-order operator op once, in float64, layer by
+// layer: the reference for colStencil.factors.
+func rowFactors(op *rowOperator) (cpf, minv []float64) {
+	n := len(op.diag)
+	cpf = make([]float64, n)
+	minv = make([]float64, n)
+	sz := op.sz
+	for c := range minv {
+		m := op.diag[c]
+		if c >= sz {
+			m += op.gzp[c-sz] * cpf[c-sz]
+		}
+		minv[c] = 1 / m
+		cpf[c] = -op.gzp[c] / m
+	}
+	return cpf, minv
+}
+
 // coarsenOperator rediscretizes the row-major op on the
 // x/y-aggregated grid: the reference for coarsenColumns.
-func coarsenOperator(op *operator, xoff, yoff []int) *operator {
+func coarsenOperator(op *rowOperator, xoff, yoff []int) *rowOperator {
 	nxc, nyc, nz := len(xoff)-1, len(yoff)-1, op.nz
 	nc := nxc * nyc * nz
-	co := &operator{
+	co := &rowOperator{
 		nx: nxc, ny: nyc, nz: nz,
 		sy: nxc, sz: nxc * nyc,
 		gxp:  make([]float64, nc),
@@ -362,8 +384,9 @@ func (lvl *rowLevel[F]) prolong(nxc, nyc int, xc, x []F) {
 
 // columnsVsRows applies one V-cycle through the production
 // (column-major) hierarchy and the row-major reference of the same
-// tier and demands bitwise identical output — the pin that makes the
-// column layout a pure performance rewrite. Checked at several worker
+// tier, each to the same vector in its own layout, and demands bitwise
+// identical output — the pin that makes the column layout a pure
+// performance rewrite. Checked at several worker
 // counts; apply runs twice so the second call also exercises dirty
 // level scratch, and a third pass splits every smoothing level into
 // row bands by the worker count whatever its size: the test problems
@@ -374,13 +397,14 @@ func columnsVsRows[F mgFloat](t *testing.T, op *operator, workers []int) {
 	n := len(op.diag)
 	rng := &eqRNG{s: 0x717ed}
 	r := mgRandVec(rng, n)
+	rr := op.gridField(r)
 
 	zu := make([]float64, n)
 	var ref []float64
 	for _, w := range workers {
 		kr := testKern(t, w, n)
 		cols := newMultigridTier[F](op, kr)
-		rows := newRowHierarchy[F](op, kr)
+		rows := newRowHierarchy[F](rowsOf(op), kr)
 		zt := make([]float64, n)
 		for pass := 0; pass < 3; pass++ {
 			if pass == 2 {
@@ -389,8 +413,8 @@ func columnsVsRows[F mgFloat](t *testing.T, op *operator, workers []int) {
 				}
 			}
 			cols.apply(r, zt)
-			rows.apply(r, zu)
-			if !bitIdentical(zt, zu) {
+			rows.apply(rr, zu)
+			if !bitIdentical(op.gridField(zt), zu) {
 				t.Errorf("workers=%d pass %d: column-major V-cycle differs bitwise from the row-major reference", w, pass)
 			}
 		}
@@ -531,8 +555,7 @@ func workloadOperator(t testing.TB, n, tiers int, dt float64) *operator {
 		for k := 0; k < g.NZ(); k++ {
 			for j := 0; j < g.NY(); j++ {
 				for i := 0; i < g.NX(); i++ {
-					c := g.Index(i, j, k)
-					op.diag[c] += p.Cv[c] * g.Volume(i, j, k) / dt
+					op.diag[op.index(i, j, k)] += p.Cv[g.Index(i, j, k)] * g.Volume(i, j, k) / dt
 				}
 			}
 		}

@@ -128,9 +128,9 @@ func NewProblem(g *mesh.Grid) *Problem {
 	n := g.NumCells()
 	p := &Problem{
 		Grid: g,
-		KX:   getFloats(n),
-		KY:   getFloats(n),
-		KZ:   getFloats(n),
+		KX:   getUncleared(n),
+		KY:   getUncleared(n),
+		KZ:   getUncleared(n),
 		Q:    getFloats(n),
 		Cv:   getFloats(n),
 	}
@@ -263,10 +263,17 @@ func (p *Problem) TotalSourcePower() float64 {
 // SPD. Off-diagonal couplings are stored as positive face
 // conductances; diag[c] accumulates all couplings plus boundary
 // conductance.
+//
+// Every per-cell array of the operator — and every vector a solve
+// works on — is in column order: cell (i, j, k) at (j·nx + i)·nz + k,
+// so one z column is nz contiguous values. The stacks are tall and
+// narrow, and the SpMV, the z-line solves and every multigrid kernel
+// work a column at a time. Grid order (mesh.Grid.Index) stays the
+// order of every field a caller passes in or gets back; the solver
+// transposes at that boundary only (toColumns, fromColumns).
 type operator struct {
 	g          *mesh.Grid
 	nx, ny, nz int
-	sy, sz     int       // index strides
 	gxp        []float64 // conductance to +x neighbor (0 on last column)
 	gyp        []float64
 	gzp        []float64
@@ -277,50 +284,36 @@ type operator struct {
 	// which is how SolveSteadyBatch re-targets one assembled operator
 	// at K power maps.
 	bBound []float64
-	// st is the structure-of-arrays stencil built by ensureStencil:
-	// seven coefficients per cell in one contiguous stream, in the
-	// exact accumulation order of the legacy applyRange — [diag,
-	// gxp(c), gxp(c−1), gyp(c), gyp(c−sy), gzp(c), gzp(c−sz)] — with
-	// zeros baked in at domain edges so the apply kernels need no
-	// index guards. The slice views (gxp…diag) stay authoritative for
-	// assembly-time consumers (coarsening, Thomas factors).
-	st []float64
+	// bare records that every face between two cells has a nonzero
+	// coupling, so whole columns run the SpMV without the g ≠ 0
+	// guards; zero is one column of zeros standing in for the
+	// couplings and values of a neighbour outside the grid.
+	bare bool
+	zero []float64
 	// diagChecked records that every diagonal entry was verified
 	// positive (makePreconditioner's singularity guard) so batched
 	// solves scan once, not once per item.
 	diagChecked bool
 }
 
-// stencilStride is the per-cell width of operator.st.
-const stencilStride = 7
+// index returns the column-order position of cell (i, j, k).
+func (op *operator) index(i, j, k int) int { return (j*op.nx+i)*op.nz + k }
 
-// ensureStencil builds the SoA stencil once per operator; subsequent
-// calls are free. Callers must invoke it before any parallel kernel
-// that reads op.st (the build itself is a single serial pass).
-func (op *operator) ensureStencil() {
-	if op.st != nil {
-		return
-	}
-	n := len(op.diag)
-	sy, sz := op.sy, op.sz
-	st := getFloats(stencilStride * n)
-	for c := 0; c < n; c++ {
-		o := stencilStride * c
-		st[o] = op.diag[c]
-		st[o+1] = op.gxp[c]
-		if c >= 1 {
-			st[o+2] = op.gxp[c-1]
-		}
-		st[o+3] = op.gyp[c]
-		if c >= sy {
-			st[o+4] = op.gyp[c-sy]
-		}
-		st[o+5] = op.gzp[c]
-		if c >= sz {
-			st[o+6] = op.gzp[c-sz]
-		}
-	}
-	op.st = st
+// toColumns writes the grid-order field src into dst in column order.
+func (op *operator) toColumns(dst, src []float64) {
+	toColumns(dst, src, op.nx, op.ny, op.nz)
+}
+
+// fromColumns writes the column-order field src into dst in grid order.
+func (op *operator) fromColumns(dst, src []float64) {
+	fromColumns(dst, src, op.nx, op.ny, op.nz)
+}
+
+// gridField returns a new grid-order copy of the column-order field src.
+func (op *operator) gridField(src []float64) []float64 {
+	dst := make([]float64, len(src))
+	op.fromColumns(dst, src)
+	return dst
 }
 
 // halfRes returns the half-cell thermal resistance per unit area
@@ -346,85 +339,103 @@ func boundaryG(area, d, k float64, bc Boundary) float64 {
 	}
 }
 
-// assemble builds the operator for problem p.
+// assemble builds the operator for problem p. It walks the cells in
+// column order, so every array it writes is written once, front to
+// back. Each diagonal entry sums the cell's faces in the order a
+// grid-order sweep over the cells meets them — the faces below, south
+// and west (stored with those neighbours, which the column walk has
+// already visited), then the cell's own east, north and up faces, then
+// its boundary faces — so every coupling, diagonal and rhs entry holds
+// the grid-order assembly's value bit for bit
+// (TestEquivalenceAssembleColumns).
 func assemble(p *Problem) *operator {
 	g := p.Grid
 	nx, ny, nz := g.NX(), g.NY(), g.NZ()
 	n := g.NumCells()
+	// Every entry of every array is written below.
 	op := &operator{
 		g: g, nx: nx, ny: ny, nz: nz,
-		sy: nx, sz: nx * ny,
-		gxp:  getFloats(n),
-		gyp:  getFloats(n),
-		gzp:  getFloats(n),
-		diag: getFloats(n),
-		b:    getFloats(n),
+		gxp:    getUncleared(n),
+		gyp:    getUncleared(n),
+		gzp:    getUncleared(n),
+		diag:   getUncleared(n),
+		b:      getUncleared(n),
+		bBound: getUncleared(n),
+		bare:   true,
+		zero:   getFloats(nz),
 	}
-	for k := 0; k < nz; k++ {
-		dz := g.DZ(k)
-		for j := 0; j < ny; j++ {
-			dy := g.DY(j)
-			for i := 0; i < nx; i++ {
-				dx := g.DX(i)
-				c := g.Index(i, j, k)
+	sx, sy, sz := nz, nx*nz, nx*ny // column strides in x and y; grid stride in z
+	for j := 0; j < ny; j++ {
+		dy := g.DY(j)
+		for i := 0; i < nx; i++ {
+			dx := g.DX(i)
+			c0, pc0 := op.index(i, j, 0), g.Index(i, j, 0)
+			for k := 0; k < nz; k++ {
+				dz := g.DZ(k)
+				c, pc := c0+k, pc0+k*sz
 				areaX := dy * dz
 				areaY := dx * dz
 				areaZ := dx * dy
+				d := 0.0
+				if k > 0 {
+					d += op.gzp[c-1]
+				}
+				if j > 0 {
+					d += op.gyp[c-sy]
+				}
+				if i > 0 {
+					d += op.gxp[c-sx]
+				}
 				// Interior couplings (+ direction only; the − direction is
-				// the neighbor's + coupling).
+				// the neighbor's + coupling), 0 on the last column, row
+				// and layer.
+				gx, gy, gz := 0.0, 0.0, 0.0
 				if i+1 < nx {
-					e := c + 1
-					gc := faceG(areaX, dx, p.KX[c], g.DX(i+1), p.KX[e])
-					op.gxp[c] = gc
-					op.diag[c] += gc
-					op.diag[e] += gc
+					gx = faceG(areaX, dx, p.KX[pc], g.DX(i+1), p.KX[pc+1])
+					d += gx
 				}
 				if j+1 < ny {
-					e := c + op.sy
-					gc := faceG(areaY, dy, p.KY[c], g.DY(j+1), p.KY[e])
-					op.gyp[c] = gc
-					op.diag[c] += gc
-					op.diag[e] += gc
+					gy = faceG(areaY, dy, p.KY[pc], g.DY(j+1), p.KY[pc+nx])
+					d += gy
 				}
 				if k+1 < nz {
-					e := c + op.sz
-					gc := faceG(areaZ, dz, p.KZ[c], g.DZ(k+1), p.KZ[e])
+					gz = faceG(areaZ, dz, p.KZ[pc], g.DZ(k+1), p.KZ[pc+sz])
 					if p.ZPlaneTBR != nil && p.ZPlaneTBR[k] > 0 {
-						gc = 1 / (1/gc + p.ZPlaneTBR[k]/areaZ)
+						gz = 1 / (1/gz + p.ZPlaneTBR[k]/areaZ)
 					}
-					op.gzp[c] = gc
-					op.diag[c] += gc
-					op.diag[e] += gc
+					d += gz
 				}
+				if (i+1 < nx && gx == 0) || (j+1 < ny && gy == 0) || (k+1 < nz && gz == 0) {
+					op.bare = false
+				}
+				op.gxp[c], op.gyp[c], op.gzp[c] = gx, gy, gz
 				// Boundary faces.
+				bb := 0.0
 				if i == 0 {
-					op.addBoundary(c, areaX, dx, p.KX[c], p.Bounds[XMin])
+					d, bb = addBoundary(d, bb, areaX, dx, p.KX[pc], p.Bounds[XMin])
 				}
 				if i == nx-1 {
-					op.addBoundary(c, areaX, dx, p.KX[c], p.Bounds[XMax])
+					d, bb = addBoundary(d, bb, areaX, dx, p.KX[pc], p.Bounds[XMax])
 				}
 				if j == 0 {
-					op.addBoundary(c, areaY, dy, p.KY[c], p.Bounds[YMin])
+					d, bb = addBoundary(d, bb, areaY, dy, p.KY[pc], p.Bounds[YMin])
 				}
 				if j == ny-1 {
-					op.addBoundary(c, areaY, dy, p.KY[c], p.Bounds[YMax])
+					d, bb = addBoundary(d, bb, areaY, dy, p.KY[pc], p.Bounds[YMax])
 				}
 				if k == 0 {
-					op.addBoundary(c, areaZ, dz, p.KZ[c], p.Bounds[ZMin])
+					d, bb = addBoundary(d, bb, areaZ, dz, p.KZ[pc], p.Bounds[ZMin])
 				}
 				if k == nz-1 {
-					op.addBoundary(c, areaZ, dz, p.KZ[c], p.Bounds[ZMax])
+					d, bb = addBoundary(d, bb, areaZ, dz, p.KZ[pc], p.Bounds[ZMax])
 				}
+				op.diag[c], op.bBound[c] = d, bb
 			}
 		}
 	}
-	// Snapshot the boundary-only rhs, then add the sources. b[c] is
-	// touched only in cell c's own iteration (couplings accumulate
-	// into diag, not b), so splitting the source add into a second
-	// pass keeps the exact per-cell accumulation order: boundary
-	// terms first, then + q·dx·dy·dz.
-	op.bBound = getFloats(n)
-	copy(op.bBound, op.b)
+	// The rhs is the boundary-only rhs plus the sources: b[c] takes
+	// only the cell's own terms, boundary terms first, then
+	// + q·dx·dy·dz.
 	op.setSources(p.Q)
 	return op
 }
@@ -434,7 +445,7 @@ func assemble(p *Problem) *operator {
 // family entry when its call ends, or a hierarchy for the coarse
 // operators it built.
 func (op *operator) free() {
-	putFloats(op.gxp, op.gyp, op.gzp, op.diag, op.b, op.bBound, op.st)
+	putFloats(op.gxp, op.gyp, op.gzp, op.diag, op.b, op.bBound, op.zero)
 }
 
 // setSources rebuilds the rhs for the volumetric source field q
@@ -449,30 +460,35 @@ func (op *operator) setSources(q []float64) {
 // a leased solve context's b (see family.go), so solves on a cached
 // entry derive their RHS from the shared frozen assembly without
 // mutating it. Identical arithmetic, so dst is bitwise equal to the b
-// a fresh assembly with Q = q would carry.
+// a fresh assembly with Q = q would carry. q is in grid order and dst
+// in column order: the loop walks dst column by column.
 func (op *operator) sourcesInto(q, dst []float64) {
 	g := op.g
 	nx, ny, nz := op.nx, op.ny, op.nz
-	for k := 0; k < nz; k++ {
-		dz := g.DZ(k)
-		for j := 0; j < ny; j++ {
-			dy := g.DY(j)
-			base := (k*ny + j) * nx
-			for i := 0; i < nx; i++ {
-				c := base + i
-				dst[c] = op.bBound[c] + q[c]*g.DX(i)*dy*dz
+	sz := nx * ny
+	for j := 0; j < ny; j++ {
+		dy := g.DY(j)
+		for i := 0; i < nx; i++ {
+			dx := g.DX(i)
+			c := op.index(i, j, 0)
+			col, bb := dst[c:c+nz], op.bBound[c:c+nz]
+			bb = bb[:len(col)]
+			for k := range col {
+				col[k] = bb[k] + q[(j*nx+i)+k*sz]*dx*dy*g.DZ(k)
 			}
 		}
 	}
 }
 
-func (op *operator) addBoundary(c int, area, d, k float64, bc Boundary) {
-	gb := boundaryG(area, d, k, bc)
+// addBoundary adds the boundary conductance of one face to the
+// diagonal d and its boundary term to the rhs b; an adiabatic face
+// adds nothing.
+func addBoundary(d, b, area, dx, k float64, bc Boundary) (float64, float64) {
+	gb := boundaryG(area, dx, k, bc)
 	if gb == 0 {
-		return
+		return d, b
 	}
-	op.diag[c] += gb
-	op.b[c] += gb * bc.T
+	return d + gb, b + gb*bc.T
 }
 
 // apply computes y = A·x.
@@ -480,51 +496,99 @@ func (op *operator) apply(x, y []float64) {
 	op.applyRange(x, y, 0, len(x))
 }
 
-// applyRange computes y[start:end] of y = A·x. Each call writes only
-// its own y range and reads x, so disjoint ranges can run
-// concurrently (the chunked SpMV of the parallel kernels). When the
-// SoA stencil has been built the kernel streams one coefficient
-// array instead of seven strided views of four; both paths evaluate
-// the identical per-cell expression in the identical order (the
-// stencil bakes zeros at domain edges exactly where the index guards
-// used to skip reads), so the results are bitwise equal.
-func (op *operator) applyRange(x, y []float64, start, end int) {
-	if st := op.st; st != nil {
-		sy, sz := op.sy, op.sz
-		for c := start; c < end; c++ {
-			o := stencilStride * c
-			v := st[o] * x[c]
-			if g := st[o+1]; g != 0 {
-				v -= g * x[c+1]
-			}
-			if g := st[o+2]; g != 0 {
-				v -= g * x[c-1]
-			}
-			if g := st[o+3]; g != 0 {
-				v -= g * x[c+sy]
-			}
-			if g := st[o+4]; g != 0 {
-				v -= g * x[c-sy]
-			}
-			if g := st[o+5]; g != 0 {
-				v -= g * x[c+sz]
-			}
-			if g := st[o+6]; g != 0 {
-				v -= g * x[c-sz]
-			}
-			y[c] = v
-		}
+// applyRange computes y[s:e] of y = A·x. Each call writes only its own
+// y range and reads x, so disjoint ranges can run concurrently (the
+// chunked SpMV of the parallel kernels). On a bare operator the whole
+// columns inside the range run applyColumn; a partial column at either
+// end of the range, and every cell of an operator with a zero interior
+// coupling, takes the guarded per-cell path. Both evaluate each cell's
+// terms in the same order — diagonal, east, west, north, south, up,
+// down — and a dropped guard only ever skipped a zero coupling, so the
+// two paths give the same bits.
+func (op *operator) applyRange(x, y []float64, s, e int) {
+	if !op.bare {
+		op.applyCells(x, y, s, e)
 		return
 	}
-	sy, sz := op.sy, op.sz
-	for c := start; c < end; c++ {
+	nz := op.nz
+	c := s
+	if r := c % nz; r != 0 {
+		h := min(c-r+nz, e)
+		op.applyCells(x, y, c, h)
+		c = h
+	}
+	col := c / nz
+	i, j := col%op.nx, col/op.nx
+	for ; c+nz <= e; c += nz {
+		op.applyColumn(x, y, c, i, j)
+		if i++; i == op.nx {
+			i, j = 0, j+1
+		}
+	}
+	if c < e {
+		op.applyCells(x, y, c, e)
+	}
+}
+
+// column returns the column of v that starts at c, or the zero column
+// when ok is false: a neighbour outside the grid.
+func (op *operator) column(v []float64, c int, ok bool) []float64 {
+	if !ok {
+		return op.zero
+	}
+	return v[c : c+op.nz]
+}
+
+// applyColumn computes y = A·x on the whole column (i, j) starting at
+// c of a bare operator, with no guard: a neighbour outside the grid —
+// lateral, or below the bottom cell — reads a zero coupling and a zero
+// value, and subtracting 0·0 = +0 leaves every value as it was. The
+// column's own values below and above ride along in registers.
+func (op *operator) applyColumn(x, y []float64, c, i, j int) {
+	nz := op.nz
+	yc := y[c : c+nz]
+	xc, d, gz := x[c : c+nz][:len(yc)], op.diag[c : c+nz][:len(yc)], op.gzp[c : c+nz][:len(yc)]
+	// The east, west, north and south faces and neighbour values; the
+	// west and south faces are stored with the neighbour.
+	e, w, n, s := i+1 < op.nx, i > 0, j+1 < op.ny, j > 0
+	sy := op.nx * nz
+	ge, xe := op.column(op.gxp, c, e)[:len(yc)], op.column(x, c+nz, e)[:len(yc)]
+	gw, xw := op.column(op.gxp, c-nz, w)[:len(yc)], op.column(x, c-nz, w)[:len(yc)]
+	gn, xn := op.column(op.gyp, c, n)[:len(yc)], op.column(x, c+sy, n)[:len(yc)]
+	gs, xs := op.column(op.gyp, c-sy, s)[:len(yc)], op.column(x, c-sy, s)[:len(yc)]
+	top := len(yc) - 1
+	xd, gd, xk := 0.0, 0.0, xc[0]
+	for k := 0; k < top; k++ {
+		gk, xu := gz[k], xc[k+1]
+		v := d[k]*xk - ge[k]*xe[k]
+		v -= gw[k] * xw[k]
+		v -= gn[k] * xn[k]
+		v -= gs[k] * xs[k]
+		v -= gk * xu
+		yc[k] = v - gd*xd
+		xd, gd, xk = xk, gk, xu
+	}
+	v := d[top]*xk - ge[top]*xe[top]
+	v -= gw[top] * xw[top]
+	v -= gn[top] * xn[top]
+	v -= gs[top] * xs[top]
+	yc[top] = v - gd*xd
+}
+
+// applyCells is applyRange's guarded per-cell path. A coupling outside
+// the grid is stored as 0 — on the last column, row and layer, which
+// the flat neighbour index of the next column, row or layer would
+// otherwise reach — so the guards alone keep every read in the grid.
+func (op *operator) applyCells(x, y []float64, s, e int) {
+	sx, sy := op.nz, op.nx*op.nz
+	for c := s; c < e; c++ {
 		v := op.diag[c] * x[c]
 		if g := op.gxp[c]; g != 0 {
-			v -= g * x[c+1]
+			v -= g * x[c+sx]
 		}
-		if c >= 1 {
-			if g := op.gxp[c-1]; g != 0 {
-				v -= g * x[c-1]
+		if c >= sx {
+			if g := op.gxp[c-sx]; g != 0 {
+				v -= g * x[c-sx]
 			}
 		}
 		if g := op.gyp[c]; g != 0 {
@@ -536,11 +600,11 @@ func (op *operator) applyRange(x, y []float64, start, end int) {
 			}
 		}
 		if g := op.gzp[c]; g != 0 {
-			v -= g * x[c+sz]
+			v -= g * x[c+1]
 		}
-		if c >= sz {
-			if g := op.gzp[c-sz]; g != 0 {
-				v -= g * x[c-sz]
+		if c >= 1 {
+			if g := op.gzp[c-1]; g != 0 {
+				v -= g * x[c-1]
 			}
 		}
 		y[c] = v

@@ -254,7 +254,9 @@ func TestCGMatchesDirect(t *testing.T) {
 			a[i][j] = col[i]
 		}
 	}
-	direct := gaussSolve(a, append([]float64(nil), op.b...))
+	// The operator is in column order; the field comes back in grid
+	// order.
+	direct := op.gridField(gaussSolve(a, append([]float64(nil), op.b...)))
 	for c := range cg.T {
 		if d := math.Abs(cg.T[c] - direct[c]); d > 1e-8 {
 			t.Fatalf("cell %d: CG %g vs direct %g (|Δ| = %g K)", c, cg.T[c], direct[c], d)

@@ -163,9 +163,9 @@ type Options struct {
 	// kernels, and chunking depends solely on the problem size.
 	Engine *Engine
 	// FamilyKey, when non-empty and Engine is set, runs the solve on
-	// the engine's cached family entry: the assembled operator, SoA
-	// stencil, and preconditioner hierarchies are cached under the key
-	// and every later solve in the family skips setup.
+	// the engine's cached family entry: the assembled operator and
+	// preconditioner hierarchies are cached under the key and every
+	// later solve in the family skips setup.
 	// The caller guarantees the key contract (see family.go): two
 	// problems share a key only if all operator-determining fields are
 	// bitwise equal — exactly the sources-free canonical encoding of
@@ -394,13 +394,12 @@ type iterOutcome struct {
 // The solution is written into x, which the caller passes (n long,
 // any contents, never the initial guess itself) and gets back as
 // iterOutcome.x: pcg starts it from opts.InitialGuess, or from zero.
+// Inside the solver every vector is in the operator's column order —
+// b, x, and opts.InitialGuess, which the public entry points transpose
+// in — and only the error's best iterate goes back to grid order here.
 func pcg(op *operator, b, x []float64, opts Options, kr *kern, pcs precondCache) (*iterOutcome, error) {
 	n := len(b)
-	op.ensureStencil()
 	if opts.InitialGuess != nil {
-		if len(opts.InitialGuess) != n {
-			return nil, fmt.Errorf("solver: initial guess has %d entries, want %d", len(opts.InitialGuess), n)
-		}
 		copy(x, opts.InitialGuess)
 	} else {
 		clear(x)
@@ -442,12 +441,12 @@ func pcg(op *operator, b, x []float64, opts Options, kr *kern, pcs precondCache)
 	fail := func(reason FailureReason, it int, cause error) (*iterOutcome, error) {
 		// x belongs to the caller, and the snapshot is kern scratch that
 		// the next solve on this kern overwrites, so the error gets its
-		// own copy of either.
+		// own copy of either, in grid order.
 		best, bres := x, res
 		if snapped && !(res <= bestSnapRes) {
 			best, bres = bestX, bestSnapRes
 		}
-		best = append([]float64(nil), best...)
+		best = op.gridField(best)
 		return nil, &ConvergenceError{
 			Method: "pcg", Precond: opts.Precond, Reason: reason,
 			Iterations: it, Residual: res, History: history,
@@ -520,9 +519,9 @@ func pcg(op *operator, b, x []float64, opts Options, kr *kern, pcs precondCache)
 // precondOp is one built preconditioner: it overwrites z with M⁻¹·r
 // and returns rᵀz. Jacobi sums rᵀz in the sweep that writes z, which
 // is the flat index-order summation of a separate dot pass; ZLine and
-// Multigrid write z in column or level order, so they apply first and
-// then reduce with kr.dot, and the determinism contract's summation
-// order never changes.
+// Multigrid write z column by column or level by level, so they apply
+// first and then reduce with kr.dot, and the determinism contract's
+// summation order never changes.
 type precondOp func(r, z []float64) float64
 
 // precond is one built preconditioner: its apply, and free, which
@@ -575,7 +574,7 @@ func (pcs precondCache) free() {
 func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *kern) (precond, error) {
 	if !op.diagChecked {
 		for _, d := range op.diag {
-			if d <= 0 {
+			if !(d > 0) { // NaN is not positive either
 				return precond{}, errors.New("solver: non-positive diagonal — singular system")
 			}
 		}
@@ -620,7 +619,7 @@ func makeTier[F mgFloat](op *operator, kind Preconditioner, kr *kern) (precond, 
 // chunks, in the same order, as kr.dot.
 func newJacobi[F mgFloat](op *operator, kr *kern) precond {
 	n := len(op.diag)
-	invDiag := getTier[F](n)
+	invDiag := getTierUncleared[F](n)
 	for c, d := range op.diag {
 		invDiag[c] = F(1 / d)
 	}

@@ -20,7 +20,7 @@ package solver
 // bitwise-identical temperature fields to the uninterrupted run, at
 // every worker count and precision tier. The contract holds because
 // everything the integrator rebuilds on resume — augmented operator,
-// stencil, preconditioner, worker-pool chunking — is a pure function
+// preconditioner, worker-pool chunking — is a pure function
 // of (Problem, Δt, Options), and the checkpoint carries the exact
 // float64 state vector and clock. TestTraceResumeBitwiseIdentical
 // pins this under `make equivalence`.
@@ -183,7 +183,6 @@ func SolveTrace(p *Problem, t0 []float64, segs []TraceSegment, opts Options, top
 		return nil, err
 	}
 	defer tr.Close()
-	tr.recycle = true
 	tr.time = startTime
 	if q := effectiveSources(segs, start); q != nil {
 		if err := tr.SetSources(q); err != nil {
@@ -224,14 +223,14 @@ func SolveTrace(p *Problem, t0 []float64, segs []TraceSegment, opts Options, top
 				Segment: s + 1,
 				Time:    tr.Time(),
 				PeakT:   segPeak,
-				T:       append([]float64(nil), tr.T...),
+				T:       tr.op.gridField(tr.cur),
 			}
 			if err := topts.OnCheckpoint(cp); err != nil {
 				return nil, fmt.Errorf("solver: trace checkpoint %d: %w", s+1, err)
 			}
 		}
 	}
-	out.T = tr.T
+	out.T = tr.Field()
 	out.Time = tr.Time()
 	return out, nil
 }

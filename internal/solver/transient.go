@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 )
 
@@ -17,7 +18,7 @@ import (
 // Hot-path reuse: the integrator runs on a family entry (the
 // engine's cached one under Options.FamilyKey, else a private one;
 // see family.go) and leases one augmented system — matrix buffers,
-// SoA stencil, kern and preconditioner — per Δt from it, so stepping
+// kern and preconditioner — per Δt from it, so stepping
 // allocates no pools, no PCG work vectors (the kern owns them) and,
 // at a fixed Δt, no preconditioners: W−1 goroutine launches plus a
 // preconditioner construction per step would dwarf the parallel
@@ -41,33 +42,36 @@ import (
 // after a reset, and any step where ρ is 0 or undefined, start from
 // Tⁿ itself.
 //
+// Layout: inside the integrator every field is in the operator's
+// column order (see operator). The start field goes in through
+// NewTransient, and Field and Run hand out grid-order copies. Nobody
+// outside reads the integrator's own fields, so a step solves into a
+// buffer the integrator no longer reads, and the fields rotate through
+// a fixed set of buffers: Tⁿ, the predictor's two, and the one being
+// solved. They, the heat capacities and the right-hand side come from
+// the package's free list and go back to it on Close.
+//
 // Call Close when done to return the leased context and, without a
 // caller-owned Options.Engine, release the throwaway engine's
 // goroutines (a finalizer covers leaked integrators, but
 // deterministic release is cheaper than waiting for the collector).
 // Close is idempotent.
 type Transient struct {
-	p    *Problem
-	op   *operator // steady operator with an owned b (SetSources rewrites it)
-	cap  []float64 // heat capacitance per cell, J/K
-	T    []float64 // current temperature field, K
+	p   *Problem
+	op  *operator // steady operator with an owned b (SetSources rewrites it)
+	cap []float64 // heat capacitance per cell, J/K
+	cur []float64 // current temperature field, K
+	// grid is the grid-order copy of cur that Field handed out, nil
+	// until Field is called after a step.
+	grid []float64
 	time float64
 	opts Options
 
 	// prev holds Tⁿ⁻¹ and Tⁿ⁻² for the predictor, newest first; an
 	// entry is nil until that many steps have run since the last
-	// reset. They are earlier Field() results, which callers may
-	// still hold, so they rotate but are never written — unless the
-	// integrator recycles.
-	prev [2][]float64
-	// recycle is set by SolveTrace, whose callers see only copies of
-	// the field and, once the integrator is done, its last one. A step
-	// then solves into a field buffer the integrator no longer reads —
-	// spare holds those — instead of a new one, so a trace rotates a
-	// fixed set of buffers: Tⁿ, the predictor's two, and the one being
-	// solved.
-	recycle bool
-	spare   [][]float64
+	// reset. spare holds the buffers no field occupies.
+	prev  [2][]float64
+	spare [][]float64
 
 	fam    *familyEntry
 	lease  *augCtx // the (C/Δt + A) system for lastDt; nil before the first step
@@ -77,7 +81,7 @@ type Transient struct {
 
 // NewTransient prepares a transient integrator starting from the
 // initial field t0 (copied; length must match the grid). The
-// problem's Cv must be positive everywhere.
+// problem's Cv must be positive and finite everywhere.
 func NewTransient(p *Problem, t0 []float64, opts Options) (*Transient, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -90,31 +94,36 @@ func NewTransient(p *Problem, t0 []float64, opts Options) (*Transient, error) {
 	if len(p.Cv) != n {
 		return nil, fmt.Errorf("solver: Cv has %d entries, want %d", len(p.Cv), n)
 	}
-	heatCap := make([]float64, n)
-	for k := 0; k < g.NZ(); k++ {
-		for j := 0; j < g.NY(); j++ {
-			for i := 0; i < g.NX(); i++ {
-				c := g.Index(i, j, k)
-				if p.Cv[c] <= 0 {
-					return nil, fmt.Errorf("solver: non-positive heat capacity at cell %d", c)
-				}
-				heatCap[c] = p.Cv[c] * g.Volume(i, j, k)
-			}
+	for c, v := range p.Cv {
+		// !(v > 0) is true for NaN too, which a plain v <= 0 test
+		// would let through.
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("solver: Cv has invalid heat capacity at cell %d (%g)", c, v)
 		}
 	}
 	opts = opts.withDefaults()
 	eng := opts.ownEngine()
 	fam := opts.Engine.entry(p, opts)
-	// The clone shares the entry's couplings, diagonal, and stencil;
-	// only the RHS is owned (SetSources rewrites it per segment).
-	// setSources on the clone reproduces assemble's RHS bit for bit.
+	// The clone shares the entry's couplings and diagonal; only the RHS
+	// is owned (SetSources rewrites it per segment). setSources on the
+	// clone reproduces assemble's RHS bit for bit.
 	op := fam.cloneForSources()
 	op.setSources(p.Q)
+	heatCap := getUncleared(n)
+	for k := 0; k < g.NZ(); k++ {
+		for j := 0; j < g.NY(); j++ {
+			for i := 0; i < g.NX(); i++ {
+				heatCap[op.index(i, j, k)] = p.Cv[g.Index(i, j, k)] * g.Volume(i, j, k)
+			}
+		}
+	}
+	cur := getUncleared(n)
+	op.toColumns(cur, t0)
 	tr := &Transient{
 		p:    p,
 		op:   op,
 		cap:  heatCap,
-		T:    append([]float64(nil), t0...),
+		cur:  cur,
 		opts: opts,
 		fam:  fam,
 		eng:  eng,
@@ -128,15 +137,19 @@ func NewTransient(p *Problem, t0 []float64, opts Options) (*Transient, error) {
 	return tr, nil
 }
 
-// Close returns the leased context to the family entry and releases
-// the throwaway engine, if any. Idempotent; the integrator must not
-// be used afterwards. When Options.Engine supplied the pool, Close
-// leaves it open (the engine's owner closes it).
+// Close returns the leased context to the family entry, the
+// integrator's own arrays to the free list, and releases the throwaway
+// engine, if any. Idempotent; the integrator must not be used
+// afterwards. When Options.Engine supplied the pool, Close leaves it
+// open (the engine's owner closes it).
 func (tr *Transient) Close() {
 	if tr.lease != nil {
 		tr.fam.releaseAug(tr.lease)
 		tr.lease = nil
 	}
+	tr.retire(tr.cur, tr.prev[0], tr.prev[1], tr.cap, tr.op.b)
+	putFloats(tr.spare...)
+	tr.cur, tr.prev, tr.cap, tr.op.b, tr.spare = nil, [2][]float64{}, nil, nil, nil
 	if tr.eng != nil {
 		tr.eng.Close()
 	}
@@ -146,27 +159,29 @@ func (tr *Transient) Close() {
 // Time returns the elapsed simulated time (s).
 func (tr *Transient) Time() float64 { return tr.time }
 
-// Field returns the current temperature field (not a copy). Later
-// steps leave it as it is: each step returns its field in a new slice.
-func (tr *Transient) Field() []float64 { return tr.T }
+// Field returns the current temperature field in grid order. The
+// slice belongs to the caller — later steps leave it as it is — and
+// repeated calls between two steps return the same slice.
+func (tr *Transient) Field() []float64 {
+	if tr.grid == nil {
+		tr.grid = tr.op.gridField(tr.cur)
+	}
+	return tr.grid
+}
 
-// field returns a buffer for the next step's solution: a spare one
-// when the integrator recycles, else a new one.
-func (tr *Transient) field(n int) []float64 {
+// buffer returns a buffer for the next step's solution: a spare one
+// when there is one, else one from the free list.
+func (tr *Transient) buffer(n int) []float64 {
 	if k := len(tr.spare); k > 0 {
 		buf := tr.spare[k-1]
 		tr.spare = tr.spare[:k-1]
 		return buf
 	}
-	return make([]float64, n)
+	return getUncleared(n)
 }
 
-// retire hands buffers the integrator no longer reads back for reuse,
-// when it recycles; otherwise they belong to whoever holds them.
+// retire hands buffers the integrator no longer reads back for reuse.
 func (tr *Transient) retire(bufs ...[]float64) {
-	if !tr.recycle {
-		return
-	}
 	for _, buf := range bufs {
 		if buf != nil {
 			tr.spare = append(tr.spare, buf)
@@ -178,8 +193,8 @@ func (tr *Transient) retire(bufs ...[]float64) {
 // scheduling studies that gate heat sources over time. The slice is
 // copied into the problem and the operator rhs is rebuilt in place
 // (bitwise identical to a fresh assembly, per the setSources
-// contract); the matrix, stencil, and preconditioner are untouched —
-// sources never enter them.
+// contract); the matrix and preconditioner are untouched — sources
+// never enter them.
 func (tr *Transient) SetSources(q []float64) error {
 	if len(q) != len(tr.p.Q) {
 		return fmt.Errorf("solver: source field has %d entries, want %d", len(q), len(tr.p.Q))
@@ -204,9 +219,9 @@ func (tr *Transient) resetHistory() {
 // order, so the guess does not depend on Workers.
 func (tr *Transient) initialGuess() []float64 {
 	if tr.prev[1] == nil {
-		return tr.T
+		return tr.cur
 	}
-	t, t1, t2 := tr.T, tr.prev[0], tr.prev[1]
+	t, t1, t2 := tr.cur, tr.prev[0], tr.prev[1]
 	var num, den float64
 	for c := range t {
 		d, d1 := t[c]-t1[c], t1[c]-t2[c]
@@ -215,7 +230,7 @@ func (tr *Transient) initialGuess() []float64 {
 	}
 	rho := num / den
 	if !(rho > 0) {
-		return tr.T // ρ ≤ 0, or 0/0 when the field stood still
+		return tr.cur // ρ ≤ 0, or 0/0 when the field stood still
 	}
 	rho = min(rho, 1)
 	g := tr.lease.guess
@@ -234,11 +249,11 @@ func (tr *Transient) Step(dt float64) error {
 	if dt <= 0 {
 		return errors.New("solver: non-positive time step")
 	}
-	n := len(tr.T)
+	n := len(tr.cur)
 	if dt != tr.lastDt {
 		// A new Δt is a new matrix: lease its context from the family
-		// entry — a Δt seen before reuses its matrix, stencil, and
-		// preconditioner instead of rebuilding. Bitwise-neutral: every
+		// entry — a Δt seen before reuses its matrix and preconditioner
+		// instead of rebuilding. Bitwise-neutral: every
 		// leased value is a pure function of (operator, Δt).
 		if tr.lease != nil {
 			tr.fam.releaseAug(tr.lease)
@@ -251,24 +266,26 @@ func (tr *Transient) Step(dt float64) error {
 	// The rhs changes every step (it carries the previous field);
 	// capDt[c] is the value the lease added to the diagonal.
 	for c := 0; c < n; c++ {
-		aug.b[c] = tr.op.b[c] + capDt[c]*tr.T[c]
+		aug.b[c] = tr.op.b[c] + capDt[c]*tr.cur[c]
 	}
 	opts := tr.opts
 	opts.InitialGuess = tr.initialGuess()
-	x := tr.field(n)
+	x := tr.buffer(n)
 	out, _, err := solveLadder(aug, aug.b, x, opts, "transient", tr.lease.kr, tr.lease.pcs)
 	if err != nil {
 		tr.retire(x)
 		return err
 	}
 	tr.retire(tr.prev[1])
-	tr.prev = [2][]float64{tr.T, tr.prev[0]}
-	tr.T = out.x
+	tr.prev = [2][]float64{tr.cur, tr.prev[0]}
+	tr.cur = out.x
+	tr.grid = nil
 	tr.time += dt
 	return nil
 }
 
-// Run advances by n steps of dt and returns the final field. The
+// Run advances by n steps of dt and returns the final field (see
+// Field). The
 // step loop checks Options.Ctx between steps (the inner solve also
 // checks per iteration), so a cancelled run stops promptly and the
 // error unwraps to the context cause.
@@ -283,8 +300,8 @@ func (tr *Transient) Run(n int, dt float64) ([]float64, error) {
 			return nil, fmt.Errorf("solver: transient step %d: %w", s, err)
 		}
 	}
-	return tr.T, nil
+	return tr.Field(), nil
 }
 
 // MaxField returns the maximum of the current field.
-func (tr *Transient) MaxField() float64 { return maxOf(tr.T) }
+func (tr *Transient) MaxField() float64 { return maxOf(tr.cur) }

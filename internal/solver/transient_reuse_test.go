@@ -42,12 +42,12 @@ func TestTransientWorkerNoRegression(t *testing.T) {
 			t.Errorf("workers=%d: stepping created %d worker pools, want 0 (pinned pool must be reused)", workers, d)
 		}
 		// Fixed Δt ⇒ fixed augmented matrix ⇒ the leased context's
-		// baked stencil and cached preconditioner survive across steps.
+		// diagonal and cached preconditioner survive across steps.
 		lease := tr.lease
-		if lease.aug.st == nil {
-			t.Fatalf("workers=%d: augmented stencil not built", workers)
+		if lease.aug.diag == nil {
+			t.Fatalf("workers=%d: augmented diagonal not built", workers)
 		}
-		st0 := &lease.aug.st[0]
+		diag0 := &lease.aug.diag[0]
 		if len(lease.pcs) == 0 {
 			t.Errorf("workers=%d: preconditioner cache empty after stepping", workers)
 		}
@@ -55,16 +55,16 @@ func TestTransientWorkerNoRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The same lease carries the same preconditioner cache.
-		if tr.lease != lease || &tr.lease.aug.st[0] != st0 {
-			t.Errorf("workers=%d: same-Δt step rebuilt the augmented stencil", workers)
+		if tr.lease != lease || &tr.lease.aug.diag[0] != diag0 {
+			t.Errorf("workers=%d: same-Δt step rebuilt the augmented diagonal", workers)
 		}
 		// A Δt change is a new matrix: the step must run on a context
-		// with its own stencil.
+		// with its own diagonal.
 		if err := tr.Step(2e-4); err != nil {
 			t.Fatal(err)
 		}
-		if &tr.lease.aug.st[0] == st0 {
-			t.Errorf("workers=%d: Δt change did not rebuild the augmented stencil", workers)
+		if &tr.lease.aug.diag[0] == diag0 {
+			t.Errorf("workers=%d: Δt change did not rebuild the augmented diagonal", workers)
 		}
 		tr.Close()
 		tr.Close() // idempotent
@@ -117,14 +117,14 @@ func TestTransientSetSourcesKeepsMatrix(t *testing.T) {
 	if err := tr.Step(dt); err != nil {
 		t.Fatal(err)
 	}
-	st0 := &tr.lease.aug.st[0]
+	diag0 := &tr.lease.aug.diag[0]
 	if err := tr.SetSources(q2); err != nil {
 		t.Fatal(err)
 	}
-	if &tr.lease.aug.st[0] != st0 {
-		t.Error("SetSources invalidated the augmented stencil (matrix does not depend on sources)")
+	if &tr.lease.aug.diag[0] != diag0 {
+		t.Error("SetSources invalidated the augmented diagonal (matrix does not depend on sources)")
 	}
-	copy(tr.T, init)
+	copy(tr.cur, init)
 	got, err := tr.Run(3, dt)
 	if err != nil {
 		t.Fatal(err)

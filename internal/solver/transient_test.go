@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"thermalscaffold/internal/mesh"
@@ -161,6 +162,49 @@ func TestTransientRejections(t *testing.T) {
 	p2.Bounds[ZMin] = DirichletBC(300)
 	if _, err := NewTransient(p2, good, Options{}); err == nil {
 		t.Error("short Cv accepted")
+	}
+}
+
+// TestTransientRejectsNonFiniteCv: NaN and +Inf heat capacity are
+// rejected up front, like zero and negative ones — a plain Cv <= 0
+// test lets both through, and the first step then breaks down with
+// pᵀAp = NaN.
+func TestTransientRejectsNonFiniteCv(t *testing.T) {
+	good := make([]float64, 8)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		p := uniformProblem(t, 2, 2, 2, 1)
+		p.Bounds[ZMin] = DirichletBC(300)
+		p.Cv[5] = bad
+		tr, err := NewTransient(p, good, Options{Workers: 1})
+		if err == nil {
+			tr.Close()
+			t.Errorf("heat capacity %g accepted", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "cell 5") {
+			t.Errorf("heat capacity %g: error %q does not name the cell", bad, err)
+		}
+	}
+}
+
+// TestSingularGuardsDeclineNaNDiagonal: a NaN diagonal entry is not
+// positive, so building a preconditioner on it fails as singular and
+// the family cache declines the assembly — a plain d <= 0 test let
+// both through.
+func TestSingularGuardsDeclineNaNDiagonal(t *testing.T) {
+	p := uniformProblem(t, 3, 3, 3, 1)
+	p.Bounds[ZMin] = DirichletBC(300)
+	p.KX[4] = math.NaN() // past Validate: assemble gives cell 4 a NaN diagonal
+	op := assemble(p)
+	for _, pc := range []Preconditioner{Jacobi, ZLine, Multigrid} {
+		if _, err := makePreconditioner(op, pc, F64, testKern(t, 1, len(op.diag))); err == nil || !strings.Contains(err.Error(), "singular") {
+			t.Errorf("%s on a NaN diagonal: err %v, want a singular-system error", pc, err)
+		}
+	}
+	eng := NewEngine(1)
+	defer eng.Close()
+	if fe := eng.family("nan", p, nil); fe != nil {
+		t.Error("the family cache took an assembly with a NaN diagonal")
 	}
 }
 
