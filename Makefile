@@ -38,10 +38,11 @@ race:
 # integrator's per-Δt leased contexts; TraceResume pins the trace
 # checkpoint/resume bitwise contract at every worker count and
 # precision tier; Precision pins the f32 tier's contracts (every
-# scheme bitwise equal at every Workers ≥ 2, its own cache entry, a
-# fallback that keeps the tier) and ZLine the default preconditioner
-# against Jacobi; ArrivalOrder pins the service's default config to
-# answers that do not depend on which request came first. In
+# scheme bitwise equal at every Workers ≥ 2, its own cache entry);
+# ZeroValuePrecond pins Multigrid as the zero-value preconditioner, and
+# ZLine checks the explicit z-line scheme against it; ArrivalOrder pins
+# the service's default config to answers that do not depend on which
+# request came first. In
 # internal/stack, Equivalence covers solves on arrays an earlier solve
 # returned to the solver's free list: dirty buffers and concurrent
 # private solves must give their fresh answers bit for bit. The rom
@@ -49,7 +50,7 @@ race:
 # problems whose certified bounds are a hard contract against the
 # full solver.
 equivalence:
-	$(GO) test -race -run 'Equivalence|Batch|Engine|TraceResume|Family|Transient|Precision|ZLine' -count=2 ./internal/solver/ ./internal/parallel/
+	$(GO) test -race -run 'Equivalence|Batch|Engine|TraceResume|Family|Transient|Precision|ZLine|ZeroValuePrecond' -count=2 ./internal/solver/ ./internal/parallel/
 	$(GO) test -race -run 'Equivalence' -count=2 ./internal/stack/
 	$(GO) test -race -run 'Equivalence|Window|ArrivalOrder' -count=2 ./internal/serve/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/rom/
@@ -136,8 +137,8 @@ bench-cluster:
 	$(GO) test -run xxx -bench 'ClusterMixed' -benchtime=1x -count=5 ./internal/cluster/ | $(GO) run ./cmd/benchjson > BENCH_cluster.json
 
 # bench-smoke is the CI guard against benchmark rot: one fast pass
-# over a representative slice of every suite (the default zline and
-# the multigrid preconditioners, fused solver kernels, small-n
+# over a representative slice of every suite (the zline and the
+# default multigrid preconditioners, fused solver kernels, small-n
 # parallel overhead, batch vs independent, one V-cycle per workload
 # shape, one fused SpMV per workload shape, placement loop, one Table I
 # placement, service throughput). It checks the benchmarks still build

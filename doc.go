@@ -14,14 +14,13 @@
 // combine partials in a fixed order, so results are bit-identical
 // run-to-run and across worker counts ≥ 2. See DESIGN.md §6.
 //
-// PCG offers three preconditioners (solver.Options.Precond): Jacobi,
-// z-line (per-column Thomas, the zero-value default), and
-// geometric multigrid (x/y semi-coarsening with red-black z-line
-// Gauss-Seidel smoothing), whose iteration count stays nearly flat
-// under grid refinement — the default for the repeated solves of the
-// pillar placement loop and of every paper figure, and 3.5–4× faster
-// end-to-end on large grids. The cmd/thermsim binary exposes the
-// choice as -precond jacobi|zline|multigrid. See DESIGN.md §7.
+// PCG offers two preconditioners (solver.Options.Precond). Geometric
+// multigrid (x/y semi-coarsening with red-black z-line Gauss-Seidel
+// smoothing) is the zero-value default for every caller: its
+// iteration count stays nearly flat under grid refinement, and it
+// solves the narrow-cell stacks that z-line (per-column Thomas, the
+// one-level hierarchy) stagnates on. The cmd/thermsim binary exposes
+// the choice as -precond multigrid|zline. See DESIGN.md §7.
 //
 // See README.md for the architecture overview, DESIGN.md for the
 // system inventory and per-experiment index, and EXPERIMENTS.md for

@@ -236,7 +236,7 @@ func (s SliceSpec) Homogenize() (Effective, error) {
 		}
 		p.Bounds[lo] = solver.DirichletBC(dT)
 		p.Bounds[hi] = solver.DirichletBC(0)
-		r, err := solver.SolveSteady(p, solver.Options{Tol: tol, MaxIter: 60000, Precond: solver.Jacobi})
+		r, err := solver.SolveSteady(p, solver.Options{Tol: tol, MaxIter: 60000})
 		if err != nil {
 			return 0, err
 		}

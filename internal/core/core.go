@@ -79,8 +79,8 @@ type Config struct {
 	// solves, so control returns within one solver iteration of
 	// cancellation.
 	Ctx context.Context
-	// Telemetry, when non-nil, collects solve traces, counters, and
-	// fallback logs from every thermal solve the evaluation runs.
+	// Telemetry, when non-nil, collects solve traces and counters from
+	// every thermal solve the evaluation runs.
 	// Observational only — attaching a collector never changes results.
 	Telemetry *telemetry.Collector
 }
@@ -89,8 +89,7 @@ type Config struct {
 // cancellation and telemetry hooks attached.
 func (c Config) solverOpts() solver.Options {
 	return solver.Options{
-		Tol: c.Tol, MaxIter: 80000, Precond: solver.Multigrid,
-		Ctx: c.Ctx, Telemetry: c.Telemetry,
+		Tol: c.Tol, MaxIter: 80000, Ctx: c.Ctx, Telemetry: c.Telemetry,
 	}
 }
 

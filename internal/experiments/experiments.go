@@ -118,12 +118,11 @@ func solverOpts() solver.Options {
 // Telemetry, so a stray literal can no longer drop the iteration cap
 // (hetero.go once passed a Tol-only Options at 1e-10 and silently ran
 // with the solver's 20000-iteration default, a quarter of the
-// intended cap). Every experiment solves on multigrid, as core and
-// pillar placement do: z-line has no in-plane coarse correction and
-// stagnates on Misalignment's 0.1 µm-cell stacks.
+// intended cap). Every experiment solves on the default multigrid:
+// z-line has no in-plane coarse correction and stagnates on
+// Misalignment's 0.1 µm-cell stacks.
 func solverOptsTol(tol float64) solver.Options {
 	return solver.Options{
-		Tol: tol, MaxIter: 80000, Workers: Workers, Precond: solver.Multigrid,
-		Ctx: Ctx, Telemetry: Telemetry,
+		Tol: tol, MaxIter: 80000, Workers: Workers, Ctx: Ctx, Telemetry: Telemetry,
 	}
 }

@@ -330,12 +330,11 @@ func Place(req Request) (*Placement, error) {
 			MemoryPerTier: true,
 		}
 		// The bisection re-solves the same stack ~20 times with nearby
-		// coverage fields: multigrid keeps each warm-started solve at a
-		// handful of iterations regardless of grid resolution.
+		// coverage fields: the default multigrid keeps each warm-started
+		// solve at a handful of iterations regardless of grid resolution.
 		res, err := spec.Solve(solver.Options{
-			Tol: r.Tol, MaxIter: 80000, Precond: solver.Multigrid,
-			InitialGuess: lastField, Ctx: r.Ctx, Telemetry: r.Telemetry,
-			Engine: eng,
+			Tol: r.Tol, MaxIter: 80000, InitialGuess: lastField,
+			Ctx: r.Ctx, Telemetry: r.Telemetry, Engine: eng,
 		})
 		if err != nil {
 			return 0, nil, nil, err

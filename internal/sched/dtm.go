@@ -127,7 +127,7 @@ func SimulateDTM(spec *stack.Spec, demand []DemandPhase, dt float64, cfg DTMConf
 	if err != nil {
 		return nil, err
 	}
-	baseQ := append([]float64(nil), p.Q...)
+	baseQ := p.Q
 	amb := spec.Sink.Ambient()
 	init := make([]float64, len(p.Q))
 	for i := range init {

@@ -81,8 +81,8 @@ func TestGoldenRequestNormalization(t *testing.T) {
 // change only together with a deliberate change of the encoding.
 func TestEquivalencePinnedKey(t *testing.T) {
 	const (
-		wantKey    = "544a2f0693df3428d75aee7d00e5ac445516763a5e669bbc8059caaecd39909f"
-		wantFamily = "58f782d980f61e49f4d36fa0ea8d0b75bfa601dbc6fcdb8c75f67f1abb414078"
+		wantKey    = "78df1d1cd84d205a613c94a9490db509fa36b0d1a8572d0ed5aec3a710609cf3"
+		wantFamily = "caf0cefa6e4aaf0247746795b7ef404a1ba9cf93d1d587988db483d495abee4c"
 	)
 	key, family := keyOf(t, goldenRequest())
 	if key != wantKey {

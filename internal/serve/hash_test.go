@@ -65,7 +65,7 @@ func TestKeyPermutationInvariance(t *testing.T) {
 	}
 
 	explicit := hashBase()
-	explicit.Solver = specio.SolverJSON{Precond: "zline", Tol: 1e-7, MaxIter: 100000}
+	explicit.Solver = specio.SolverJSON{Precond: "multigrid", Tol: 1e-7, MaxIter: 100000}
 	if k, _ := keyOf(t, explicit); k != base {
 		t.Fatal("writing the solver defaults explicitly changed the key")
 	}
@@ -96,8 +96,7 @@ func TestKeySensitivity(t *testing.T) {
 	mutations := map[string]func(*specio.EvalRequest){
 		"tol":            func(r *specio.EvalRequest) { r.Solver.Tol = 1e-9 },
 		"max_iter":       func(r *specio.EvalRequest) { r.Solver.MaxIter = 77 },
-		"precond":        func(r *specio.EvalRequest) { r.Solver.Precond = "multigrid" },
-		"precond_jacobi": func(r *specio.EvalRequest) { r.Solver.Precond = "jacobi" },
+		"precond":        func(r *specio.EvalRequest) { r.Solver.Precond = "zline" },
 		"precision":      func(r *specio.EvalRequest) { r.Solver.Precision = "f32" },
 		"die_w":          func(r *specio.EvalRequest) { r.Stack.DieWUm = 250 },
 		"die_h":          func(r *specio.EvalRequest) { r.Stack.DieHUm = 250 },
@@ -168,10 +167,10 @@ func TestFamilyKey(t *testing.T) {
 	if _, ffam := keyOf(t, finer); ffam == fam {
 		t.Fatal("tolerance change kept the family key (fields would be incompatible targets)")
 	}
-	jacobi := hashBase()
-	jacobi.Solver.Precond = "jacobi"
-	if _, jfam := keyOf(t, jacobi); jfam == fam {
-		t.Fatal("jacobi kept the default zline's family key")
+	zline := hashBase()
+	zline.Solver.Precond = "zline"
+	if _, zfam := keyOf(t, zline); zfam == fam {
+		t.Fatal("zline kept the default multigrid's family key")
 	}
 	bigger := hashBase()
 	bigger.Stack.Tiers = 3

@@ -373,6 +373,44 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeDefaultPrecond pins the default preconditioner's contract
+// on a stack whose narrow lateral cells (41×41 cells on a 4.1 µm die)
+// defeat z-line: with no solver block the default server answers 200
+// within a dozen multigrid iterations, where z-line used to stagnate
+// into a 500. An explicit zline still runs z-line and fails typed, and
+// the retired "jacobi" spelling is a bad request.
+func TestServeDefaultPrecond(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	narrow := func() specio.EvalRequest {
+		return specio.EvalRequest{Stack: specio.StackJSON{
+			DieWUm: 4.1, DieHUm: 4.1, Tiers: 8, NX: 41, NY: 41,
+			UniformPower: 2500, BEOL: "scaffolded", PillarCover: 0,
+			Sink: "twophase", MemoryPerTier: true,
+		}}
+	}
+	code, resp := postEval(t, s, narrow())
+	if code != http.StatusOK {
+		t.Fatalf("default request: HTTP %d (%s), want 200", code, resp.Error)
+	}
+	if resp.Iterations > 12 {
+		t.Errorf("default request took %d iterations, want ≤ 12", resp.Iterations)
+	}
+
+	zl := narrow()
+	zl.Solver = specio.SolverJSON{Precond: "zline", MaxIter: 50}
+	code, resp = postEval(t, s, zl)
+	if code != http.StatusInternalServerError || !strings.Contains(resp.Error, "(zline preconditioner) max-iterations after 50 iterations") {
+		t.Errorf("zline, max_iter 50: HTTP %d (%q), want 500 naming zline and max-iterations", code, resp.Error)
+	}
+
+	jac := narrow()
+	jac.Solver.Precond = "jacobi"
+	if code, resp = postEval(t, s, jac); code != http.StatusBadRequest {
+		t.Errorf("jacobi: HTTP %d (%q), want 400", code, resp.Error)
+	}
+}
+
 // waitFor polls cond with a deadline — used where the test must
 // observe a concurrent state transition.
 func waitFor(t *testing.T, cond func() bool) {

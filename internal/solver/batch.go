@@ -144,13 +144,13 @@ func solveBatch(p *Problem, qs [][]float64, opts Options) ([]*Result, int, error
 			q = p.Q
 		}
 		op.sourcesInto(q, ctx.b)
-		out, fallbacks, err := solveLadder(op, ctx.b, x, opts, "pcg", ctx.kr, ctx.pcs)
+		out, err := solveTraced(op, ctx.b, x, opts, "pcg", ctx.kr, ctx.pcs)
 		if err != nil {
 			return nil, i, err
 		}
 		results[i] = &Result{
 			T: op.gridField(out.x), Iterations: out.iterations, Residual: out.residual,
-			Residuals: out.history, Fallbacks: fallbacks, grid: p.Grid,
+			Residuals: out.history, grid: p.Grid,
 		}
 	}
 	return results, 0, nil

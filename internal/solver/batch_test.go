@@ -40,7 +40,7 @@ func TestBatchEquivalenceIndependentSolves(t *testing.T) {
 	rng := &eqRNG{s: 0xBA7C4}
 	p := randomProblem(t, rng, 14, 12, 10) // 1680 cells, 2 reduction chunks
 	qs := batchSources(p, 3)
-	for _, pc := range []Preconditioner{Jacobi, ZLine, Multigrid} {
+	for _, pc := range []Preconditioner{ZLine, Multigrid} {
 		for _, w := range []int{1, 8} {
 			opts := Options{Tol: 1e-11, MaxIter: 100000, Precond: pc, Workers: w}
 			batch, err := SolveSteadyBatch(p, qs, opts)
@@ -89,7 +89,7 @@ func TestBatchEquivalenceNilItem(t *testing.T) {
 func TestBatchValidation(t *testing.T) {
 	rng := &eqRNG{s: 0xBAD0}
 	p := randomProblem(t, rng, 6, 5, 4)
-	opts := Options{Tol: 1e-8, MaxIter: 10000, Precond: Jacobi}
+	opts := Options{Tol: 1e-8, MaxIter: 10000}
 
 	short := make([]float64, p.Grid.NumCells()-1)
 	if _, err := SolveSteadyBatch(p, [][]float64{nil, short}, opts); err == nil || !strings.Contains(err.Error(), "item 1") {

@@ -99,31 +99,16 @@ func BenchmarkSteadyZLine32(b *testing.B) {
 	}
 }
 
-func BenchmarkSteadyJacobi16(b *testing.B) {
-	p := benchStack(b, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveSteady(p, Options{Tol: 1e-7, Precond: Jacobi}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSteadyPrecond compares the three PCG preconditioners
+// BenchmarkSteadyPrecond compares the two PCG preconditioners
 // across in-plane resolutions on the 12-tier stack. Multigrid's
 // iteration count is nearly mesh-independent (5→7 from n=16 to 64)
 // while ZLine's grows with resolution (36→82), so the gap widens
 // with grid size — the n=64/n=96 rows are the ≥3× acceptance
-// measurement. Jacobi is capped at n=32: its count grows fastest and
-// the larger runs would dominate the whole bench suite without
-// adding information.
+// measurement.
 func BenchmarkSteadyPrecond(b *testing.B) {
 	for _, n := range []int{16, 32, 64, 96} {
 		p := benchStack(b, n)
-		for _, pc := range []Preconditioner{Jacobi, ZLine, Multigrid} {
-			if pc == Jacobi && n > 32 {
-				continue
-			}
+		for _, pc := range []Preconditioner{ZLine, Multigrid} {
 			b.Run(fmt.Sprintf("precond=%s/n=%d", pc, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := SolveSteady(p, Options{Tol: 1e-7, Precond: pc}); err != nil {
@@ -141,7 +126,7 @@ func BenchmarkTransientStep(b *testing.B) {
 	for i := range init {
 		init[i] = 373.15
 	}
-	tr, err := NewTransient(p, init, Options{Tol: 1e-7})
+	tr, err := NewTransient(p, init, Options{Tol: 1e-7, Precond: ZLine})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -311,7 +296,7 @@ func BenchmarkTransientStepWorkers(b *testing.B) {
 	}
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			tr, err := NewTransient(p, init, Options{Tol: 1e-7, Workers: w})
+			tr, err := NewTransient(p, init, Options{Tol: 1e-7, Precond: ZLine, Workers: w})
 			if err != nil {
 				b.Fatal(err)
 			}

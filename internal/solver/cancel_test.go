@@ -38,8 +38,9 @@ var cancelWorkerCounts = []int{1, 8}
 
 // TestSolveSteadyCancellation: cancelling mid-solve (from the
 // per-iteration test hook, so the cancellation lands at a known
-// iteration) stops PCG within one iteration, at both the serial and
-// parallel worker counts, without leaking pool goroutines.
+// iteration) stops the default multigrid PCG within one iteration, at
+// both the serial and parallel worker counts, without leaking pool
+// goroutines.
 func TestSolveSteadyCancellation(t *testing.T) {
 	rng := &eqRNG{s: 99}
 	p := randomProblem(t, rng, 16, 14, 10)
@@ -49,15 +50,14 @@ func TestSolveSteadyCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			const cancelAt = 3
-			testBreakdownHook = func(pc Preconditioner, it int) bool {
+			testIterationHook = func(it int) {
 				if it == cancelAt {
 					cancel()
 				}
-				return false
 			}
-			defer func() { testBreakdownHook = nil }()
+			defer func() { testIterationHook = nil }()
 			_, err := SolveSteady(p, Options{
-				Tol: 1e-14, MaxIter: 20000, Workers: workers, Precond: Jacobi, Ctx: ctx,
+				Tol: 1e-14, MaxIter: 20000, Workers: workers, Ctx: ctx,
 			})
 			ce, ok := AsConvergenceError(err)
 			if !ok {
@@ -130,7 +130,7 @@ func TestEquivalenceTelemetry(t *testing.T) {
 	for _, size := range [][3]int{{8, 8, 9}, {14, 12, 10}} {
 		p := randomProblem(t, rng, size[0], size[1], size[2])
 		for _, workers := range []int{1, 8} {
-			for _, pc := range []Preconditioner{Jacobi, ZLine, Multigrid} {
+			for _, pc := range []Preconditioner{ZLine, Multigrid} {
 				base := Options{Tol: 1e-9, MaxIter: 20000, Workers: workers, Precond: pc}
 				plain, err := SolveSteady(p, base)
 				if err != nil {

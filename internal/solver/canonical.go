@@ -17,7 +17,13 @@ import (
 // the source tail). The two encodings still can never be equal — the
 // full stream always carries a non-empty trailing 'Q' section the
 // family stream never emits.
-const canonicalVersion = 2
+//
+// v3 changed no byte of the layout: it moved every content address
+// once when Multigrid replaced ZLine as the zero-value preconditioner.
+// The service key encodes the preconditioner by its number, and the
+// default request kept number 0, so without the bump a default
+// request would have kept its key while its answer changed.
+const canonicalVersion = 3
 
 // canonWriter buffers the canonical byte stream and latches the first
 // write error, so the encoder body stays free of per-field error

@@ -20,8 +20,7 @@ const (
 	ReasonStagnation
 	// ReasonBreakdown: the iteration produced NaN/Inf, lost positive
 	// definiteness (pᵀAp ≤ 0), or the preconditioner failed — the
-	// iterate can no longer be trusted. Breakdown is the trigger for
-	// the automatic preconditioner fallback ladder.
+	// iterate can no longer be trusted.
 	ReasonBreakdown
 	// ReasonCancelled: Options.Ctx was cancelled or its deadline
 	// passed; the returned best iterate is a deadline-bounded partial
@@ -53,7 +52,7 @@ func (r FailureReason) String() string {
 type ConvergenceError struct {
 	// Method is the iteration that failed ("pcg" for every solve).
 	Method string
-	// Precond is the preconditioner in use when the failure occurred.
+	// Precond is the preconditioner that ran.
 	Precond Preconditioner
 	Reason  FailureReason
 	// Iterations completed before the stop.

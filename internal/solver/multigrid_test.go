@@ -49,10 +49,10 @@ func TestMultigridSymmetricPD(t *testing.T) {
 	}
 }
 
-// TestMultigridMatchesZLineAndJacobi pins the MGCG solution against
-// the existing preconditioners on the stiff anisotropic stack — all
-// three solve the same SPD system, so converged answers must agree.
-func TestMultigridMatchesZLineAndJacobi(t *testing.T) {
+// TestMultigridMatchesZLine pins the MGCG solution against z-line
+// PCG on the stiff anisotropic stack — both solve the same SPD system,
+// so converged answers must agree.
+func TestMultigridMatchesZLine(t *testing.T) {
 	p := anisotropicStackProblem(t)
 	opts := Options{Tol: 1e-11, MaxIter: 200000, Workers: 1}
 
@@ -61,15 +61,13 @@ func TestMultigridMatchesZLineAndJacobi(t *testing.T) {
 	if err != nil {
 		t.Fatalf("multigrid: %v", err)
 	}
-	for _, ref := range []Preconditioner{Jacobi, ZLine} {
-		opts.Precond = ref
-		rr, err := SolveSteady(p, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", ref, err)
-		}
-		if d := relDiff(rm.T, rr.T); d > 1e-10 {
-			t.Errorf("multigrid vs %v: relative difference %g > 1e-10", ref, d)
-		}
+	opts.Precond = ZLine
+	rz, err := SolveSteady(p, opts)
+	if err != nil {
+		t.Fatalf("zline: %v", err)
+	}
+	if d := relDiff(rm.T, rz.T); d > 1e-10 {
+		t.Errorf("multigrid vs zline: relative difference %g > 1e-10", d)
 	}
 }
 
@@ -104,8 +102,8 @@ func TestMultigridCycleBitwiseDeterministic(t *testing.T) {
 
 // TestMultigridIterationFlatness refines the 12-tier bench stack 2×
 // and 4× in-plane and asserts the MGCG iteration count stays within a
-// small constant band — the mesh-independence property that Jacobi
-// and ZLine lack (their counts grow with resolution).
+// small constant band — the mesh-independence property that ZLine
+// lacks (its count grows with resolution).
 func TestMultigridIterationFlatness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large grids")

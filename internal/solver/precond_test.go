@@ -50,35 +50,40 @@ func anisotropicStackProblem(t *testing.T) *Problem {
 	return p
 }
 
-// TestZLineMatchesJacobi: both preconditioners converge to the same
-// field on a stiff stack problem, and the zero-value Precond is ZLine.
-func TestZLineMatchesJacobi(t *testing.T) {
+// TestZeroValuePrecondIsMultigrid: the zero-value Precond, and the
+// empty flag spelling, select Multigrid — a zero-value solve is bit
+// for bit the explicit multigrid solve, on a stiff stack where z-line
+// needs several times the iterations for the same field.
+func TestZeroValuePrecondIsMultigrid(t *testing.T) {
+	if pc, err := ParsePreconditioner(""); err != nil || pc != Multigrid {
+		t.Fatalf(`ParsePreconditioner("") = %v, %v; want multigrid`, pc, err)
+	}
 	p := anisotropicStackProblem(t)
-	rj, err := SolveSteady(p, Options{Tol: 1e-10, Precond: Jacobi})
+	rd, err := SolveSteady(p, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
+	}
+	rm, err := SolveSteady(p, Options{Tol: 1e-10, Precond: Multigrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitIdentical(rd.T, rm.T) {
+		t.Error("zero-value Options solve differs from an explicit Multigrid solve")
 	}
 	rz, err := SolveSteady(p, Options{Tol: 1e-10, Precond: ZLine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := range rj.T {
-		if math.Abs(rj.T[c]-rz.T[c]) > 1e-5 {
-			t.Fatalf("cell %d: jacobi %g vs zline %g", c, rj.T[c], rz.T[c])
+	for c := range rz.T {
+		if math.Abs(rm.T[c]-rz.T[c]) > 1e-5 {
+			t.Fatalf("cell %d: multigrid %g vs zline %g", c, rm.T[c], rz.T[c])
 		}
 	}
-	if rz.Iterations >= rj.Iterations {
-		t.Errorf("z-line (%d iters) should beat Jacobi (%d) on a stiff stack",
-			rz.Iterations, rj.Iterations)
+	if rm.Iterations >= rz.Iterations {
+		t.Errorf("multigrid (%d iters) should beat z-line (%d) on a stiff stack",
+			rm.Iterations, rz.Iterations)
 	}
-	t.Logf("iterations: jacobi=%d zline=%d", rj.Iterations, rz.Iterations)
-	rd, err := SolveSteady(p, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitIdentical(rd.T, rz.T) {
-		t.Error("zero-value Options solve differs from an explicit ZLine solve")
-	}
+	t.Logf("iterations: multigrid=%d zline=%d", rm.Iterations, rz.Iterations)
 }
 
 // TestZLineExactFor1DColumn: for a single-column problem the z-line

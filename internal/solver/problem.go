@@ -13,7 +13,8 @@
 //
 // The steady solver is a matrix-free preconditioned conjugate
 // gradient (the operator is symmetric positive definite by
-// construction) with Jacobi, z-line, or multigrid preconditioning.
+// construction) with multigrid (the default) or z-line
+// preconditioning.
 // Every solve — steady, batch, trace, transient — runs on a family
 // entry of an Engine (see family.go).
 package solver

@@ -1,19 +1,17 @@
 package solver
 
 // Robustness regression suite: non-convergence, stagnation, and
-// breakdown must surface as typed *ConvergenceError values — never as
-// a quietly wrong temperature field — and breakdown must walk the
-// preconditioner fallback ladder (Multigrid → ZLine → Jacobi),
-// counted and logged through telemetry.
+// breakdown must surface as typed *ConvergenceError values that name
+// the preconditioner that ran — never as a quietly wrong temperature
+// field.
 
 import (
 	"errors"
-	"log"
 	"math"
 	"strings"
 	"testing"
 
-	"thermalscaffold/internal/telemetry"
+	"thermalscaffold/internal/mesh"
 )
 
 // illConditionedProblem builds a problem PCG cannot finish in a
@@ -40,7 +38,7 @@ func illConditionedProblem(t *testing.T) *Problem {
 func TestNonConvergenceTyped(t *testing.T) {
 	p := illConditionedProblem(t)
 	const maxIter = 5
-	for _, pc := range []Preconditioner{Jacobi, ZLine, Multigrid} {
+	for _, pc := range []Preconditioner{ZLine, Multigrid} {
 		t.Run(pc.String(), func(t *testing.T) {
 			res, err := SolveSteady(p, Options{Tol: 1e-14, MaxIter: maxIter, Workers: 1, Precond: pc})
 			if err == nil {
@@ -82,14 +80,16 @@ func TestNonConvergenceTyped(t *testing.T) {
 
 // TestStagnationDetection: a short stagnation window trips
 // ReasonStagnation well before MaxIter when PCG's non-monotone
-// residual goes that many iterations without a new best. The solve is
-// deterministic (fixed seed, Workers=1), so the plateau is stable.
+// residual goes that many iterations without a new best. Z-line has
+// no lateral coarse correction, so on this problem its residual
+// wanders. The solve is deterministic (fixed seed, Workers=1), so the
+// plateau is stable.
 func TestStagnationDetection(t *testing.T) {
 	p := illConditionedProblem(t)
 	defer func(w int) { stagnationWindow = w }(stagnationWindow)
 	stagnationWindow = 5
 	_, err := SolveSteady(p, Options{
-		Tol: 1e-16, MaxIter: 20000, Workers: 1, Precond: Jacobi,
+		Tol: 1e-16, MaxIter: 20000, Workers: 1, Precond: ZLine,
 	})
 	ce, ok := AsConvergenceError(err)
 	if !ok {
@@ -108,68 +108,33 @@ func TestStagnationDetection(t *testing.T) {
 	}
 }
 
-// TestBreakdownFallback: an injected multigrid breakdown must walk
-// the fallback ladder, succeed on a healthier preconditioner, record
-// the abandoned ones on the Result, count the events, and log them.
-func TestBreakdownFallback(t *testing.T) {
-	rng := &eqRNG{s: 21}
-	p := randomProblem(t, rng, 10, 9, 7)
-	testBreakdownHook = func(pc Preconditioner, iteration int) bool {
-		return pc == Multigrid && iteration == 2
-	}
-	defer func() { testBreakdownHook = nil }()
-
-	tel := telemetry.New()
-	var logBuf strings.Builder
-	tel.SetLogger(log.New(&logBuf, "", 0))
-	res, err := SolveSteady(p, Options{
-		Tol: 1e-8, MaxIter: 20000, Workers: 1, Precond: Multigrid, Telemetry: tel,
-	})
-	if err != nil {
-		t.Fatalf("fallback ladder did not rescue the solve: %v", err)
-	}
-	if len(res.Fallbacks) != 1 || res.Fallbacks[0] != Multigrid {
-		t.Fatalf("fallbacks = %v, want [multigrid]", res.Fallbacks)
-	}
-	if got := tel.Counter(telemetry.CounterFallbacks); got != 1 {
-		t.Fatalf("fallback counter = %d, want 1", got)
-	}
-	if !strings.Contains(logBuf.String(), "falling back to zline") {
-		t.Fatalf("fallback not logged; log: %q", logBuf.String())
-	}
-	// The rescued solve must match a straight ZLine solve bit for bit:
-	// the ladder restarts from the same initial state.
-	ref, err := SolveSteady(p, Options{Tol: 1e-8, MaxIter: 20000, Workers: 1, Precond: ZLine})
+// TestBreakdownTyped: a finite source whose right-hand side
+// overflows (1e308 W/m³ in 8 m³ cells) breaks every scheme down before
+// its first iteration is complete. The error is a typed breakdown
+// naming the scheme that ran, with no restart on another one.
+func TestBreakdownTyped(t *testing.T) {
+	g, err := mesh.Uniform(8, 8, 8, 4, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bitIdentical(res.T, ref.T) {
-		t.Fatalf("fallback solve differs from direct zline solve (rel %g)", relDiff(res.T, ref.T))
+	p := NewProblem(g)
+	for c := range p.Q {
+		p.SetIsotropic(c, 2)
+		p.Q[c] = 1e308
 	}
-}
-
-// TestBreakdownExhaustsLadder: when every rung breaks down, the error
-// is the last rung's typed breakdown, not a success.
-func TestBreakdownExhaustsLadder(t *testing.T) {
-	rng := &eqRNG{s: 33}
-	p := randomProblem(t, rng, 6, 6, 5)
-	testBreakdownHook = func(pc Preconditioner, iteration int) bool { return iteration == 1 }
-	defer func() { testBreakdownHook = nil }()
-
-	tel := telemetry.New()
-	tel.SetLogger(log.New(&strings.Builder{}, "", 0))
-	_, err := SolveSteady(p, Options{
-		Tol: 1e-8, MaxIter: 1000, Workers: 1, Precond: Multigrid, Telemetry: tel,
-	})
-	ce, ok := AsConvergenceError(err)
-	if !ok {
-		t.Fatalf("error is not a *ConvergenceError: %v", err)
-	}
-	if ce.Reason != ReasonBreakdown || ce.Precond != Jacobi {
-		t.Fatalf("reason/precond = %v/%v, want breakdown/jacobi", ce.Reason, ce.Precond)
-	}
-	if got := tel.Counter(telemetry.CounterFallbacks); got != 2 {
-		t.Fatalf("fallback counter = %d, want 2", got)
+	p.Bounds[ZMin] = DirichletBC(300)
+	for _, pc := range []Preconditioner{ZLine, Multigrid} {
+		_, err := SolveSteady(p, Options{Tol: 1e-8, Workers: 1, Precond: pc})
+		ce, ok := AsConvergenceError(err)
+		if !ok {
+			t.Fatalf("%v: error is not a *ConvergenceError: %v", pc, err)
+		}
+		if ce.Reason != ReasonBreakdown || ce.Precond != pc || ce.Iterations != 0 {
+			t.Fatalf("%v: reason/precond/iterations = %v/%v/%d, want breakdown/%v/0", pc, ce.Reason, ce.Precond, ce.Iterations, pc)
+		}
+		if want := "(" + pc.String() + " preconditioner)"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v: error %q does not name %s", pc, err, want)
+		}
 	}
 }
 
@@ -177,7 +142,7 @@ func TestBreakdownExhaustsLadder(t *testing.T) {
 // same typed-error path.
 func TestTransientNonConvergenceTyped(t *testing.T) {
 	p := illConditionedProblem(t)
-	tr, err := NewTransient(p, make([]float64, len(p.Q)), Options{Tol: 1e-14, MaxIter: 3, Workers: 1, Precond: Jacobi})
+	tr, err := NewTransient(p, make([]float64, len(p.Q)), Options{Tol: 1e-14, MaxIter: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +169,7 @@ func TestZeroRHSReturnsZero(t *testing.T) {
 	for c := range guess {
 		guess[c] = 5
 	}
-	for _, pc := range []Preconditioner{ZLine, Multigrid, Jacobi} {
+	for _, pc := range []Preconditioner{ZLine, Multigrid} {
 		r, err := SolveSteady(p, Options{Precond: pc, Workers: 1, InitialGuess: guess})
 		if err != nil {
 			t.Fatalf("%v: %v", pc, err)

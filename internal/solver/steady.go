@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"thermalscaffold/internal/parallel"
 	"thermalscaffold/internal/telemetry"
 )
 
@@ -16,53 +15,45 @@ import (
 type Preconditioner int
 
 const (
-	// ZLine preconditioning solves the tridiagonal z-coupling of each
-	// vertical cell column exactly (Thomas algorithm). Chip stacks
-	// have lateral cells hundreds of times wider than their layers
-	// are thick, making vertical coupling stiff; line relaxation in z
-	// removes that stiffness and cuts iteration counts by an order of
-	// magnitude. It is the zero value, so the default.
-	ZLine Preconditioner = iota
 	// Multigrid preconditioning runs one geometric V-cycle per PCG
 	// iteration: x/y semi-coarsening (z stays at full resolution at
 	// every level), damped z-line smoothing, rediscretized coarse
 	// conductance operators, and an exact Thomas solve on the
-	// 1×1-column coarsest level. Unlike Jacobi/ZLine its iteration
-	// count is nearly mesh-independent, so it is the fastest choice on
-	// large grids and for the repeated solves of the pillar placement
-	// loop. See internal/solver/multigrid.go and DESIGN.md §7.
-	Multigrid
-	// Jacobi (diagonal) preconditioning — cheap, adequate for
-	// near-isotropic grids, and the last rung of the fallback ladder.
-	Jacobi
+	// 1×1-column coarsest level. Its iteration count is nearly
+	// mesh-independent, and it solves stacks whose narrow lateral cells
+	// defeat ZLine. It is the zero value, so the default. See
+	// internal/solver/multigrid.go and DESIGN.md §7.
+	Multigrid Preconditioner = iota
+	// ZLine preconditioning solves the tridiagonal z-coupling of each
+	// vertical cell column exactly (Thomas algorithm): the one-level
+	// multigrid hierarchy. It removes the stiff vertical coupling of
+	// wide, thin cells, but nothing carries lateral error, so its
+	// iteration count grows with the lateral grid.
+	ZLine
 )
 
 // String returns the flag-friendly name of the preconditioner.
 func (p Preconditioner) String() string {
 	switch p {
-	case Jacobi:
-		return "jacobi"
-	case ZLine:
-		return "zline"
 	case Multigrid:
 		return "multigrid"
+	case ZLine:
+		return "zline"
 	}
 	return fmt.Sprintf("Preconditioner(%d)", int(p))
 }
 
-// ParsePreconditioner maps a CLI flag value ("jacobi", "zline",
-// "multigrid"/"mg") to the Preconditioner constant. The empty string
-// selects ZLine, matching the zero-value default.
+// ParsePreconditioner maps a CLI flag value ("multigrid"/"mg",
+// "zline") to the Preconditioner constant. The empty string selects
+// Multigrid, matching the zero-value default.
 func ParsePreconditioner(s string) (Preconditioner, error) {
 	switch s {
-	case "jacobi":
-		return Jacobi, nil
-	case "", "zline":
-		return ZLine, nil
-	case "multigrid", "mg":
+	case "", "multigrid", "mg":
 		return Multigrid, nil
+	case "zline":
+		return ZLine, nil
 	}
-	return 0, fmt.Errorf("solver: unknown preconditioner %q (want jacobi, zline, or multigrid)", s)
+	return 0, fmt.Errorf("solver: unknown preconditioner %q (want zline or multigrid)", s)
 }
 
 // Precision selects the arithmetic tier of the PCG preconditioner.
@@ -120,7 +111,7 @@ type Options struct {
 	// InitialGuess, when non-nil, seeds the iteration (and is not
 	// modified). Useful for continuation across parameter sweeps.
 	InitialGuess []float64
-	// Precond selects the preconditioner (default ZLine).
+	// Precond selects the preconditioner (default Multigrid).
 	Precond Preconditioner
 	// Precision selects the preconditioner's arithmetic tier (default
 	// F64). See Precision.
@@ -147,11 +138,10 @@ type Options struct {
 	// (ConvergenceError.Best) so deadline-bounded callers can use the
 	// partial field, explicitly flagged as unconverged.
 	Ctx context.Context
-	// Telemetry, when non-nil, receives per-solve traces, counters
-	// (solves, iterations, fallbacks, warm-start hits), and fallback
-	// log lines. Purely observational — results are bitwise identical
-	// with and without a collector attached (the equivalence suite
-	// verifies this).
+	// Telemetry, when non-nil, receives per-solve traces and counters
+	// (solves, iterations, warm-start hits). Purely observational —
+	// results are bitwise identical with and without a collector
+	// attached (the equivalence suite verifies this).
 	Telemetry *telemetry.Collector
 	// Engine, when non-nil, supplies a persistent worker pool shared
 	// across solves (see NewEngine) instead of a throwaway engine built
@@ -212,14 +202,8 @@ type Result struct {
 	T          []float64 // temperature per cell, K
 	Iterations int
 	Residual   float64 // final relative residual
-	// Residuals is the per-iteration relative residual trace of the
-	// solve that produced T.
+	// Residuals is the per-iteration relative residual trace.
 	Residuals []float64
-	// Fallbacks lists preconditioners abandoned on breakdown before
-	// the one that produced T (empty on the normal path). Fallbacks
-	// are also counted and logged through Options.Telemetry — never
-	// silent.
-	Fallbacks []Preconditioner
 	grid      gridder
 }
 
@@ -236,10 +220,9 @@ type gridder interface {
 // Options.Workers goroutines with deterministic (bit-reproducible)
 // reductions; Workers=1 is the exact legacy serial path.
 //
-// Robustness: cancellation via Options.Ctx, NaN/Inf and stagnation
-// guards, and the automatic preconditioner fallback ladder
-// (Multigrid → ZLine → Jacobi on breakdown) all apply; failures
-// surface as a typed *ConvergenceError (see errors.go), never as a
+// Robustness: cancellation via Options.Ctx, and NaN/Inf and
+// stagnation guards; failures surface as a typed *ConvergenceError
+// (see errors.go) naming the preconditioner that ran, never as a
 // silently wrong field.
 func SolveSteady(p *Problem, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
@@ -252,79 +235,32 @@ func SolveSteady(p *Problem, opts Options) (*Result, error) {
 	return results[0], nil
 }
 
-// fallbackLadder returns the preconditioner sequence attempted when a
-// solve breaks down: each step is numerically simpler (and better
-// conditioned against degenerate operators) than the one before.
-// Breakdown — not plain non-convergence — triggers the descent, so a
-// healthy-but-slow preconditioner is never second-guessed.
-func fallbackLadder(pc Preconditioner) []Preconditioner {
-	switch pc {
-	case Multigrid:
-		return []Preconditioner{Multigrid, ZLine, Jacobi}
-	case ZLine:
-		return []Preconditioner{ZLine, Jacobi}
-	default:
-		return []Preconditioner{pc}
-	}
-}
+// testIterationHook, when non-nil, is called with each completed PCG
+// iteration's number — the seam that lets a test cancel a solve at a
+// known iteration. It only observes. Always nil outside tests.
+var testIterationHook func(iteration int)
 
-// testBreakdownHook, when non-nil, forces a breakdown failure at the
-// given (preconditioner, iteration) — the test seam for exercising
-// the fallback ladder, which a well-posed SPD problem cannot trigger
-// naturally. Always nil outside tests.
-var testBreakdownHook func(pc Preconditioner, iteration int) bool
-
-// solveLadder runs PCG on an assembled operator with the
-// preconditioner fallback ladder and telemetry, against the kern and
-// preconditioner cache of a leased context. On breakdown it restarts
-// the solve with the next-simpler preconditioner (from the same
-// initial guess), counts and logs the event — never silently — and
-// records one telemetry trace for the attempt sequence. A lease runs
-// many solves of one operator (a batch's items, a transient's steps
-// at one Δt) and sharing is bitwise-safe: the kern fixes the worker
-// count (chunking depends on the problem size alone) and its scratch
-// is overwritten before it is read, and the cached preconditioners
-// are pure functions of the operator matrix, which does not change
-// between solves.
-func solveLadder(op *operator, b, x []float64, opts Options, method string, kr *kern, pcs precondCache) (*iterOutcome, []Preconditioner, error) {
-	tel := opts.Telemetry
+// solveTraced runs PCG on an assembled operator against the kern and
+// preconditioner cache of a leased context, and records one telemetry
+// trace for the solve. A lease runs many solves of one operator (a
+// batch's items, a transient's steps at one Δt) and sharing is
+// bitwise-safe: the kern fixes the worker count (chunking depends on
+// the problem size alone) and its scratch is overwritten before it is
+// read, and the cached preconditioners are pure functions of the
+// operator matrix, which does not change between solves.
+func solveTraced(op *operator, b, x []float64, opts Options, method string, kr *kern, pcs precondCache) (*iterOutcome, error) {
 	var start time.Time
-	if tel != nil {
+	if opts.Telemetry != nil {
 		start = time.Now()
 	}
-	ladder := fallbackLadder(opts.Precond)
-	var fallbacks []Preconditioner
-	var out *iterOutcome
-	var err error
-	used := opts.Precond
-	for i, try := range ladder {
-		used = try
-		o := opts
-		o.Precond = try
-		out, err = pcg(op, b, x, o, kr, pcs)
-		if err == nil {
-			break
-		}
-		ce, ok := AsConvergenceError(err)
-		if !ok || ce.Reason != ReasonBreakdown || i+1 == len(ladder) {
-			break
-		}
-		fallbacks = append(fallbacks, try)
-		tel.Add(telemetry.CounterFallbacks, 1)
-		tel.Logf("solver: %s: %s preconditioner broke down after %d iterations (%v); falling back to %s",
-			method, try, ce.Iterations, ce.Err, ladder[i+1])
-	}
-	if tel != nil {
-		o := opts
-		o.Precond = used
-		recordTrace(tel, method, o, len(b), out, err, start, fallbacks)
-	}
-	return out, fallbacks, err
+	out, err := pcg(op, b, x, opts, kr, pcs)
+	recordTrace(opts.Telemetry, method, opts, len(b), out, err, start)
+	return out, err
 }
 
 // recordTrace writes one telemetry solve trace plus counters for a
-// finished solve attempt (tel may be nil).
-func recordTrace(tel *telemetry.Collector, method string, opts Options, cells int, out *iterOutcome, err error, start time.Time, fallbacks []Preconditioner) {
+// finished solve (tel may be nil).
+func recordTrace(tel *telemetry.Collector, method string, opts Options, cells int, out *iterOutcome, err error, start time.Time) {
 	if tel == nil {
 		return
 	}
@@ -335,9 +271,6 @@ func recordTrace(tel *telemetry.Collector, method string, opts Options, cells in
 		Cells:     cells,
 		WarmStart: opts.InitialGuess != nil,
 		WallNS:    time.Since(start).Nanoseconds(),
-	}
-	for _, f := range fallbacks {
-		trace.Fallbacks = append(trace.Fallbacks, f.String())
 	}
 	if err == nil {
 		trace.Converged = true
@@ -378,11 +311,11 @@ type iterOutcome struct {
 // pcg runs preconditioned conjugate gradient on A·x = b. All O(n)
 // kernels — the fused SpMV+reduction sweeps and the preconditioner —
 // run on kr's worker pool (see Options.Workers for the determinism
-// contract). Per iteration the loop makes three fused sweeps instead
-// of the historical seven passes: apply+direction+dot in one,
-// update+norm in one, precondition(+dot for Jacobi) in one; every
-// fusion preserves the exact legacy arithmetic order, so results are
-// bitwise identical to the unfused loop.
+// contract). Per iteration the loop makes four passes instead of the
+// historical seven: apply+direction+dot in one, update+norm in one,
+// then the preconditioner and its rᵀz dot; every fusion preserves the
+// exact legacy arithmetic order, so results are bitwise identical to
+// the unfused loop.
 //
 // Failures return a *ConvergenceError: ReasonCancelled when
 // opts.Ctx fires (checked once per iteration), ReasonBreakdown on
@@ -459,7 +392,8 @@ func pcg(op *operator, b, x []float64, opts Options, kr *kern, pcs precondCache)
 			Method: "pcg", Precond: opts.Precond, Reason: ReasonBreakdown, Err: err,
 		}
 	}
-	rz := pc(r, z)
+	pc(r, z)
+	rz := kr.dot(r, z)
 	// Iteration 1 takes p = z directly (a β=0 fused direction could
 	// flip signed zeros: z + 0·p is not always bit-equal to z).
 	copy(p, z)
@@ -489,8 +423,8 @@ func pcg(op *operator, b, x []float64, opts Options, kr *kern, pcs precondCache)
 		alpha := rz / pap
 		res = kr.updateNorm(x, r, p, ap, alpha) / bn
 		history = append(history, res)
-		if testBreakdownHook != nil && testBreakdownHook(opts.Precond, it) {
-			return fail(ReasonBreakdown, it, errors.New("injected breakdown (test hook)"))
+		if testIterationHook != nil {
+			testIterationHook(it)
 		}
 		if math.IsNaN(res) || math.IsInf(res, 0) {
 			return fail(ReasonBreakdown, it, errors.New("non-finite residual"))
@@ -509,20 +443,19 @@ func pcg(op *operator, b, x []float64, opts Options, kr *kern, pcs precondCache)
 			return fail(ReasonStagnation, it,
 				fmt.Errorf("no residual improvement in %d iterations (best %g at iteration %d)", it-bestIter, bestRes, bestIter))
 		}
-		rzNew := pc(r, z)
+		pc(r, z)
+		rzNew := kr.dot(r, z)
 		beta = rzNew / rz
 		rz = rzNew
 	}
 	return fail(ReasonMaxIter, opts.MaxIter, nil)
 }
 
-// precondOp is one built preconditioner: it overwrites z with M⁻¹·r
-// and returns rᵀz. Jacobi sums rᵀz in the sweep that writes z, which
-// is the flat index-order summation of a separate dot pass; ZLine and
-// Multigrid write z column by column or level by level, so they apply
-// first and then reduce with kr.dot, and the determinism contract's
-// summation order never changes.
-type precondOp func(r, z []float64) float64
+// precondOp is one built preconditioner: it overwrites z with M⁻¹·r.
+// Both schemes write z column by column or level by level; pcg then
+// sums rᵀz with kr.dot, so the determinism contract's summation order
+// never changes.
+type precondOp func(r, z []float64)
 
 // precond is one built preconditioner: its apply, and free, which
 // hands the arrays the build drew from the free list back to it.
@@ -541,8 +474,8 @@ type precondKey struct {
 
 // precondCache memoizes built preconditioners by (scheme, precision).
 // One cache lives per leased solve context (see family.go), covering
-// the fallback ladder and every later solve on the lease — batch
-// items, transient steps at one Δt, later solves in a cached family:
+// every solve on the lease — batch items, transient steps at one Δt,
+// later solves in a cached family:
 // preconditioner construction is a pure function of the operator
 // matrix, so reuse is bitwise-neutral, and for Multigrid it saves
 // rebuilding the whole hierarchy per solve.
@@ -595,8 +528,6 @@ func makePreconditioner(op *operator, kind Preconditioner, prec Precision, kr *k
 func makeTier[F mgFloat](op *operator, kind Preconditioner, kr *kern) (precond, error) {
 	var mg *multigrid[F]
 	switch kind {
-	case Jacobi:
-		return newJacobi[F](op, kr), nil
 	case ZLine:
 		mg = newZLineTier[F](op, kr)
 	case Multigrid:
@@ -604,52 +535,7 @@ func makeTier[F mgFloat](op *operator, kind Preconditioner, kr *kern) (precond, 
 	default:
 		return precond{}, fmt.Errorf("solver: unknown preconditioner %d", kind)
 	}
-	return precond{
-		apply: func(r, z []float64) float64 {
-			mg.apply(r, z)
-			return kr.dot(r, z)
-		},
-		free: mg.free,
-	}, nil
-}
-
-// newJacobi builds diagonal preconditioning in tier F: the reciprocal
-// diagonal is computed in float64 and stored in F, each z entry is
-// the F product r·(1/diag), and rᵀz sums in float64 over the same
-// chunks, in the same order, as kr.dot.
-func newJacobi[F mgFloat](op *operator, kr *kern) precond {
-	n := len(op.diag)
-	invDiag := getTierUncleared[F](n)
-	for c, d := range op.diag {
-		invDiag[c] = F(1 / d)
-	}
-	pc := precond{free: func() { putTier(invDiag) }}
-	if kr.pool.Serial() {
-		pc.apply = func(r, z []float64) float64 { return jacobiRange(invDiag, r, z, 0, n) }
-		return pc
-	}
-	if kr.inline(n) {
-		pc.apply = func(r, z []float64) float64 {
-			return parallel.SumChunks(n, func(s, e int) float64 { return jacobiRange(invDiag, r, z, s, e) })
-		}
-		return pc
-	}
-	pc.apply = func(r, z []float64) float64 {
-		return kr.pool.ReduceSum(n, kr.partials, func(s, e int) float64 {
-			return jacobiRange(invDiag, r, z, s, e)
-		})
-	}
-	return pc
-}
-
-func jacobiRange[F mgFloat](invDiag []F, r, z []float64, s, e int) float64 {
-	sum := 0.0
-	for c := s; c < e; c++ {
-		zc := float64(F(r[c]) * invDiag[c])
-		z[c] = zc
-		sum += r[c] * zc
-	}
-	return sum
+	return precond{apply: mg.apply, free: mg.free}, nil
 }
 
 func dot(a, b []float64) float64 {

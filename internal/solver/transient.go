@@ -57,7 +57,6 @@ import (
 // deterministic release is cheaper than waiting for the collector).
 // Close is idempotent.
 type Transient struct {
-	p   *Problem
 	op  *operator // steady operator with an owned b (SetSources rewrites it)
 	cap []float64 // heat capacitance per cell, J/K
 	cur []float64 // current temperature field, K
@@ -120,7 +119,6 @@ func NewTransient(p *Problem, t0 []float64, opts Options) (*Transient, error) {
 	cur := getUncleared(n)
 	op.toColumns(cur, t0)
 	tr := &Transient{
-		p:    p,
 		op:   op,
 		cap:  heatCap,
 		cur:  cur,
@@ -190,17 +188,22 @@ func (tr *Transient) retire(bufs ...[]float64) {
 }
 
 // SetSources replaces the volumetric source field (W/m³) — used by
-// scheduling studies that gate heat sources over time. The slice is
-// copied into the problem and the operator rhs is rebuilt in place
-// (bitwise identical to a fresh assembly, per the setSources
-// contract); the matrix and preconditioner are untouched — sources
-// never enter them.
+// scheduling studies that gate heat sources over time. The integrator
+// rebuilds its own rhs from q in place (bitwise identical to a fresh
+// assembly, per the setSources contract) and keeps no reference to q.
+// The problem is not written, and the matrix and preconditioner are
+// untouched — sources never enter them. A NaN or infinite entry is
+// rejected before anything changes.
 func (tr *Transient) SetSources(q []float64) error {
-	if len(q) != len(tr.p.Q) {
-		return fmt.Errorf("solver: source field has %d entries, want %d", len(q), len(tr.p.Q))
+	if len(q) != len(tr.cur) {
+		return fmt.Errorf("solver: source field has %d entries, want %d", len(q), len(tr.cur))
 	}
-	copy(tr.p.Q, q)
-	tr.op.setSources(tr.p.Q)
+	for c, v := range q {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("solver: source field has invalid source at cell %d: %g", c, v)
+		}
+	}
+	tr.op.setSources(q)
 	tr.resetHistory()
 	return nil
 }
@@ -271,7 +274,7 @@ func (tr *Transient) Step(dt float64) error {
 	opts := tr.opts
 	opts.InitialGuess = tr.initialGuess()
 	x := tr.buffer(n)
-	out, _, err := solveLadder(aug, aug.b, x, opts, "transient", tr.lease.kr, tr.lease.pcs)
+	out, err := solveTraced(aug, aug.b, x, opts, "transient", tr.lease.kr, tr.lease.pcs)
 	if err != nil {
 		tr.retire(x)
 		return err

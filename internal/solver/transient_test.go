@@ -196,7 +196,7 @@ func TestSingularGuardsDeclineNaNDiagonal(t *testing.T) {
 	p.Bounds[ZMin] = DirichletBC(300)
 	p.KX[4] = math.NaN() // past Validate: assemble gives cell 4 a NaN diagonal
 	op := assemble(p)
-	for _, pc := range []Preconditioner{Jacobi, ZLine, Multigrid} {
+	for _, pc := range []Preconditioner{ZLine, Multigrid} {
 		if _, err := makePreconditioner(op, pc, F64, testKern(t, 1, len(op.diag))); err == nil || !strings.Contains(err.Error(), "singular") {
 			t.Errorf("%s on a NaN diagonal: err %v, want a singular-system error", pc, err)
 		}
@@ -224,8 +224,7 @@ func sinkCell() *Problem {
 // convective boundary, with no sources, settles in one step to a field
 // that solves every later step's system exactly, and those steps
 // return it after 0 iterations. PCG used to iterate on the zero
-// residual, find pᵀAp = 0 and report a breakdown on every rung of the
-// fallback ladder.
+// residual, find pᵀAp = 0 and report a breakdown.
 func TestTransientExactStart(t *testing.T) {
 	p := sinkCell()
 	tel := telemetry.New()
@@ -248,9 +247,6 @@ func TestTransientExactStart(t *testing.T) {
 	}
 	if later := tel.Counter(telemetry.CounterIterations) - first; later != 0 {
 		t.Errorf("steps 2–4 took %d iterations, want 0", later)
-	}
-	if fb := tel.Counter(telemetry.CounterFallbacks); fb != 0 {
-		t.Errorf("%d preconditioner fallbacks, want 0", fb)
 	}
 }
 

@@ -39,9 +39,9 @@ type PowerBlock struct {
 }
 
 // SolverJSON carries the per-request solver controls. Zero values
-// select the service defaults (zline, 1e-7, 100000). TimeoutMS bounds
-// the solve wall-clock; it shapes scheduling, not the solution, so it
-// is excluded from the cache key.
+// select the service defaults (multigrid, 1e-7, 100000). TimeoutMS
+// bounds the solve wall-clock; it shapes scheduling, not the solution,
+// so it is excluded from the cache key.
 type SolverJSON struct {
 	Precond string  `json:"precond,omitempty"`
 	Tol     float64 `json:"tol,omitempty"`
@@ -155,7 +155,7 @@ const (
 )
 
 // Normalize validates the request and returns its canonical form:
-// solver defaults made explicit (an omitted precond is zline), and
+// solver defaults made explicit (an omitted precond is multigrid), and
 // power blocks rasterized into an explicit per-map power map with
 // UniformPower folded in. Two requests describing the same problem
 // and solve normalize to equal values; Normalize is idempotent.

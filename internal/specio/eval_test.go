@@ -29,7 +29,7 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := norm.Solver
-	if s.Precond != "zline" || s.Tol != 1e-7 || s.MaxIter != 100000 {
+	if s.Precond != "multigrid" || s.Tol != 1e-7 || s.MaxIter != 100000 {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 	// No blocks → the power map stays implicit.
@@ -37,14 +37,19 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Fatalf("block-free request should keep uniform power: %+v", norm.Stack)
 	}
 
-	jac := evalBase()
-	jac.Solver.Precond = "jacobi"
-	norm, err = jac.Normalize()
+	zl := evalBase()
+	zl.Solver.Precond = "zline"
+	norm, err = zl.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm.Solver.Precond != "jacobi" {
-		t.Fatalf("explicit jacobi normalized to %q", norm.Solver.Precond)
+	if norm.Solver.Precond != "zline" {
+		t.Fatalf("explicit zline normalized to %q", norm.Solver.Precond)
+	}
+	jac := evalBase()
+	jac.Solver.Precond = "jacobi"
+	if _, err := jac.Normalize(); err == nil {
+		t.Fatal(`"jacobi" accepted; Jacobi is no longer a scheme`)
 	}
 
 	// Precision canonicalizes: the default tier collapses to the empty

@@ -374,9 +374,9 @@ func TestZPlaneTBRValidation(t *testing.T) {
 }
 
 // TestSolveRunsRequestedPrecond: Solve runs the preconditioner it is
-// given, as its telemetry trace records — the zero value is zline,
-// and an explicit Jacobi runs Jacobi, which needs more iterations on
-// a chip stack's anisotropy.
+// given, as its telemetry trace records — the zero value is multigrid,
+// and an explicit ZLine runs z-line, which needs more iterations on a
+// chip stack's anisotropy.
 func TestSolveRunsRequestedPrecond(t *testing.T) {
 	spec := gemminiSpec(4, ScaffoldedBEOL(), 0.10)
 	trace := func(pc solver.Preconditioner) telemetry.SolveTrace {
@@ -393,14 +393,14 @@ func TestSolveRunsRequestedPrecond(t *testing.T) {
 		return solves[0]
 	}
 	var zero solver.Preconditioner
-	def, jac := trace(zero), trace(solver.Jacobi)
-	if def.Precond != "zline" {
-		t.Errorf("zero-value precond ran %q, want zline", def.Precond)
+	def, zl := trace(zero), trace(solver.ZLine)
+	if def.Precond != "multigrid" {
+		t.Errorf("zero-value precond ran %q, want multigrid", def.Precond)
 	}
-	if jac.Precond != "jacobi" {
-		t.Errorf("explicit jacobi ran %q", jac.Precond)
+	if zl.Precond != "zline" {
+		t.Errorf("explicit zline ran %q", zl.Precond)
 	}
-	if jac.Iterations <= def.Iterations {
-		t.Errorf("jacobi took %d iterations, zline %d: want more", jac.Iterations, def.Iterations)
+	if zl.Iterations <= def.Iterations {
+		t.Errorf("zline took %d iterations, multigrid %d: want more", zl.Iterations, def.Iterations)
 	}
 }

@@ -1,11 +1,11 @@
 // Package telemetry collects solver and pipeline observability data:
 // per-solve residual traces, per-phase wall-clock timers, and counters
-// (solves, iterations, preconditioner fallbacks, warm-start hits). A
-// Collector is purely observational — it records what the solvers did
-// and never feeds anything back into the numerics, so attaching one
-// cannot perturb the bitwise-determinism guarantees of
-// internal/parallel and internal/solver (the equivalence suite pins
-// this down by solving with and without a collector attached).
+// (solves, iterations, warm-start hits). A Collector is purely
+// observational — it records what the solvers did and never feeds
+// anything back into the numerics, so attaching one cannot perturb
+// the bitwise-determinism guarantees of internal/parallel and
+// internal/solver (the equivalence suite pins this down by solving
+// with and without a collector attached).
 //
 // Every method is safe on a nil *Collector (it does nothing), so call
 // sites do not need nil guards; hot loops should still hoist the nil
@@ -32,9 +32,6 @@ const (
 	CounterSolves = "solves"
 	// CounterIterations accumulates inner iterations across all solves.
 	CounterIterations = "iterations"
-	// CounterFallbacks counts preconditioner fallback events
-	// (Multigrid → ZLine → Jacobi on breakdown).
-	CounterFallbacks = "fallbacks"
 	// CounterWarmStarts counts solves seeded with an InitialGuess —
 	// the cache-warm-start hits of the placement and sweep loops.
 	CounterWarmStarts = "warm_start_hits"
@@ -133,8 +130,7 @@ func Floats(v []float64) []Float {
 type SolveTrace struct {
 	// Method is the inner iteration: "pcg", "transient", …
 	Method string `json:"method"`
-	// Precond is the preconditioner that actually ran (after any
-	// fallback), in its flag spelling.
+	// Precond is the preconditioner that ran, in its flag spelling.
 	Precond string `json:"precond,omitempty"`
 	Workers int    `json:"workers"`
 	// Cells is the unknown count of the linear system.
@@ -144,9 +140,6 @@ type SolveTrace struct {
 	Converged  bool  `json:"converged"`
 	// Failure carries the ConvergenceError reason when !Converged.
 	Failure string `json:"failure,omitempty"`
-	// Fallbacks lists preconditioners abandoned on breakdown before
-	// Precond ran.
-	Fallbacks []string `json:"fallbacks,omitempty"`
 	// WarmStart reports whether the solve was seeded with an
 	// InitialGuess.
 	WarmStart bool `json:"warm_start"`
@@ -214,8 +207,8 @@ func (c *Collector) SetMaxTraces(n int) {
 }
 
 // SetLogger directs Logf output. A collector without a logger falls
-// back to the standard library default logger, so fallback warnings
-// are never silently dropped.
+// back to the standard library default logger, so warnings are never
+// silently dropped.
 func (c *Collector) SetLogger(l *log.Logger) {
 	if c == nil {
 		return
@@ -226,8 +219,7 @@ func (c *Collector) SetLogger(l *log.Logger) {
 }
 
 // Logf logs a pipeline event. Safe on a nil collector: the message
-// still goes to the standard logger — fallback and divergence events
-// must never be silent.
+// still goes to the standard logger — warnings must never be silent.
 func (c *Collector) Logf(format string, args ...any) {
 	var l *log.Logger
 	if c != nil {
