@@ -40,7 +40,9 @@ race:
 # precision tier; Precision pins the f32 tier's contracts (every
 # scheme bitwise equal at every Workers ≥ 2, its own cache entry);
 # ZeroValuePrecond pins Multigrid as the zero-value preconditioner, and
-# ZLine checks the explicit z-line scheme against it; ArrivalOrder pins
+# ZLine checks the explicit z-line scheme against it; ColdStart pins a
+# solve without a guess (which starts from r = b and skips the initial
+# SpMV) to the same solve seeded with zeros; ArrivalOrder pins
 # the service's default config to answers that do not depend on which
 # request came first. In
 # internal/stack, Equivalence covers solves on arrays an earlier solve
@@ -50,7 +52,7 @@ race:
 # problems whose certified bounds are a hard contract against the
 # full solver.
 equivalence:
-	$(GO) test -race -run 'Equivalence|Batch|Engine|TraceResume|Family|Transient|Precision|ZLine|ZeroValuePrecond' -count=2 ./internal/solver/ ./internal/parallel/
+	$(GO) test -race -run 'Equivalence|Batch|Engine|TraceResume|Family|Transient|Precision|ZLine|ZeroValuePrecond|ColdStart' -count=2 ./internal/solver/ ./internal/parallel/
 	$(GO) test -race -run 'Equivalence' -count=2 ./internal/stack/
 	$(GO) test -race -run 'Equivalence|Window|ArrivalOrder' -count=2 ./internal/serve/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/rom/
@@ -139,14 +141,14 @@ bench-cluster:
 # bench-smoke is the CI guard against benchmark rot: one fast pass
 # over a representative slice of every suite (the zline and the
 # default multigrid preconditioners, fused solver kernels, small-n
-# parallel overhead, batch vs independent, one V-cycle per workload
-# shape, one fused SpMV per workload shape, placement loop, one Table I
-# placement, service throughput). It checks the benchmarks still build
+# parallel overhead, batch vs independent, one private set-up and one
+# V-cycle per workload shape, one fused SpMV per workload shape,
+# placement loop, one Table I placement, service throughput). It checks the benchmarks still build
 # and run — timing numbers on shared CI runners are not compared. The
 # placement prints dispatches/op, the solver regions that woke helper
 # goroutines; the paper flow's grids should read 0.
 bench-smoke:
-	$(GO) test -run xxx -bench 'SteadyPrecond/precond=zline/n=16|SteadyPrecond/precond=multigrid/n=16|SteadyBatch|SmallNReduce|SteadyMG96Workers/precision=f32/workers=1|MGCyclePrecision|MGCycleShapes|SpMVShapes|TransientTrace/workers=1/segments=4' -benchtime=1x ./internal/solver/ ./internal/parallel/
+	$(GO) test -run xxx -bench 'SteadyPrecond/precond=zline/n=16|SteadyPrecond/precond=multigrid/n=16|SteadyBatch|SmallNReduce|SteadyMG96Workers/precision=f32/workers=1|MGCyclePrecision|SetupShapes|MGCycleShapes|SpMVShapes|TransientTrace/workers=1/segments=4' -benchtime=1x ./internal/solver/ ./internal/parallel/
 	$(GO) test -run xxx -bench 'PlacementLoop|PlaceScaffold12' -benchtime=1x ./internal/pillar/
 	$(GO) test -run xxx -bench 'Serve100Mixed|ServeColdFamily/window=on|SteadyFamily/cached=on' -benchtime=1x ./internal/serve/ ./internal/solver/
 	$(GO) test -run xxx -bench 'ROMEval/n=16' -benchtime=1x ./internal/rom/

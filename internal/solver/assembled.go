@@ -30,7 +30,7 @@ func Assemble(p *Problem) (*Assembled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	op := assemble(p)
+	op := assembleOperator(p)
 	g := p.Grid
 	n := g.NumCells()
 	bdiag := make([]float64, n)
@@ -44,27 +44,28 @@ func Assemble(p *Problem) (*Assembled, error) {
 				dx := g.DX(i)
 				c := g.Index(i, j, k)
 				vol[c] = dx * dy * dz
-				// Recompute the boundary conductance exactly as assemble
-				// did (same boundaryG calls, same order) rather than by
-				// subtracting couplings from diag — subtraction would
-				// smear rounding from the interior terms into bdiag.
+				// Recompute the boundary conductance exactly as the
+				// assembly did (same conductance arithmetic, same order)
+				// rather than by subtracting couplings from diag —
+				// subtraction would smear rounding from the interior terms
+				// into bdiag.
 				if i == 0 {
-					bdiag[c] += boundaryG(dy*dz, dx, p.KX[c], p.Bounds[XMin])
+					bdiag[c] += boundaryG(dy*dz, halfRes(dx, p.KX[c]), p.Bounds[XMin])
 				}
 				if i == nx-1 {
-					bdiag[c] += boundaryG(dy*dz, dx, p.KX[c], p.Bounds[XMax])
+					bdiag[c] += boundaryG(dy*dz, halfRes(dx, p.KX[c]), p.Bounds[XMax])
 				}
 				if j == 0 {
-					bdiag[c] += boundaryG(dx*dz, dy, p.KY[c], p.Bounds[YMin])
+					bdiag[c] += boundaryG(dx*dz, halfRes(dy, p.KY[c]), p.Bounds[YMin])
 				}
 				if j == ny-1 {
-					bdiag[c] += boundaryG(dx*dz, dy, p.KY[c], p.Bounds[YMax])
+					bdiag[c] += boundaryG(dx*dz, halfRes(dy, p.KY[c]), p.Bounds[YMax])
 				}
 				if k == 0 {
-					bdiag[c] += boundaryG(dx*dy, dz, p.KZ[c], p.Bounds[ZMin])
+					bdiag[c] += boundaryG(dx*dy, halfRes(dz, p.KZ[c]), p.Bounds[ZMin])
 				}
 				if k == nz-1 {
-					bdiag[c] += boundaryG(dx*dy, dz, p.KZ[c], p.Bounds[ZMax])
+					bdiag[c] += boundaryG(dx*dy, halfRes(dz, p.KZ[c]), p.Bounds[ZMax])
 				}
 			}
 		}

@@ -76,7 +76,7 @@ func (e *Engine) Close() {
 //
 // Every result is bitwise identical to an independent
 // SolveSteady(p', opts) with p'.Q = qs[i]: re-sourcing rebuilds b in
-// assemble's exact per-cell arithmetic order, and the shared kern
+// sourcesInto's exact per-cell arithmetic order, and the shared kern
 // and cached preconditioners are pure functions of the (unchanged)
 // operator matrix. The equivalence suite pins this at Workers 1 and
 // 8.

@@ -352,23 +352,62 @@ func BenchmarkTransientTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkMGCycleShapes times one V-cycle (apply, transposes
-// included) at Workers 1 on the shapes the benchmark workloads solve:
-// the paper flow's 12×12×74 stack, the trace's 16×16×74 on its
-// transient (C/Δt + A) operator, and the cold-family 32×32×14 in the
+// benchShapes are the shapes the benchmark workloads solve: the paper
+// flow's 12×12×74 stack, the trace's 16×16×74 on its transient (C/Δt
+// + A) operator, hot's 16×16×14, and the cold-family 32×32×14 in the
 // f32 tier the service's cold-family traffic asks for.
-func BenchmarkMGCycleShapes(b *testing.B) {
-	shapes := []struct {
-		name     string
-		n, tiers int
-		dt       float64
-		prec     Precision
-	}{
-		{"12x12x74", 12, 24, 0, F64},
-		{"16x16x74-transient", 16, 24, 1e-4, F64},
-		{"32x32x14", 32, 4, 0, F32},
+var benchShapes = []struct {
+	name     string
+	n, tiers int
+	dt       float64
+	prec     Precision
+}{
+	{"12x12x74", 12, 24, 0, F64},
+	{"16x16x74-transient", 16, 24, 1e-4, F64},
+	{"16x16x14", 16, 4, 0, F64},
+	{"32x32x14", 32, 4, 0, F32},
+}
+
+// BenchmarkSetupShapes times what a private solve does before its
+// first PCG iteration, at Workers 1 on benchShapes: assemble the
+// operator, build the right-hand side, build the multigrid hierarchy,
+// and hand all three back to the free list. The transient shape's
+// C/Δt diagonal pass is left out; its hierarchy builds like any other.
+func BenchmarkSetupShapes(b *testing.B) {
+	for _, s := range benchShapes {
+		p := tierStack(b, s.n, s.tiers)
+		n := p.Grid.NumCells()
+		b.Run(fmt.Sprintf("shape=%s/precision=%s", s.name, s.prec), func(b *testing.B) {
+			kr := testKern(b, 1, n)
+			setup := func() {
+				op := assembleOperator(p)
+				rhs := getUncleared(n)
+				op.sourcesInto(p.Q, rhs)
+				var free func()
+				if s.prec == F32 {
+					free = newMultigridTier[float32](op, kr).free
+				} else {
+					free = newMultigridTier[float64](op, kr).free
+				}
+				free()
+				putFloats(rhs)
+				op.free()
+			}
+			setup() // warm the free list, as the solves before it would
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				setup()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cell")
+		})
 	}
-	for _, s := range shapes {
+}
+
+// BenchmarkMGCycleShapes times one V-cycle (apply, with the f32
+// tier's conversions in and out) at Workers 1 on benchShapes.
+func BenchmarkMGCycleShapes(b *testing.B) {
+	for _, s := range benchShapes {
 		op := workloadOperator(b, s.n, s.tiers, s.dt)
 		n := len(op.diag)
 		r := make([]float64, n)

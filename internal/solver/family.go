@@ -27,14 +27,13 @@ import (
 // runs on the engine's cached entry for that key. A solve without a
 // key — or whose key the cache does not take (cache disabled, or a
 // singular assembly declined) — runs on a private entry assembled for
-// that call alone: never inserted into the cache, never counted in
-// AssemblyStats or the family_assembly_* telemetry counters, and its
-// one steady lease takes the assembled b as its right-hand side. Its
-// arrays — operator, kern vectors and preconditioners — come
-// from the free list (freelist.go), and a steady call hands them all
-// back when it releases its lease, so the next same-sized solve
-// reuses them. Either way the solve runs the same code: lease a
-// context, derive the RHS, run PCG, release.
+// that call alone: never inserted into the cache, and never counted in
+// AssemblyStats or the family_assembly_* telemetry counters. Its
+// arrays — operator, kern vectors, right-hand side and
+// preconditioners — come from the free list (freelist.go), and a
+// steady call hands them all back when it releases its lease, so the
+// next same-sized solve reuses them. Either way the solve runs the
+// same code: lease a context, derive the RHS (once), run PCG, release.
 //
 // Key contract: two problems may share a key only if every
 // operator-determining field — grid coordinates, KX/KY/KZ, Cv,
@@ -43,12 +42,12 @@ import (
 // its keys; FuzzFamilyAssembly pins that equal family bytes imply
 // byte-identical assembled operators). Sources (Problem.Q) are
 // deliberately outside the contract: every solve re-derives its
-// right-hand side from the entry's boundary terms in assemble's exact
+// right-hand side from the entry's boundary terms in sourcesInto's exact
 // per-cell arithmetic order.
 //
 // Determinism: a cached-entry solve is bitwise identical to the same
 // solve on a private entry. The cached operator arrays are produced
-// by the identical assemble arithmetic, the per-solve RHS by the
+// by the identical assembleOperator arithmetic, the per-solve RHS by the
 // identical sourcesInto arithmetic, and the reused preconditioners
 // are pure functions of the (unchanged) operator matrix — the same
 // argument that makes SolveSteadyBatch's within-batch reuse exact,
@@ -174,18 +173,14 @@ func (fc *familyCache) evictLocked() {
 
 // entry returns the family entry a solve of p runs on: the engine's
 // cached entry for opts.FamilyKey when the cache takes it, else a
-// private entry built for this call, whose one spare steady context
-// takes the assembled b as its right-hand side.
+// private entry built for this call.
 func (e *Engine) entry(p *Problem, opts Options) *familyEntry {
 	if opts.FamilyKey != "" {
 		if fe := e.family(opts.FamilyKey, p, opts.Telemetry); fe != nil {
 			return fe
 		}
 	}
-	op := assemble(p)
-	return &familyEntry{pool: e.pool, op: op, private: true, ctxs: []*famCtx{{
-		kr: newKern(e.pool, len(op.b)), pcs: precondCache{}, b: op.b,
-	}}}
+	return &familyEntry{pool: e.pool, op: assembleOperator(p), private: true}
 }
 
 // family returns the ready cached entry for (key, p), building it on
@@ -226,7 +221,7 @@ func (e *Engine) family(key string, p *Problem, tel *telemetry.Collector) *famil
 		tel.Add(telemetry.CounterFamilyAssemblyMisses, 1)
 	}
 	fe.build.Do(func() {
-		op := assemble(p)
+		op := assembleOperator(p)
 		fc.assemblies.Add(1)
 		// Freeze the operator before publishing: the diagonal
 		// positivity flag is lazily written by makePreconditioner,
@@ -249,7 +244,8 @@ func (e *Engine) family(key string, p *Problem, tel *telemetry.Collector) *famil
 }
 
 // lease returns an exclusive steady-solve context for the family,
-// reusing a spare when one is idle.
+// reusing a spare when one is idle. A new context's b comes from the
+// free list uncleared: every solve writes it in full (sourcesInto).
 func (fe *familyEntry) lease() *famCtx {
 	fe.mu.Lock()
 	if k := len(fe.ctxs); k > 0 {
@@ -260,19 +256,20 @@ func (fe *familyEntry) lease() *famCtx {
 	}
 	fe.mu.Unlock()
 	n := len(fe.op.diag)
-	return &famCtx{kr: newKern(fe.pool, n), pcs: precondCache{}, b: make([]float64, n)}
+	return &famCtx{kr: newKern(fe.pool, n), pcs: precondCache{}, b: getUncleared(n)}
 }
 
 // release returns a leased context to the spare pool (dropped beyond
 // maxSpareCtxs — the kern holds no goroutines of its own, so dropping
 // is garbage-collection only). A private entry's one lease ends its
-// call, so releasing it hands the context's kern vectors and
-// preconditioners and the operator's arrays (the context's b among
-// them) back to the free list instead.
+// call, so releasing it hands the context's kern vectors, right-hand
+// side and preconditioners and the operator's arrays back to the free
+// list instead.
 func (fe *familyEntry) release(c *famCtx) {
 	if fe.private {
 		c.kr.free()
 		c.pcs.free()
+		putFloats(c.b)
 		fe.op.free()
 		return
 	}

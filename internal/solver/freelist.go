@@ -16,13 +16,14 @@ import "sync"
 // garbage collector: a collection empties it, and an array nobody
 // returns is simply collected. getFloats clears an array before it
 // hands it out, for the sites that accumulate into it or rely on its
-// zeros (an operator's diagonal and rhs, coarse stencils, zero
-// columns, a problem's Q and Cv). getUncleared hands an array out as
-// the last user left it, for the sites that write every entry before
-// any is read (couplings, Thomas factors, the coarsening excess, level
-// scratch, PCG vectors, a problem's conductivities); clearing those
-// was a full extra pass over most of a solve's memory. Reuse moves no
-// bit either way (TestEquivalenceDirtyFreeList).
+// zeros (coarse stencils, zero columns, a problem's Q and Cv).
+// getUncleared hands an array out as the last user left it, for the
+// sites that write every entry before any is read (an operator's
+// couplings, diagonal and boundary rhs, a lease's right-hand side,
+// Thomas factors, level scratch, PCG vectors, a problem's
+// conductivities); clearing those was a full extra pass over most of a
+// solve's memory. Reuse moves no bit either way
+// (TestEquivalenceDirtyFreeList).
 //
 // An array goes back only when nothing can read it any more. Arrays
 // that escape a solve never go back: Result.T, Result.Residuals,

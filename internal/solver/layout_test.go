@@ -39,6 +39,22 @@ func rowsOf(op *operator) *rowOperator {
 	return ro
 }
 
+// assemble is assembleOperator with a rhs b built from p's own
+// sources, the operator most tests solve on.
+func assemble(p *Problem) *operator {
+	op := assembleOperator(p)
+	op.b = make([]float64, len(op.diag))
+	op.setSources(p.Q)
+	return op
+}
+
+// faceG returns the series conductance (W/K) between two adjacent
+// half-cells with the given face area, the textbook expression whose
+// bits assembleOperator's one division per face reproduces.
+func faceG(area, d1, k1, d2, k2 float64) float64 {
+	return area / (halfRes(d1, k1) + halfRes(d2, k2))
+}
+
 // assembleRows is the grid-order assembly: the reference for assemble.
 func assembleRows(p *Problem) *rowOperator {
 	g := p.Grid
@@ -50,7 +66,7 @@ func assembleRows(p *Problem) *rowOperator {
 		diag: make([]float64, n), b: make([]float64, n),
 	}
 	bound := func(c int, area, d, k float64, bc Boundary) {
-		if gb := boundaryG(area, d, k, bc); gb != 0 {
+		if gb := boundaryG(area, halfRes(d, k), bc); gb != 0 {
 			op.diag[c] += gb
 			op.b[c] += gb * bc.T
 		}

@@ -68,9 +68,12 @@ package solver
 //
 // Interior columns of a level whose interior faces are all nonzero run
 // without the g ≠ 0 and edge guards: a guard only ever skipped a zero
-// coupling, so dropping it there moves no bit. Same-color columns are
-// solved two at a time, and the ZLine preconditioner's columns four at
-// a time, so the Thomas recurrences overlap.
+// coupling, so dropping it there moves no bit. Every z-line solve runs
+// through one Thomas kernel, four columns at a time so that four
+// recurrences overlap: a half-sweep hands it four same-color columns in
+// the order it visits them, the ZLine preconditioner and the coarsest
+// level four consecutive ones, and a group short of four repeats its
+// last column.
 //
 // The row-major textbook cycle lives in multigrid_tiling_test.go as
 // the oracle: the suite pins the production cycle to it bitwise at
@@ -224,7 +227,16 @@ func newMultigridTier[F mgFloat](op *operator, kr *kern) *multigrid[F] {
 	for s.nx > 1 || s.ny > 1 {
 		xoff, yoff := mesh.CoarsenOffsets(s.nx), mesh.CoarsenOffsets(s.ny)
 		next := coarsenColumns(s, xoff, yoff)
-		mg.levels = append(mg.levels, newSmoothLevel[F](s, xoff, yoff, kr.pool))
+		lvl := newSmoothLevel[F](s, xoff, yoff, kr.pool)
+		// The operator's own stencil comes with its bare flag, the same
+		// test on the same arrays; a converted or coarse stencil is
+		// scanned in tier F.
+		if native && len(mg.levels) == 0 {
+			lvl.bare = op.bare
+		} else {
+			lvl.bare = lvl.interiorNonzero()
+		}
+		mg.levels = append(mg.levels, lvl)
 		if !native && len(mg.levels) > 1 {
 			s.free()
 		}
@@ -285,8 +297,8 @@ func newLineLevel[F mgFloat](nx, ny, nz int, gzp, cpf, minv []float64, pool *par
 }
 
 // newSmoothLevel captures the column-major stencil s as a tier-F
-// smoothing level with its coarsening maps and Thomas factors. At F64
-// the level keeps s's arrays.
+// smoothing level with its coarsening maps and Thomas factors, leaving
+// bare to the caller. At F64 the level keeps s's arrays.
 func newSmoothLevel[F mgFloat](s colStencil, xoff, yoff []int, pool *parallel.Pool) *mgLevel[F] {
 	nx, ny, nz := s.nx, s.ny, s.nz
 	lvl := &mgLevel[F]{
@@ -302,7 +314,6 @@ func newSmoothLevel[F mgFloat](s colStencil, xoff, yoff []int, pool *parallel.Po
 	if _, native := any(cpf).([]F); !native {
 		putFloats(cpf, minv)
 	}
-	lvl.bare = lvl.interiorNonzero()
 	lvl.dispatch = pool.Dispatches((lvl.cols + lvl.colGrain - 1) / lvl.colGrain)
 	if lvl.dispatch {
 		lvl.bands = min(pool.Workers(), ny)
@@ -443,60 +454,50 @@ func (s colStencil) factors() (cpf, minv []float64) {
 // over the cells meets them — below, south, west, then the cell's own
 // east, north and up faces.
 func coarsenColumns(s colStencil, xoff, yoff []int) colStencil {
-	nx, ny, nz := s.nx, s.ny, s.nz
+	nx, nz := s.nx, s.nz
 	nxc, nyc := len(xoff)-1, len(yoff)-1
 	co := newColStencil(nxc, nyc, nz)
 	sy := nx * nz
-	// Fine-cell "excess": the diagonal mass that is not face coupling —
-	// boundary conductance and (for the transient operator) the
-	// capacitance term. It sums in parallel over each aggregate. Every
-	// face is subtracted unguarded: a face outside the grid is a zero
-	// coupling (the zero column west or south, the stored 0 east, north
-	// and on top), and e − (+0) = e for every e, so dropping the guards
-	// of the row-major loop moves no bit.
-	excess := getUncleared(len(s.diag))
-	defer putFloats(excess)
 	zero := getFloats(nz)
 	defer putFloats(zero)
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			c := (j*nx + i) * nz
-			ex := excess[c : c+nz]
-			dg, gz := s.diag[c : c+nz][:len(ex)], s.gzp[c : c+nz][:len(ex)]
-			ge, gn := s.gxp[c : c+nz][:len(ex)], s.gyp[c : c+nz][:len(ex)]
-			// The west and south faces are stored with the neighbour.
-			gw, gs := zero[:len(ex)], zero[:len(ex)]
-			if i > 0 {
-				gw = s.gxp[c-nz : c][:len(ex)]
-			}
-			if j > 0 {
-				gs = s.gyp[c-sy : c-sy+nz][:len(ex)]
-			}
-			below := 0.0
-			for k := range ex {
-				e := dg[k] - below
-				e -= gs[k]
-				e -= gw[k]
-				e -= ge[k]
-				e -= gn[k]
-				below = gz[k]
-				ex[k] = e - below
-			}
-		}
-	}
 	for J := 0; J < nyc; J++ {
 		for I := 0; I < nxc; I++ {
 			C := (J*nxc + I) * nz
 			gz, dg := co.gzp[C:C+nz], co.diag[C:C+nz]
 			// Parallel sums over the aggregate, visited in j, i order:
 			// vertical coupling and excess (coarse faces/boundaries are
-			// unions of fine ones).
+			// unions of fine ones). A fine cell's "excess" is the
+			// diagonal mass that is not face coupling — boundary
+			// conductance and (for the transient operator) the
+			// capacitance term. Every face is subtracted unguarded: a
+			// face outside the grid is a zero coupling (the zero column
+			// west or south, the stored 0 east, north and on top), and
+			// e − (+0) = e for every e, so dropping the guards of the
+			// row-major loop moves no bit.
 			for j := yoff[J]; j < yoff[J+1]; j++ {
 				for i := xoff[I]; i < xoff[I+1]; i++ {
 					c := (j*nx + i) * nz
+					fd, fz := s.diag[c : c+nz][:len(gz)], s.gzp[c : c+nz][:len(gz)]
+					ge, gn := s.gxp[c : c+nz][:len(gz)], s.gyp[c : c+nz][:len(gz)]
+					// The west and south faces are stored with the
+					// neighbour.
+					gw, gs := zero[:len(gz)], zero[:len(gz)]
+					if i > 0 {
+						gw = s.gxp[c-nz : c][:len(gz)]
+					}
+					if j > 0 {
+						gs = s.gyp[c-sy : c-sy+nz][:len(gz)]
+					}
+					below := 0.0
 					for k := range gz {
-						gz[k] += s.gzp[c+k]
-						if e := excess[c+k]; e > 0 { // clamp rounding noise
+						gz[k] += fz[k]
+						e := fd[k] - below
+						e -= gs[k]
+						e -= gw[k]
+						e -= ge[k]
+						e -= gn[k]
+						below = fz[k]
+						if e -= below; e > 0 { // clamp rounding noise
 							dg[k] += e
 						}
 					}
@@ -683,34 +684,37 @@ func (mg *multigrid[F]) restrict(lvl *mgLevel[F], b, x, rc []F) {
 // smoothRows relaxes the color-matching columns of rows [j0, j1): each
 // column's right-hand side is gathered into its own x (the column's
 // old values are dead: a half-sweep never reads the color it writes),
-// then solved in place, two columns at a time. A sweep from zero
-// solves straight from b.
+// then solved in place, four columns at a time in the order the rows
+// are visited; the last group repeats its last column. A sweep from
+// zero solves straight from b.
 func (lvl *mgLevel[F]) smoothRows(kind, color int, b, x, xc []F, j0, j1 int) {
 	nx, nz := lvl.nx, lvl.nz
 	src := x
 	if kind == sweepFromZero {
 		src = b
 	}
-	held := -1 // a column waiting for a partner
+	var held [4]int // gathered columns waiting for their solve
+	m := 0
 	for j := j0; j < j1; j++ {
 		for i := (j + color) & 1; i < nx; i += 2 {
-			c := (j*nx + i) * nz
 			switch kind {
 			case sweepGather:
 				lvl.gather(b, x, nil, i, j)
 			case sweepCorrect:
 				lvl.gather(b, x, xc, i, j)
 			}
-			if held < 0 {
-				held = c
-				continue
+			held[m] = (j*nx + i) * nz
+			if m++; m == len(held) {
+				lvl.thomas(src, x, held[0], held[1], held[2], held[3])
+				m = 0
 			}
-			lvl.thomas2(src, x, held, c)
-			held = -1
 		}
 	}
-	if held >= 0 {
-		lvl.thomas2(src, x, held, held) // an odd column is its own partner
+	if m > 0 {
+		for h := m; h < len(held); h++ {
+			held[h] = held[m-1]
+		}
+		lvl.thomas(src, x, held[0], held[1], held[2], held[3])
 	}
 }
 
@@ -864,31 +868,41 @@ func (lvl *mgLevel[F]) gather(b, x, xc []F, i, j int) {
 	}
 }
 
-// thomas2 solves the z tridiagonals of the columns starting at c0 and
-// c1 against right-hand sides src, writing dst: forward elimination up
-// the column, dp = (rhs + gzp·dp_below)·minv, then back substitution
-// down it, x = dp − cpf·x_above. Two independent columns per loop let
-// their recurrences overlap. src may be dst, and c1 may be c0: each
-// step reads both columns before it writes either.
-func (lvl *mgLevel[F]) thomas2(src, dst []F, c0, c1 int) {
+// thomas solves the z tridiagonals of the four columns starting at c0,
+// c1, c2 and c3 against right-hand sides src, writing dst: forward
+// elimination up each column, dp = (rhs + gzp·dp_below)·minv, then
+// back substitution down it, x = dp − cpf·x_above. Four independent
+// recurrences per loop overlap their latencies. src may be dst, and an
+// offset may repeat: each step reads all four columns before it writes
+// any, so a repeated column is solved again with the same arithmetic
+// and written with the same values.
+func (lvl *mgLevel[F]) thomas(src, dst []F, c0, c1, c2, c3 int) {
 	nz := lvl.nz
-	x0, x1 := dst[c0:c0+nz], dst[c1:c1+nz]
-	x1 = x1[:len(x0)]
+	x0 := dst[c0 : c0+nz]
+	x1, x2, x3 := dst[c1 : c1+nz][:len(x0)], dst[c2 : c2+nz][:len(x0)], dst[c3 : c3+nz][:len(x0)]
 	s0, s1 := src[c0 : c0+nz][:len(x0)], src[c1 : c1+nz][:len(x0)]
+	s2, s3 := src[c2 : c2+nz][:len(x0)], src[c3 : c3+nz][:len(x0)]
 	g0, g1 := lvl.gzp[c0 : c0+nz][:len(x0)], lvl.gzp[c1 : c1+nz][:len(x0)]
+	g2, g3 := lvl.gzp[c2 : c2+nz][:len(x0)], lvl.gzp[c3 : c3+nz][:len(x0)]
 	m0, m1 := lvl.minv[c0 : c0+nz][:len(x0)], lvl.minv[c1 : c1+nz][:len(x0)]
-	p0, p1 := s0[0]*m0[0], s1[0]*m1[0]
-	x0[0], x1[0] = p0, p1
+	m2, m3 := lvl.minv[c2 : c2+nz][:len(x0)], lvl.minv[c3 : c3+nz][:len(x0)]
+	p0, p1, p2, p3 := s0[0]*m0[0], s1[0]*m1[0], s2[0]*m2[0], s3[0]*m3[0]
+	x0[0], x1[0], x2[0], x3[0] = p0, p1, p2, p3
 	for k := 1; k < len(x0); k++ {
 		p0 = (s0[k] + g0[k-1]*p0) * m0[k]
 		p1 = (s1[k] + g1[k-1]*p1) * m1[k]
-		x0[k], x1[k] = p0, p1
+		p2 = (s2[k] + g2[k-1]*p2) * m2[k]
+		p3 = (s3[k] + g3[k-1]*p3) * m3[k]
+		x0[k], x1[k], x2[k], x3[k] = p0, p1, p2, p3
 	}
 	f0, f1 := lvl.cpf[c0 : c0+nz][:len(x0)], lvl.cpf[c1 : c1+nz][:len(x0)]
+	f2, f3 := lvl.cpf[c2 : c2+nz][:len(x0)], lvl.cpf[c3 : c3+nz][:len(x0)]
 	for k := len(x0) - 2; k >= 0; k-- {
 		p0 = x0[k] - f0[k]*p0
 		p1 = x1[k] - f1[k]*p1
-		x0[k], x1[k] = p0, p1
+		p2 = x2[k] - f2[k]*p2
+		p3 = x3[k] - f3[k]*p3
+		x0[k], x1[k], x2[k], x3[k] = p0, p1, p2, p3
 	}
 }
 
@@ -994,52 +1008,15 @@ func (mg *multigrid[F]) lineSolve(lvl *mgLevel[F], r, z []F) {
 	})
 }
 
-// lineColumns solves columns [lo, hi) of a line level, four at a time
-// so that four Thomas recurrences overlap. Every cell evaluates the
-// per-column recurrence's own expressions and columns never couple,
-// so the result is bitwise identical to solving the columns one by
-// one (TestEquivalenceZLinePlanes).
+// lineColumns solves columns [lo, hi) of a line level, four
+// consecutive ones at a time; the last group repeats the range's last
+// column. Every cell evaluates the per-column recurrence's own
+// expressions and columns never couple, so the result is bitwise
+// identical to solving the columns one by one
+// (TestEquivalenceZLinePlanes).
 func (lvl *mgLevel[F]) lineColumns(r, z []F, lo, hi int) {
-	nz := lvl.nz
-	c := lo
-	for ; c+4 <= hi; c += 4 {
-		lvl.thomas4(r, z, c*nz)
-	}
-	for ; c+2 <= hi; c += 2 {
-		lvl.thomas2(r, z, c*nz, (c+1)*nz)
-	}
-	if c < hi {
-		lvl.thomas2(r, z, c*nz, c*nz)
-	}
-}
-
-// thomas4 is thomas2 on the four consecutive columns starting at c.
-func (lvl *mgLevel[F]) thomas4(src, dst []F, c int) {
-	nz := lvl.nz
-	x0 := dst[c : c+nz]
-	x1, x2, x3 := dst[c+nz : c+2*nz][:len(x0)], dst[c+2*nz : c+3*nz][:len(x0)], dst[c+3*nz : c+4*nz][:len(x0)]
-	s0, s1 := src[c : c+nz][:len(x0)], src[c+nz : c+2*nz][:len(x0)]
-	s2, s3 := src[c+2*nz : c+3*nz][:len(x0)], src[c+3*nz : c+4*nz][:len(x0)]
-	g0, g1 := lvl.gzp[c : c+nz][:len(x0)], lvl.gzp[c+nz : c+2*nz][:len(x0)]
-	g2, g3 := lvl.gzp[c+2*nz : c+3*nz][:len(x0)], lvl.gzp[c+3*nz : c+4*nz][:len(x0)]
-	m0, m1 := lvl.minv[c : c+nz][:len(x0)], lvl.minv[c+nz : c+2*nz][:len(x0)]
-	m2, m3 := lvl.minv[c+2*nz : c+3*nz][:len(x0)], lvl.minv[c+3*nz : c+4*nz][:len(x0)]
-	p0, p1, p2, p3 := s0[0]*m0[0], s1[0]*m1[0], s2[0]*m2[0], s3[0]*m3[0]
-	x0[0], x1[0], x2[0], x3[0] = p0, p1, p2, p3
-	for k := 1; k < len(x0); k++ {
-		p0 = (s0[k] + g0[k-1]*p0) * m0[k]
-		p1 = (s1[k] + g1[k-1]*p1) * m1[k]
-		p2 = (s2[k] + g2[k-1]*p2) * m2[k]
-		p3 = (s3[k] + g3[k-1]*p3) * m3[k]
-		x0[k], x1[k], x2[k], x3[k] = p0, p1, p2, p3
-	}
-	f0, f1 := lvl.cpf[c : c+nz][:len(x0)], lvl.cpf[c+nz : c+2*nz][:len(x0)]
-	f2, f3 := lvl.cpf[c+2*nz : c+3*nz][:len(x0)], lvl.cpf[c+3*nz : c+4*nz][:len(x0)]
-	for k := len(x0) - 2; k >= 0; k-- {
-		p0 = x0[k] - f0[k]*p0
-		p1 = x1[k] - f1[k]*p1
-		p2 = x2[k] - f2[k]*p2
-		p3 = x3[k] - f3[k]*p3
-		x0[k], x1[k], x2[k], x3[k] = p0, p1, p2, p3
+	nz, last := lvl.nz, hi-1
+	for c := lo; c < hi; c += 4 {
+		lvl.thomas(r, z, c*nz, min(c+1, last)*nz, min(c+2, last)*nz, min(c+3, last)*nz)
 	}
 }

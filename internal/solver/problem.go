@@ -279,9 +279,13 @@ type operator struct {
 	gyp        []float64
 	gzp        []float64
 	diag       []float64
-	b          []float64 // rhs: sources + boundary terms
-	// bBound is the boundary-only part of b (b before sources were
-	// added) — setSources rebuilds b from it for a new source field,
+	// b is the rhs, sources plus boundary terms, of an operator that
+	// owns one: a transient integrator's clone and an augmented (C/Δt +
+	// A) system. assembleOperator leaves it nil; a steady solve writes
+	// its rhs into its leased context instead.
+	b []float64
+	// bBound is the boundary-only part of the rhs (b before sources are
+	// added) — sourcesInto builds a rhs from it for any source field,
 	// which is how SolveSteadyBatch re-targets one assembled operator
 	// at K power maps.
 	bBound []float64
@@ -321,124 +325,170 @@ func (op *operator) gridField(src []float64) []float64 {
 // along one axis: (Δ/2)/k.
 func halfRes(delta, k float64) float64 { return delta / (2 * k) }
 
-// faceG returns the series conductance (W/K) between two adjacent
-// half-cells with the given face area.
-func faceG(area, d1, k1, d2, k2 float64) float64 {
-	return area / (halfRes(d1, k1) + halfRes(d2, k2))
-}
-
 // boundaryG returns the conductance (W/K) from a cell center to a
-// boundary condition across the half cell; 0 for adiabatic.
-func boundaryG(area, d, k float64, bc Boundary) float64 {
+// boundary condition across the half cell of resistance h (halfRes);
+// 0 for adiabatic.
+func boundaryG(area, h float64, bc Boundary) float64 {
 	switch bc.Kind {
 	case Dirichlet:
-		return area / halfRes(d, k)
+		return area / h
 	case Convective:
-		return area / (halfRes(d, k) + 1/bc.H)
+		return area / (h + 1/bc.H)
 	default:
 		return 0
 	}
 }
 
-// assemble builds the operator for problem p. It walks the cells in
-// column order, so every array it writes is written once, front to
-// back. Each diagonal entry sums the cell's faces in the order a
-// grid-order sweep over the cells meets them — the faces below, south
-// and west (stored with those neighbours, which the column walk has
-// already visited), then the cell's own east, north and up faces, then
-// its boundary faces — so every coupling, diagonal and rhs entry holds
-// the grid-order assembly's value bit for bit
-// (TestEquivalenceAssembleColumns).
-func assemble(p *Problem) *operator {
+// assembleOperator builds the operator for problem p: couplings,
+// diagonal and boundary rhs. The rhs b is left nil: every solve writes
+// its own from the boundary rhs and its sources (sourcesInto), once.
+// It walks the cells in column order, so every array it writes is
+// written once, front to back. Each diagonal entry sums the cell's
+// faces in the order a grid-order sweep over the cells meets them —
+// the faces below, south and west (stored with those neighbours, which
+// the column walk has already visited), then the cell's own east,
+// north and up faces, then its boundary faces — so every coupling,
+// diagonal and boundary rhs entry holds the grid-order assembly's
+// value bit for bit (TestEquivalenceAssembleColumns). The faces below,
+// south and west are added unguarded, a zero coupling standing in for
+// one outside the grid: every coupling is +0 or positive, and
+// d + (+0) = d for the non-negative partial sums a diagonal holds.
+//
+// Each cell's half-cell resistance Δ/(2k) is computed once per axis,
+// and each face conductance is then one division: the face area over
+// the sum of the two half-cell resistances, the series conductance
+// area/(Δ₁/(2k₁) + Δ₂/(2k₂)) evaluated in the same order. A boundary
+// face reuses its cell's value. The resistances of a row of columns
+// are computed in a pass of their own before its faces, in row
+// buffers in column order, so the face divisions wait on none.
+func assembleOperator(p *Problem) *operator {
 	g := p.Grid
 	nx, ny, nz := g.NX(), g.NY(), g.NZ()
 	n := g.NumCells()
 	// Every entry of every array is written below.
-	op := &operator{
-		g: g, nx: nx, ny: ny, nz: nz,
-		gxp:    getUncleared(n),
-		gyp:    getUncleared(n),
-		gzp:    getUncleared(n),
-		diag:   getUncleared(n),
-		b:      getUncleared(n),
-		bBound: getUncleared(n),
-		bare:   true,
-		zero:   getFloats(nz),
+	gxp, gyp, gzp := getUncleared(n), getUncleared(n), getUncleared(n)
+	diag, bBound := getUncleared(n), getUncleared(n)
+	zero := getFloats(nz)
+	sy, sz := nx*nz, nx*ny // column stride in y; grid stride in z
+	// Half-cell resistances of the row, cell (i, ·, k) at i·nz + k:
+	// along x and z, and along y for the row and for the next (hyN);
+	// dz holds the layer thicknesses.
+	hx, hz := getUncleared(sy), getUncleared(sy)
+	hy, hyN := getUncleared(sy), getUncleared(sy)
+	dz := getUncleared(nz)
+	defer putFloats(hx, hz, hy, hyN, dz)
+	for k := range dz {
+		dz[k] = g.DZ(k)
 	}
-	sx, sy, sz := nz, nx*nz, nx*ny // column strides in x and y; grid stride in z
-	for j := 0; j < ny; j++ {
+	yRes := func(dst []float64, j int) {
 		dy := g.DY(j)
-		for i := 0; i < nx; i++ {
-			dx := g.DX(i)
-			c0, pc0 := op.index(i, j, 0), g.Index(i, j, 0)
-			for k := 0; k < nz; k++ {
-				dz := g.DZ(k)
-				c, pc := c0+k, pc0+k*sz
-				areaX := dy * dz
-				areaY := dx * dz
-				areaZ := dx * dy
-				d := 0.0
-				if k > 0 {
-					d += op.gzp[c-1]
-				}
-				if j > 0 {
-					d += op.gyp[c-sy]
-				}
-				if i > 0 {
-					d += op.gxp[c-sx]
-				}
-				// Interior couplings (+ direction only; the − direction is
-				// the neighbor's + coupling), 0 on the last column, row
-				// and layer.
-				gx, gy, gz := 0.0, 0.0, 0.0
-				if i+1 < nx {
-					gx = faceG(areaX, dx, p.KX[pc], g.DX(i+1), p.KX[pc+1])
-					d += gx
-				}
-				if j+1 < ny {
-					gy = faceG(areaY, dy, p.KY[pc], g.DY(j+1), p.KY[pc+nx])
-					d += gy
-				}
-				if k+1 < nz {
-					gz = faceG(areaZ, dz, p.KZ[pc], g.DZ(k+1), p.KZ[pc+sz])
-					if p.ZPlaneTBR != nil && p.ZPlaneTBR[k] > 0 {
-						gz = 1 / (1/gz + p.ZPlaneTBR[k]/areaZ)
-					}
-					d += gz
-				}
-				if (i+1 < nx && gx == 0) || (j+1 < ny && gy == 0) || (k+1 < nz && gz == 0) {
-					op.bare = false
-				}
-				op.gxp[c], op.gyp[c], op.gzp[c] = gx, gy, gz
-				// Boundary faces.
-				bb := 0.0
-				if i == 0 {
-					d, bb = addBoundary(d, bb, areaX, dx, p.KX[pc], p.Bounds[XMin])
-				}
-				if i == nx-1 {
-					d, bb = addBoundary(d, bb, areaX, dx, p.KX[pc], p.Bounds[XMax])
-				}
-				if j == 0 {
-					d, bb = addBoundary(d, bb, areaY, dy, p.KY[pc], p.Bounds[YMin])
-				}
-				if j == ny-1 {
-					d, bb = addBoundary(d, bb, areaY, dy, p.KY[pc], p.Bounds[YMax])
-				}
-				if k == 0 {
-					d, bb = addBoundary(d, bb, areaZ, dz, p.KZ[pc], p.Bounds[ZMin])
-				}
-				if k == nz-1 {
-					d, bb = addBoundary(d, bb, areaZ, dz, p.KZ[pc], p.Bounds[ZMax])
-				}
-				op.diag[c], op.bBound[c] = d, bb
+		for k := 0; k < nz; k++ {
+			for i, kv := range p.KY[k*sz+j*nx : k*sz+j*nx+nx] {
+				dst[i*nz+k] = halfRes(dy, kv)
 			}
 		}
 	}
-	// The rhs is the boundary-only rhs plus the sources: b[c] takes
-	// only the cell's own terms, boundary terms first, then
-	// + q·dx·dy·dz.
-	op.setSources(p.Q)
-	return op
+	yRes(hy, 0)
+	bc, tbr := p.Bounds, p.ZPlaneTBR
+	bare := true
+	for j := 0; j < ny; j++ {
+		dy := g.DY(j)
+		for k, dzk := range dz {
+			kx := p.KX[k*sz+j*nx : k*sz+j*nx+nx]
+			kz := p.KZ[k*sz+j*nx : k*sz+j*nx+nx][:len(kx)]
+			for i := range kx {
+				hx[i*nz+k] = halfRes(g.DX(i), kx[i])
+				hz[i*nz+k] = halfRes(dzk, kz[i])
+			}
+		}
+		north := j+1 < ny
+		if north {
+			yRes(hyN, j+1)
+		}
+		for i := 0; i < nx; i++ {
+			dx := g.DX(i)
+			east := i+1 < nx
+			c0 := (j*nx + i) * nz
+			cx := gxp[c0 : c0+nz]
+			cy, cz := gyp[c0 : c0+nz][:len(cx)], gzp[c0 : c0+nz][:len(cx)]
+			cd, cb := diag[c0 : c0+nz][:len(cx)], bBound[c0 : c0+nz][:len(cx)]
+			hxc, hzc := hx[i*nz : i*nz+nz][:len(cx)], hz[i*nz : i*nz+nz][:len(cx)]
+			hyc, hyn := hy[i*nz : i*nz+nz][:len(cx)], hyN[i*nz : i*nz+nz][:len(cx)]
+			hxe := hxc
+			if east {
+				hxe = hx[(i+1)*nz : (i+2)*nz][:len(cx)]
+			}
+			// The west and south faces are stored with the neighbour.
+			west, south := zero[:len(cx)], zero[:len(cx)]
+			if i > 0 {
+				west = gxp[c0-nz : c0][:len(cx)]
+			}
+			if j > 0 {
+				south = gyp[c0-sy : c0-sy+nz][:len(cx)]
+			}
+			dzc := dz[:len(cx)]
+			areaZ := dx * dy
+			below := 0.0
+			for k := range cx {
+				areaX := dy * dzc[k]
+				areaY := dx * dzc[k]
+				d := below
+				d += south[k]
+				d += west[k]
+				// Interior couplings (+ direction only; the − direction is
+				// the neighbour's + coupling), 0 on the last column, row
+				// and layer.
+				gx, gy, gz := 0.0, 0.0, 0.0
+				if east {
+					gx = areaX / (hxc[k] + hxe[k])
+					bare = bare && gx != 0
+					d += gx
+				}
+				if north {
+					gy = areaY / (hyc[k] + hyn[k])
+					bare = bare && gy != 0
+					d += gy
+				}
+				if k+1 < len(cx) {
+					gz = areaZ / (hzc[k] + hzc[k+1])
+					if tbr != nil && tbr[k] > 0 {
+						gz = 1 / (1/gz + tbr[k]/areaZ)
+					}
+					bare = bare && gz != 0
+					d += gz
+				}
+				cx[k], cy[k], cz[k] = gx, gy, gz
+				// Boundary faces.
+				bb := 0.0
+				if i == 0 {
+					d, bb = addBoundary(d, bb, areaX, hxc[k], bc[XMin])
+				}
+				if !east {
+					d, bb = addBoundary(d, bb, areaX, hxc[k], bc[XMax])
+				}
+				if j == 0 {
+					d, bb = addBoundary(d, bb, areaY, hyc[k], bc[YMin])
+				}
+				if !north {
+					d, bb = addBoundary(d, bb, areaY, hyc[k], bc[YMax])
+				}
+				if k == 0 {
+					d, bb = addBoundary(d, bb, areaZ, hzc[k], bc[ZMin])
+				}
+				if k+1 == len(cx) {
+					d, bb = addBoundary(d, bb, areaZ, hzc[k], bc[ZMax])
+				}
+				cd[k], cb[k] = d, bb
+				below = gz
+			}
+		}
+		hy, hyN = hyN, hy
+	}
+	return &operator{
+		g: g, nx: nx, ny: ny, nz: nz,
+		gxp: gxp, gyp: gyp, gzp: gzp, diag: diag, bBound: bBound,
+		bare: bare, zero: zero,
+	}
 }
 
 // free hands the operator's arrays back to the free list. Only the
@@ -449,43 +499,42 @@ func (op *operator) free() {
 	putFloats(op.gxp, op.gyp, op.gzp, op.diag, op.b, op.bBound, op.zero)
 }
 
-// setSources rebuilds the rhs for the volumetric source field q
-// (W/m³): b = bBound + q·dV, in the exact per-cell arithmetic order
-// of assemble, so an operator re-sourced with q is bitwise identical
-// to one assembled from a Problem carrying Q = q.
+// setSources rebuilds the operator's own rhs b for the volumetric
+// source field q (W/m³), as sourcesInto does.
 func (op *operator) setSources(q []float64) {
 	op.sourcesInto(q, op.b)
 }
 
-// sourcesInto is setSources targeting a caller-provided RHS vector —
-// a leased solve context's b (see family.go), so solves on a cached
-// entry derive their RHS from the shared frozen assembly without
-// mutating it. Identical arithmetic, so dst is bitwise equal to the b
-// a fresh assembly with Q = q would carry. q is in grid order and dst
-// in column order: the loop walks dst column by column.
+// sourcesInto writes the rhs for the volumetric source field q (W/m³)
+// into dst: b = bBound + q·dV, each cell's boundary terms first, then
+// + q·dx·dy·dz. Every solve derives its rhs this way, once — a leased
+// solve context's b (see family.go), so solves on a cached entry never
+// mutate the shared frozen assembly, or a transient integrator's own.
+// q is in grid order and dst in column order: the loop walks dst
+// column by column.
 func (op *operator) sourcesInto(q, dst []float64) {
 	g := op.g
 	nx, ny, nz := op.nx, op.ny, op.nz
-	sz := nx * ny
+	sz, zs := nx*ny, g.Zs
 	for j := 0; j < ny; j++ {
 		dy := g.DY(j)
 		for i := 0; i < nx; i++ {
 			dx := g.DX(i)
 			c := op.index(i, j, 0)
 			col, bb := dst[c:c+nz], op.bBound[c:c+nz]
-			bb = bb[:len(col)]
+			bb, z := bb[:len(col)], zs[:len(col)+1]
 			for k := range col {
-				col[k] = bb[k] + q[(j*nx+i)+k*sz]*dx*dy*g.DZ(k)
+				col[k] = bb[k] + q[(j*nx+i)+k*sz]*dx*dy*(z[k+1]-z[k])
 			}
 		}
 	}
 }
 
-// addBoundary adds the boundary conductance of one face to the
-// diagonal d and its boundary term to the rhs b; an adiabatic face
-// adds nothing.
-func addBoundary(d, b, area, dx, k float64, bc Boundary) (float64, float64) {
-	gb := boundaryG(area, dx, k, bc)
+// addBoundary adds the boundary conductance of one face, across a half
+// cell of resistance h, to the diagonal d and its boundary term to the
+// rhs b; an adiabatic face adds nothing.
+func addBoundary(d, b, area, h float64, bc Boundary) (float64, float64) {
+	gb := boundaryG(area, h, bc)
 	if gb == 0 {
 		return d, b
 	}

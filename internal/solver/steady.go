@@ -327,22 +327,26 @@ type iterOutcome struct {
 // The solution is written into x, which the caller passes (n long,
 // any contents, never the initial guess itself) and gets back as
 // iterOutcome.x: pcg starts it from opts.InitialGuess, or from zero.
+// A start from zero skips the initial residual's SpMV: A·(+0) is +0 in
+// every cell, so r = b − A·x is b bit for bit, and its norm is ‖b‖
+// summed in the same chunk order (TestColdStartMatchesZeroGuess).
 // Inside the solver every vector is in the operator's column order —
 // b, x, and opts.InitialGuess, which the public entry points transpose
 // in — and only the error's best iterate goes back to grid order here.
 func pcg(op *operator, b, x []float64, opts Options, kr *kern, pcs precondCache) (*iterOutcome, error) {
 	n := len(b)
-	if opts.InitialGuess != nil {
-		copy(x, opts.InitialGuess)
-	} else {
-		clear(x)
-	}
 	// The work vectors belong to the kern; pn is the next direction,
 	// pointer-swapped with p.
 	r, z, p, pn, ap, bestX := kr.pcgVectors(n)
-
-	resNum := kr.residual(op, x, b, r)
 	bn := kr.norm2(b)
+	resNum := bn
+	if opts.InitialGuess != nil {
+		copy(x, opts.InitialGuess)
+		resNum = kr.residual(op, x, b, r)
+	} else {
+		clear(x)
+		copy(r, b)
+	}
 	if bn == 0 {
 		// Zero RHS with SPD A ⇒ zero solution, whatever the guess.
 		clear(x)
@@ -658,7 +662,7 @@ func BoundaryFlux(p *Problem, r *Result, f Face) float64 {
 		case ZMin, ZMax:
 			area, d, kcond = g.DX(i)*g.DY(j), g.DZ(k), p.KZ[idx]
 		}
-		gb := boundaryG(area, d, kcond, bc)
+		gb := boundaryG(area, halfRes(d, kcond), bc)
 		total += gb * (r.T[idx] - bc.T)
 	}
 	return total

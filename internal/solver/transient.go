@@ -105,7 +105,7 @@ func NewTransient(p *Problem, t0 []float64, opts Options) (*Transient, error) {
 	fam := opts.Engine.entry(p, opts)
 	// The clone shares the entry's couplings and diagonal; only the RHS
 	// is owned (SetSources rewrites it per segment). setSources on the
-	// clone reproduces assemble's RHS bit for bit.
+	// clone gives the RHS every solve of p derives, bit for bit.
 	op := fam.cloneForSources()
 	op.setSources(p.Q)
 	heatCap := getUncleared(n)
@@ -215,18 +215,27 @@ func (tr *Transient) resetHistory() {
 	tr.prev = [2][]float64{}
 }
 
-// initialGuess returns the start of the next step's solve: the
-// predictor's extrapolation of the last three fields, written to the
-// lease's scratch (pcg copies it), or Tⁿ when the history is short or
-// ρ is 0 or undefined. ρ's two sums run in one serial loop in cell
-// order, so the guess does not depend on Workers.
-func (tr *Transient) initialGuess() []float64 {
+// stepRHS writes the next step's right-hand side, (C/Δt)·Tⁿ + b, into
+// the lease's augmented system, and returns the start of its solve:
+// the predictor's extrapolation of the last three fields, written to
+// the lease's scratch (pcg copies it), or Tⁿ when the history is short
+// or ρ is 0 or undefined. ρ's two sums run in the same pass as the
+// right-hand side, serially in cell order, so the guess does not
+// depend on Workers.
+func (tr *Transient) stepRHS() []float64 {
+	t := tr.cur
+	rhs, b, capDt := tr.lease.aug.b[:len(t)], tr.op.b[:len(t)], tr.lease.capDt[:len(t)]
+	// capDt[c] is the value the lease added to the diagonal.
 	if tr.prev[1] == nil {
+		for c := range t {
+			rhs[c] = b[c] + capDt[c]*t[c]
+		}
 		return tr.cur
 	}
-	t, t1, t2 := tr.cur, tr.prev[0], tr.prev[1]
+	t1, t2 := tr.prev[0][:len(t)], tr.prev[1][:len(t)]
 	var num, den float64
 	for c := range t {
+		rhs[c] = b[c] + capDt[c]*t[c]
 		d, d1 := t[c]-t1[c], t1[c]-t2[c]
 		num += d * d1
 		den += d1 * d1
@@ -241,6 +250,7 @@ func (tr *Transient) initialGuess() []float64 {
 		g = make([]float64, len(t))
 		tr.lease.guess = g
 	}
+	g = g[:len(t)]
 	for c := range t {
 		g[c] = t[c] + rho*(t[c]-t1[c])
 	}
@@ -265,14 +275,10 @@ func (tr *Transient) Step(dt float64) error {
 		tr.lastDt = dt
 		tr.resetHistory()
 	}
-	aug, capDt := tr.lease.aug, tr.lease.capDt
-	// The rhs changes every step (it carries the previous field);
-	// capDt[c] is the value the lease added to the diagonal.
-	for c := 0; c < n; c++ {
-		aug.b[c] = tr.op.b[c] + capDt[c]*tr.cur[c]
-	}
+	// The rhs changes every step (it carries the previous field).
 	opts := tr.opts
-	opts.InitialGuess = tr.initialGuess()
+	opts.InitialGuess = tr.stepRHS()
+	aug := tr.lease.aug
 	x := tr.buffer(n)
 	out, err := solveTraced(aug, aug.b, x, opts, "transient", tr.lease.kr, tr.lease.pcs)
 	if err != nil {

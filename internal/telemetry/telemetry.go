@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"os"
 	"sync"
@@ -177,7 +176,6 @@ type Collector struct {
 	solves   []SolveTrace
 	maxTrace int
 	dropped  int64
-	logger   *log.Logger
 }
 
 // DefaultMaxTraces bounds the retained per-solve traces; older solves
@@ -204,33 +202,6 @@ func (c *Collector) SetMaxTraces(n int) {
 	c.mu.Lock()
 	c.maxTrace = n
 	c.mu.Unlock()
-}
-
-// SetLogger directs Logf output. A collector without a logger falls
-// back to the standard library default logger, so warnings are never
-// silently dropped.
-func (c *Collector) SetLogger(l *log.Logger) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.logger = l
-	c.mu.Unlock()
-}
-
-// Logf logs a pipeline event. Safe on a nil collector: the message
-// still goes to the standard logger — warnings must never be silent.
-func (c *Collector) Logf(format string, args ...any) {
-	var l *log.Logger
-	if c != nil {
-		c.mu.Lock()
-		l = c.logger
-		c.mu.Unlock()
-	}
-	if l == nil {
-		l = log.Default()
-	}
-	l.Printf(format, args...)
 }
 
 // Add increments a named counter.
