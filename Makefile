@@ -4,7 +4,7 @@ GO ?= go
 # `make cover` — raise it when coverage rises, never lower it.
 COVER_FLOOR ?= 87.0
 
-.PHONY: all build test vet fmt race equivalence serve-stress fuzz-short cover examples-run bench bench-json bench-serve bench-cluster bench-smoke bench-build bench-run bench-pairs ci
+.PHONY: all build test vet fmt race equivalence serve-stress fuzz-short cover examples-run bench bench-json bench-serve bench-smoke bench-build bench-run bench-pairs ci
 
 all: build test
 
@@ -56,7 +56,6 @@ equivalence:
 	$(GO) test -race -run 'Equivalence' -count=2 ./internal/stack/
 	$(GO) test -race -run 'Equivalence|Window|ArrivalOrder' -count=2 ./internal/serve/
 	$(GO) test -race -run 'Conformance' -count=2 ./internal/rom/
-	$(GO) test -race -run 'Conformance' -count=2 ./internal/cluster/
 
 # serve-stress hammers the evaluation service under the race detector:
 # concurrent clients with random cancellations, coalescing bursts,
@@ -64,7 +63,6 @@ equivalence:
 # run-to-run flakiness.
 serve-stress:
 	$(GO) test -race -count=2 -run 'Serve|Golden' ./internal/serve/ ./cmd/thermserve/
-	$(GO) test -race -count=2 -run 'Fault|Reheal|Ring' ./internal/cluster/
 
 # fuzz-short runs each native fuzz target for a bounded burst — long
 # enough to shake out validation panics, short enough for CI. The
@@ -77,8 +75,6 @@ fuzz-short:
 	$(GO) test -fuzz FuzzEvalKey -fuzztime 10s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz FuzzROMReduce -fuzztime 10s -run '^$$' ./internal/rom/
 	$(GO) test -fuzz FuzzTraceRequest -fuzztime 10s -run '^$$' ./internal/specio/
-	$(GO) test -fuzz FuzzPeerCacheKey -fuzztime 10s -run '^$$' ./internal/cluster/
-	$(GO) test -fuzz FuzzRingMembership -fuzztime 10s -run '^$$' ./internal/cluster/
 
 # cover enforces the ratcheted coverage floor (COVER_FLOOR).
 cover:
@@ -128,16 +124,6 @@ bench-serve:
 	{ $(GO) test -run xxx -bench 'Serve100|ServeBatch' -benchtime=3x -count=5 ./internal/serve/ && \
 	  $(GO) test -run xxx -bench 'ServeColdFamily' -benchtime=8x -count=5 ./internal/serve/; } | $(GO) run ./cmd/benchjson > BENCH_serve.json
 
-# bench-cluster snapshots the shard-aware scale-out story into
-# BENCH_cluster.json: the mixed cache-heavy workload at 1/2/4
-# in-process nodes, with throughput (rps) and tail latency (p99_ms)
-# per row. The hard acceptance: the nodes=4 row's rps must exceed
-# nodes=1 — the ring's aggregate cache capacity holding a working set
-# that a single node's LRU thrashes on. Same -count=5 min/median
-# protocol as bench-json.
-bench-cluster:
-	$(GO) test -run xxx -bench 'ClusterMixed' -benchtime=1x -count=5 ./internal/cluster/ | $(GO) run ./cmd/benchjson > BENCH_cluster.json
-
 # bench-smoke is the CI guard against benchmark rot: one fast pass
 # over a representative slice of every suite (the zline and the
 # default multigrid preconditioners, fused solver kernels, small-n
@@ -152,7 +138,6 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'PlacementLoop|PlaceScaffold12' -benchtime=1x ./internal/pillar/
 	$(GO) test -run xxx -bench 'Serve100Mixed|ServeColdFamily/window=on|SteadyFamily/cached=on' -benchtime=1x ./internal/serve/ ./internal/solver/
 	$(GO) test -run xxx -bench 'ROMEval/n=16' -benchtime=1x ./internal/rom/
-	$(GO) test -run xxx -bench 'ClusterMixed/nodes=2' -benchtime=1x ./internal/cluster/
 
 # bench-build vets and compiles the repository benchmark (perfbench/,
 # its own Go module that replaces thermalscaffold with this checkout).

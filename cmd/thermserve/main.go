@@ -44,10 +44,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
-	"thermalscaffold/internal/cluster"
 	"thermalscaffold/internal/serve"
 	"thermalscaffold/internal/specio"
 	"thermalscaffold/internal/telemetry"
@@ -79,8 +77,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request solve deadline")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown drain budget before in-flight solves are cancelled")
 	reportPath := fs.String("report", "", "on shutdown write a JSON run report (solve traces, counters) to this path; \"-\" = stdout")
-	peers := fs.String("peers", "", "cluster membership as id=url,id=url,... (including this node); empty = single-node")
-	shard := fs.String("shard", "", "this node's ring ID within -peers (required with -peers)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -124,28 +120,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		DefaultTimeout: *timeout,
 		Telemetry:      tel,
 	}
-	var clu *cluster.Cluster
-	if *peers != "" {
-		nodes, perr := parsePeers(*peers)
-		if perr != nil {
-			fmt.Fprintf(stderr, "thermserve: -peers: %v\n", perr)
-			return 2
-		}
-		if *shard == "" {
-			fmt.Fprintln(stderr, "thermserve: -peers requires -shard (this node's ring ID)")
-			return 2
-		}
-		clu, perr = cluster.New(cluster.Config{Self: *shard, Nodes: nodes, Telemetry: tel})
-		if perr != nil {
-			fmt.Fprintf(stderr, "thermserve: %v\n", perr)
-			return 2
-		}
-		defer clu.Close()
-		cfg.Peers = clu
-	} else if *shard != "" {
-		fmt.Fprintln(stderr, "thermserve: -shard requires -peers")
-		return 2
-	}
 	srv := serve.New(cfg)
 	srv.PublishExpvar("thermserve")
 
@@ -182,24 +156,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stderr, "thermserve: drained")
 	return 0
-}
-
-// parsePeers parses the -peers flag: comma-separated id=url pairs.
-func parsePeers(s string) ([]cluster.NodeSpec, error) {
-	var nodes []cluster.NodeSpec
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("bad peer %q, want id=url", part)
-		}
-		nodes = append(nodes, cluster.NodeSpec{ID: id, URL: url})
-	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("no peers listed")
-	}
-	return nodes, nil
 }

@@ -53,21 +53,22 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunClusterFlags pins the -peers/-shard contract: both or
-// neither, well-formed id=url pairs, and self present in the list.
+// TestRunClusterFlags pins that the retired -peers/-shard pair stays
+// retired: every argv the sharded mode once validated now fails at
+// parse time as an undefined flag, before any server starts.
 func TestRunClusterFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"peers without shard", []string{"-peers", "a=http://x,b=http://y"}, "requires -shard"},
-		{"shard without peers", []string{"-shard", "a"}, "requires -peers"},
-		{"malformed pair", []string{"-peers", "nonsense", "-shard", "a"}, "want id=url"},
-		{"empty list", []string{"-peers", ",,", "-shard", "a"}, "no peers"},
-		{"self missing", []string{"-peers", "a=http://x,b=http://y", "-shard", "c"}, "not among"},
-		{"single node ring", []string{"-peers", "a=http://x", "-shard", "a"}, "at least 2 nodes"},
-		{"bad peer URL", []string{"-peers", "a=http://x,b=:;:", "-shard", "a"}, "bad URL"},
+		{"peers without shard", []string{"-peers", "a=http://x,b=http://y"}, "-peers"},
+		{"shard without peers", []string{"-shard", "a"}, "-shard"},
+		{"malformed pair", []string{"-peers", "nonsense", "-shard", "a"}, "-peers"},
+		{"empty list", []string{"-peers", ",,", "-shard", "a"}, "-peers"},
+		{"self missing", []string{"-peers", "a=http://x,b=http://y", "-shard", "c"}, "-peers"},
+		{"single node ring", []string{"-peers", "a=http://x", "-shard", "a"}, "-peers"},
+		{"bad peer URL", []string{"-peers", "a=http://x,b=:;:", "-shard", "a"}, "-peers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,20 +76,10 @@ func TestRunClusterFlags(t *testing.T) {
 			if code := run(context.Background(), tc.args, &out, &errb); code != 2 {
 				t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb.String())
 			}
-			if !strings.Contains(errb.String(), tc.want) {
-				t.Fatalf("stderr %q missing %q", errb.String(), tc.want)
+			if want := "flag provided but not defined: " + tc.want; !strings.Contains(errb.String(), want) {
+				t.Fatalf("stderr %q missing %q", errb.String(), want)
 			}
 		})
-	}
-}
-
-func TestParsePeers(t *testing.T) {
-	nodes, err := parsePeers(" a=http://x , b=http://y ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != 2 || nodes[0].ID != "a" || nodes[0].URL != "http://x" || nodes[1].ID != "b" {
-		t.Fatalf("parsed %+v", nodes)
 	}
 }
 

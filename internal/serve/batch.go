@@ -87,9 +87,8 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Per-item cache hits (local first, then the key's ring owner in
-	// cluster mode), then one group solve for the remaining unique
-	// misses.
+	// Per-item cache hits, then one group solve for the remaining
+	// unique misses.
 	var missIdx []int
 	var ms []miss
 	for i := range items {
@@ -97,7 +96,7 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		if it.dupOf >= 0 {
 			continue
 		}
-		if hit, ok := s.lookup(it.key); ok {
+		if hit, ok := s.caches.Lookup(it.key); ok {
 			it.sv, it.cached = hit, true
 			s.ctr.hits.Add(1)
 			s.cfg.Telemetry.Add(telemetry.CounterCacheHits, 1)

@@ -1,7 +1,6 @@
 package serve
 
-// The serving pipeline is three explicit layers (plus the optional
-// cluster seam), composed by Server:
+// The serving pipeline is three explicit layers, composed by Server:
 //
 //	cache     — cacheLayer: every LRU index the service keeps, sized
 //	            in exactly one place from Config.
@@ -9,15 +8,12 @@ package serve
 //	            slot per unit of work (solve, group solve, or stream).
 //	solve     — solverLayer: cache misses in, immutable *solved
 //	            entries out; owns the solver engine, the per-request
-//	            deadline, and the store-and-fill of finished results.
-//	cluster   — PeerCache (implemented by internal/cluster): a remote
-//	            content-addressed cache consulted on local miss and
-//	            filled after local solves. Nil outside cluster mode.
+//	            deadline, and the storing of finished results.
 //
 // The layers keep the determinism contract trivially auditable: only
 // the solve layer produces numbers, every solve starts cold, the
-// cache layer stores results verbatim, and admission/cluster decide
-// *where and when* a solve runs, never what it returns.
+// cache layer stores results verbatim, and admission decides *when* a
+// solve runs, never what it returns.
 
 import (
 	"context"
@@ -53,7 +49,7 @@ func newCacheLayer(cfg Config) *cacheLayer {
 	}
 }
 
-// Lookup returns the locally cached entry for a content address.
+// Lookup returns the cached entry for a content address.
 func (c *cacheLayer) Lookup(key string) (*solved, bool) {
 	return c.results.getSolved(key)
 }
@@ -106,25 +102,6 @@ func (g *gate) Admit(cancel <-chan struct{}) (func(), error) {
 func (g *gate) Pending() int64 { return g.pending.Load() }
 func (g *gate) Running() int64 { return g.running.Load() }
 
-// -------------------------------------------------------------- cluster
-
-// PeerCache is the cluster seam, implemented by internal/cluster. All
-// methods are safe for concurrent use. Every lookup path degrades to
-// a local solve: ok=false — whether from self-ownership, a clean
-// miss, a slow peer, or a partition — is never an error.
-type PeerCache interface {
-	// Fetch retrieves key's entry from the owning peer, hedged and
-	// bounded by a short timeout. ok=false when this node owns the key,
-	// the owner misses, or the peer is slow/unreachable.
-	Fetch(ctx context.Context, key string) (e *specio.PeerCacheEntry, ok bool)
-	// Fill offers a locally solved entry to its ring owner.
-	// Best-effort and asynchronous: errors are counted, never surfaced.
-	Fill(e *specio.PeerCacheEntry)
-	// Stats snapshots the peer hit/miss/hedge/fill counters merged
-	// into /metrics.
-	Stats() map[string]int64
-}
-
 // ----------------------------------------------------------------- solve
 
 // miss is one cache miss bound for the solver: the built evaluation
@@ -136,18 +113,17 @@ type miss struct {
 }
 
 // solverLayer is the compute layer: misses in, immutable solved
-// entries out. It owns result storage (local store + peer fill), so
-// every caller observes identical caching behavior.
+// entries out. It owns result storage, so every caller observes
+// identical caching behavior.
 type solverLayer struct {
 	cfg     Config
 	engine  *solver.Engine
 	caches  *cacheLayer
-	peers   PeerCache
 	baseCtx context.Context
 	ctr     *counters
 }
 
-func newSolverLayer(cfg Config, caches *cacheLayer, peers PeerCache, baseCtx context.Context, ctr *counters) *solverLayer {
+func newSolverLayer(cfg Config, caches *cacheLayer, baseCtx context.Context, ctr *counters) *solverLayer {
 	engine := solver.NewEngine(cfg.SolverWorkers)
 	switch {
 	case cfg.AssemblyCache > 0:
@@ -159,7 +135,6 @@ func newSolverLayer(cfg Config, caches *cacheLayer, peers PeerCache, baseCtx con
 		cfg:     cfg,
 		engine:  engine,
 		caches:  caches,
-		peers:   peers,
 		baseCtx: baseCtx,
 		ctr:     ctr,
 	}
@@ -213,15 +188,6 @@ func newSolved(m miss, field []float64, iters int, resid float64) *solved {
 	}
 }
 
-// store indexes a finished solve locally and offers it to its ring
-// owner (best-effort, asynchronous).
-func (l *solverLayer) store(sv *solved) {
-	l.caches.Store(sv)
-	if l.peers != nil {
-		l.peers.Fill(peerEntry(sv))
-	}
-}
-
 // Solve runs one evaluation under its deadline and stores the result.
 func (l *solverLayer) Solve(m miss) (*solved, error) {
 	ev := m.ev
@@ -256,7 +222,7 @@ func (l *solverLayer) Solve(m miss) (*solved, error) {
 		}
 		sv = newSolved(m, field, ev.Req.Transient.Steps, math.NaN())
 	}
-	l.store(sv)
+	l.caches.Store(sv)
 	return sv, nil
 }
 
@@ -285,7 +251,7 @@ func (l *solverLayer) SolveBatch(ms []miss) ([]*solved, error) {
 	out := make([]*solved, len(ms))
 	for i, m := range ms {
 		out[i] = newSolved(m, results[i].T, results[i].Iterations, results[i].Residual)
-		l.store(out[i])
+		l.caches.Store(out[i])
 	}
 	return out, nil
 }
@@ -325,7 +291,7 @@ func (l *solverLayer) solveRC(m miss) (*solved, error) {
 	sv := newSolved(m, res.T(), 0, res.RelResidual)
 	sv.resp.Fidelity = specio.FidelityRC
 	sv.resp.BoundK = telemetry.Float(res.Bound)
-	l.store(sv)
+	l.caches.Store(sv)
 	return sv, nil
 }
 

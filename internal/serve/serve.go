@@ -5,19 +5,16 @@
 // coalescing, and a content-addressed solve cache.
 //
 // The serving pipeline is composed from three explicit layers (see
-// layers.go) plus an optional cluster seam, in order:
+// layers.go), in order:
 //
 //  1. Decode + normalize the request (internal/specio) and assemble
 //     the solver problem; compute its canonical content address (Key)
 //     and family address (FamilyKey: the same bytes minus the power
 //     map, which keys the solver's assembly reuse and the batching
 //     window).
-//  2. Cache layer: an exact repeat is answered from the local LRU
-//     without touching the solver — bitwise identical to the solve
-//     that populated it, because the stored result is immutable and
-//     shared. In cluster mode a local miss consults the key's ring
-//     owner (PeerCache.Fetch, hedged, short timeout); a slow or dead
-//     peer degrades to a local solve, never an error.
+//  2. Cache layer: an exact repeat is answered from the LRU without
+//     touching the solver — bitwise identical to the solve that
+//     populated it, because the stored result is immutable and shared.
 //  3. Coalescing: identical requests already in flight piggyback on
 //     the running solve (singleflight) and all observe the same
 //     result object.
@@ -28,24 +25,22 @@
 //     solver.Options.Ctx; every solve starts cold. With BatchWindow
 //     set, same-family steady misses solve together as one group
 //     (window.go), the same group solve /v1/evalbatch uses. Finished
-//     solves are stored locally and offered to their ring owner.
+//     solves are stored in the cache.
 //
 // Observability: cache hits/misses, coalesced and rejected counts,
-// peer hit/miss/hedge counters (cluster mode), queue depth, and
-// p50/p99 latency surface on /metrics (and optionally expvar);
-// /healthz flips to 503 during drain. Graceful shutdown drains
-// in-flight requests, rejecting new ones.
+// queue depth, and p50/p99 latency surface on /metrics (and
+// optionally expvar); /healthz flips to 503 during drain. Graceful
+// shutdown drains in-flight requests, rejecting new ones.
 //
 // Determinism: everything above the solver is routing. For a fixed
 // SolverWorkers the solver is bit-reproducible and every solve starts
 // cold, so each response is a pure function of the request and
 // SolverWorkers — never of arrival order. The cache stores the
-// response template verbatim (and ships it between nodes with its
-// floats intact), and coalesced followers share the leader's result
-// object, so cached, coalesced, and peer-fetched responses are
+// response template verbatim, and coalesced followers share the
+// leader's result object, so cached and coalesced responses are
 // bitwise identical to the solve that produced them (pinned by the
-// equivalence tests at Workers 1 and 8, the arrival-order test, and
-// the cluster conformance suite; see DESIGN.md §9, §14).
+// equivalence tests at Workers 1 and 8 and the arrival-order test;
+// see DESIGN.md §9).
 package serve
 
 import (
@@ -120,11 +115,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested deadlines (0 → 5m).
 	MaxTimeout time.Duration
-	// Peers, when non-nil, puts the server in cluster mode: local
-	// cache misses consult the key's ring owner, finished solves are
-	// offered back, and the peer endpoints (/v1/peer/...) are
-	// registered. See internal/cluster.
-	Peers PeerCache
 	// Telemetry, when non-nil, receives solve traces plus the service
 	// counters (cache hits/misses, coalesced, rejected).
 	Telemetry *telemetry.Collector
@@ -201,7 +191,6 @@ type Server struct {
 	caches  *cacheLayer
 	gate    *gate
 	backend *solverLayer
-	peers   PeerCache
 	flights flightGroup
 	win     *winBatcher // nil unless Config.BatchWindow > 0
 	famMemo *famPrefixMemo
@@ -228,14 +217,13 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		caches:     caches,
 		gate:       newGate(cfg.Parallel, cfg.QueueDepth),
-		peers:      cfg.Peers,
 		famMemo:    newFamPrefixMemo(cfg.FamilyMemo),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		lat:        telemetry.NewLatencyWindow(0),
 		mux:        http.NewServeMux(),
 	}
-	s.backend = newSolverLayer(cfg, caches, cfg.Peers, ctx, &s.ctr)
+	s.backend = newSolverLayer(cfg, caches, ctx, &s.ctr)
 	if cfg.BatchWindow > 0 {
 		s.win = newWinBatcher(cfg.BatchWindow, cfg.MaxBatch, s)
 	}
@@ -244,10 +232,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/evaltrace", s.handleEvalTrace)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.Peers != nil {
-		s.mux.HandleFunc("GET /v1/peer/cache/{key}", s.handlePeerGet)
-		s.mux.HandleFunc("PUT /v1/peer/cache/{key}", s.handlePeerPut)
-	}
 	return s
 }
 
@@ -338,13 +322,6 @@ func (s *Server) snapshot() MetricsSnapshot {
 		telemetry.CounterBatchWindowOccupancy: s.ctr.batchOccupancy.Load(),
 		"family_assemblies":                   built,
 		"solve_failures":                      s.ctr.failures.Load(),
-	}
-	if s.peers != nil {
-		// Cluster mode: merge the peer hit/miss/hedge/fill counters so
-		// one /metrics scrape sees the whole lookup funnel.
-		for k, v := range s.peers.Stats() {
-			counters[k] = v
-		}
 	}
 	return MetricsSnapshot{
 		QueueDepth:   qd,
@@ -459,13 +436,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var leaderHit bool // leader found the entry cached (locally or on a peer)
+	var leaderHit bool // leader found the entry cached
 	var buildErr error
 	sv, err, shared := s.flights.Do(key, func() (*solved, error) {
 		// Double-check: a concurrent flight may have finished (and
 		// populated the cache) between our Lookup miss and becoming
-		// leader. In cluster mode this also asks the key's ring owner.
-		if hit, ok := s.lookup(key); ok {
+		// leader.
+		if hit, ok := s.caches.Lookup(key); ok {
 			leaderHit = true
 			return hit, nil
 		}
@@ -551,26 +528,6 @@ func (s *Server) resolveKeys(norm specio.EvalRequest) (ev *specio.Eval, key, fam
 		s.caches.keys.Add(memoKey, keyPair{key: key, family: famKey})
 	}
 	return ev, key, famKey, 0, nil
-}
-
-// lookup answers a content address without solving: from the local
-// cache, else (cluster mode) from the key's ring owner. A peer hit is
-// the owner's stored entry, bit for bit, and is kept locally so the
-// next repeat skips the network; a slow or dead peer is a miss.
-func (s *Server) lookup(key string) (*solved, bool) {
-	if sv, ok := s.caches.Lookup(key); ok {
-		return sv, true
-	}
-	if s.peers == nil {
-		return nil, false
-	}
-	e, ok := s.peers.Fetch(s.baseCtx, key)
-	if !ok {
-		return nil, false
-	}
-	sv := solvedFromPeer(e)
-	s.caches.Store(sv)
-	return sv, true
 }
 
 // respond writes one reply from an immutable solved entry. Only the

@@ -61,20 +61,40 @@ func postEval(t *testing.T, s *Server, req specio.EvalRequest) (int, specio.Eval
 }
 
 // directSolve reproduces the server's cold-solve path locally:
-// normalized request → SolveSteady with the same options → stats.
+// normalized request → SolveSteady (or a transient run) with the same
+// options → stats.
 func directSolve(t *testing.T, req specio.EvalRequest, workers int) specio.EvalResponse {
 	t.Helper()
 	ev, err := specio.BuildEval(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solver.SolveSteady(ev.Problem, solver.Options{
+	opts := solver.Options{
 		Tol: ev.Tol, MaxIter: ev.MaxIter, Precond: ev.Precond, Workers: workers,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	peak, mean := ev.FieldStats(res.T)
+	var (
+		field []float64
+		iters int
+		resid float64
+	)
+	if ev.Steady() {
+		res, err := solver.SolveSteady(ev.Problem, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		field, iters, resid = res.T, res.Iterations, res.Residual
+	} else {
+		tr, err := solver.NewTransient(ev.Problem, ev.InitialField(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		if field, err = tr.Run(req.Transient.Steps, req.Transient.DtS); err != nil {
+			t.Fatal(err)
+		}
+		iters, resid = req.Transient.Steps, math.NaN()
+	}
+	peak, mean := ev.FieldStats(field)
 	key, err := Key(ev)
 	if err != nil {
 		t.Fatal(err)
@@ -82,14 +102,16 @@ func directSolve(t *testing.T, req specio.EvalRequest, workers int) specio.EvalR
 	return specio.EvalResponse{
 		Key: key, Mode: ev.Mode(),
 		PeakT: telemetry.Float(peak), MeanT: telemetry.Float(mean),
-		Tiers: ev.TierProfile(res.T), Iterations: res.Iterations,
-		Residual: telemetry.Float(res.Residual),
+		Tiers: ev.TierProfile(field), Iterations: iters,
+		Residual: telemetry.Float(resid),
 	}
 }
 
 // sameNumbers compares every numeric field of two responses for
 // bitwise equality (float64 == is bitwise here: the values went
-// through JSON, which round-trips float64 exactly).
+// through JSON, which round-trips float64 exactly). The residual is
+// compared by its bits, so a transient's null (NaN) residual matches
+// itself.
 func sameNumbers(a, b specio.EvalResponse) error {
 	if a.Key != b.Key {
 		return fmt.Errorf("key %s vs %s", a.Key, b.Key)
@@ -97,7 +119,7 @@ func sameNumbers(a, b specio.EvalResponse) error {
 	if a.PeakT != b.PeakT || a.MeanT != b.MeanT {
 		return fmt.Errorf("peak/mean %v/%v vs %v/%v", a.PeakT, a.MeanT, b.PeakT, b.MeanT)
 	}
-	if a.Iterations != b.Iterations || a.Residual != b.Residual {
+	if a.Iterations != b.Iterations || math.Float64bits(float64(a.Residual)) != math.Float64bits(float64(b.Residual)) {
 		return fmt.Errorf("iterations/residual %d/%v vs %d/%v", a.Iterations, a.Residual, b.Iterations, b.Residual)
 	}
 	if len(a.Tiers) != len(b.Tiers) {
@@ -113,32 +135,45 @@ func sameNumbers(a, b specio.EvalResponse) error {
 
 // TestServeEquivalence pins the acceptance invariant: a served cold
 // solve, its cached repeat, and a direct in-process solve with the
-// same options produce bitwise-identical numbers — at Workers 1 and 8.
+// same options produce bitwise-identical numbers — at Workers 1 and 8,
+// for a steady and a transient request.
 func TestServeEquivalence(t *testing.T) {
+	transient := testRequest(35)
+	transient.Transient = &specio.TransientJSON{DtS: 1e-4, Steps: 3}
+	inputs := []struct {
+		name string
+		req  specio.EvalRequest
+	}{
+		{"steady", testRequest(30)},
+		{"transient", transient},
+	}
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			s := New(Config{SolverWorkers: workers})
 			defer s.Shutdown(context.Background())
-			req := testRequest(30)
-			want := directSolve(t, req, workers)
+			for _, in := range inputs {
+				t.Run(in.name, func(t *testing.T) {
+					want := directSolve(t, in.req, workers)
 
-			code, cold := postEval(t, s, req)
-			if code != http.StatusOK {
-				t.Fatalf("cold solve: HTTP %d (%s)", code, cold.Error)
-			}
-			if cold.Cached || cold.Coalesced {
-				t.Fatalf("first request flagged cached=%v coalesced=%v", cold.Cached, cold.Coalesced)
-			}
-			if err := sameNumbers(cold, want); err != nil {
-				t.Fatalf("served cold solve differs from direct solve: %v", err)
-			}
+					code, cold := postEval(t, s, in.req)
+					if code != http.StatusOK {
+						t.Fatalf("cold solve: HTTP %d (%s)", code, cold.Error)
+					}
+					if cold.Cached || cold.Coalesced {
+						t.Fatalf("first request flagged cached=%v coalesced=%v", cold.Cached, cold.Coalesced)
+					}
+					if err := sameNumbers(cold, want); err != nil {
+						t.Fatalf("served cold solve differs from direct solve: %v", err)
+					}
 
-			code, hot := postEval(t, s, req)
-			if code != http.StatusOK || !hot.Cached {
-				t.Fatalf("repeat not served from cache: HTTP %d cached=%v", code, hot.Cached)
-			}
-			if err := sameNumbers(hot, want); err != nil {
-				t.Fatalf("cached response differs from cold solve: %v", err)
+					code, hot := postEval(t, s, in.req)
+					if code != http.StatusOK || !hot.Cached {
+						t.Fatalf("repeat not served from cache: HTTP %d cached=%v", code, hot.Cached)
+					}
+					if err := sameNumbers(hot, want); err != nil {
+						t.Fatalf("cached response differs from cold solve: %v", err)
+					}
+				})
 			}
 		})
 	}

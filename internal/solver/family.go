@@ -31,9 +31,10 @@ import (
 // AssemblyStats or the family_assembly_* telemetry counters. Its
 // arrays — operator, kern vectors, right-hand side and
 // preconditioners — come from the free list (freelist.go), and a
-// steady call hands them all back when it releases its lease, so the
-// next same-sized solve reuses them. Either way the solve runs the
-// same code: lease a context, derive the RHS (once), run PCG, release.
+// steady call hands them all back when it releases its lease, a
+// transient integrator when it closes, so the next same-sized solve
+// reuses them. Either way the solve runs the same code: lease a
+// context, derive the RHS (once), run PCG, release.
 //
 // Key contract: two problems may share a key only if every
 // operator-determining field — grid coordinates, KX/KY/KZ, Cv,
@@ -310,15 +311,17 @@ func (fe *familyEntry) leaseAug(dt float64, heatCap []float64) *augCtx {
 	op := fe.op
 	n := len(op.diag)
 	// The augmented system shares the couplings; its diagonal is
-	// checked when its first preconditioner is built.
+	// checked when its first preconditioner is built. Its diagonal,
+	// C/Δt and rhs come from the free list uncleared: the first two are
+	// written in full below, the rhs by every step before its solve.
 	aug := &operator{
 		g: op.g, nx: op.nx, ny: op.ny, nz: op.nz,
 		gxp: op.gxp, gyp: op.gyp, gzp: op.gzp,
 		bare: op.bare, zero: op.zero,
-		diag: make([]float64, n),
-		b:    make([]float64, n),
+		diag: getUncleared(n),
+		b:    getUncleared(n),
 	}
-	capDt := make([]float64, n)
+	capDt := getUncleared(n)
 	for c := 0; c < n; c++ {
 		capDt[c] = heatCap[c] / dt
 		aug.diag[c] = op.diag[c] + capDt[c]
@@ -338,4 +341,26 @@ func (fe *familyEntry) releaseAug(c *augCtx) {
 		fe.augs = slices.Delete(fe.augs, 0, 1)
 	}
 	fe.mu.Unlock()
+}
+
+// free hands a transient context's own arrays back to the free list:
+// the augmented diagonal and rhs, C/Δt, the predictor scratch, the
+// kern vectors and the preconditioners. The couplings belong to the
+// entry's operator.
+func (c *augCtx) free() {
+	c.kr.free()
+	c.pcs.free()
+	putFloats(c.aug.diag, c.aug.b, c.capDt, c.guess)
+}
+
+// freePrivate ends a private entry once its one user is done: the
+// parked transient contexts and the operator go back to the free
+// list. The user calls it once, after its last solve.
+func (fe *familyEntry) freePrivate() {
+	for _, c := range fe.augs {
+		c.free()
+	}
+	fe.augs = nil
+	fe.op.free()
+	fe.op = nil
 }

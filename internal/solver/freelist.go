@@ -19,7 +19,8 @@ import "sync"
 // zeros (coarse stencils, zero columns, a problem's Q and Cv).
 // getUncleared hands an array out as the last user left it, for the
 // sites that write every entry before any is read (an operator's
-// couplings, diagonal and boundary rhs, a lease's right-hand side,
+// couplings, diagonal and boundary rhs, a lease's right-hand side, a
+// Δt context's augmented diagonal, rhs, C/Δt and predictor scratch,
 // Thomas factors, level scratch, PCG vectors, a problem's
 // conductivities); clearing those was a full extra pass over most of a
 // solve's memory. Reuse moves no bit either way

@@ -137,14 +137,20 @@ func NewTransient(p *Problem, t0 []float64, opts Options) (*Transient, error) {
 
 // Close returns the leased context to the family entry, the
 // integrator's own arrays to the free list, and releases the throwaway
-// engine, if any. Idempotent; the integrator must not be used
-// afterwards. When Options.Engine supplied the pool, Close leaves it
-// open (the engine's owner closes it).
+// engine, if any. On a private entry, which no other solve can reach,
+// the operator and every Δt context go to the free list as well.
+// Idempotent; the integrator must not be used afterwards. When
+// Options.Engine supplied the pool, Close leaves it open (the engine's
+// owner closes it).
 func (tr *Transient) Close() {
 	if tr.lease != nil {
 		tr.fam.releaseAug(tr.lease)
 		tr.lease = nil
 	}
+	if tr.fam != nil && tr.fam.private {
+		tr.fam.freePrivate()
+	}
+	tr.fam = nil
 	tr.retire(tr.cur, tr.prev[0], tr.prev[1], tr.cap, tr.op.b)
 	putFloats(tr.spare...)
 	tr.cur, tr.prev, tr.cap, tr.op.b, tr.spare = nil, [2][]float64{}, nil, nil, nil
@@ -247,7 +253,7 @@ func (tr *Transient) stepRHS() []float64 {
 	rho = min(rho, 1)
 	g := tr.lease.guess
 	if g == nil {
-		g = make([]float64, len(t))
+		g = getUncleared(len(t))
 		tr.lease.guess = g
 	}
 	g = g[:len(t)]

@@ -312,7 +312,10 @@ func TestTransientPredictorNeverCostsIterations(t *testing.T) {
 // TestTransientPredictorAllocs: once the predictor is running, a step
 // allocates one n-vector — the field it returns. The extrapolated
 // start lives in the leased Δt context's scratch, and the history
-// only rotates fields the integrator already returned.
+// only rotates fields the integrator already returned. A private
+// integrator's whole life — NewTransient, one step, Close — allocates
+// under one n-vector once warm: Close hands the private entry's
+// operator and every Δt context it built back to the free list.
 func TestTransientPredictorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -345,5 +348,20 @@ func TestTransientPredictorAllocs(t *testing.T) {
 			t.Errorf("%s: a step allocates %.0f bytes, budget one %.0f-byte field", pc, bytes, vec)
 		}
 		tr.Close()
+
+		_, bytes = allocBudget(func() {
+			tr, err := NewTransient(p, t0, Options{Tol: 1e-7, Precond: pc, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Step(1e-4); err != nil {
+				t.Fatal(err)
+			}
+			tr.Close()
+		})
+		t.Logf("%s: %.0f bytes per private NewTransient/Step/Close (%.1f n-vectors)", pc, bytes, bytes/vec)
+		if bytes >= vec {
+			t.Errorf("%s: a private transient cycle allocates %.1f n-vectors, budget 1", pc, bytes/vec)
+		}
 	}
 }

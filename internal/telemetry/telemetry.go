@@ -42,23 +42,6 @@ const (
 	// CounterTraceCheckpoints counts checkpoint events emitted across
 	// all trace streams.
 	CounterTraceCheckpoints = "trace_checkpoints"
-	// CounterPeerHits counts cluster-mode cache lookups answered by the
-	// owning peer (the fetched entry is bitwise identical to the solve
-	// that filled it).
-	CounterPeerHits = "peer_hits"
-	// CounterPeerMisses counts peer lookups the owner answered with a
-	// clean 404 — the key was simply not cached anywhere yet.
-	CounterPeerMisses = "peer_misses"
-	// CounterPeerHedges counts hedge requests fired because the primary
-	// peer fetch had not answered within the hedge delay.
-	CounterPeerHedges = "peer_hedges"
-	// CounterPeerFallbacks counts peer fetches abandoned on error or
-	// timeout — the request degraded to a local solve instead of
-	// failing.
-	CounterPeerFallbacks = "peer_fallbacks"
-	// CounterPeerFills counts cache entries pushed to their owning peer
-	// after a local solve.
-	CounterPeerFills = "peer_fills"
 	// CounterFamilyAssemblyHits counts solves that found their
 	// operator family already assembled in the engine's family cache
 	// and skipped assembly + preconditioner-hierarchy setup.
