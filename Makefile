@@ -132,7 +132,8 @@ bench-serve:
 # placement loop, one Table I placement, service throughput). It checks the benchmarks still build
 # and run — timing numbers on shared CI runners are not compared. The
 # placement prints dispatches/op, the solver regions that woke helper
-# goroutines; the paper flow's grids should read 0.
+# goroutines (the paper flow's grids should read 0), and solves/op and
+# iters/op, its thermal solves and their PCG iterations.
 bench-smoke:
 	$(GO) test -run xxx -bench 'SteadyPrecond/precond=zline/n=16|SteadyPrecond/precond=multigrid/n=16|SteadyBatch|SmallNReduce|SteadyMG96Workers/precision=f32/workers=1|MGCyclePrecision|SetupShapes|MGCycleShapes|SpMVShapes|TransientTrace/workers=1/segments=4' -benchtime=1x ./internal/solver/ ./internal/parallel/
 	$(GO) test -run xxx -bench 'PlacementLoop|PlaceScaffold12' -benchtime=1x ./internal/pillar/

@@ -234,8 +234,9 @@ func EvaluateMinPenalty(cfg Config, s Strategy, tiers int) (*Evaluation, error) 
 // conventionalTMax solves the conventional flow at a given fill
 // fraction: the design is diluted over the grown footprint, the
 // dummy-via conductivity boost is applied, and the task mix is
-// scheduled hot-near-sink.
-func conventionalTMax(cfg Config, tiers int, fill float64, warm *[]float64) (float64, float64, error) {
+// scheduled hot-near-sink. A non-nil cont starts the solve from its
+// guess and records the solved field.
+func conventionalTMax(cfg Config, tiers int, fill float64, cont *solver.Continuation) (float64, float64, error) {
 	fm := dummyfill.Default()
 	growth, err := fm.AreaGrowthForFill(fill)
 	if err != nil {
@@ -261,26 +262,26 @@ func conventionalTMax(cfg Config, tiers int, fill float64, warm *[]float64) (flo
 		}
 		spec.PowerMaps = maps
 	}
-	// The feasibility bisection re-solves this spec ~20 times with
-	// nearby fill fractions: multigrid plus the warm start keeps each
-	// solve at a handful of iterations.
+	// The feasibility bisection re-solves this spec 18 times with
+	// nearby fill fractions: multigrid plus the continuation's start
+	// keeps each solve at a few iterations.
 	opts := cfg.solverOpts()
-	if warm != nil && len(*warm) > 0 {
-		opts.InitialGuess = *warm
+	if cont != nil {
+		opts.InitialGuess = cont.Guess(fill)
 	}
 	res, err := spec.Solve(opts)
 	if err != nil {
 		return 0, 0, err
 	}
-	if warm != nil {
-		*warm = res.Field.T
+	if cont != nil {
+		cont.Add(fill, res.Field.T)
 	}
 	return units.KelvinToCelsius(res.MaxT()), growth, nil
 }
 
 func evaluateConventionalMin(cfg Config, tiers int) (*Evaluation, error) {
 	fm := dummyfill.Default()
-	var warm []float64
+	var cont solver.Continuation
 	mk := func(fill, growth, tMax float64, feasible bool) *Evaluation {
 		return &Evaluation{
 			Strategy: Conventional3D, Tiers: tiers,
@@ -290,14 +291,14 @@ func evaluateConventionalMin(cfg Config, tiers int) (*Evaluation, error) {
 			FillFraction:     fill,
 		}
 	}
-	t0, g0, err := conventionalTMax(cfg, tiers, fm.FreeFill, &warm)
+	t0, g0, err := conventionalTMax(cfg, tiers, fm.FreeFill, &cont)
 	if err != nil {
 		return nil, err
 	}
 	if t0 <= cfg.TTargetC {
 		return mk(fm.FreeFill, g0, t0, true), nil
 	}
-	tMaxFill, gMax, err := conventionalTMax(cfg, tiers, fm.MaxFill, &warm)
+	tMaxFill, gMax, err := conventionalTMax(cfg, tiers, fm.MaxFill, &cont)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +312,7 @@ func evaluateConventionalMin(cfg Config, tiers int) (*Evaluation, error) {
 			return nil, err
 		}
 		mid := (lo + hi) / 2
-		tm, gm, err := conventionalTMax(cfg, tiers, mid, &warm)
+		tm, gm, err := conventionalTMax(cfg, tiers, mid, &cont)
 		if err != nil {
 			return nil, err
 		}

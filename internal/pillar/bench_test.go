@@ -8,6 +8,7 @@ import (
 	"thermalscaffold/internal/parallel"
 	"thermalscaffold/internal/solver"
 	"thermalscaffold/internal/stack"
+	"thermalscaffold/internal/telemetry"
 )
 
 // scaffold12 is the Table I placement the benchmark times: Gemmini at
@@ -23,9 +24,15 @@ func scaffold12() Request {
 // BenchmarkPlaceScaffold12 times one Table I placement and reports
 // dispatches/op, the solver regions that woke helper goroutines: the
 // paper flow's grids are too small to pay for a wake-up, so it reads 0
-// (TestPlaceDispatchesNoRegions pins that at two workers).
+// (TestPlaceDispatchesNoRegions pins that at two workers). solves/op
+// and iters/op count its thermal solves and their PCG iterations
+// (11 and 34), from a collector that keeps every trace, as a traced
+// benchmark run does.
 func BenchmarkPlaceScaffold12(b *testing.B) {
 	req := scaffold12()
+	tel := telemetry.New()
+	tel.SetMaxTraces(0)
+	req.Telemetry = tel
 	b.ReportAllocs()
 	before := parallel.RegionsDispatched()
 	b.ResetTimer()
@@ -35,7 +42,10 @@ func BenchmarkPlaceScaffold12(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(parallel.RegionsDispatched()-before)/float64(b.N), "dispatches/op")
+	perOp := func(v int64) float64 { return float64(v) / float64(b.N) }
+	b.ReportMetric(perOp(parallel.RegionsDispatched()-before), "dispatches/op")
+	b.ReportMetric(perOp(tel.Counter(telemetry.CounterSolves)), "solves/op")
+	b.ReportMetric(perOp(tel.Counter(telemetry.CounterIterations)), "iters/op")
 }
 
 // BenchmarkPlacementLoop times the placement-style candidate sweep:

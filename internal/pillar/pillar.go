@@ -311,11 +311,12 @@ func Place(req Request) (*Placement, error) {
 		return nil, err
 	}
 
-	// One pool serves the whole bisection (~20 solves on one grid).
+	// One pool serves the whole bisection (at most 12 solves on one
+	// grid).
 	eng := solver.NewEngine(0)
 	defer eng.Close()
 
-	var lastField []float64
+	var cont solver.Continuation
 	solveAt := func(lambda float64) (float64, *stack.PillarField, *stack.PillarField, error) {
 		eff, metal := stack.NewPillarField(r.NX, r.NY), stack.NewPillarField(r.NX, r.NY)
 		alloc.Fill(lambda, eff, metal)
@@ -329,17 +330,17 @@ func Place(req Request) (*Placement, error) {
 			Sink:          r.Sink,
 			MemoryPerTier: true,
 		}
-		// The bisection re-solves the same stack ~20 times with nearby
-		// coverage fields: the default multigrid keeps each warm-started
-		// solve at a handful of iterations regardless of grid resolution.
+		// The bisection re-solves the same stack with nearby coverage
+		// fields, each solve starting from the continuation's guess, so
+		// the default multigrid takes a few iterations per solve.
 		res, err := spec.Solve(solver.Options{
-			Tol: r.Tol, MaxIter: 80000, InitialGuess: lastField,
+			Tol: r.Tol, MaxIter: 80000, InitialGuess: cont.Guess(lambda),
 			Ctx: r.Ctx, Telemetry: r.Telemetry, Engine: eng,
 		})
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		lastField = res.Field.T
+		cont.Add(lambda, res.Field.T)
 		return units.KelvinToCelsius(res.MaxT()), eff, metal, nil
 	}
 
@@ -356,16 +357,9 @@ func Place(req Request) (*Placement, error) {
 	if math.IsInf(lambdaHi, 0) || lambdaHi <= 0 {
 		lambdaHi = 1e3
 	}
-	tHi, effHi, metalHi, err := solveAt(lambdaHi)
-	if err != nil {
-		return nil, err
-	}
-	if tHi > r.TTargetC {
-		// Even saturated coverage cannot meet the target.
-		return finishPlacement(r, effHi, metalHi, tHi, lambdaHi, false), nil
-	}
 	lo, hi := 0.0, lambdaHi
-	tBest, effBest, metalBest, lamBest := tHi, effHi, metalHi, lambdaHi
+	var tBest, lamBest float64
+	var effBest, metalBest *stack.PillarField
 	for iter := 0; iter < 18 && (hi-lo) > 1e-3*lambdaHi; iter++ {
 		if r.Ctx != nil {
 			if cerr := r.Ctx.Err(); cerr != nil {
@@ -380,8 +374,22 @@ func Place(req Request) (*Placement, error) {
 		if tm <= r.TTargetC {
 			hi = mid
 			tBest, effBest, metalBest, lamBest = tm, em, mm, mid
-		} else {
-			lo = mid
+			continue
+		}
+		lo = mid
+		if iter == 0 {
+			// T_max falls as λ rises, so the saturated end is solved
+			// only when the first midpoint runs hot: the answer then
+			// lies above λHi/2, if λHi meets the target at all.
+			tHi, effHi, metalHi, err := solveAt(lambdaHi)
+			if err != nil {
+				return nil, err
+			}
+			if tHi > r.TTargetC {
+				// Even saturated coverage cannot meet the target.
+				return finishPlacement(r, effHi, metalHi, tHi, lambdaHi, false), nil
+			}
+			tBest, effBest, metalBest, lamBest = tHi, effHi, metalHi, lambdaHi
 		}
 	}
 	return finishPlacement(r, effBest, metalBest, tBest, lamBest, true), nil

@@ -1,6 +1,7 @@
 package pillar
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"thermalscaffold/internal/heatsink"
 	"thermalscaffold/internal/parallel"
 	"thermalscaffold/internal/stack"
+	"thermalscaffold/internal/telemetry"
 )
 
 func TestGeometryDefaults(t *testing.T) {
@@ -145,6 +147,64 @@ func TestPlaceScaffoldTwelveTiers(t *testing.T) {
 	}
 	if arrayCov <= llcCov {
 		t.Errorf("array coverage %g should exceed LLC coverage %g", arrayCov, llcCov)
+	}
+}
+
+// TestPlaceDecisionsAndSolves pins the placement's answers and its
+// solve counts on the paper flow's 12×12 grid. The bisection halves
+// [0, λHi] ten times, so a feasible placement whose first midpoint
+// λHi/2 meets the target takes 11 solves (λ = 0 and ten midpoints); an
+// infeasible one stops after λ = 0, λHi/2 and λHi; and one that needs
+// no pillars after λ = 0. T_max falls as λ rises, so leaving λHi
+// unsolved while λHi/2 meets the target changes no decision: the λ,
+// footprints and feasibility are those of a bisection that solves
+// λHi first.
+func TestPlaceDecisionsAndSolves(t *testing.T) {
+	cases := []struct {
+		d         *design.Design
+		tiers     int
+		lambda    string // %.6f
+		footprint float64
+		feasible  bool
+		solves    int64
+	}{
+		{design.Gemmini(), 12, "0.147978", 0.06167680436476828, true, 11},
+		{design.Rocket(), 13, "0.168523", 0.11047857797849318, true, 11},
+		{design.FujitsuResearch(), 12, "0.372038", 0.11553312018323587, true, 11},
+		{design.Gemmini(), 30, "3.788239", 0.32096245059288547, false, 3},
+		{design.Gemmini(), 2, "0.000000", 0, true, 1},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/N=%d", c.d.Name, c.tiers), func(t *testing.T) {
+			tel := telemetry.New()
+			req := scaffold12()
+			req.Design, req.Tiers, req.Telemetry = c.d, c.tiers, tel
+			p, err := Place(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%.6f", p.Lambda); got != c.lambda {
+				t.Errorf("λ = %s, want %s", got, c.lambda)
+			}
+			if math.Abs(p.FootprintPenalty-c.footprint) > 1e-12 {
+				t.Errorf("footprint %.17g, want %.17g", p.FootprintPenalty, c.footprint)
+			}
+			if p.Feasible != c.feasible || (c.feasible && p.TMaxC > req.TTargetC) {
+				t.Errorf("feasible %v at T_max %g °C, want %v", p.Feasible, p.TMaxC, c.feasible)
+			}
+			if !c.feasible {
+				a, err := NewAllocator(c.d.Tier, req.NX, req.NY, c.tiers, req.BEOL, Default(), 0.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hi := 0.5 * a.QMax / minPositive(a.Power); p.Lambda != hi {
+					t.Errorf("infeasible placement at λ = %g, want λHi = %g", p.Lambda, hi)
+				}
+			}
+			if got := tel.Counter(telemetry.CounterSolves); got != c.solves {
+				t.Errorf("%d solves, want %d", got, c.solves)
+			}
+		})
 	}
 }
 

@@ -459,7 +459,11 @@ func coarsenColumns(s colStencil, xoff, yoff []int) colStencil {
 	co := newColStencil(nxc, nyc, nz)
 	sy := nx * nz
 	zero := getFloats(nz)
-	defer putFloats(zero)
+	// hx and hy hold interior half resistances between the two coarse
+	// faces that read them, for every fine row and column.
+	half := getUncleared((nx + s.ny) * nz)
+	defer putFloats(zero, half)
+	hx, hy := half[:s.ny*nz], half[s.ny*nz:]
 	for J := 0; J < nyc; J++ {
 		for I := 0; I < nxc; I++ {
 			C := (J*nxc + I) * nz
@@ -505,37 +509,52 @@ func coarsenColumns(s colStencil, xoff, yoff []int) colStencil {
 			}
 			// Coarse x face to aggregate I+1: per fine row, series-
 			// combine (harmonic mean) the half-cell interior faces with
-			// the interface face, then sum the rows in parallel.
+			// the interface face, then sum the rows in parallel. An
+			// aggregate's interior face serves the coarse faces on both
+			// of its sides, so its half resistance 1/(2g) is computed
+			// for the first and kept in hx (per fine row) for the
+			// second.
 			if I+1 < nxc {
 				iL := xoff[I+1] - 1
 				gx := co.gxp[C : C+nz]
 				for j := yoff[J]; j < yoff[J+1]; j++ {
 					c := (j*nx + iL) * nz
+					h := hx[j*nz : j*nz+nz][:len(gx)]
 					for k := range gx {
 						r := 1 / s.gxp[c+k]
 						if xoff[I+1]-xoff[I] == 2 {
-							r += 1 / (2 * s.gxp[c+k-nz])
+							if I == 0 {
+								h[k] = 1 / (2 * s.gxp[c+k-nz])
+							}
+							r += h[k]
 						}
 						if xoff[I+2]-xoff[I+1] == 2 {
-							r += 1 / (2 * s.gxp[c+k+nz])
+							h[k] = 1 / (2 * s.gxp[c+k+nz])
+							r += h[k]
 						}
 						gx[k] += 1 / r
 					}
 				}
 			}
-			// Coarse y face, symmetric.
+			// Coarse y face, symmetric; hy keeps the half resistances
+			// per fine column.
 			if J+1 < nyc {
 				jL := yoff[J+1] - 1
 				gy := co.gyp[C : C+nz]
 				for i := xoff[I]; i < xoff[I+1]; i++ {
 					c := (jL*nx + i) * nz
+					h := hy[i*nz : i*nz+nz][:len(gy)]
 					for k := range gy {
 						r := 1 / s.gyp[c+k]
 						if yoff[J+1]-yoff[J] == 2 {
-							r += 1 / (2 * s.gyp[c+k-sy])
+							if J == 0 {
+								h[k] = 1 / (2 * s.gyp[c+k-sy])
+							}
+							r += h[k]
 						}
 						if yoff[J+2]-yoff[J+1] == 2 {
-							r += 1 / (2 * s.gyp[c+k+sy])
+							h[k] = 1 / (2 * s.gyp[c+k+sy])
+							r += h[k]
 						}
 						gy[k] += 1 / r
 					}

@@ -109,7 +109,7 @@ type Options struct {
 	// Tol is the relative residual target ‖b−A·T‖/‖b‖ (default 1e-8).
 	Tol float64
 	// InitialGuess, when non-nil, seeds the iteration (and is not
-	// modified). Useful for continuation across parameter sweeps.
+	// modified). Continuation supplies it across a parameter search.
 	InitialGuess []float64
 	// Precond selects the preconditioner (default Multigrid).
 	Precond Preconditioner
@@ -195,6 +195,60 @@ func (o *Options) ownEngine() *Engine {
 	o.Engine = NewEngine(o.Workers)
 	o.FamilyKey = ""
 	return o.Engine
+}
+
+// Continuation supplies Options.InitialGuess along a search over one
+// scalar parameter whose solved fields vary smoothly with it, such as
+// a bisection. It guesses the Lagrange quadratic through the last
+// three solved (parameter, field) pairs; with fewer than three, or
+// when two of them share a parameter, the last field; before any, nil
+// (a cold start). The zero value is ready to use.
+type Continuation struct {
+	params [3]float64
+	fields [3][]float64 // oldest first; one length
+	n      int
+	guess  []float64
+}
+
+// Add records the field solved at parameter p. The field is held, not
+// copied: the caller must not change it afterwards.
+func (c *Continuation) Add(p float64, field []float64) {
+	if c.n == len(c.fields) {
+		copy(c.params[:], c.params[1:])
+		copy(c.fields[:], c.fields[1:])
+		c.n--
+	}
+	c.params[c.n], c.fields[c.n] = p, field
+	c.n++
+}
+
+// Guess returns the start of the solve at parameter p. A quadratic
+// guess is written into one buffer that every Guess reuses, so it
+// stays valid until the next Guess, and only the first one allocates.
+func (c *Continuation) Guess(p float64) []float64 {
+	if c.n < len(c.fields) {
+		if c.n == 0 {
+			return nil
+		}
+		return c.fields[c.n-1]
+	}
+	x0, x1, x2 := c.params[0], c.params[1], c.params[2]
+	f0, f1, f2 := c.fields[0], c.fields[1], c.fields[2]
+	d01, d02, d12 := x0-x1, x0-x2, x1-x2
+	if d01 == 0 || d02 == 0 || d12 == 0 {
+		return f2
+	}
+	l0 := (p - x1) * (p - x2) / (d01 * d02)
+	l1 := -(p - x0) * (p - x2) / (d01 * d12)
+	l2 := (p - x0) * (p - x1) / (d02 * d12)
+	if len(c.guess) != len(f2) {
+		c.guess = make([]float64, len(f2))
+	}
+	g := c.guess
+	for i := range g {
+		g[i] = l0*f0[i] + l1*f1[i] + l2*f2[i]
+	}
+	return g
 }
 
 // Result is the outcome of a steady solve.
